@@ -435,12 +435,26 @@ parallel execution:
 """
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common_campaign_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tests", type=int, default=400, help="tests per campaign")
-    parser.add_argument("--trials", type=int, default=2, help="trials per campaign")
+    parser.add_argument("--tests", type=_positive_int, default=400,
+                        help="tests per campaign")
+    parser.add_argument("--trials", type=_positive_int, default=2,
+                        help="trials per campaign")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--seeds", type=int, default=10, help="initial seed tests")
-    parser.add_argument("--mutants", type=int, default=4,
+    parser.add_argument("--seeds", type=_positive_int, default=10,
+                        help="initial seed tests")
+    parser.add_argument("--mutants", type=_positive_int, default=4,
                         help="mutants per interesting test")
     parser.add_argument("--corpus", action="store_true",
                         help="enable the coverage-directed corpus: tests "

@@ -179,11 +179,12 @@ def configure_compiled_cache(max_entries: Optional[int]) -> None:
 
 #: instruction classes that end a superblock.  Branches and jumps redirect
 #: the pc; system instructions halt (``ecall``), trap, or redirect
-#: (``mret``); CSR instructions read or write machine state the fused
-#: loops deliberately leave to the generic step (counter aliases, tracked
-#: CSR coverage).  Everything else -- ALU, loads/stores, atomics, fences,
-#: mul/div -- commits ``next_pc == pc + 4`` unconditionally, *including*
-#: when it traps (the harness convention resumes at the next instruction).
+#: (``mret``); CSR instructions read or write the retirement counters the
+#: fused loops batch, so they may only close a block, as its tail (after
+#: the counters are flushed).  Everything else -- ALU, loads/stores,
+#: atomics, fences, mul/div -- commits ``next_pc == pc + 4``
+#: unconditionally, *including* when it traps (the harness convention
+#: resumes at the next instruction).
 _TERMINATOR_CLASSES = frozenset({
     InstrClass.BRANCH, InstrClass.JUMP, InstrClass.SYSTEM, InstrClass.CSR,
 })
@@ -259,11 +260,16 @@ class Superblock:
             process and the tables they come from depend only on the
             model class, so a resolved plan list stays valid for as long
             as the block is cached.
+        bug_cut: ``(triggers, offset)`` for the last injected-bug set the
+            DUT harness ran this block with: its static trigger
+            declarations and the offset of the first entry one of them
+            claims (-1 for none).  ``None`` until a bug-injected DUT
+            runs the block.
     """
 
     __slots__ = ("start", "length", "base_address", "end_address",
                  "word_set", "entries", "dut_plan", "model_plans",
-                 "tail_redirect", "csr_tail")
+                 "tail_redirect", "csr_tail", "bug_cut")
 
     def __init__(self, start: int, entries: Tuple[Tuple, ...],
                  base_address: int, end_address: int,
@@ -278,6 +284,7 @@ class Superblock:
         self.model_plans = {}
         self.tail_redirect = tail_redirect
         self.csr_tail = csr_tail
+        self.bug_cut = None
 
 
 #: table sentinel distinguishing "not built yet" from "not fusable" (None).

@@ -44,6 +44,14 @@ class InjectedBug:
     Subclasses override the hook methods they need; every hook receives the
     :class:`~repro.rtl.harness.DutExecutor` so it can inspect run state
     (stores executed, cache dirtiness, recent traps ...).
+
+    The DUT's fused superblock loop fires the hooks where they act:
+    ``on_mem_load``, ``on_csr_read`` and ``on_csr_write`` inside the
+    instruction handlers, ``on_trap`` on every trap commit.  ``on_decode``
+    and ``should_count_retirement`` only fire on the per-step path, so a
+    bug overriding either must declare in :meth:`triggers_on` every
+    instruction they can act on: the fused loop stops before such an
+    entry and runs it per-step.
     """
 
     bug_id: str = "V?"
@@ -59,6 +67,18 @@ class InjectedBug:
         executor.note_bug_effect(self.bug_id)
 
     # ------------------------------------------------------------------- hooks
+    @staticmethod
+    def triggers_on(instr: Instruction, word: int) -> bool:
+        """Whether ``on_decode`` or ``should_count_retirement`` may act here.
+
+        A static declaration over the decoded instruction and its word
+        (no run state), so the DUT harness evaluates it once per
+        superblock and bug set.  It must be true wherever ``on_decode``
+        could return a replacement or ``should_count_retirement`` could
+        return ``False``; being true elsewhere only costs speed.
+        """
+        return False
+
     def on_decode(self, executor, instr: Instruction,
                   word: int) -> Optional[Instruction]:
         """Return a replacement decode result, or ``None`` for no change."""
@@ -101,9 +121,13 @@ class FenceIDecodeBug(InjectedBug):
     #: commits before the fence.i exercises the broken decode path.
     store_window = 2
 
+    @staticmethod
+    def triggers_on(instr: Instruction, word: int) -> bool:
+        return instr.mnemonic == "fence.i"
+
     def on_decode(self, executor, instr: Instruction,
                   word: int) -> Optional[Instruction]:
-        if instr.mnemonic != "fence.i":
+        if not self.triggers_on(instr, word):
             return None
         last_store = executor.last_store_step
         if last_store is None or executor.current_step - last_store > self.store_window:
@@ -136,15 +160,18 @@ class IllegalInstructionExecutedBug(InjectedBug):
             return False
         return bin(funct7).count("1") == 1
 
+    @staticmethod
+    def triggers_on(instr: Instruction, word: int) -> bool:
+        """An illegal word of opcode OP, funct3 0 and a broken funct7."""
+        return (instr.is_illegal
+                and get_bits(word, 6, 0) == OPCODE_OP
+                and get_bits(word, 14, 12) == 0
+                and IllegalInstructionExecutedBug._is_broken_funct7(
+                    get_bits(word, 31, 25)))
+
     def on_decode(self, executor, instr: Instruction,
                   word: int) -> Optional[Instruction]:
-        if not instr.is_illegal:
-            return None
-        if get_bits(word, 6, 0) != OPCODE_OP:
-            return None
-        if get_bits(word, 14, 12) != 0:
-            return None
-        if not self._is_broken_funct7(get_bits(word, 31, 25)):
+        if not self.triggers_on(instr, word):
             return None
         # The broken decoder ignores the reserved funct7 and issues an ADD.
         self.note_effect(executor)
@@ -284,6 +311,10 @@ class EbreakInstretBug(InjectedBug):
     cwe = 1201
     processor = "rocket"
     description = "EBREAK does not increase instruction count"
+
+    @staticmethod
+    def triggers_on(instr: Instruction, word: int) -> bool:
+        return instr.mnemonic == "ebreak"
 
     def should_count_retirement(self, executor, instr: Instruction) -> bool:
         if instr.mnemonic != "ebreak":

@@ -573,35 +573,51 @@ def csr_mask(kind: str, address: int) -> int:
     return mask
 
 
-def _block_dut_plan(block: Superblock) -> Tuple[Tuple, ...]:
-    """Attach (and return) the per-entry DUT execution plan of one superblock.
+#: trap coverage of an illegal word's own illegal-instruction trap: the
+#: fused loop's shortcut past ``trap_mask`` for the commonest trap.
+_ILLEGAL_WORD_TRAP_MASK = mask_of(
+    _trap_points_for("illegal_instruction", "illegal_word"))
 
-    Everything static per instruction -- spec, class predicates, register
-    fields, the decode/operand/system mask -- is resolved once per block
-    and cached on it, so the fused DUT loop touches no memo dictionaries.
-    Illegal words fuse too (their handler raises the deterministic
-    illegal-instruction trap); their plan entries carry a ``None`` spec
-    and only the static fetch/decode mask.  The plan is DUT-independent;
-    one block serves every DUT model in the process.
+
+def _cut_point(block: Superblock, triggers: Tuple) -> int:
+    """Offset of the block's first entry one of ``triggers`` claims, or -1.
+
+    ``triggers`` are the ``InjectedBug.triggers_on`` declarations of one
+    bug set; the result is cached on ``block.bug_cut`` for that set.
     """
-    plan = []
-    for word, instr, handler in block.entries:
-        if instr.raw is not None:
-            # Illegal word: no spec, no operand/hazard bookkeeping -- the
-            # handler raises the illegal-instruction trap and the loop's
-            # trap arm commits it.  The trap coverage is static too
-            # (always ``illegal_instruction`` from an illegal word), so it
-            # folds into the fetch/decode mask; the loop's trap arm skips
-            # ``trap_mask`` for spec-less entries.
-            static = static_instr_mask(instr, word) | mask_of(
-                _trap_points_for("illegal_instruction", "illegal_word"))
-            plan.append((word, instr, handler, None, None, None, None, None,
-                         False, False, False, None, False, False, static))
-            continue
+    cached = block.bug_cut
+    if cached is not None and cached[0] == triggers:
+        return cached[1]
+    cut = -1
+    for offset, (word, instr, _) in enumerate(block.entries):
+        if any(trigger(instr, word) for trigger in triggers):
+            cut = offset
+            break
+    block.bug_cut = (triggers, cut)
+    return cut
+
+
+#: per-word DUT plan entries.  An entry is a pure function of its word
+#: (decode, handler and masks all follow from it), so every block holding
+#: a word shares one entry tuple; bounded like the memos above.
+_ENTRY_PLANS: Dict[int, Tuple] = {}
+
+
+def _entry_plan(word: int, instr: Instruction, handler) -> Tuple:
+    """Build (and memoise) the DUT plan entry of one superblock entry."""
+    if instr.raw is not None:
+        # Illegal word: no spec, no operand/hazard bookkeeping -- the
+        # handler raises the illegal-instruction trap and the loop's trap
+        # arm commits it (with the trap coverage of the cause a bug may
+        # have rewritten).
+        entry = (word, instr, handler, None, None, None, None, None,
+                 False, False, False, None, False, False,
+                 static_instr_mask(instr, word))
+    else:
         spec = spec_for(instr.mnemonic)
         cls = spec.cls
         is_mem = cls is InstrClass.LOAD or cls is InstrClass.STORE
-        plan.append((
+        entry = (
             word, instr, handler, spec, cls,
             instr.rd if spec.writes_rd else None,
             instr.rs1 if spec.reads_rs1 else None,
@@ -617,7 +633,31 @@ def _block_dut_plan(block: Superblock) -> Tuple[Tuple, ...]:
             cls is InstrClass.ATOMIC,
             cls is InstrClass.BRANCH,
             static_instr_mask(instr, word),
-        ))
+        )
+    if len(_ENTRY_PLANS) >= _INSTR_MEMO_MAX:
+        _ENTRY_PLANS.clear()
+    _ENTRY_PLANS[word] = entry
+    return entry
+
+
+def _block_dut_plan(block: Superblock) -> Tuple[Tuple, ...]:
+    """Attach (and return) the per-entry DUT execution plan of one superblock.
+
+    Everything static per instruction -- spec, class predicates, register
+    fields, the decode/operand/system mask -- is resolved once per word
+    and cached on the block, so the fused DUT loop touches no memo
+    dictionaries.  Illegal words fuse too (their handler raises the
+    deterministic illegal-instruction trap); their plan entries carry a
+    ``None`` spec and only the static fetch/decode mask.  The plan is DUT-
+    and bug-independent; one block serves every DUT model in the process.
+    """
+    memo = _ENTRY_PLANS
+    plan = []
+    for word, instr, handler in block.entries:
+        entry = memo.get(word)
+        if entry is None:
+            entry = _entry_plan(word, instr, handler)
+        plan.append(entry)
     block.dut_plan = tuple(plan)
     return block.dut_plan
 
@@ -652,6 +692,11 @@ class DutExecutor(Executor):
         self.hazards = HazardTracker("hazard", dut_config.hazard_window)
         self.fu = FunctionalUnitMonitor("fu")
         self.bugs: List[InjectedBug] = dut.bugs
+        #: static trigger declarations of the bugs whose decode/retirement
+        #: hooks the fused loop must hand to the per-step path.
+        self._bug_triggers = tuple(
+            bug.triggers_on for bug in self.bugs
+            if bug.triggers_on is not InjectedBug.triggers_on)
         #: CSR-transition tracker (``None`` under the base coverage model).
         #: Executors are built fresh per run, so the tracker starts every
         #: program from the architectural reset classes.
@@ -834,16 +879,37 @@ class DutExecutor(Executor):
         consulted per instruction, in the same order as the per-step path,
         so the accumulated coverage set is bit-identical.
 
-        Injected bugs and the CSR-transition tracker hook into the per-step
-        machinery at many points; runs configured with either route through
-        the hook-preserving :meth:`~repro.sim.executor.Executor.run_block_generic`
-        instead.
+        Every DUT configuration runs here.  Injected bugs hook in where
+        they act (see :class:`~repro.rtl.bugs.InjectedBug`):
+
+        * ``on_mem_load``, ``on_csr_read`` and ``on_csr_write`` fire inside
+          the handlers, as on the per-step path;
+        * ``on_trap`` fires in the trap arm via :meth:`_trap_cause`; the arm
+          commits the reported trap -- or, when a bug swallows it, the
+          :meth:`_commit_suppressed_trap` record, which then takes the
+          ordinary non-trap coverage arm;
+        * ``on_decode`` and ``should_count_retirement`` only act on entries
+          their bug's ``triggers_on`` declares.  The first such entry is
+          the block's *cut point*: the loop stops before it, flushes what
+          a block exit flushes, runs it through :meth:`step_compiled`
+          (every hook fires) and returns.
+
+        Under the ``csr`` coverage model the transition tracker observes
+        the trap commits and the CSR tail, the only records that carry
+        ``trap`` or ``csr_addr``/``csr_value``, so it sees the same
+        records in the same order as on the per-step path.
         """
-        if self.bugs or self.csr_tracker is not None:
-            return self.run_block_generic(block, records)
         plan = block.dut_plan
         if plan is None:
             plan = _block_dut_plan(block)
+        entries = plan
+        cut = -1
+        if self._bug_triggers:
+            cut = _cut_point(block, self._bug_triggers)
+            if cut >= 0:
+                entries = plan[:cut]
+        bugs = self.bugs
+        tracker = self.csr_tracker
         state = self.state
         regs = state.regs
         csrs = state.csrs
@@ -883,7 +949,7 @@ class DutExecutor(Executor):
         uncounted = 0  # trapped commits excluded from minstret
         for (word, instr, handler, spec, cls, rd, rs1, rs2, is_mem,
              is_memlike, is_muldiv, alu3, is_atomic, is_branch,
-             static_mask) in plan:
+             static_mask) in entries:
             line = pc // line_bytes
             if line == fetch_line:
                 cov |= fetch_rehit | static_mask
@@ -946,6 +1012,12 @@ class DutExecutor(Executor):
                     record = handler(self, instr, pc, word)
                 except Trap as raised:
                     trap = raised
+            if trap is not None and bugs:
+                # on_trap hooks: V3 rewrites the cause; V5 swallows the
+                # trap, and its no-op commit takes the non-trap arm.
+                trap = self._trap_cause(trap, instr, pc)
+                if trap is None:
+                    record = self._commit_suppressed_trap(pc, word, instr)
             if trap is None:
                 rd_value = record.rd_value
                 if rd_value is not None:
@@ -966,20 +1038,24 @@ class DutExecutor(Executor):
                 elif is_atomic:
                     cov |= atomic_mask(instr, record)
             else:
+                cause = trap.cause
                 csrs[csrdefs.MEPC] = pc
-                csrs[csrdefs.MCAUSE] = int(trap.cause)
+                csrs[csrdefs.MCAUSE] = int(cause)
                 csrs[csrdefs.MTVAL] = trap.tval & MASK64
                 record = CommitRecord(
                     step=self._step_index, pc=pc, word=word,
-                    mnemonic=instr.mnemonic, trap=trap.cause,
+                    mnemonic=instr.mnemonic, trap=cause,
                     next_pc=(pc + 4) & MASK64, trap_tval=trap.tval & MASK64)
                 if not count_trapped:
                     uncounted += 1
-                if spec is not None:
-                    # (illegal entries carry their trap mask in static_mask)
+                if spec is None and cause is TrapCause.ILLEGAL_INSTRUCTION:
+                    cov |= _ILLEGAL_WORD_TRAP_MASK
+                else:
                     cov |= trap_mask(instr, record)
+                if tracker is not None:
+                    cov |= tracker.observe_mask(record)
                 self.last_trap_step = self._step_index
-                self.last_trap_cause = trap.cause
+                self.last_trap_cause = cause
             commits += 1
             append(record)
             self._step_index += 1
@@ -990,6 +1066,12 @@ class DutExecutor(Executor):
                                           base_address, end_address)
                 if dirtied is not None:
                     break  # store hit the code window: stop fused execution
+        if (tracker is not None and block.csr_tail
+                and len(records) - block_start == block.length
+                and record.trap is None):
+            # The CSR tail committed: after the trap commits (observed in
+            # the trap arm), the only record that can move a tracked CSR.
+            cov |= tracker.observe_mask(record)
         # Structural coverage is a pure function of the commit records (plus
         # the model's own scratch state, which it advances in record order),
         # so it batches into one call per block instead of one per commit.
@@ -1000,6 +1082,17 @@ class DutExecutor(Executor):
         self._cov = cov
         self._fetch_line = fetch_line
         self._fetch_rehit = fetch_rehit
+        if cut >= 0 and dirtied is None:
+            # Cut point: everything above was a block exit; the entry a
+            # bug's decode/retirement hook may act on runs per-step.
+            state.pc = pc & MASK64
+            record = self.step_compiled(block.entries[cut])
+            append(record)
+            mem_addr = record.mem_addr
+            if mem_addr is not None:
+                dirtied = dirty_word_span(mem_addr, record.mem_size or 1,
+                                          base_address, end_address)
+            return dirtied
         if block.tail_redirect and dirtied is None:
             # The tail branch/jump ran; its record carries the exit pc.
             state.pc = record.next_pc

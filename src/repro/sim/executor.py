@@ -290,9 +290,9 @@ class Executor:
         per-step hook methods (``_observe_decode``, ``_trap_cause``,
         ``_count_retirement``, ``_observe_commit``), which are identity
         no-ops here; any subclass that overrides a hook MUST also
-        override :meth:`run_block` (with a fused loop of its own, or by
-        delegating to :meth:`run_block_generic`, which routes every entry
-        through the hooks).
+        override :meth:`run_block` (with a fused loop of its own that
+        fires the hooks, as the DUT harness does, or by delegating to
+        :meth:`run_block_generic`, which routes every entry through them).
         """
         state = self.state
         csrs = state.csrs
@@ -363,6 +363,11 @@ class Executor:
         replacing an instruction can turn a fusable entry into a jump), or
         dirties part of the code window (returning the dirty span, like
         :meth:`run_block`).
+
+        Only the string-tuple coverage reference
+        (:class:`~repro.rtl.harness.LegacyCoverageExecutor`) runs blocks
+        this way; every production DUT, bug-injected or not, runs the fused
+        :meth:`repro.rtl.harness.DutExecutor.run_block`.
         """
         step_compiled = self.step_compiled
         base_address = block.base_address

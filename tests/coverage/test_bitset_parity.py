@@ -8,7 +8,9 @@ for all three DUTs, both coverage models, clean and bug-injected -- and
 assert the materialised coverage sets are identical, the traces agree and
 everything stays inside the enumerated coverage space.  Any divergence in
 the memo keys, mask tables or per-DUT structural emitters shows up here as
-a named point diff.
+a named point diff.  The bitset runs take the fused superblock loop and
+the legacy runs the per-step path, so the bug-injected cases also pin the
+fused bug hooks to their per-step behaviour.
 """
 
 import pytest
@@ -57,6 +59,7 @@ def _run_both(name, corpus, coverage_model="base", bugs=()):
             f"on {program.program_id}: {sorted(diff)[:8]}")
         assert fast.coverage <= space
         assert fast.fired_bugs == slow.fired_bugs
+        assert fast.bug_effect_steps == slow.bug_effect_steps
         assert ([r.arch_key() for r in fast.execution.records]
                 == [r.arch_key() for r in slow.execution.records])
 
@@ -75,10 +78,13 @@ def test_trap_corpus_parity(corpora, name, coverage_model):
 
 @pytest.mark.parametrize("name", DUT_NAMES)
 def test_default_bug_set_parity(corpora, name):
-    """Bug hooks (incl. decode substitution) emit identically on both paths."""
+    """Bug hooks (incl. decode substitution) emit identically on both paths,
+    under both coverage models."""
     dut = make_dut(name)  # default (full) bug set for the core
-    _run_both(name, corpora["user"] + corpora["trap"],
-              bugs=[bug.bug_id for bug in dut.bugs])
+    for coverage_model in COVERAGE_MODELS:
+        _run_both(name, corpora["user"] + corpora["trap"],
+                  coverage_model=coverage_model,
+                  bugs=[bug.bug_id for bug in dut.bugs])
 
 
 def test_legacy_executor_is_selected_by_flag():

@@ -3,13 +3,21 @@
 Each test builds a minimal program that deterministically exercises one
 bug's trigger condition and checks that (a) the DUT diverges from the golden
 model, and (b) the divergence is attributed to the right bug id.  A matching
-negative test checks the bug does *not* fire without its trigger.
+negative test checks the bug does *not* fire without its trigger.  Every
+program runs twice, on the fused superblock loop and on the per-step path,
+and the two runs must agree exactly.
 """
+
+import random
 
 import pytest
 
 from repro.fuzzing.differential import DifferentialTester
 from repro.isa import csr as csrdefs
+from repro.isa.assembler import encode_instruction
+from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
+from repro.isa.decoder import decode_word
+from repro.isa.encoding import OPCODE_OP, SPECS
 from repro.isa.exceptions import TrapCause
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
@@ -17,12 +25,15 @@ from repro.rtl.bugs import (
     BUGS_BY_ID,
     CVA6_BUG_IDS,
     ROCKET_BUG_IDS,
+    InjectedBug,
     make_bug,
     make_bugs,
 )
 from repro.rtl.cva6 import CVA6Model
 from repro.rtl.rocket import RocketModel
 from repro.sim.golden import GoldenModel
+from repro.sim.memory import Memory
+from repro.sim.state import ArchState
 
 DATA_UPPER = 0x40004  # lui immediate for the data region base
 
@@ -31,9 +42,29 @@ def _program(*instructions):
     return TestProgram(instructions=tuple(instructions))
 
 
+def _run_fused_and_per_step(dut, program):
+    """Run ``program`` on the fused loop and per-step; assert they agree."""
+    was = superblocks_enabled()
+    try:
+        set_superblocks_enabled(True)
+        fused = dut.run(program)
+        set_superblocks_enabled(False)
+        per_step = dut.run(program)
+    finally:
+        set_superblocks_enabled(was)
+    assert fused.execution.records == per_step.execution.records
+    assert fused.execution.halt_reason == per_step.execution.halt_reason
+    assert fused.execution.final_registers == per_step.execution.final_registers
+    assert fused.execution.final_csrs == per_step.execution.final_csrs
+    assert fused.coverage == per_step.coverage
+    assert fused.fired_bugs == per_step.fired_bugs
+    assert fused.bug_effect_steps == per_step.bug_effect_steps
+    return fused
+
+
 def _detect(dut, program):
     golden = GoldenModel().run(program)
-    dut_run = dut.run(program)
+    dut_run = _run_fused_and_per_step(dut, program)
     return DifferentialTester().check(golden, dut_run), dut_run
 
 
@@ -65,6 +96,57 @@ class TestBugRegistry:
     def test_default_bug_sets_on_models(self):
         assert {b.bug_id for b in CVA6Model().bugs} == set(CVA6_BUG_IDS)
         assert {b.bug_id for b in RocketModel().bugs} == {"V7"}
+
+
+def _trigger_probe_words():
+    """Encodings of every mnemonic, seeded random words, and every funct7
+    of opcode OP with funct3 0 (V2's reserved-encoding neighbourhood)."""
+    rng = random.Random(20261017)
+    words = [encode_instruction(Instruction(mnemonic)) for mnemonic in SPECS]
+    words += [rng.getrandbits(32) for _ in range(4000)]
+    words += [(funct7 << 25) | (rng.getrandbits(5) << 20)  # rs2
+              | (rng.getrandbits(5) << 15) | (rng.getrandbits(5) << 7)  # rs1, rd
+              | OPCODE_OP for funct7 in range(128)]
+    return words
+
+
+class TestTriggerDeclarations:
+    """``triggers_on`` must cover every entry a decode/retirement hook acts on.
+
+    The fused superblock loop skips ``on_decode`` and
+    ``should_count_retirement`` on entries no bug declares, so a bug that
+    forgets a declaration would silently diverge from the per-step path.
+    """
+
+    @pytest.mark.parametrize("bug_id", sorted(BUGS_BY_ID))
+    def test_hooks_only_act_where_declared(self, bug_id):
+        bug = make_bug(bug_id)
+        dut = CVA6Model(bugs=[bug])
+        executor = dut._make_executor(ArchState(), Memory(dut.layout))
+        # The most permissive run state: a store on this very step keeps
+        # V1's store-buffer window open.
+        executor.last_store_step = executor.current_step
+        undeclared = []
+        for word in _trigger_probe_words():
+            instr = decode_word(word)
+            acts = (bug.on_decode(executor, instr, word) is not None
+                    or not bug.should_count_retirement(executor, instr))
+            if acts and not bug.triggers_on(instr, word):
+                undeclared.append(hex(word))
+        assert not undeclared, (
+            f"{bug_id} acts on undeclared words {undeclared[:5]}")
+
+    def test_declarations(self):
+        fence_i = Instruction("fence.i")
+        fence_i_word = encode_instruction(fence_i)
+        assert not InjectedBug.triggers_on(fence_i, fence_i_word)
+        assert BUGS_BY_ID["V1"].triggers_on(fence_i, fence_i_word)
+        ebreak = Instruction("ebreak")
+        assert BUGS_BY_ID["V7"].triggers_on(ebreak, encode_instruction(ebreak))
+        word = TestV2IllegalExecuted._BROKEN_WORD
+        assert BUGS_BY_ID["V2"].triggers_on(decode_word(word), word)
+        for bug_id in ("V3", "V4", "V5", "V6"):
+            assert BUGS_BY_ID[bug_id].triggers_on is InjectedBug.triggers_on
 
 
 class TestV1FenceIDecode:

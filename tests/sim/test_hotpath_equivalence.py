@@ -52,6 +52,15 @@ NUM_TRAP_SEEDS = 40
 TRAP_DUT_PROGRAMS = 20   # trap-corpus prefix run through each clean DUT
 TRAP_BUGGY_PROGRAMS = 12 # trap-corpus prefix through a fully-bugged rocket
 
+# CVA6 bug-set extension (recorded before bug-injected DUTs moved onto the
+# fused superblock loop): CVA6 with its full V1-V6 set under both
+# coverage models, over the whole user corpus, the whole trap corpus and
+# hand-built programs that fire each bug, several of them mid-block.
+# These digests cover the coverage set, the fired bugs and each bug's
+# first effect step as well as the trace (see ``run_digest``).
+COVERAGE_MODELS = ("base", "csr")
+BUG_SET_KEYS = ("cva6_buggy", "trap_cva6_buggy", "corner_cva6_buggy")
+
 
 def _corner_programs() -> list:
     """Hand-built programs hitting illegal words, traps and CSR/AMO paths."""
@@ -160,6 +169,85 @@ def build_trap_corpus() -> list:
     return programs
 
 
+def _bug_corner_programs() -> list:
+    """Hand-built programs firing each CVA6 bug, mostly inside superblocks."""
+    I = Instruction
+    data_upper = 0x40004
+    # opcode OP, funct3 0, reserved one-hot funct7 0x04: V2 executes it as add.
+    v2_word = (0x04 << 25) | (7 << 20) | (6 << 15) | (5 << 7) | 0x33
+    programs = [
+        # V1: fence.i leading a block with no store in the window (silent),
+        # then twice right after a store, mid-block and at a block leader.
+        [I("fence.i"),
+         I("lui", rd=10, imm=data_upper),
+         I("addi", rd=5, rs1=0, imm=9),
+         I("sw", rs1=10, rs2=5, imm=4),
+         I("fence.i"),
+         I("fence.i"),
+         I("csrrs", rd=6, rs1=0, csr=csrdefs.MINSTRET),
+         I("ecall")],
+        # V2: a reserved-funct7 word between ALU ops, next to illegal words
+        # it does not touch.
+        [I("addi", rd=6, rs1=0, imm=11),
+         I("addi", rd=7, rs1=0, imm=31),
+         I.illegal(v2_word),
+         I.illegal(0x0000_007F),
+         I("add", rd=8, rs1=5, rs2=6),
+         I.illegal(v2_word),
+         I("ecall")],
+        # V3: an access fault, then an illegal word, a misaligned load and
+        # an ebreak inside its window -- each reports the stale cause.
+        [I("ld", rd=5, rs1=0, imm=0),
+         I.illegal(0x0000_007F),
+         I("lui", rd=2, imm=data_upper),
+         I("lw", rd=3, rs1=0, imm=8),
+         I("lh", rd=4, rs1=2, imm=1),
+         I("lw", rd=3, rs1=0, imm=16),
+         I("ebreak"),
+         I("csrrs", rd=6, rs1=0, csr=csrdefs.MCAUSE),
+         I("ecall")],
+        # V4: an AMO on a line an earlier non-zero store dirtied.
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=5, rs1=0, imm=77),
+         I("sd", rs1=10, rs2=5, imm=0),
+         I("amoadd.d", rd=6, rs1=10, rs2=0),
+         I("lr.d", rd=7, rs1=10),
+         I("sc.d", rd=8, rs1=10, rs2=5),
+         I("ecall")],
+        # V5: loads, stores and atomics to the unmapped high range; the
+        # swallowed faults commit as no-ops (atomics still emit coverage).
+        [I("addi", rd=5, rs1=0, imm=-1),
+         I("andi", rd=5, rs1=5, imm=-8),
+         I("ld", rd=6, rs1=5, imm=0),
+         I("amoadd.d", rd=7, rs1=5, rs2=0),
+         I("lr.d", rd=8, rs1=5),
+         I("sd", rs1=5, rs2=6, imm=0),
+         I("sc.d", rd=9, rs1=5, rs2=6),
+         I("csrrs", rd=10, rs1=0, csr=csrdefs.MCAUSE),
+         I("ecall")],
+        # V6: read and write the broken debug CSRs, around a real trap.
+        [I("csrrs", rd=5, rs1=0, csr=0x7B0),
+         I("ld", rd=6, rs1=0, imm=0),
+         I("csrrw", rd=7, rs1=5, csr=0x7A0),
+         I("csrrw", rd=8, rs1=5, csr=0x180),
+         I("ecall")],
+        # Every bug in one straight-line run.
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=5, rs1=0, imm=5),
+         I("sd", rs1=10, rs2=5, imm=0),
+         I("fence.i"),
+         I("amoor.d", rd=6, rs1=10, rs2=5),
+         I.illegal(v2_word),
+         I("ld", rd=7, rs1=0, imm=0),
+         I.illegal(0xFFFF_FFFF),
+         I("addi", rd=8, rs1=0, imm=-1),
+         I("lw", rd=9, rs1=8, imm=0),
+         I("csrrs", rd=11, rs1=0, csr=0x7B1),
+         I("ecall")],
+    ]
+    return [TestProgram(instructions=tuple(body)) for body in programs]
+
+
 def trace_digest(execution) -> str:
     """Digest every architecturally visible aspect of one program run."""
     h = hashlib.sha256()
@@ -174,6 +262,28 @@ def trace_digest(execution) -> str:
     h.update(repr(tuple(execution.final_registers)).encode())
     h.update(repr(sorted(execution.final_csrs.items())).encode())
     return h.hexdigest()
+
+
+def run_digest(run) -> str:
+    """Digest one DUT run: its trace, coverage set and bug bookkeeping."""
+    h = hashlib.sha256(trace_digest(run.execution).encode())
+    h.update(repr(sorted(run.coverage)).encode())
+    h.update(repr(sorted(run.fired_bugs)).encode())
+    h.update(repr(sorted(run.bug_effect_steps.items())).encode())
+    return h.hexdigest()
+
+
+def bug_set_digests() -> dict:
+    """Run digests of CVA6 with V1-V6, per fixture key and coverage model."""
+    corpora = dict(zip(BUG_SET_KEYS, (build_corpus(), build_trap_corpus(),
+                                      _bug_corner_programs())))
+    digests = {}
+    for key, programs in corpora.items():
+        digests[key] = {}
+        for model in COVERAGE_MODELS:
+            dut = make_dut("cva6", coverage_model=model)  # default V1-V6
+            digests[key][model] = [run_digest(dut.run(p)) for p in programs]
+    return digests
 
 
 def compute_digests() -> dict:
@@ -209,6 +319,7 @@ def compute_digests() -> dict:
         trace_digest(buggy.run(p).execution)
         for p in trap_corpus[:TRAP_BUGGY_PROGRAMS]
     ]
+    digests.update(bug_set_digests())
     return digests
 
 
@@ -322,6 +433,39 @@ def test_superblocks_off_matches_fixtures(fixture_digests):
         set_superblocks_enabled(was)
     assert off_golden == fixture_digests["golden"]
     assert off_rocket == fixture_digests["duts"]["rocket"]
+
+
+# ------------------------------------------------------ CVA6 bug-set extension
+def test_bug_corners_fire_every_cva6_bug():
+    dut = make_dut("cva6")
+    fired = set()
+    for program in _bug_corner_programs():
+        fired |= dut.run(program).fired_bugs
+    assert fired == {bug.bug_id for bug in dut.bugs}
+
+
+@pytest.mark.parametrize("coverage_model", COVERAGE_MODELS)
+@pytest.mark.parametrize("key", BUG_SET_KEYS)
+def test_cva6_bug_set_runs_match_fixtures(fixture_digests, current_digests,
+                                          key, coverage_model):
+    assert (current_digests[key][coverage_model]
+            == fixture_digests[key][coverage_model]), (
+        f"cva6 V1-V6 runs ({key}, {coverage_model} coverage) diverged from "
+        f"the recorded trace/coverage/bug digests")
+
+
+def test_superblocks_off_matches_bug_set_fixtures(fixture_digests):
+    """The per-step loop reproduces the CVA6 bug-set digests as well."""
+    from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
+
+    was = superblocks_enabled()
+    set_superblocks_enabled(False)
+    try:
+        off = bug_set_digests()
+    finally:
+        set_superblocks_enabled(was)
+    for key in BUG_SET_KEYS:
+        assert off[key] == fixture_digests[key], key
 
 
 def record_hotpath_fixtures() -> None:  # pragma: no cover - manual tool

@@ -90,6 +90,20 @@ class TestParser:
             main(["ablation", "arms", "--tests", "6", "--trials", "1",
                   "--cache-entries", "0"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fuzz", "--tests", "0"], "must be a positive integer, got 0"),
+        (["fuzz", "--seeds", "0"], "must be a positive integer, got 0"),
+        (["fuzz", "--mutants", "-1"], "must be a positive integer, got -1"),
+        (["table1", "--trials", "0"], "must be a positive integer, got 0"),
+        (["coverage", "--tests", "many"], "invalid int value: 'many'"),
+    ])
+    def test_bad_counts_rejected_with_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error == f"mabfuzz {argv[0]}: error: argument {argv[1]}: {message}"
+
     def test_serial_backend_rejects_workers(self):
         with pytest.raises(SystemExit, match="incompatible"):
             main(["ablation", "arms", "--tests", "6", "--trials", "1",
