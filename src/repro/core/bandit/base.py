@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, List
 
-from repro.utils.rng import make_rng
+from repro.utils.rng import make_rng, pick
 
 
 class BanditAlgorithm(abc.ABC):
@@ -69,4 +69,4 @@ class BanditAlgorithm(abc.ABC):
         candidates = [i for i, v in enumerate(values) if v == best]
         if len(candidates) == 1:
             return candidates[0]
-        return int(self.rng.choice(candidates))
+        return pick(self.rng, candidates)

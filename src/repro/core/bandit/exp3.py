@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-import numpy as np
-
 from repro.core.bandit.base import BanditAlgorithm
+from repro.utils.rng import WeightedPicker
 
 
 class EXP3Bandit(BanditAlgorithm):
@@ -49,7 +48,7 @@ class EXP3Bandit(BanditAlgorithm):
     def select(self) -> int:
         probabilities = self.probabilities()
         self._last_probabilities = probabilities
-        return int(self.rng.choice(self.num_arms, p=np.array(probabilities)))
+        return WeightedPicker.from_probabilities(probabilities).draw(self.rng)
 
     def update(self, arm: int, reward: float) -> None:
         self._record_pull(arm)

@@ -61,28 +61,27 @@ class MABFuzz(Fuzzer):
             reward=RewardComputer(self.mab_config.alpha,
                                   point_weights=self.mab_config.reward_weights),
             monitor=SaturationMonitor(self.mab_config.gamma),
-            seed_provider=self._provide_seed,
+            # Replacement seed for a saturated arm: always a fresh
+            # generation.  Saturation resets are the scheduler's exploration
+            # pump -- an arm is reset precisely because its neighbourhood
+            # stopped paying, so restarting it from a corpus draw (a program
+            # whose neighbourhood is by definition already charted) would
+            # defeat the reset.  Corpus mode leans on this harder, not
+            # softer: with the grid-globally novel reward (see _after_test),
+            # arms re-charting territory other trials or workers already
+            # covered saturate quickly and are pumped toward genuinely
+            # unexplored regions.  Measured on this repo's DUT models,
+            # corpus-drawn reset seeds cost 60-100 union coverage points per
+            # 3-trial grid versus fresh resets.  The provider is the
+            # generator's bound method, not one of this fuzzer's: a
+            # scheduler holding ``self`` would make each trial a reference
+            # cycle.
+            seed_provider=self.seed_generator.generate,
             saturation_metric=self.mab_config.saturation_metric,
         )
         self._current_arm: Optional[Arm] = None
 
     # -------------------------------------------------------------- corpus mode
-    def _provide_seed(self) -> TestProgram:
-        """Replacement seed for a saturated arm: always a fresh generation.
-
-        Saturation resets are the scheduler's *exploration pump* -- an arm
-        is reset precisely because its neighbourhood stopped paying, so
-        restarting it from a corpus draw (a program whose neighbourhood is
-        by definition already charted) would defeat the reset.  Corpus
-        mode leans on this harder, not softer: with the grid-globally
-        novel reward (see :meth:`_after_test`), arms re-charting territory
-        other trials or workers already covered saturate quickly and are
-        pumped toward genuinely unexplored regions.  Measured on this
-        repo's DUT models, corpus-drawn reset seeds cost 60-100 union
-        coverage points per 3-trial grid versus fresh resets.
-        """
-        return self.seed_generator.generate()
-
     def on_corpus_state(self) -> None:
         """Re-seed one arm from injected corpus state.
 

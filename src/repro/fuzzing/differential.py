@@ -65,6 +65,10 @@ def _compare_records(step: int, golden: CommitRecord,
 def compare_traces(golden: ExecutionResult,
                    dut: ExecutionResult) -> Optional[Mismatch]:
     """Return the first mismatch between two commit traces (or ``None``)."""
+    # CommitRecord equality covers every compared field (and more), so equal
+    # traces have no mismatch; only unequal ones are walked field by field.
+    if golden.records == dut.records:
+        return None
     for step, (golden_record, dut_record) in enumerate(
             zip(golden.records, dut.records)):
         mismatch = _compare_records(step, golden_record, dut_record)

@@ -14,7 +14,7 @@ Operators work on the encoded 32-bit words where that is the natural level
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.isa.encoding import InstrFormat, spec_for
 from repro.isa.generator import GeneratorConfig, InstructionGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
-from repro.utils.rng import make_rng
+from repro.utils.rng import WeightedPicker, make_rng, pick
 
 MutationFn = Callable[["MutationEngine", TestProgram, np.random.Generator], TestProgram]
 
@@ -107,7 +107,7 @@ def _adjust_imm(engine, program, rng, delta_range: int, name: str) -> TestProgra
                   if not ins.is_illegal and spec_for(ins.mnemonic).fmt in _IMM_FORMATS]
     if not candidates:
         return _op_bitflip1(engine, program, rng)
-    index = int(rng.choice(candidates))
+    index = pick(rng, candidates)
     instr = program.instructions[index]
     fmt = spec_for(instr.mnemonic).fmt
     low, high = _imm_limits(fmt)
@@ -131,7 +131,7 @@ def _op_operand_swap(engine, program, rng):
                   if not ins.is_illegal and spec_for(ins.mnemonic).reads_rs2]
     if not candidates:
         return _op_bitflip1(engine, program, rng)
-    index = int(rng.choice(candidates))
+    index = pick(rng, candidates)
     instr = program.instructions[index]
     return _replace(program, index,
                     instr.with_fields(rs1=instr.rs2, rs2=instr.rs1), "operand_swap")
@@ -142,7 +142,7 @@ def _op_rd_change(engine, program, rng):
                   if not ins.is_illegal and spec_for(ins.mnemonic).writes_rd]
     if not candidates:
         return _op_bitflip1(engine, program, rng)
-    index = int(rng.choice(candidates))
+    index = pick(rng, candidates)
     instr = program.instructions[index]
     return _replace(program, index,
                     instr.with_fields(rd=int(rng.integers(0, 32))), "rd_change")
@@ -197,7 +197,7 @@ def _op_instr_swap(engine, program, rng):
     return program.with_instructions(body, mutation_op="instr_swap")
 
 
-#: TheHuzz's static operator weights (normalised at use time).  The ordering
+#: TheHuzz's static operator weights (normalised when an engine is built).  The ordering
 #: mirrors the relative importance TheHuzz assigns to its opcode/operand/bit
 #: mutators; the exact values are not published, so representative constants
 #: are used (the ablation bench sweeps them).
@@ -263,14 +263,7 @@ class MutationEngine:
             MutationOperator(name, weight_table[name], _OPERATOR_FUNCTIONS[name])
             for name in sorted(weight_table)
         ]
-        self._probabilities = self._normalise([op.weight for op in self.operators])
-
-    @staticmethod
-    def _normalise(weights: Sequence[float]) -> np.ndarray:
-        array = np.array(weights, dtype=float)
-        if (array < 0).any() or array.sum() <= 0:
-            raise ValueError("operator weights must be non-negative and not all zero")
-        return array / array.sum()
+        self._picker = WeightedPicker([op.weight for op in self.operators])
 
     @property
     def operator_names(self) -> List[str]:
@@ -282,12 +275,11 @@ class MutationEngine:
             MutationOperator(op.name, weights.get(op.name, op.weight), op.fn)
             for op in self.operators
         ]
-        self._probabilities = self._normalise([op.weight for op in self.operators])
+        self._picker = WeightedPicker([op.weight for op in self.operators])
 
     def pick_operator(self) -> MutationOperator:
         """Draw one operator according to the current weights."""
-        index = int(self.rng.choice(len(self.operators), p=self._probabilities))
-        return self.operators[index]
+        return self.operators[self._picker.draw(self.rng)]
 
     def mutate_once(self, program: TestProgram,
                     operator: Optional[MutationOperator] = None) -> TestProgram:

@@ -25,7 +25,7 @@ from repro.isa import csr as csrdefs
 from repro.isa.encoding import InstrClass, InstrFormat, mnemonics_of_class, spec_for
 from repro.isa.instruction import Instruction
 from repro.isa.program import DEFAULT_BASE_ADDRESS, TestProgram, next_program_id
-from repro.utils.rng import make_rng
+from repro.utils.rng import WeightedPicker, make_rng, pick
 
 #: Default relative weight of each instruction class in generated code.
 DEFAULT_CLASS_WEIGHTS: Dict[InstrClass, float] = {
@@ -120,6 +120,7 @@ class InstructionGenerator:
         self._mnemonics_by_class = {
             cls: mnemonics_of_class(cls) for cls in self._classes
         }
+        self._default_classes = self.class_picker(self.config.class_weights)
 
     # ------------------------------------------------------------------ operands
     def _random_register(self) -> int:
@@ -151,34 +152,37 @@ class InstructionGenerator:
         # (the stimulus that exposes V7) reachable at a realistic rate.
         if self.rng.random() < 0.25:
             counters = (csrdefs.MINSTRET, csrdefs.INSTRET, csrdefs.MCYCLE, csrdefs.CYCLE)
-            return int(self.rng.choice(counters))
-        return int(self.rng.choice(csrdefs.GENERATABLE_CSRS))
+            return pick(self.rng, counters)
+        return pick(self.rng, csrdefs.GENERATABLE_CSRS)
 
     # ------------------------------------------------------------- instructions
+    def class_picker(self, weights: Dict[InstrClass, float]) -> WeightedPicker:
+        """A picker over the instruction classes for one class-weight profile.
+
+        Negative weights count as zero; a profile with no positive weight
+        draws every class uniformly.  Build it once per profile and pass it
+        to :meth:`random_instruction` for every draw under that profile.
+        """
+        raw = [max(weights.get(c, 0.0), 0.0) for c in self._classes]
+        if sum(raw) <= 0:
+            raw = [1.0] * len(raw)
+        return WeightedPicker(raw)
+
     def random_instruction(self, cls: Optional[InstrClass] = None,
-                           weights: Optional[Dict[InstrClass, float]] = None) -> Instruction:
+                           classes: Optional[WeightedPicker] = None) -> Instruction:
         """Generate one random instruction.
 
         Args:
-            cls: force a specific instruction class (``None`` = draw from weights).
-            weights: override class weights for this draw.
+            cls: force a specific instruction class (``None`` = draw one).
+            classes: class picker from :meth:`class_picker` to draw the
+                class with (``None`` = the configured class weights).
         """
         if self.rng.random() < self.config.illegal_word_prob:
             return Instruction.illegal(int(self.rng.integers(0, 2**32)))
         if cls is None:
-            cls = self._draw_class(weights or self.config.class_weights)
-        options = self._mnemonics_by_class[cls]
-        mnemonic = str(self.rng.choice(options))
+            cls = self._classes[(classes or self._default_classes).draw(self.rng)]
+        mnemonic = pick(self.rng, self._mnemonics_by_class[cls])
         return self._fill_operands(mnemonic)
-
-    def _draw_class(self, weights: Dict[InstrClass, float]) -> InstrClass:
-        classes = self._classes
-        raw = np.array([max(weights.get(c, 0.0), 0.0) for c in classes], dtype=float)
-        if raw.sum() <= 0:
-            raw = np.ones(len(classes))
-        probabilities = raw / raw.sum()
-        index = int(self.rng.choice(len(classes), p=probabilities))
-        return classes[index]
 
     def _fill_operands(self, mnemonic: str) -> Instruction:
         spec = spec_for(mnemonic)
@@ -226,7 +230,7 @@ class InstructionGenerator:
         """Build a load/store/jalr/AMO instruction with a plausible address."""
         spec = spec_for(mnemonic)
         if self.rng.random() < self.config.valid_memory_prob:
-            rs1 = int(self.rng.choice(DATA_BASE_REGISTERS))
+            rs1 = pick(self.rng, DATA_BASE_REGISTERS)
             # Aligned-ish offsets spread across the data region keep most
             # accesses valid (and spread over cache sets); a sprinkle of odd
             # offsets exercises the misalignment exception paths.
@@ -276,7 +280,8 @@ class SeedGenerator:
         if length is None:
             length = int(self.rng.integers(self.config.min_instructions,
                                            self.config.max_instructions + 1))
-        body = [self._instr_gen.random_instruction(weights=profile)
+        classes = self._instr_gen.class_picker(profile)
+        body = [self._instr_gen.random_instruction(classes=classes)
                 for _ in range(length)]
         instructions = preamble_instructions() + body
         return TestProgram(

@@ -40,7 +40,7 @@ from repro.isa.generator import (
 )
 from repro.isa.instruction import Instruction
 from repro.isa.program import DEFAULT_BASE_ADDRESS, TestProgram, next_program_id
-from repro.utils.rng import make_rng
+from repro.utils.rng import make_rng, pick
 
 #: scenario names accepted by ``FuzzerConfig.scenario``.
 SCENARIOS = ("user", "trap", "mixed")
@@ -104,13 +104,13 @@ class TrapScenarioGenerator:
         # A reserved SYSTEM encoding: csrrw/csrrs against an address drawn
         # from the unimplemented set traps in a correct design (and is the
         # exact stimulus behind CVA6's V6).
-        address = int(self.rng.choice(sorted(csrdefs.UNIMPLEMENTED_CSRS)))
+        address = pick(self.rng, sorted(csrdefs.UNIMPLEMENTED_CSRS))
         groups.append([Instruction("csrrw", rd=self._register(),
                                    rs1=self._register(), csr=address)])
         return groups
 
     def _misaligned_stimuli(self) -> List[List[Instruction]]:
-        base = int(self.rng.choice(DATA_BASE_REGISTERS))
+        base = pick(self.rng, DATA_BASE_REGISTERS)
         odd = 1 + 2 * int(self.rng.integers(0, 4))
         groups = [
             [Instruction("lw", rd=self._register(), rs1=base, imm=odd)],
@@ -133,7 +133,7 @@ class TrapScenarioGenerator:
     def _access_stimuli(self) -> List[List[Instruction]]:
         # One group: lw/sd consume the out-of-window base the lui stages.
         register = self._register()
-        upper = int(self.rng.choice((0x10000, 0x20000, 0x7FFFF)))
+        upper = pick(self.rng, (0x10000, 0x20000, 0x7FFFF))
         return [[
             Instruction("lui", rd=register, imm=upper),
             Instruction("lw", rd=self._register(), rs1=register, imm=0),
@@ -149,15 +149,15 @@ class TrapScenarioGenerator:
             # class transitions for the CSR-transition coverage model.
             [Instruction("csrrwi", rd=self._register(),
                          imm=1 + int(self.rng.integers(0, 31)),
-                         csr=int(self.rng.choice(walk_targets)))],
+                         csr=pick(self.rng, walk_targets))],
             [Instruction("csrrci", rd=self._register(), imm=0x1F,
-                         csr=int(self.rng.choice(walk_targets)))],
+                         csr=pick(self.rng, walk_targets))],
             # Read-only write: illegal-instruction trap.
             [Instruction("csrrw", rd=self._register(), rs1=register,
-                         csr=int(self.rng.choice(sorted(csrdefs.READ_ONLY_CSRS))))],
+                         csr=pick(self.rng, sorted(csrdefs.READ_ONLY_CSRS)))],
             # Unimplemented CSR read: illegal-instruction trap (or V6).
             [Instruction("csrrs", rd=self._register(), rs1=0,
-                         csr=int(self.rng.choice(sorted(csrdefs.UNIMPLEMENTED_CSRS))))],
+                         csr=pick(self.rng, sorted(csrdefs.UNIMPLEMENTED_CSRS)))],
         ]
 
     def _system_stimuli(self) -> List[List[Instruction]]:

@@ -1038,6 +1038,9 @@ class DutExecutor(Executor):
                 elif is_atomic:
                     cov |= atomic_mask(instr, record)
             else:
+                # Break the trap -> traceback -> this frame -> ``trap``
+                # cycle (see Executor._commit_trap).
+                trap.with_traceback(None)
                 cause = trap.cause
                 csrs[csrdefs.MEPC] = pc
                 csrs[csrdefs.MCAUSE] = int(cause)

@@ -391,6 +391,11 @@ class Executor:
     # ============================================================ trap commits
     def _commit_trap(self, pc: int, word: int, instr: Instruction,
                      trap: Trap) -> CommitRecord:
+        # The traceback references the frame that caught the trap, whose
+        # locals may still reference the trap (``reported`` in
+        # _dispatch_step): a cycle that keeps this executor, its memory and
+        # the run's records alive until the cycle collector finds it.
+        trap.with_traceback(None)
         self.state.csrs[csrdefs.MEPC] = pc
         self.state.csrs[csrdefs.MCAUSE] = int(trap.cause)
         self.state.csrs[csrdefs.MTVAL] = trap.tval & MASK64

@@ -150,6 +150,14 @@ class TestEXP3:
         floor = bandit.eta / bandit.num_arms
         assert all(p >= floor - 1e-12 for p in bandit.probabilities())
 
+    @pytest.mark.parametrize("weights", [[float("nan"), 1.0, 1.0],
+                                         [-5.0, 1.0, 1.0]])
+    def test_select_rejects_invalid_distributions(self, weights):
+        bandit = EXP3Bandit(3, eta=0.2, rng=0)
+        bandit.weights = weights
+        with pytest.raises(ValueError):
+            bandit.select()
+
     def test_rewarded_arm_gains_probability(self):
         bandit = EXP3Bandit(3, eta=0.2, rng=0)
         before = bandit.probabilities()[0]

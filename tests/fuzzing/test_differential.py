@@ -42,6 +42,17 @@ class TestCompareTraces:
         mismatch = compare_traces(_result(golden), _result(dut))
         assert mismatch.field_name == "trap"
 
+    def test_uncompared_fields_do_not_mismatch(self):
+        # V1/V2 decode substitution: the DUT commits the same effects under
+        # another word and mnemonic, which the tester does not compare.
+        golden = [_record(0), _record(1), _record(2)]
+        dut = [_record(0), _record(1, word=0x0200_0033, mnemonic="add"),
+               _record(2)]
+        assert compare_traces(_result(golden), _result(dut)) is None
+        dut[2] = _record(2, rd_value=9)
+        mismatch = compare_traces(_result(golden), _result(dut))
+        assert (mismatch.step, mismatch.field_name) == (2, "rd_value")
+
     def test_first_mismatch_reported(self):
         golden = [_record(0), _record(1), _record(2)]
         dut = [_record(0), _record(1, rd_value=7), _record(2, rd_value=9)]

@@ -46,6 +46,13 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             engine.set_weights({name: -1.0 for name in engine.operator_names})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected_before_any_draw(self, engine, bad):
+        with pytest.raises(ValueError):
+            MutationEngine(weights={"bitflip1": bad})
+        with pytest.raises(ValueError):
+            engine.set_weights({"bitflip1": bad})
+
 
 class TestMutationBasics:
     def test_mutate_returns_requested_count(self, engine, seed_program):

@@ -68,8 +68,9 @@ class TestInstructionGenerator:
         weights = {cls: 0.0 for cls in InstrClass}
         weights[InstrClass.MUL] = 1.0
         generator = InstructionGenerator(GeneratorConfig(illegal_word_prob=0.0), rng=2)
+        classes = generator.class_picker(weights)
         for _ in range(30):
-            instr = generator.random_instruction(weights=weights)
+            instr = generator.random_instruction(classes=classes)
             assert spec_for(instr.mnemonic).cls is InstrClass.MUL
 
 
