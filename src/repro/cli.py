@@ -24,6 +24,7 @@ see docs/parallel.md and docs/distributed.md.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -435,15 +436,41 @@ parallel execution:
 """
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of a base RNG seed, which numpy requires to be >= 0."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _path_in_existing_dir(text: str) -> str:
+    """argparse type of a file to write, whose directory must already exist.
+
+    Checked at parse time, so a bad path fails before any campaign runs
+    rather than after it.
+    """
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"directory does not exist: {directory!r}")
+    return text
 
 
 def _add_common_campaign_arguments(parser: argparse.ArgumentParser) -> None:
@@ -451,7 +478,8 @@ def _add_common_campaign_arguments(parser: argparse.ArgumentParser) -> None:
                         help="tests per campaign")
     parser.add_argument("--trials", type=_positive_int, default=2,
                         help="trials per campaign")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=0,
+                        help="base RNG seed")
     parser.add_argument("--seeds", type=_positive_int, default=10,
                         help="initial seed tests")
     parser.add_argument("--mutants", type=_positive_int, default=4,
@@ -461,7 +489,8 @@ def _add_common_campaign_arguments(parser: argparse.ArgumentParser) -> None:
                              "reaching novel coverage are kept as seeds, "
                              "mutation draws from them, and trials/workers "
                              "share one global coverage map (docs/corpus.md)")
-    parser.add_argument("--output", help="also write the result to this file")
+    parser.add_argument("--output", type=_path_in_existing_dir,
+                        help="also write the result to this file")
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
@@ -495,6 +524,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                         help="capacity of the per-worker golden/DUT run "
                              "caches (default 4096)")
     parser.add_argument("--resume", metavar="PATH", default=None,
+                        type=_path_in_existing_dir,
                         help="JSONL checkpoint journal to write and resume from")
     parser.add_argument("--spawn-workers", type=int, default=0, metavar="N",
                         help="launch and supervise N local `worker` "
@@ -530,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     list_parser = subparsers.add_parser("list", help="list processors, fuzzers and bugs")
-    list_parser.add_argument("--output")
+    list_parser.add_argument("--output", type=_path_in_existing_dir)
     list_parser.set_defaults(func=_cmd_list)
 
     fuzz_parser = subparsers.add_parser("fuzz", help="run one fuzzing campaign")
@@ -546,11 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="'csr' adds CSR-transition coverage points "
                                   "(docs/coverage.md)")
     fuzz_parser.add_argument("--profile", metavar="PATH", default=None,
+                             type=_path_in_existing_dir,
                              help="run the campaign under cProfile and dump "
                                   "the stats to PATH (a hot-function summary "
                                   "is printed to stderr); see "
                                   "docs/performance.md")
-    fuzz_parser.add_argument("--profile-top", type=int, default=25,
+    fuzz_parser.add_argument("--profile-top", type=_positive_int, default=25,
                              help="functions to show in the stderr profile "
                                   "summary (default 25)")
     _add_common_campaign_arguments(fuzz_parser)
@@ -649,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="retry budget for requeued batches "
                                         "(default: the batch's original "
                                         "budget)")
-    deadletter_parser.add_argument("--output")
+    deadletter_parser.add_argument("--output", type=_path_in_existing_dir)
     deadletter_parser.set_defaults(func=_cmd_deadletter)
 
     telemetry_parser = subparsers.add_parser(

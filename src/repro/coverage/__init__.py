@@ -1,4 +1,4 @@
-"""Coverage substrate: points, per-run maps and the cumulative database.
+"""Coverage substrate: points, bitsets, CSR transitions and the database.
 
 The paper uses *branch coverage* reported by the RTL simulator as its
 feedback and comparison metric (Sec. IV-A).  Here every modelled
@@ -7,8 +7,6 @@ coverage is the set of points its execution hit.
 """
 
 from repro.coverage.points import coverage_point, parse_point
-from repro.coverage.map import CoverageMap
-from repro.coverage.collector import CoverageCollector
 from repro.coverage.csr_transitions import (
     COVERAGE_MODELS,
     CsrTransitionTracker,
@@ -16,22 +14,18 @@ from repro.coverage.csr_transitions import (
     is_transition_point,
     transition_point,
     transition_space,
-    transitions_of_records,
 )
 from repro.coverage.database import CoverageDatabase, CoverageSample
 
 __all__ = [
     "coverage_point",
     "parse_point",
-    "CoverageMap",
-    "CoverageCollector",
     "COVERAGE_MODELS",
     "CsrTransitionTracker",
     "count_transition_points",
     "is_transition_point",
     "transition_point",
     "transition_space",
-    "transitions_of_records",
     "CoverageDatabase",
     "CoverageSample",
 ]

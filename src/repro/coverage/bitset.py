@@ -12,8 +12,8 @@ coverage observation collapses to ``cov |= mask`` on plain integers:
   register lazily on first observation), and keeps it for the life of the
   process -- masks memoised anywhere stay valid forever;
 * a *mask* is an ``int`` with one bit per point of an emission situation,
-  memoised by the same situation keys the string emission helpers already
-  use; and
+  memoised by a bounded situation key at each emission site (point names
+  are built only on a memo miss); and
 * ``points_of`` materialises an accumulated coverage integer back into the
   canonical ``frozenset`` of point names -- deferred to *result*
   construction (once per run), so nothing downstream of

@@ -18,21 +18,24 @@ so this module adds exactly that as a coverage family:
 
 Transitions are a pure function of the architectural commit trace: the
 :class:`CsrTransitionTracker` consumes :class:`~repro.sim.trace.
-CommitRecord` objects one by one (this is how the DUT harness emits them,
-see :meth:`repro.rtl.harness.DutExecutor._observe_commit`), and
-:func:`transitions_of_records` replays a finished golden trace through the
-same tracker -- which is what lets tests assert that a defect-free DUT
-emits exactly the transitions derivable from the golden commit records.
+CommitRecord` objects one by one, and the DUT harness feeds it every
+record that can move a tracked CSR (see
+:meth:`repro.rtl.harness.DutExecutor._observe_commit` and the fused
+:meth:`~repro.rtl.harness.DutExecutor.run_block`).  Replaying any stored
+trace -- golden or DUT -- through a fresh tracker yields the same
+transitions, which is what lets tests assert that a defect-free DUT emits
+exactly the transitions derivable from the golden commit records.
 
-Like the other emission helpers, the tracker returns *shared memoised
-tuples*, so observing a commit allocates nothing on the hot path.
+Like the other emitters, the tracker returns *memoised bitset masks*
+(:mod:`repro.coverage.bitset`), so observing a commit allocates nothing on
+the hot path.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
-from repro.coverage.bitset import mask_of
+from repro.coverage.bitset import point_bit
 from repro.coverage.points import coverage_point
 from repro.isa import csr as csrdefs
 from repro.isa.exceptions import TrapCause
@@ -131,13 +134,8 @@ def count_transition_points(points: Iterable[str]) -> int:
     return sum(1 for point in points if is_transition_point(point))
 
 
-#: (csr address, old class, new class) -> shared 1-tuple of the point name.
-_POINT_MEMO: Dict[Tuple[int, str, str], Tuple[str, ...]] = {}
-
 #: (csr address, old class, new class) -> bitset mask of that point.
 _MASK_MEMO: Dict[Tuple[int, str, str], int] = {}
-
-_NO_POINTS: Tuple[str, ...] = ()
 
 
 class CsrTransitionTracker:
@@ -192,44 +190,14 @@ class CsrTransitionTracker:
         return (address, old_class, new_class)
 
     @staticmethod
-    def _points_for(key: Tuple[int, str, str]) -> Tuple[str, ...]:
-        points = _POINT_MEMO.get(key)
-        if points is None:
-            points = _POINT_MEMO[key] = (transition_point(*key),)
-        return points
-
-    @staticmethod
     def _mask_for(key: Tuple[int, str, str]) -> int:
         mask = _MASK_MEMO.get(key)
         if mask is None:
-            mask = _MASK_MEMO[key] = mask_of(
-                CsrTransitionTracker._points_for(key))
+            mask = _MASK_MEMO[key] = 1 << point_bit(transition_point(*key))
         return mask
 
-    def observe(self, record: CommitRecord) -> Tuple[str, ...]:
-        """Transition points produced by one commit (possibly empty)."""
-        if record.trap is not None:
-            emitted = []
-            for address, value in ((csrdefs.MCAUSE, int(record.trap)),
-                                   (csrdefs.MEPC, record.pc),
-                                   (csrdefs.MTVAL, record.trap_tval or 0)):
-                moved = self._move(address, value)
-                if moved is not None:
-                    emitted.extend(self._points_for(moved))
-            return tuple(emitted) if emitted else _NO_POINTS
-        if record.csr_addr is not None and record.csr_value is not None:
-            moved = self._move(record.csr_addr, record.csr_value)
-            if moved is not None:
-                return self._points_for(moved)
-        return _NO_POINTS
-
     def observe_mask(self, record: CommitRecord) -> int:
-        """Transition points of one commit as a bitset mask (hot path).
-
-        Identical state machine to :meth:`observe`; only the emission
-        representation differs (memoised integer masks instead of memoised
-        point tuples).
-        """
+        """Transition points of one commit, as a bitset mask (0 if none)."""
         if record.trap is not None:
             mask = 0
             for address, value in ((csrdefs.MCAUSE, int(record.trap)),
@@ -244,19 +212,3 @@ class CsrTransitionTracker:
             if moved is not None:
                 return self._mask_for(moved)
         return 0
-
-
-def transitions_of_records(records: Iterable[CommitRecord],
-                           layout: MemoryLayout = DEFAULT_LAYOUT) -> Set[str]:
-    """Replay a commit trace; return the set of transition points it produces.
-
-    This is the golden-trace collection path: the commit records of a
-    :class:`~repro.sim.trace.ExecutionResult` (golden *or* DUT) fully
-    determine the CSR transitions, so coverage can be derived after the
-    fact from any stored trace.
-    """
-    tracker = CsrTransitionTracker(layout)
-    covered: Set[str] = set()
-    for record in records:
-        covered.update(tracker.observe(record))
-    return covered

@@ -62,6 +62,8 @@ from repro.exec.queue import (
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_ATTEMPTS,
     ATTEMPTS_KEY,
+    REASON_ATTEMPTS_EXHAUSTED,
+    REASON_NO_LIVE_WORKERS,
     LeaseLostError,
     SpoolQueue,
 )
@@ -288,6 +290,7 @@ class DistributedBackend(ExecutionBackend):
                 payload=batch_to_wire(batch),
                 attempts=count,
                 error=error,
+                reason=REASON_ATTEMPTS_EXHAUSTED,
             )
             self._note_quarantine(task_id, pending.pop(task_id), record, stats)
         else:
@@ -321,6 +324,7 @@ class DistributedBackend(ExecutionBackend):
                 payload=batch_to_wire(pending[task_id]),
                 attempts=attempts.get(task_id, 0),
                 error="no live workers: all supervised hosts degraded",
+                reason=REASON_NO_LIVE_WORKERS,
             )
             self._note_quarantine(task_id, pending.pop(task_id), record, stats)
 
@@ -336,6 +340,7 @@ class DistributedBackend(ExecutionBackend):
             {
                 "task_id": task_id,
                 "error": (record or {}).get("error", "unknown failure"),
+                "reason": (record or {}).get("reason"),
                 "attempts": (record or {}).get("attempts"),
                 "tasks": [(task.spec_index, task.trial_index) for task in batch.tasks],
             }
@@ -381,6 +386,7 @@ class DistributedBackend(ExecutionBackend):
                     payload=batch_to_wire(batch),
                     attempts=count,
                     error="task repeatedly lost in flight (crashed requeue?)",
+                    reason=REASON_ATTEMPTS_EXHAUSTED,
                 )
                 self._note_quarantine(task_id, pending.pop(task_id), record, stats)
             else:
@@ -473,6 +479,13 @@ def run_worker(
             worker_corpus.merge_payload(broadcast.get("state"))
 
     while max_tasks is None or executed < max_tasks:
+        if faults.fire(faults.SITE_WORKER_POLL, worker=name):
+            # ``defer``: stay off the queue until the faults this worker
+            # waits for have fired elsewhere.
+            if queue.stop_requested():
+                break
+            time.sleep(idle.next())
+            continue
         claim = queue.claim(name)
         if claim is None:
             if queue.stop_requested():

@@ -216,6 +216,7 @@ class CampaignEngine:
                       if 0 <= spec_index < len(specs)]
             quarantined.append({"task_id": entry.get("task_id"),
                                 "error": entry.get("error"),
+                                "reason": entry.get("reason"),
                                 "attempts": entry.get("attempts"),
                                 "trials": trials})
         self.last_run_report = {

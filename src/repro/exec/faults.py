@@ -15,6 +15,7 @@ Sites and the actions each one interprets:
 =====================  =========================================================
 site                   actions
 =====================  =========================================================
+``worker.poll``        ``defer`` (sit the poll out until a beacon fills)
 ``worker.batch``       ``kill`` (``os._exit`` holding the claim), ``delay``
 ``worker.trial``       ``kill``, ``delay`` -- fired between trials of a batch
 ``queue.claim``        ``backdate`` (claim-steal: lease looks expired), ``delay``
@@ -25,6 +26,12 @@ site                   actions
 ``sink.connect``       ``oserror`` (telemetry connect refused), ``delay``
 ``sink.write``         ``oserror`` (telemetry send fails mid-stream), ``delay``
 =====================  =========================================================
+
+A rule with a ``beacon`` file marks it each time it fires (before acting,
+so a ``kill`` still leaves its mark); a ``defer`` rule reads the beacon
+instead and keeps its worker off the queue until the faults it waits for
+have fired in other processes.  That makes a fault on one worker certain
+to fire even when a healthy peer could otherwise drain the queue first.
 
 Plans cross process boundaries as JSON (``repro.cli worker --fault-plan``
 or the ``REPRO_FAULT_PLAN`` environment variable), so externally launched
@@ -44,6 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 # ------------------------------------------------------------------ site names
+SITE_WORKER_POLL = "worker.poll"
 SITE_WORKER_BATCH = "worker.batch"
 SITE_WORKER_TRIAL = "worker.trial"
 SITE_QUEUE_CLAIM = "queue.claim"
@@ -55,6 +63,7 @@ SITE_SINK_CONNECT = "sink.connect"
 SITE_SINK_WRITE = "sink.write"
 
 SITES = frozenset({
+    SITE_WORKER_POLL,
     SITE_WORKER_BATCH,
     SITE_WORKER_TRIAL,
     SITE_QUEUE_CLAIM,
@@ -74,10 +83,12 @@ ACTION_TORN = "torn"
 ACTION_CORRUPT = "corrupt"
 ACTION_OSERROR = "oserror"
 ACTION_DOWN = "down"
+ACTION_DEFER = "defer"
 
 #: actions each site knows how to interpret (validated at plan build time,
 #: so a typo'd plan fails fast instead of silently never firing).
 ACTIONS_BY_SITE: Dict[str, frozenset] = {
+    SITE_WORKER_POLL: frozenset({ACTION_DEFER}),
     SITE_WORKER_BATCH: frozenset({ACTION_KILL, ACTION_DELAY}),
     SITE_WORKER_TRIAL: frozenset({ACTION_KILL, ACTION_DELAY}),
     SITE_QUEUE_CLAIM: frozenset({ACTION_BACKDATE, ACTION_DELAY}),
@@ -117,10 +128,15 @@ class FaultRule:
         action: what to do there (see :data:`ACTIONS_BY_SITE`).
         after: skip this many qualifying hits before firing.
         times: fire on this many hits once armed (``0`` = every later hit).
-        arg: action parameter (``delay`` seconds; ignored elsewhere).
+        arg: action parameter (``delay`` seconds; for ``defer``, the
+            beacon marks to wait for, default 1; ignored elsewhere).
         match: context equality filters -- the rule only counts hits whose
             ``fire()`` context matches every ``(key, value)`` pair, e.g.
             ``{"task_id": "run-000002"}`` targets one specific batch.
+        beacon: a file shared across processes.  A firing rule appends one
+            mark to it before acting; a ``defer`` rule (which requires a
+            beacon) only fires while the file holds fewer than ``arg``
+            marks.
     """
 
     site: str
@@ -129,6 +145,7 @@ class FaultRule:
     times: int = 1
     arg: Optional[float] = None
     match: Tuple[Tuple[str, object], ...] = ()
+    beacon: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.site not in SITES:
@@ -142,6 +159,8 @@ class FaultRule:
             raise ValueError("after must be >= 0")
         if self.times < 0:
             raise ValueError("times must be >= 0 (0 = unlimited)")
+        if self.action == ACTION_DEFER and not self.beacon:
+            raise ValueError("a defer rule needs a beacon file to wait on")
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe form (inverse of :meth:`from_dict`)."""
@@ -154,6 +173,8 @@ class FaultRule:
             data["arg"] = self.arg
         if self.match:
             data["match"] = dict(self.match)
+        if self.beacon is not None:
+            data["beacon"] = self.beacon
         return data
 
     @classmethod
@@ -164,7 +185,9 @@ class FaultRule:
                    times=int(data.get("times", 1)),
                    arg=(float(data["arg"]) if data.get("arg") is not None
                         else None),
-                   match=tuple(sorted(match.items())))
+                   match=tuple(sorted(match.items())),
+                   beacon=(str(data["beacon"]) if data.get("beacon") is not None
+                           else None))
 
 
 @dataclass(frozen=True)
@@ -225,9 +248,31 @@ class FaultInjector:
                 continue
             if rule.times and hit >= rule.after + rule.times:
                 continue
+            if rule.action == ACTION_DEFER:
+                if beacon_marks(rule.beacon) >= (rule.arg or 1):
+                    continue  # released: the awaited faults have fired
+            elif rule.beacon is not None:
+                _mark_beacon(rule.beacon)
             fired.append(rule)
             self.fired_log.append((site, rule.action, dict(context)))
         return fired
+
+
+def beacon_marks(path: str) -> int:
+    """How many fired rules have marked the beacon file at ``path``."""
+    try:
+        return os.path.getsize(path)  # one byte per mark
+    except FileNotFoundError:
+        return 0
+
+
+def _mark_beacon(path: str) -> None:
+    # One O_APPEND byte per mark: concurrent markers never lose a mark.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        os.write(fd, b".")
+    finally:
+        os.close(fd)
 
 
 # --------------------------------------------------------- process-global hook

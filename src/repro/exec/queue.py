@@ -68,6 +68,14 @@ DEFAULT_LEASE_TIMEOUT = 300.0
 #: result never survives publishing) this many times is quarantined.
 DEFAULT_MAX_ATTEMPTS = 3
 
+#: quarantine reason codes, recorded as ``reason`` next to the prose
+#: ``error`` of a deadletter record: the retry budget ran out (failed
+#: executions, lease expiries, lost-task resubmissions), every supervised
+#: host degraded, or the task payload could not be read back.
+REASON_ATTEMPTS_EXHAUSTED = "attempts_exhausted"
+REASON_NO_LIVE_WORKERS = "no_live_workers"
+REASON_UNREADABLE_CLAIM = "unreadable_claim"
+
 #: attempts to publish a file through transient ``OSError``s before the
 #: error is allowed to propagate to the caller.
 PUBLISH_RETRIES = 4
@@ -240,6 +248,7 @@ class SpoolQueue:
                     payload={"claim": name},
                     attempts=None,
                     error=f"unreadable claim payload: {exc}",
+                    reason=REASON_UNREADABLE_CLAIM,
                 )
                 self._unlink_quiet(scratch)
                 continue
@@ -255,7 +264,8 @@ class SpoolQueue:
                     f"lease expired on attempt {attempts} of {budget} "
                     "(worker died or wedged repeatedly)"
                 )
-                self.quarantine(task_id, payload=payload, attempts=attempts, error=message)
+                self.quarantine(task_id, payload=payload, attempts=attempts,
+                                error=message, reason=REASON_ATTEMPTS_EXHAUSTED)
                 self._unlink_quiet(scratch)
                 continue
             payload[ATTEMPTS_KEY] = attempts
@@ -331,19 +341,22 @@ class SpoolQueue:
 
     # ------------------------------------------------------------- deadletter
     def quarantine(
-        self, task_id: str, payload: Dict[str, object], attempts: Optional[int], error: str
+        self, task_id: str, payload: Dict[str, object], attempts: Optional[int], error: str,
+        reason: Optional[str] = None,
     ) -> Dict[str, object]:
         """Move a task out of circulation into ``deadletter/``.
 
         The record keeps everything needed to diagnose (and manually
         re-enqueue) the batch: the task payload, how many executions were
-        attempted, and the last error observed.  Atomic write keyed by
-        task id, so concurrent quarantine attempts collapse to one file.
+        attempted, the last error observed and its ``reason`` code (one
+        of the ``REASON_*`` constants).  Atomic write keyed by task id, so
+        concurrent quarantine attempts collapse to one file.
         """
         record: Dict[str, object] = {
             "task_id": task_id,
             "attempts": attempts,
             "error": error,
+            "reason": reason,
             "payload": payload,
             "quarantined_at": time.time(),
         }

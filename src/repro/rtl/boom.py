@@ -12,7 +12,7 @@ entries and dual-issue class pairings).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Union
+from typing import Optional, Sequence, Set, Union
 
 from repro.coverage.bitset import point_mask
 from repro.coverage.points import coverage_point
@@ -98,64 +98,8 @@ class BoomModel(DutModel):
         return points
 
     # -------------------------------------------------------------------- emit
-    def structural_points(self, record: CommitRecord, instr: Instruction,
-                          executor: DutExecutor) -> List[str]:
-        points: List[str] = []
-        step = record.step
-        rob_entry = step % self.rob_entries
-        points.append(coverage_point("boom", "rob", f"entry{rob_entry}", "alloc"))
-        occupancy = min(step, self.occupancy_buckets - 1)
-        points.append(coverage_point("boom", "rob", "occupancy", f"b{occupancy}"))
-        if record.trap is not None:
-            points.append(coverage_point("boom", "rob", f"entry{rob_entry}", "exception"))
-            points.append(coverage_point("boom", "flush", "exception"))
-        else:
-            points.append(coverage_point("boom", "rob", f"entry{rob_entry}", "commit"))
-
-        if instr.is_illegal:
-            return points
-
-        spec = spec_for(instr.mnemonic)
-        cls = spec.cls
-        queue = _ISSUE_QUEUES[cls]
-        points.append(coverage_point("boom", "uop", instr.mnemonic, queue))
-        points.append(coverage_point("boom", "iq", queue,
-                                     f"slot{step % self.issue_queue_slots}"))
-        if spec.writes_rd:
-            points.append(coverage_point("boom", "rename", cls.value, f"x{instr.rd}"))
-            points.append(coverage_point("boom", "wakeup", instr.mnemonic))
-            preg = (step * 7 + instr.rd) % self.physical_registers
-            points.append(coverage_point("boom", "prf", f"p{preg}"))
-        if spec.reads_rs1:
-            points.append(coverage_point("boom", "busytable", cls.value,
-                                         f"rs1_x{instr.rs1}"))
-        if spec.reads_rs2:
-            points.append(coverage_point("boom", "busytable", cls.value,
-                                         f"rs2_x{instr.rs2}"))
-        if cls in (InstrClass.LOAD, InstrClass.ATOMIC):
-            points.append(coverage_point("boom", "lsq",
-                                         f"entry{step % self.lsq_entries}", "load"))
-        if cls in (InstrClass.STORE, InstrClass.ATOMIC):
-            points.append(coverage_point("boom", "lsq",
-                                         f"entry{step % self.lsq_entries}", "store"))
-
-        prev_cls = executor.dut_scratch.get("boom_prev_cls")
-        if isinstance(prev_cls, InstrClass):
-            points.append(coverage_point("boom", "dualissue",
-                                         f"{prev_cls.value}_{cls.value}"))
-        executor.dut_scratch["boom_prev_cls"] = cls
-
-        lane = step % self.coreswidth
-        points.append(coverage_point("boom", "commit", f"lane{lane}", cls.value))
-        if cls is InstrClass.BRANCH and record.trap is None:
-            if record.next_pc != record.pc + 4:
-                points.append(coverage_point("boom", "flush", "branch_mispredict"))
-        return points
-
-    # ------------------------------------------------------------------- masks
-    # Table-driven twin of structural_points (see RocketModel): per-point
-    # masks precomputed once per model instance, emission is table lookups
-    # and ``|=`` only.  Parity with the string path is test-enforced.
+    # Table-driven emission (see RocketModel): per-point masks precomputed
+    # once per model instance, emission is table lookups and ``|=`` only.
     def _structural_tables(self) -> dict:
         tables = self.__dict__.get("_boom_tables")
         if tables is None:

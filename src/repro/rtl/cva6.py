@@ -16,7 +16,7 @@ structure.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Union
+from typing import Optional, Sequence, Set, Union
 
 from repro.coverage.bitset import point_mask
 from repro.coverage.points import coverage_point
@@ -107,29 +107,8 @@ class CVA6Model(DutModel):
         return points
 
     # -------------------------------------------------------------------- emit
-    def structural_points(self, record: CommitRecord, instr: Instruction,
-                          executor: DutExecutor) -> List[str]:
-        points: List[str] = []
-        step = record.step
-        entry = step % self.scoreboard_entries
-        points.append(coverage_point("cva6", "scoreboard", f"entry{entry}", "issue"))
-        if record.rd is not None:
-            points.append(coverage_point("cva6", "scoreboard", f"entry{entry}", "writeback"))
-        bucket = (record.pc >> 2) % self.frontend_buckets
-        points.append(coverage_point("cva6", "frontend", f"fetch_bucket{bucket}"))
-        if not instr.is_illegal:
-            cls = spec_for(instr.mnemonic).cls
-            points.append(coverage_point("cva6", "issue", _ISSUE_PORTS[cls]))
-            port = step % self.commit_ports
-            points.append(coverage_point("cva6", "commit", f"port{port}", cls.value))
-            if record.csr_addr == csrdefs.MSTATUS:
-                points.append(coverage_point("cva6", "fpu", "fs_dirty"))
-        return points
-
-    # ------------------------------------------------------------------- masks
-    # Table-driven twin of structural_points (see RocketModel): per-point
-    # masks precomputed once per model instance, emission is table lookups
-    # and ``|=`` only.  Parity with the string path is test-enforced.
+    # Table-driven emission (see RocketModel): per-point masks precomputed
+    # once per model instance, emission is table lookups and ``|=`` only.
     def _structural_tables(self) -> dict:
         tables = self.__dict__.get("_cva6_tables")
         if tables is None:

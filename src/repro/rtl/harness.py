@@ -14,16 +14,14 @@ semantics, a DUT with no injected bugs produces a commit trace identical to
 the golden model -- the invariant the differential tester relies on (and
 which the test-suite checks property-style).
 
-Coverage is recorded as an **integer bitset** on the hot path: every point
-name owns a process-global bit (:mod:`repro.coverage.bitset`), each
-emission family memoises *masks* keyed by the same bounded situation keys
-the string helpers use, and a commit's observation collapses to a few dict
-gets plus ``cov |= mask``.  The point-name tuples are only materialised
-once per run, when :class:`DutRunResult` is built -- nothing downstream of
-the run result changes.  The string-tuple helpers below remain the
-reference implementation: :class:`LegacyCoverageExecutor` still drives a
-full run through them, and the parity tests assert that both emissions
-produce identical coverage sets on user and trap corpora.
+Coverage is recorded as an **integer bitset**: every point name owns a
+process-global bit (:mod:`repro.coverage.bitset`), each emission family
+memoises *masks* keyed by a bounded situation key, and a commit's
+observation collapses to a few dict gets plus ``cov |= mask``.  Point
+names are built only on a memo miss, and the point-name set is only
+materialised once per run, when :class:`DutRunResult` is built.  Frozen
+per-program run digests (``tests/sim/test_hotpath_equivalence.py``) pin
+the emitted coverage on both the fused and the per-step loop.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.coverage.bitset import mask_of, point_bit, points_of
-from repro.coverage.collector import CoverageCollector
+from repro.coverage.bitset import mask_of, point_bit, point_mask, points_of
 from repro.coverage.csr_transitions import (
     COVERAGE_MODELS,
     CsrTransitionTracker,
@@ -57,7 +54,7 @@ from repro.sim.golden import ModelBase
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
 from repro.sim.trace import CommitRecord, ExecutionResult
-from repro.utils.bits import MASK64, get_bits, to_signed
+from repro.utils.bits import MASK64, to_signed
 
 
 # ======================================================================== config
@@ -81,47 +78,22 @@ class DutConfig:
 
 # ============================================================== coverage families
 # Shared (ISA-level) coverage families.  Each family provides a space
-# enumeration and a runtime emission helper; the two must stay consistent,
-# which the property-based tests check by asserting emitted ⊆ enumerated.
-#
-# Emission is allocation-free on the hot path: every helper returns a
-# *shared tuple* memoised by the (small, bounded) set of observable
-# situations -- the point strings and their containers are built once per
-# process, and the collector's ``set.update`` consumes them without
-# copying.  The point spaces are finite, so the memo dictionaries are
-# bounded by construction.
+# enumeration and the point-name builders its mask memo (below) calls on a
+# miss; the two must stay consistent, which the property-based tests check
+# by asserting emitted ⊆ enumerated.
 
 _ALU_CLASSES = (InstrClass.ARITH, InstrClass.LOGIC, InstrClass.SHIFT,
                 InstrClass.COMPARE, InstrClass.MUL, InstrClass.DIV)
 _IMM_FORMATS = (InstrFormat.I, InstrFormat.I_SHIFT, InstrFormat.S,
                 InstrFormat.B, InstrFormat.U, InstrFormat.J)
 _MEM_SIZES = (1, 2, 4, 8)
-
-#: empty shared emission (illegal/non-applicable instructions).
-_NO_POINTS: Tuple[str, ...] = ()
+_SYS_MNEMONICS = ("ecall", "ebreak", "mret", "wfi")
+_FENCE_MNEMONICS = ("fence", "fence.i")
 
 
 def decode_space() -> Set[str]:
     points = {coverage_point("decode", m) for m in SPECS}
     points.update(coverage_point("decode", "illegal", f"op{i}") for i in range(32))
-    return points
-
-
-_DECODE_MEMO: Dict[object, Tuple[str, ...]] = {}
-
-
-def decode_points(instr: Instruction, word: int) -> Tuple[str, ...]:
-    if instr.is_illegal:
-        key: object = get_bits(word, 6, 2)
-        points = _DECODE_MEMO.get(key)
-        if points is None:
-            points = _DECODE_MEMO[key] = (
-                coverage_point("decode", "illegal", f"op{key}"),)
-        return points
-    points = _DECODE_MEMO.get(instr.mnemonic)
-    if points is None:
-        points = _DECODE_MEMO[instr.mnemonic] = (
-            coverage_point("decode", instr.mnemonic),)
     return points
 
 
@@ -140,35 +112,6 @@ def operand_space() -> Set[str]:
     return points
 
 
-_OPERAND_MEMO: Dict[Tuple, Tuple[str, ...]] = {}
-
-
-def operand_points(instr: Instruction) -> Tuple[str, ...]:
-    if instr.is_illegal:
-        return _NO_POINTS
-    spec = spec_for(instr.mnemonic)
-    rd_zero = (instr.rd == 0) if spec.writes_rd else None
-    rs_equal = spec.reads_rs1 and spec.reads_rs2 and instr.rs1 == instr.rs2
-    if spec.fmt in _IMM_FORMATS:
-        bucket = ("imm_neg" if instr.imm < 0
-                  else "imm_zero" if instr.imm == 0 else "imm_pos")
-    else:
-        bucket = None
-    key = (instr.mnemonic, rd_zero, rs_equal, bucket)
-    points = _OPERAND_MEMO.get(key)
-    if points is None:
-        built = []
-        if rd_zero is not None:
-            built.append(coverage_point(
-                "operand", instr.mnemonic, "rd_zero" if rd_zero else "rd_nonzero"))
-        if rs_equal:
-            built.append(coverage_point("operand", instr.mnemonic, "rs_equal"))
-        if bucket is not None:
-            built.append(coverage_point("operand", instr.mnemonic, bucket))
-        points = _OPERAND_MEMO[key] = tuple(built)
-    return points
-
-
 def alu_space() -> Set[str]:
     points: Set[str] = set()
     for mnemonic, spec in SPECS.items():
@@ -178,25 +121,9 @@ def alu_space() -> Set[str]:
     return points
 
 
-_ALU_MEMO: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-
-
 def _alu_bucket(rd_value: int) -> str:
     signed = to_signed(rd_value)
     return "zero" if signed == 0 else ("neg" if signed < 0 else "pos")
-
-
-def alu_points(instr: Instruction, record: CommitRecord) -> Tuple[str, ...]:
-    if instr.is_illegal or record.trap is not None or record.rd_value is None:
-        return _NO_POINTS
-    spec = spec_for(instr.mnemonic)
-    if spec.cls not in _ALU_CLASSES:
-        return _NO_POINTS
-    key = (instr.mnemonic, _alu_bucket(record.rd_value))
-    points = _ALU_MEMO.get(key)
-    if points is None:
-        points = _ALU_MEMO[key] = (coverage_point("alu", *key),)
-    return points
 
 
 def branch_space() -> Set[str]:
@@ -210,9 +137,6 @@ def branch_space() -> Set[str]:
     return points
 
 
-_BRANCH_MEMO: Dict[Tuple, Tuple[str, ...]] = {}
-
-
 def _branch_points_for(mnemonic: str, taken: bool,
                        direction: Optional[str]) -> Tuple[str, ...]:
     built = [coverage_point("branch", mnemonic,
@@ -220,21 +144,6 @@ def _branch_points_for(mnemonic: str, taken: bool,
     if direction is not None:
         built.append(coverage_point("branch", direction))
     return tuple(built)
-
-
-def branch_points(instr: Instruction, record: CommitRecord) -> Tuple[str, ...]:
-    if instr.is_illegal or record.trap is not None:
-        return _NO_POINTS
-    if spec_for(instr.mnemonic).cls is not InstrClass.BRANCH:
-        return _NO_POINTS
-    taken = record.next_pc != (record.pc + 4) & MASK64
-    direction = (("backward_taken" if record.next_pc < record.pc
-                  else "forward_taken") if taken else None)
-    key = (instr.mnemonic, taken, direction)
-    points = _BRANCH_MEMO.get(key)
-    if points is None:
-        points = _BRANCH_MEMO[key] = _branch_points_for(*key)
-    return points
 
 
 def mem_space() -> Set[str]:
@@ -246,9 +155,6 @@ def mem_space() -> Set[str]:
     for region in ("code", "data", "invalid"):
         points.add(coverage_point("mem", "region", region))
     return points
-
-
-_MEM_MEMO: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
 
 
 def _mem_situation(instr: Instruction, spec,
@@ -276,20 +182,6 @@ def _mem_points_for(kind: str, size: int, aligned: str,
             coverage_point("mem", "region", region))
 
 
-def mem_points(instr: Instruction, executor: "DutExecutor") -> Tuple[str, ...]:
-    if instr.is_illegal:
-        return _NO_POINTS
-    spec = spec_for(instr.mnemonic)
-    if spec.cls not in (InstrClass.LOAD, InstrClass.STORE):
-        return _NO_POINTS
-    kind, size, aligned, region = _mem_situation(instr, spec, executor)
-    key = (instr.mnemonic, aligned, region)
-    points = _MEM_MEMO.get(key)
-    if points is None:
-        points = _MEM_MEMO[key] = _mem_points_for(kind, size, aligned, region)
-    return points
-
-
 def atomic_space() -> Set[str]:
     points: Set[str] = set()
     for mnemonic, spec in SPECS.items():
@@ -299,9 +191,6 @@ def atomic_space() -> Set[str]:
     points.add(coverage_point("atomic", "sc", "fail"))
     points.add(coverage_point("atomic", "ordered"))
     return points
-
-
-_ATOMIC_MEMO: Dict[Tuple, Tuple[str, ...]] = {}
 
 
 def _atomic_situation(instr: Instruction,
@@ -321,18 +210,6 @@ def _atomic_points_for(mnemonic: str, outcome: Optional[str],
     return tuple(built)
 
 
-def atomic_points(instr: Instruction, record: CommitRecord) -> Tuple[str, ...]:
-    if instr.is_illegal or record.trap is not None:
-        return _NO_POINTS
-    if spec_for(instr.mnemonic).cls is not InstrClass.ATOMIC:
-        return _NO_POINTS
-    key = _atomic_situation(instr, record)
-    points = _ATOMIC_MEMO.get(key)
-    if points is None:
-        points = _ATOMIC_MEMO[key] = _atomic_points_for(*key)
-    return points
-
-
 def trap_space() -> Set[str]:
     points = {coverage_point("trap", cause.name.lower()) for cause in TrapCause}
     for cause in TrapCause:
@@ -340,9 +217,6 @@ def trap_space() -> Set[str]:
             points.add(coverage_point("trap", cause.name.lower(), cls.value))
         points.add(coverage_point("trap", cause.name.lower(), "illegal_word"))
     return points
-
-
-_TRAP_MEMO: Dict[Tuple[str, str], Tuple[str, ...]] = {}
 
 
 def _trap_situation(instr: Instruction, record: CommitRecord) -> Tuple[str, str]:
@@ -354,16 +228,6 @@ def _trap_situation(instr: Instruction, record: CommitRecord) -> Tuple[str, str]
 
 def _trap_points_for(cause: str, source: str) -> Tuple[str, ...]:
     return (coverage_point("trap", cause), coverage_point("trap", cause, source))
-
-
-def trap_points(instr: Instruction, record: CommitRecord) -> Tuple[str, ...]:
-    if record.trap is None:
-        return _NO_POINTS
-    key = _trap_situation(instr, record)
-    points = _TRAP_MEMO.get(key)
-    if points is None:
-        points = _TRAP_MEMO[key] = _trap_points_for(*key)
-    return points
 
 
 def csr_space() -> Set[str]:
@@ -379,27 +243,8 @@ def csr_space() -> Set[str]:
 
 
 def system_space() -> Set[str]:
-    points = {coverage_point("sys", m) for m in ("ecall", "ebreak", "mret", "wfi")}
-    points.add(coverage_point("fencepath", "fence"))
-    points.add(coverage_point("fencepath", "fence.i"))
-    return points
-
-
-_SYSTEM_MEMO: Dict[str, Tuple[str, ...]] = {}
-
-
-def system_points(instr: Instruction) -> Tuple[str, ...]:
-    if instr.is_illegal:
-        return _NO_POINTS
-    points = _SYSTEM_MEMO.get(instr.mnemonic)
-    if points is None:
-        if instr.mnemonic in ("ecall", "ebreak", "mret", "wfi"):
-            points = (coverage_point("sys", instr.mnemonic),)
-        elif instr.mnemonic in ("fence", "fence.i"):
-            points = (coverage_point("fencepath", instr.mnemonic),)
-        else:
-            points = _NO_POINTS
-        _SYSTEM_MEMO[instr.mnemonic] = points
+    points = {coverage_point("sys", m) for m in _SYS_MNEMONICS}
+    points.update(coverage_point("fencepath", m) for m in _FENCE_MNEMONICS)
     return points
 
 
@@ -419,12 +264,9 @@ def common_space() -> Set[str]:
 
 
 # ================================================================= mask faces
-# Bitset (integer-mask) counterparts of the emission helpers above, used by
-# the DUT executor's hot path.  Each memo is keyed by the same bounded
-# situation key as its string twin; a miss builds the identical point names
-# once and converts them through the global bit registry.  The string
-# helpers stay authoritative -- the parity tests run both paths over seeded
-# corpora and assert equal coverage sets.
+# The emitters the DUT executor runs.  Each memo is keyed by a bounded
+# situation key; a miss builds the situation's point names once and
+# converts them through the global bit registry.
 
 #: bound on the Instruction-keyed memos below.  Their key space is every
 #: distinct decoded instruction a worker ever sees (bit-level mutation keeps
@@ -435,6 +277,27 @@ def common_space() -> Set[str]:
 _INSTR_MEMO_MAX = 1 << 16
 
 _STATIC_MASKS: Dict[object, int] = {}
+
+
+def _static_points(instr: Instruction) -> List[str]:
+    """decode + operand + system point names of one legal instruction."""
+    mnemonic = instr.mnemonic
+    spec = spec_for(mnemonic)
+    points = [coverage_point("decode", mnemonic)]
+    if spec.writes_rd:
+        points.append(coverage_point(
+            "operand", mnemonic, "rd_zero" if instr.rd == 0 else "rd_nonzero"))
+    if spec.reads_rs1 and spec.reads_rs2 and instr.rs1 == instr.rs2:
+        points.append(coverage_point("operand", mnemonic, "rs_equal"))
+    if spec.fmt in _IMM_FORMATS:
+        bucket = ("imm_neg" if instr.imm < 0
+                  else "imm_zero" if instr.imm == 0 else "imm_pos")
+        points.append(coverage_point("operand", mnemonic, bucket))
+    if mnemonic in _SYS_MNEMONICS:
+        points.append(coverage_point("sys", mnemonic))
+    elif mnemonic in _FENCE_MNEMONICS:
+        points.append(coverage_point("fencepath", mnemonic))
+    return points
 
 
 def static_instr_mask(instr: Instruction, word: int) -> int:
@@ -448,9 +311,10 @@ def static_instr_mask(instr: Instruction, word: int) -> int:
     key: object = (word >> 2) & 0x1F if instr.raw is not None else instr
     mask = _STATIC_MASKS.get(key)
     if mask is None:
-        mask = (mask_of(decode_points(instr, word))
-                | mask_of(operand_points(instr))
-                | mask_of(system_points(instr)))
+        if instr.is_illegal:
+            mask = point_mask("decode", "illegal", f"op{(word >> 2) & 0x1F}")
+        else:
+            mask = mask_of(_static_points(instr))
         if len(_STATIC_MASKS) >= _INSTR_MEMO_MAX:
             _STATIC_MASKS.clear()
         _STATIC_MASKS[key] = mask
@@ -1109,90 +973,12 @@ class DutExecutor(Executor):
         return points_of(self._cov)
 
 
-class LegacyCoverageExecutor(DutExecutor):
-    """Reference executor recording coverage as string tuples in a collector.
-
-    Overrides only the coverage-*recording* hooks -- bug injection, memory,
-    CSR and trap semantics are inherited untouched -- so a run through this
-    executor is the pre-bitset implementation: every emission goes through
-    the legacy string helpers and microarch list methods into a
-    :class:`~repro.coverage.collector.CoverageCollector`.  The parity tests
-    compare its coverage set against the bitset fast path's; it is not used
-    on any production path.
-    """
-
-    def __init__(self, state: ArchState, memory: Memory, config: ExecutorConfig,
-                 dut: "DutModel") -> None:
-        super().__init__(state, memory, config, dut=dut)
-        self.collector = CoverageCollector()
-
-    def _record_fetch_decode(self, instr: Instruction, word: int, pc: int) -> None:
-        self.collector.hit_many(self.icache.access(pc, is_store=False))
-        self.collector.hit_many(decode_points(instr, word))
-        self.collector.hit_many(operand_points(instr))
-        if not instr.is_illegal:
-            spec = spec_for(instr.mnemonic)
-            rs1 = self.state.read_reg(instr.rs1) if spec.reads_rs1 else 0
-            rs2 = self.state.read_reg(instr.rs2) if spec.reads_rs2 else 0
-            self._operand_values = (rs1, rs2)
-            self.collector.hit_many(mem_points(instr, self))
-            self.collector.hit_many(
-                self.hazards.observe(
-                    instr.rd if spec.writes_rd else None,
-                    instr.rs1 if spec.reads_rs1 else None,
-                    instr.rs2 if spec.reads_rs2 else None,
-                ))
-
-    def _record_dcache(self, address: int, is_store: bool) -> None:
-        self.collector.hit_many(self.dcache.access(address, is_store=is_store))
-
-    def _record_csr(self, kind: str, address: int) -> None:
-        self.collector.hit(_csr_point(kind, address))
-
-    def run_block(self, block: Superblock, records: list) -> Optional[tuple]:
-        # The reference implementation must route every entry through its
-        # overridden recording hooks -- no fused fast path, by design.
-        return self.run_block_generic(block, records)
-
-    def _observe_commit(self, record: CommitRecord, instr: Instruction) -> CommitRecord:
-        collector = self.collector
-        collector.hit_many(alu_points(instr, record))
-        collector.hit_many(branch_points(instr, record))
-        collector.hit_many(atomic_points(instr, record))
-        collector.hit_many(trap_points(instr, record))
-        collector.hit_many(system_points(instr))
-        if (not instr.is_illegal and record.trap is None
-                and spec_for(instr.mnemonic).cls is InstrClass.BRANCH):
-            taken = record.next_pc != (record.pc + 4) & MASK64
-            collector.hit_many(self.bpred.update(record.pc, taken))
-        if not instr.is_illegal and record.rd_value is not None:
-            spec = spec_for(instr.mnemonic)
-            collector.hit_many(self.fu.observe(
-                spec.cls, self._operand_values[0], self._operand_values[1],
-                record.rd_value))
-        collector.hit_many(self.dut.structural_points(record, instr, self))
-        if self.csr_tracker is not None:
-            collector.hit_many(self.csr_tracker.observe(record))
-        if record.trap is not None:
-            self.last_trap_step = self._step_index
-            self.last_trap_cause = record.trap
-        return record
-
-    def coverage_hits(self) -> FrozenSet[str]:
-        return self.collector.hits
-
-
 # ======================================================================= model
 class DutModel(ModelBase):
     """Base class of the three processor models."""
 
     #: subclasses override with their default configuration.
     default_config = DutConfig()
-
-    #: coverage emission backend: the integer-bitset fast path by default.
-    #: The parity tests flip this to ``False`` to run the same model through
-    #: the legacy string-tuple collector reference implementation.
-    bitset_coverage = True
 
     def __init__(self, config: Optional[DutConfig] = None,
                  bugs: Sequence[Union[str, InjectedBug]] = (),
@@ -1219,23 +1005,15 @@ class DutModel(ModelBase):
         """DUT-specific structural coverage points (overridden by subclasses)."""
         return set()
 
-    def structural_points(self, record: CommitRecord, instr: Instruction,
-                          executor: DutExecutor) -> Sequence[str]:
-        """DUT-specific structural coverage emission (overridden by subclasses)."""
-        return _NO_POINTS
-
     def structural_mask(self, record: CommitRecord, instr: Instruction,
                         executor: DutExecutor) -> int:
-        """Structural coverage of one commit as a bitset mask (hot path).
+        """DUT-specific structural coverage of one commit, as a bitset mask.
 
         The three processor models override this with table-driven emitters
-        (precomputed per-point masks, no string building per commit).  The
-        default derives the mask from :meth:`structural_points`, so any
-        subclass that only implements the string form stays correct --
-        merely slower.
+        (precomputed per-point masks, no string building per commit); the
+        base model has no structural coverage.
         """
-        points = self.structural_points(record, instr, executor)
-        return mask_of(points) if points else 0
+        return 0
 
     def structural_block_mask(self, records: list, start: int, plan: Tuple,
                               executor: DutExecutor, block=None) -> int:
@@ -1281,9 +1059,7 @@ class DutModel(ModelBase):
 
     # ------------------------------------------------------------------ run hooks
     def _make_executor(self, state: ArchState, memory: Memory) -> Executor:
-        executor_cls = (DutExecutor if self.bitset_coverage
-                        else LegacyCoverageExecutor)
-        executor = executor_cls(state, memory, self.executor_config, dut=self)
+        executor = DutExecutor(state, memory, self.executor_config, dut=self)
         self._last_executor = executor
         return executor
 

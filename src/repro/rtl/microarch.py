@@ -4,21 +4,16 @@ Each component exposes two faces that must stay consistent:
 
 * ``space()`` -- the full set of coverage points the component can ever emit
   (used to enumerate the DUT's coverage space), and
-* runtime access methods returning the list of points hit by one event.
+* ``*_mask`` runtime methods (``access_mask``/``update_mask``/
+  ``observe_mask``) that update the component's state for one event and
+  return the points it hit as an integer bitset
+  (:mod:`repro.coverage.bitset`), memoised per observable situation so
+  recording coverage is a dict get plus an ``|=``.
 
 Components model state at the granularity needed for realistic coverage
 structure (set-indexed caches with dirty evictions, a bimodal branch
 predictor, register-hazard tracking, functional-unit corner cases), not at
 cycle accuracy: the fuzzers only consume coverage and architectural state.
-
-Every runtime access method has two faces sharing one state update:
-
-* the legacy list-of-strings form (``access``/``update``/``observe``) --
-  the reference implementation the unit and parity tests exercise, and
-* a ``*_mask`` form returning an integer bitset
-  (:mod:`repro.coverage.bitset`) -- the DUT executor's hot path, memoised
-  per observable situation so recording coverage is a dict get plus an
-  ``|=``.
 
 The mask memos are *class*-level (keyed by component name, so an icache and
 a dcache never collide) because component instances are built fresh for
@@ -99,11 +94,6 @@ class CacheModel:
             points.append(coverage_point(
                 self.name, "writeback", "dirty" if victim_dirty else "clean"))
         return points
-
-    def access(self, address: int, is_store: bool = False) -> List[str]:
-        """Access ``address``; return the coverage points exercised."""
-        index, hit, victim_dirty = self._touch(address, is_store)
-        return self._points_for(is_store, index, hit, victim_dirty)
 
     #: (name, is_store, index, hit, victim_dirty) -> mask, shared by all
     #: instances (components are rebuilt per run; situations are bounded).
@@ -192,11 +182,6 @@ class BranchPredictor:
                            "correct" if correct else "mispredict"),
         ]
 
-    def update(self, pc: int, taken: bool) -> List[str]:
-        """Record the outcome of one branch at ``pc``; return coverage points."""
-        index, correct = self._observe(pc, taken)
-        return self._points_for(index, taken, correct)
-
     _MASK_MEMO: Dict[Tuple, int] = {}
 
     def update_mask(self, pc: int, taken: bool) -> int:
@@ -232,32 +217,6 @@ class HazardTracker:
         for reg in range(32):
             points.add(coverage_point(self.name, "forward_reg", f"x{reg}"))
         points.add(coverage_point(self.name, "no_hazard"))
-        return points
-
-    def observe(self, rd: Optional[int], rs1: Optional[int],
-                rs2: Optional[int]) -> List[str]:
-        """Record one instruction's register usage; return coverage points."""
-        points = []
-        hazard = False
-        for distance, prior_rd in enumerate(reversed(self._recent), start=1):
-            if prior_rd is None or prior_rd == 0:
-                continue
-            if rs1 is not None and rs1 == prior_rd:
-                points.append(coverage_point(self.name, f"raw_dist{distance}", "rs1"))
-                points.append(coverage_point(self.name, "forward_reg", f"x{prior_rd}"))
-                hazard = True
-            if rs2 is not None and rs2 == prior_rd:
-                points.append(coverage_point(self.name, f"raw_dist{distance}", "rs2"))
-                points.append(coverage_point(self.name, "forward_reg", f"x{prior_rd}"))
-                hazard = True
-            if rd is not None and rd != 0 and rd == prior_rd:
-                points.append(coverage_point(self.name, f"waw_dist{distance}"))
-                hazard = True
-        if not hazard:
-            points.append(coverage_point(self.name, "no_hazard"))
-        self._recent.append(rd)
-        if len(self._recent) > self.window:
-            self._recent.pop(0)
         return points
 
     #: (name, window) -> precomputed single-point mask tables.
@@ -368,14 +327,6 @@ class FunctionalUnitMonitor:
         elif corner:
             points.append(coverage_point(self.name, "mul", "upper_nonzero"))
         return points
-
-    def observe(self, cls: InstrClass, rs1_value: int, rs2_value: int,
-                result: int) -> List[str]:
-        """Record one mul/div operation; return coverage points."""
-        situation = self._situation(cls, rs1_value, rs2_value, result)
-        if situation is None:
-            return []
-        return self._points_for(*situation)
 
     _MASK_MEMO: Dict[Tuple, int] = {}
 

@@ -11,7 +11,7 @@ why Rocket sits between CVA6 and BOOM in covered points and percentage.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Union
+from typing import Optional, Sequence, Set, Union
 
 from repro.coverage.bitset import point_mask
 from repro.coverage.points import coverage_point
@@ -68,69 +68,9 @@ class RocketModel(DutModel):
         return points
 
     # -------------------------------------------------------------------- emit
-    def structural_points(self, record: CommitRecord, instr: Instruction,
-                          executor: DutExecutor) -> List[str]:
-        points: List[str] = []
-        if instr.is_illegal:
-            for stage in ("if", "id"):
-                points.append(coverage_point("rocket", "pipe", stage, "bubble"))
-            return points
-
-        spec = spec_for(instr.mnemonic)
-        for stage in _PIPELINE_STAGES:
-            points.append(coverage_point("rocket", "pipe", stage, instr.mnemonic))
-
-        if spec.writes_rd and record.rd is not None:
-            points.append(coverage_point("rocket", "regfile", "write", f"x{record.rd}"))
-        if spec.reads_rs1:
-            points.append(coverage_point("rocket", "regfile", "read", f"x{instr.rs1}"))
-        if spec.reads_rs2:
-            points.append(coverage_point("rocket", "regfile", "read", f"x{instr.rs2}"))
-
-        # Bypass / load-use-stall modelling based on the previous instruction.
-        prev = executor.dut_scratch.get("rocket_prev")
-        if isinstance(prev, dict) and prev.get("rd"):
-            prev_rd = prev["rd"]
-            if spec.reads_rs1 and instr.rs1 == prev_rd:
-                points.append(coverage_point("rocket", "bypass", "ex_to_id", f"x{prev_rd}"))
-                if prev.get("is_load"):
-                    points.append(coverage_point("rocket", "stall", "loaduse"))
-            if spec.reads_rs2 and instr.rs2 == prev_rd:
-                points.append(coverage_point("rocket", "bypass", "mem_to_id", f"x{prev_rd}"))
-
-        cls = spec.cls
-        if cls is InstrClass.DIV:
-            points.append(coverage_point("rocket", "stall", "div"))
-        elif cls is InstrClass.MUL:
-            points.append(coverage_point("rocket", "stall", "mul"))
-        elif cls is InstrClass.CSR:
-            points.append(coverage_point("rocket", "stall", "csr"))
-        elif cls is InstrClass.FENCE:
-            points.append(coverage_point("rocket", "stall", "fence"))
-        elif cls is InstrClass.ATOMIC:
-            points.append(coverage_point("rocket", "stall", "amo"))
-
-        if record.trap is not None:
-            points.append(coverage_point("rocket", "pcgen", "redirect", "trap"))
-        elif cls is InstrClass.JUMP:
-            points.append(coverage_point("rocket", "pcgen", "redirect", "jump"))
-        elif cls is InstrClass.BRANCH and record.next_pc != record.pc + 4:
-            points.append(coverage_point("rocket", "pcgen", "redirect", "branch"))
-        else:
-            points.append(coverage_point("rocket", "pcgen", "sequential"))
-
-        executor.dut_scratch["rocket_prev"] = {
-            "rd": record.rd,
-            "is_load": cls is InstrClass.LOAD,
-        }
-        return points
-
-    # ------------------------------------------------------------------- masks
-    # Table-driven twin of structural_points: every point mask is
-    # precomputed once per model instance, so emitting a commit's structural
-    # coverage is a handful of table lookups and ``|=`` -- no string
-    # building on the hot path.  The parity tests assert this path matches
-    # the string emission above on user and trap corpora.
+    # Table-driven emission: every point mask is precomputed once per model
+    # instance, so emitting a commit's structural coverage is a handful of
+    # table lookups and ``|=`` -- no string building on the hot path.
     def _structural_tables(self) -> dict:
         tables = self.__dict__.get("_rocket_tables")
         if tables is None:
@@ -205,11 +145,8 @@ class RocketModel(DutModel):
         if writes_rd and rd is not None:
             mask |= tables["rf_write"][rd]
 
-        # The mask path keeps its previous-commit state as a plain
-        # ``(rd, is_load)`` tuple -- the legacy string path above uses a
-        # dict; the two faces never interleave within one run, and a tuple
-        # avoids allocating a dict per committed instruction.
-        prev = executor.dut_scratch.get("rocket_prev_mask")
+        # The previous commit's state is a plain ``(rd, is_load)`` tuple.
+        prev = executor.dut_scratch.get("rocket_prev")
         if prev is not None and prev[0]:
             prev_rd = prev[0]
             if rs1 == prev_rd:
@@ -228,7 +165,7 @@ class RocketModel(DutModel):
         else:
             mask |= tables["sequential"]
 
-        executor.dut_scratch["rocket_prev_mask"] = (rd, cls is InstrClass.LOAD)
+        executor.dut_scratch["rocket_prev"] = (rd, cls is InstrClass.LOAD)
         return mask
 
     def structural_block_mask(self, records: list, start: int, plan: tuple,
@@ -262,7 +199,7 @@ class RocketModel(DutModel):
         redirect_branch = tables["redirect_branch"]
         sequential = tables["sequential"]
         scratch = executor.dut_scratch
-        prev = scratch.get("rocket_prev_mask")
+        prev = scratch.get("rocket_prev")
         jump_cls = InstrClass.JUMP
         branch_cls = InstrClass.BRANCH
         load_cls = InstrClass.LOAD
@@ -296,5 +233,5 @@ class RocketModel(DutModel):
                 m |= sequential
             prev = (rd, cls is load_cls)
             mask |= m
-        scratch["rocket_prev_mask"] = prev
+        scratch["rocket_prev"] = prev
         return mask

@@ -290,9 +290,8 @@ class Executor:
         per-step hook methods (``_observe_decode``, ``_trap_cause``,
         ``_count_retirement``, ``_observe_commit``), which are identity
         no-ops here; any subclass that overrides a hook MUST also
-        override :meth:`run_block` (with a fused loop of its own that
-        fires the hooks, as the DUT harness does, or by delegating to
-        :meth:`run_block_generic`, which routes every entry through them).
+        override :meth:`run_block` with a fused loop of its own that fires
+        the hooks, as the DUT harness does.
         """
         state = self.state
         csrs = state.csrs
@@ -364,10 +363,10 @@ class Executor:
         dirties part of the code window (returning the dirty span, like
         :meth:`run_block`).
 
-        Only the string-tuple coverage reference
-        (:class:`~repro.rtl.harness.LegacyCoverageExecutor`) runs blocks
-        this way; every production DUT, bug-injected or not, runs the fused
-        :meth:`repro.rtl.harness.DutExecutor.run_block`.
+        Nothing in the package calls it: every DUT, bug-injected or not,
+        runs the fused :meth:`repro.rtl.harness.DutExecutor.run_block`.
+        It is kept unchanged only because ``perfbench/tracer.py`` binds it
+        by name, and goes once the tracer stops doing so.
         """
         step_compiled = self.step_compiled
         base_address = block.base_address

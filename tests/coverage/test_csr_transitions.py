@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coverage.bitset import points_of
 from repro.coverage.csr_transitions import (
     TRACKED_CSRS,
     TRANSITION_MARKER,
@@ -11,7 +12,6 @@ from repro.coverage.csr_transitions import (
     is_transition_point,
     transition_point,
     transition_space,
-    transitions_of_records,
 )
 from repro.isa import csr as csrdefs
 from repro.isa.exceptions import TrapCause
@@ -32,6 +32,11 @@ def _trap_record(cause, pc=0x4000_0000, tval=0):
 def _csr_write_record(address, value):
     return CommitRecord(step=0, pc=0x4000_0000, word=0, mnemonic="csrrw",
                         csr_addr=address, csr_value=value, next_pc=0x4000_0004)
+
+
+def _observe(tracker, record):
+    """The transition points one commit emits, as point names."""
+    return points_of(tracker.observe_mask(record))
 
 
 class TestSpace:
@@ -69,7 +74,7 @@ class TestTracker:
 
     def test_trap_commit_moves_the_three_trap_csrs(self):
         tracker = CsrTransitionTracker()
-        points = tracker.observe(_trap_record(
+        points = _observe(tracker, _trap_record(
             TrapCause.BREAKPOINT, pc=0x4000_0000, tval=0x4000_0000))
         assert set(points) == {
             "csr.mcause.instruction_address_misaligned->breakpoint",
@@ -79,28 +84,28 @@ class TestTracker:
 
     def test_same_class_produces_no_transition(self):
         tracker = CsrTransitionTracker()
-        first = tracker.observe(_trap_record(TrapCause.BREAKPOINT,
-                                             pc=0x4000_0000, tval=0))
+        first = _observe(tracker, _trap_record(TrapCause.BREAKPOINT,
+                                               pc=0x4000_0000, tval=0))
         assert any("mcause" in p for p in first)
-        again = tracker.observe(_trap_record(TrapCause.BREAKPOINT,
-                                             pc=0x4000_0004, tval=0))
+        again = _observe(tracker, _trap_record(TrapCause.BREAKPOINT,
+                                               pc=0x4000_0004, tval=0))
         assert not any("mcause" in p for p in again)  # still breakpoint class
 
     def test_explicit_csr_write_moves_the_written_csr(self):
         tracker = CsrTransitionTracker()
-        points = tracker.observe(_csr_write_record(csrdefs.MSCRATCH, 7))
-        assert points == ("csr.mscratch.zero->nonzero",)
-        back = tracker.observe(_csr_write_record(csrdefs.MSCRATCH, 0))
-        assert back == ("csr.mscratch.nonzero->zero",)
+        points = _observe(tracker, _csr_write_record(csrdefs.MSCRATCH, 7))
+        assert points == {"csr.mscratch.zero->nonzero"}
+        back = _observe(tracker, _csr_write_record(csrdefs.MSCRATCH, 0))
+        assert back == {"csr.mscratch.nonzero->zero"}
 
     def test_untracked_csr_writes_are_ignored(self):
         tracker = CsrTransitionTracker()
-        assert tracker.observe(_csr_write_record(csrdefs.MCOUNTEREN, 5)) == ()
+        assert _observe(tracker, _csr_write_record(csrdefs.MCOUNTEREN, 5)) == frozenset()
 
     def test_software_written_junk_cause_classifies_as_other(self):
         tracker = CsrTransitionTracker()
-        points = tracker.observe(_csr_write_record(csrdefs.MCAUSE, 0xDEAD))
-        assert points == ("csr.mcause.instruction_address_misaligned->other",)
+        points = _observe(tracker, _csr_write_record(csrdefs.MCAUSE, 0xDEAD))
+        assert points == {"csr.mcause.instruction_address_misaligned->other"}
 
     def test_emitted_points_stay_inside_the_space(self):
         space = transition_space()
@@ -117,30 +122,12 @@ class TestTracker:
         ]
         emitted = set()
         for record in records:
-            emitted.update(tracker.observe(record))
+            emitted.update(_observe(tracker, record))
         assert emitted
         assert emitted <= space
 
 
 class TestGoldenTraceCollection:
-    def test_transitions_of_records_matches_incremental_tracker(self):
-        program = make_program([
-            Instruction("csrrwi", rd=1, imm=9, csr=csrdefs.MSCRATCH),
-            Instruction("ebreak"),
-            Instruction("csrrwi", rd=0, imm=0, csr=csrdefs.MSCRATCH),
-            Instruction("ecall"),
-        ])
-        execution = GoldenModel().run(program)
-        replayed = transitions_of_records(execution.records)
-        tracker = CsrTransitionTracker()
-        incremental = set()
-        for record in execution.records:
-            incremental.update(tracker.observe(record))
-        assert replayed == incremental
-        assert "csr.mscratch.zero->nonzero" in replayed
-        assert "csr.mscratch.nonzero->zero" in replayed
-        assert any(p.startswith("csr.mcause.") for p in replayed)
-
     @pytest.mark.parametrize("dut_name", ["cva6", "rocket", "boom"])
     def test_clean_dut_emits_exactly_the_golden_trace_transitions(self, dut_name):
         """RTL-hook emission == golden-record derivation, per DUT, property-style."""
@@ -148,7 +135,10 @@ class TestGoldenTraceCollection:
         dut = make_dut(dut_name, bugs=[], coverage_model="csr")
         generator = TrapScenarioGenerator(rng=99)
         for program in generator.generate_many(12):
-            expected = transitions_of_records(golden.run(program).records)
+            tracker = CsrTransitionTracker()
+            expected = set()
+            for record in golden.run(program).records:
+                expected |= _observe(tracker, record)
             run = dut.run(program)
             emitted = {p for p in run.coverage if is_transition_point(p)}
             assert emitted == expected

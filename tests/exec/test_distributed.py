@@ -20,9 +20,12 @@ from repro.exec import (
     DistributedBackend,
     SerialBackend,
     SpoolQueue,
+    faults,
     run_worker,
 )
 from repro.exec.batching import TrialBatch, TrialTask, batch_to_wire
+from repro.exec.faults import FaultPlan, FaultRule
+from repro.exec.queue import REASON_ATTEMPTS_EXHAUSTED
 from repro.fuzzing.base import FuzzerConfig
 from repro.harness.campaign import CampaignSpec
 
@@ -167,6 +170,28 @@ class TestWorkerLoop:
         assert executed == 1
         assert "error" in queue.collect("run-000000")
 
+    def test_deferred_worker_stays_off_the_queue_until_released(self, tmp_path):
+        queue = SpoolQueue(str(tmp_path / "spool")).ensure()
+        spec = _grid()[0]
+        batch = TrialBatch(index=0, tasks=(TrialTask(0, 0, spec),))
+        queue.enqueue("run-000000", batch_to_wire(batch))
+        queue.request_stop()
+        beacon = tmp_path / "beacon"
+        faults.install(FaultPlan(rules=(FaultRule(
+            site=faults.SITE_WORKER_POLL, action="defer", times=0,
+            beacon=str(beacon)),)).injector())
+        try:
+            # Deferred, the worker claims nothing but still honours STOP.
+            assert run_worker(str(tmp_path / "spool"), worker_id="w0",
+                              poll_interval=0.01) == 0
+            assert queue.pending_count() == 1
+            beacon.write_bytes(b".")  # the awaited fault fired elsewhere
+            assert run_worker(str(tmp_path / "spool"), worker_id="w0",
+                              poll_interval=0.01) == 1
+        finally:
+            faults.uninstall()
+        assert queue.collect("run-000000")["results"][0]["trial_index"] == 0
+
     def test_failing_batch_is_quarantined_not_raised(self, tmp_path):
         # A batch that fails on every execution burns its retry budget and
         # lands in deadletter/; the grid completes (with the batch reported
@@ -192,6 +217,7 @@ class TestWorkerLoop:
         assert record is not None
         assert "no-such-fuzzer" in record["error"]
         assert record["attempts"] == 2
+        assert entry["reason"] == record["reason"] == REASON_ATTEMPTS_EXHAUSTED
 
     def test_empty_grid_still_writes_stop_sentinel(self, tmp_path):
         # A fully journal-restored grid submits zero tasks; --stop-workers

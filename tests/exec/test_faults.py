@@ -29,6 +29,15 @@ class TestFaultRule:
                          match=(("task_id", "run-000001"),))
         assert FaultRule.from_dict(rule.to_dict()) == rule
 
+    def test_beacon_round_trip(self):
+        rule = FaultRule(site=faults.SITE_WORKER_POLL, action="defer",
+                         times=0, arg=2, beacon="/spool/deaths")
+        assert FaultRule.from_dict(rule.to_dict()) == rule
+
+    def test_defer_needs_a_beacon(self):
+        with pytest.raises(ValueError, match="beacon"):
+            FaultRule(site=faults.SITE_WORKER_POLL, action="defer")
+
 
 class TestFaultPlan:
     def test_json_round_trip(self, tmp_path):
@@ -108,6 +117,36 @@ class TestInjector:
         with pytest.raises(faults.InjectedError):
             faults.perform(rule)
         assert issubclass(faults.InjectedError, OSError)
+
+
+class TestBeacons:
+    """Beacons carry fired faults across processes to ``defer`` rules."""
+
+    def test_firing_rule_marks_its_beacon(self, tmp_path):
+        beacon = str(tmp_path / "beacon")
+        injector = FaultInjector(FaultPlan(rules=(FaultRule(
+            site=faults.SITE_WORKER_BATCH, action="delay", times=2,
+            beacon=beacon),)))
+        assert faults.beacon_marks(beacon) == 0
+        for _ in range(3):
+            injector.fire(faults.SITE_WORKER_BATCH)
+        assert faults.beacon_marks(beacon) == 2  # one mark per firing
+
+    def test_defer_fires_until_the_beacon_holds_arg_marks(self, tmp_path):
+        beacon = str(tmp_path / "beacon")
+        waiter = FaultInjector(FaultPlan(rules=(FaultRule(
+            site=faults.SITE_WORKER_POLL, action="defer", times=0, arg=2,
+            beacon=beacon),)))
+        marker = FaultInjector(FaultPlan(rules=(FaultRule(
+            site=faults.SITE_WORKER_BATCH, action="delay", times=0,
+            beacon=beacon),)))
+        released = []
+        for _ in range(3):
+            released.append(not waiter.fire(faults.SITE_WORKER_POLL))
+            marker.fire(faults.SITE_WORKER_BATCH)
+        assert released == [False, False, True]
+        # Reading the beacon never marks it.
+        assert faults.beacon_marks(beacon) == 3
 
 
 class TestServiceSites:

@@ -3,7 +3,7 @@
 import json
 import os
 
-from repro.exec.queue import SpoolQueue
+from repro.exec.queue import REASON_ATTEMPTS_EXHAUSTED, SpoolQueue
 
 
 def _queue(tmp_path):
@@ -191,6 +191,7 @@ class TestRetryBudget:
         record = queue.read_deadletter("t0")
         assert record["attempts"] == 2
         assert "lease expired" in record["error"]
+        assert record["reason"] == REASON_ATTEMPTS_EXHAUSTED
         assert record["payload"]["index"] == 0
 
     def test_requeue_budget_fallback_argument(self, tmp_path):

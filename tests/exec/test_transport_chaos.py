@@ -30,6 +30,7 @@ from repro.exec import (
     faults,
 )
 from repro.exec.faults import FaultPlan, FaultRule
+from repro.exec.queue import REASON_ATTEMPTS_EXHAUSTED, REASON_NO_LIVE_WORKERS
 from repro.fuzzing.base import FuzzerConfig
 from repro.harness.campaign import CampaignSpec
 from repro.telemetry import TcpSink, TelemetryListener, decode_line
@@ -76,14 +77,27 @@ def _backend(queue_dir, supervisor, **kwargs):
         **kwargs)
 
 
-def _kill_plan(tmp_path, name="plan.json", times=1):
-    """A plan that kills the worker on its first batch pickup."""
-    plan = FaultPlan(rules=(
-        FaultRule(site=faults.SITE_WORKER_BATCH, action="kill", times=times),
-    ))
+def _write_plan(tmp_path, name, *rules):
     path = tmp_path / name
-    path.write_text(json.dumps(plan.to_dict()))
+    path.write_text(json.dumps(FaultPlan(rules=rules).to_dict()))
     return str(path)
+
+
+def _kill_plan(tmp_path, name="plan.json", times=1):
+    """A plan that kills the worker on its first batch pickup, marking the
+    ``deaths`` beacon as it goes."""
+    return _write_plan(tmp_path, name, FaultRule(
+        site=faults.SITE_WORKER_BATCH, action="kill", times=times,
+        beacon=str(tmp_path / "deaths")))
+
+
+def _await_deaths_plan(tmp_path, deaths, name="await.json"):
+    """A plan that keeps a healthy worker off the queue until ``deaths``
+    kills have marked the beacon, so the doomed host is certain to claim a
+    batch (and die) before its peer can drain the queue."""
+    return _write_plan(tmp_path, name, FaultRule(
+        site=faults.SITE_WORKER_POLL, action="defer", times=0, arg=deaths,
+        beacon=str(tmp_path / "deaths")))
 
 
 class TestSupervisedRecovery:
@@ -101,7 +115,9 @@ class TestSupervisedRecovery:
             # batch pickup (the plan is not re-exported to the restart).
             WorkerSpec(host="doomed", transport=LocalTransport(),
                        fault_plan=_kill_plan(tmp_path)),
-            WorkerSpec(host="steady", transport=LocalTransport()),
+            # The steady host waits for that death before it serves.
+            WorkerSpec(host="steady", transport=LocalTransport(),
+                       fault_plan=_await_deaths_plan(tmp_path, 1)),
         ]
         supervisor = _supervisor(queue_dir, worker_specs,
                                  log_dir=str(tmp_path / "logs"))
@@ -159,9 +175,14 @@ class TestSupervisedRecovery:
         total = sum(spec.trials for spec in specs)
         assert completed + report["quarantined_trials"] == total
         assert report["quarantined_trials"] > 0
-        for entry in report["quarantined"]:
-            assert ("no live workers" in entry["error"]
-                    or "attempts" in entry["error"])
+        # Three generations claim at most three of the four batches before
+        # the host degrades: the rest can only go as "no live workers".
+        # A batch one dead worker after another held runs out of attempts
+        # first.
+        reasons = [entry["reason"] for entry in report["quarantined"]]
+        assert REASON_NO_LIVE_WORKERS in reasons
+        assert set(reasons) <= {REASON_NO_LIVE_WORKERS,
+                                REASON_ATTEMPTS_EXHAUSTED}
         closing = [line for line in engine_lines
                    if line.startswith("transport:")]
         assert len(closing) == 1
@@ -179,7 +200,10 @@ class TestSupervisedRecovery:
             WorkerSpec(host="cursed", transport=LocalTransport(),
                        fault_plan=_kill_plan(tmp_path),
                        fault_plan_all_generations=True),
-            WorkerSpec(host="steady", transport=LocalTransport()),
+            # Budget 1: the second death degrades the cursed host, and the
+            # steady host serves only after it.
+            WorkerSpec(host="steady", transport=LocalTransport(),
+                       fault_plan=_await_deaths_plan(tmp_path, 2)),
         ]
         supervisor = _supervisor(queue_dir, worker_specs,
                                  crash_loop_budget=1)

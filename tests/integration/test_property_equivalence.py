@@ -3,18 +3,22 @@
 The key soundness property of the whole substrate: for *any* generated
 program, a DUT model with no injected defects commits exactly the same
 architectural trace as the golden reference model, and its emitted coverage
-stays inside its declared coverage space.  Hypothesis drives the seed
-generator (and the mutation engine) with arbitrary RNG seeds to search for
-counterexamples.
+stays inside its declared coverage space -- identically on the fused
+superblock loop and on the per-step loop, whose coverage emitters are
+separate code.  Hypothesis drives the seed generator (and the mutation
+engine) with arbitrary RNG seeds to search for counterexamples.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.coverage.csr_transitions import COVERAGE_MODELS
 from repro.fuzzing.differential import compare_traces
 from repro.fuzzing.mutation import MutationEngine
+from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
 from repro.isa.generator import GeneratorConfig, SeedGenerator
 from repro.rtl.boom import BoomModel
 from repro.rtl.cva6 import CVA6Model
+from repro.rtl.registry import make_dut
 from repro.rtl.rocket import RocketModel
 from repro.sim.golden import GoldenModel
 
@@ -22,6 +26,13 @@ _MODELS = {
     "cva6": CVA6Model(bugs=[]),
     "rocket": RocketModel(bugs=[]),
     "boom": BoomModel(bugs=[]),
+}
+#: every DUT under every coverage model, clean and with its default bugs.
+_COVERAGE_DUTS = {
+    (name, coverage_model, buggy): make_dut(
+        name, bugs=None if buggy else (), coverage_model=coverage_model)
+    for name in _MODELS for coverage_model in COVERAGE_MODELS
+    for buggy in (False, True)
 }
 _GOLDEN = GoldenModel()
 _SETTINGS = settings(max_examples=25, deadline=None,
@@ -53,15 +64,36 @@ def test_clean_dut_equals_golden_on_mutated_tests(seed, model_name):
 
 
 @given(seed=st.integers(0, 2**32 - 1),
-       model_name=st.sampled_from(sorted(_MODELS)))
+       model_name=st.sampled_from(sorted(_MODELS)),
+       coverage_model=st.sampled_from(COVERAGE_MODELS),
+       buggy=st.booleans(),
+       mutations=st.integers(0, 3))
 @_SETTINGS
-def test_coverage_always_within_declared_space(seed, model_name):
-    model = _MODELS[model_name]
+def test_coverage_always_within_declared_space(seed, model_name, coverage_model,
+                                               buggy, mutations):
+    """Emitted coverage stays inside the space, and the per-step loop's
+    emitters agree with the fused loop's on coverage, bugs and trace."""
+    model = _COVERAGE_DUTS[model_name, coverage_model, buggy]
     generator = SeedGenerator(
         GeneratorConfig(illegal_word_prob=0.05), rng=seed)
-    result = model.run(generator.generate())
+    program = generator.generate()
+    engine = MutationEngine(rng=seed)
+    for _ in range(mutations):
+        program = engine.mutate_once(program)
+    result = model.run(program)
     assert result.coverage
     assert result.coverage <= model.coverage_space()
+    was = superblocks_enabled()
+    set_superblocks_enabled(False)
+    try:
+        per_step = model.run(program)
+    finally:
+        set_superblocks_enabled(was)
+    assert per_step.coverage == result.coverage
+    assert per_step.fired_bugs == result.fired_bugs
+    assert per_step.bug_effect_steps == result.bug_effect_steps
+    assert ([r.arch_key() for r in per_step.execution.records]
+            == [r.arch_key() for r in result.execution.records])
 
 
 @given(seed=st.integers(0, 2**32 - 1))

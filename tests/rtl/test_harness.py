@@ -3,6 +3,7 @@ the central invariant that a defect-free DUT matches the golden model."""
 
 import pytest
 
+from repro.coverage.bitset import points_of
 from repro.coverage.points import point_module
 from repro.fuzzing.differential import compare_traces
 from repro.isa.generator import SeedGenerator
@@ -11,10 +12,9 @@ from repro.rtl.cva6 import CVA6Model
 from repro.rtl.harness import (
     DutConfig,
     common_space,
-    decode_points,
     decode_space,
-    operand_points,
     operand_space,
+    static_instr_mask,
 )
 from repro.rtl.rocket import RocketModel
 from repro.rtl.boom import BoomModel
@@ -29,11 +29,19 @@ class TestDutConfig:
             DutConfig(hazard_window=-1)
 
 
+def _family_points(module, instr, word=0):
+    """The ``module`` family's points in one instruction's static mask."""
+    return {point for point in points_of(static_instr_mask(instr, word))
+            if point_module(point) == module}
+
+
 class TestCoverageFamilies:
     def test_decode_points_within_space(self):
         space = decode_space()
-        assert decode_points(Instruction("addi", rd=1), 0)[0] in space
-        assert decode_points(Instruction.illegal(0x7F), 0x7F)[0] in space
+        (addi,) = _family_points("decode", Instruction("addi", rd=1))
+        assert addi in space
+        (illegal,) = _family_points("decode", Instruction.illegal(0x7F), 0x7F)
+        assert illegal in space
 
     def test_operand_points_within_space(self):
         space = operand_space()
@@ -41,7 +49,7 @@ class TestCoverageFamilies:
                       Instruction("add", rd=3, rs1=2, rs2=2),
                       Instruction("sd", rs1=1, rs2=1, imm=0),
                       Instruction("jal", rd=1, imm=8)):
-            for point in operand_points(instr):
+            for point in _family_points("operand", instr):
                 assert point in space
 
     def test_common_space_has_expected_modules(self):

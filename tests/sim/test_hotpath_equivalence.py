@@ -8,7 +8,9 @@ recorded from the pre-rewrite implementation (see ``record_hotpath_fixtures``
 in this file): a deterministic ~200-program corpus -- random seeds, mutated
 programs (including illegal words produced by bit-level mutation) and
 hand-built corner cases -- is digested per program and compared digest by
-digest.
+digest.  DUT run digests also cover the coverage set, fired bugs and first
+bug-effect steps: they are the reference for the coverage emitters, on the
+fused superblock loop and on the per-step loop alike.
 
 To re-record the fixtures (only after intentionally changing architectural
 semantics, never to paper over a regression)::
@@ -60,6 +62,42 @@ TRAP_BUGGY_PROGRAMS = 12 # trap-corpus prefix through a fully-bugged rocket
 # first effect step as well as the trace (see ``run_digest``).
 COVERAGE_MODELS = ("base", "csr")
 BUG_SET_KEYS = ("cva6_buggy", "trap_cva6_buggy", "corner_cva6_buggy")
+
+# Coverage extension (recorded before the string-tuple coverage emitters
+# were deleted, and cross-checked against them while recording): clean
+# CVA6, Rocket and BOOM, and CVA6 and Rocket with their default bug sets,
+# under both coverage models, over a small seeded user and trap corpus
+# plus every hand-built program in this module.  BOOM's default bug set is
+# empty.  Each entry stores the program's fingerprint next to its run
+# digest, so a generator change reads as a corpus change rather than a
+# coverage change.
+COVERAGE_USER_SEED = 20260729
+COVERAGE_MUTATION_SEED = 20260730
+COVERAGE_TRAP_SEED = 20260731
+COVERAGE_USER_SEEDS = 8
+COVERAGE_MUTATED_PARENTS = 4
+COVERAGE_MUTANTS_PER_PARENT = 2
+COVERAGE_TRAP_PROGRAMS = 6
+#: build_coverage_corpus() slices: seeded user programs and their mutants,
+#: seeded trap scenarios, then the hand-built corner programs.
+_USER_END = COVERAGE_USER_SEEDS + COVERAGE_MUTATED_PARENTS * COVERAGE_MUTANTS_PER_PARENT
+COVERAGE_USER = slice(0, _USER_END)
+COVERAGE_TRAP = slice(_USER_END, _USER_END + COVERAGE_TRAP_PROGRAMS)
+COVERAGE_CORNERS = slice(_USER_END + COVERAGE_TRAP_PROGRAMS, None)
+#: fixture key -> (DUT name, bugs); ``None`` selects the DUT's default set.
+COVERAGE_KEYS = {
+    "coverage_cva6": ("cva6", ()),
+    "coverage_rocket": ("rocket", ()),
+    "coverage_rocket_buggy": ("rocket", None),
+    "coverage_boom": ("boom", ()),
+    "coverage_cva6_buggy": ("cva6", None),
+}
+#: DUT -> the key its default bug set must reproduce (BOOM's set is empty).
+DEFAULT_BUG_SET_KEYS = {
+    "cva6": "coverage_cva6_buggy",
+    "rocket": "coverage_rocket_buggy",
+    "boom": "coverage_boom",
+}
 
 
 def _corner_programs() -> list:
@@ -248,6 +286,22 @@ def _bug_corner_programs() -> list:
     return [TestProgram(instructions=tuple(body)) for body in programs]
 
 
+def build_coverage_corpus() -> list:
+    """Seeded user programs, their mutants, trap scenarios and corner cases."""
+    seeds = SeedGenerator(rng=COVERAGE_USER_SEED).generate_many(
+        COVERAGE_USER_SEEDS)
+    programs = list(seeds)
+    engine = MutationEngine(rng=COVERAGE_MUTATION_SEED)
+    for parent in seeds[:COVERAGE_MUTATED_PARENTS]:
+        programs.extend(engine.mutate(parent, count=COVERAGE_MUTANTS_PER_PARENT))
+    programs.extend(TrapScenarioGenerator(rng=COVERAGE_TRAP_SEED).generate_many(
+        COVERAGE_TRAP_PROGRAMS))
+    programs.extend(_corner_programs())
+    programs.extend(_trap_corner_programs())
+    programs.extend(_bug_corner_programs())
+    return programs
+
+
 def trace_digest(execution) -> str:
     """Digest every architecturally visible aspect of one program run."""
     h = hashlib.sha256()
@@ -286,6 +340,35 @@ def bug_set_digests() -> dict:
     return digests
 
 
+def coverage_entries(dut, corpus: list, label: str) -> list:
+    """``[fingerprint, run digest]`` per program of ``corpus`` on ``dut``.
+
+    Every run's coverage must lie inside the DUT's ``coverage_space()``.
+    """
+    space = dut.coverage_space()
+    entries = []
+    for program in corpus:
+        run = dut.run(program)
+        outside = run.coverage - space
+        assert not outside, (
+            f"{label}: {program.fingerprint()} emitted points outside "
+            f"coverage_space(): {sorted(outside)[:5]}")
+        entries.append([program.fingerprint(), run_digest(run)])
+    return entries
+
+
+def coverage_digests() -> dict:
+    """Coverage entries per coverage key and model (see ``coverage_entries``)."""
+    corpus = build_coverage_corpus()
+    digests = {}
+    for key, (name, bugs) in COVERAGE_KEYS.items():
+        digests[key] = {}
+        for model in COVERAGE_MODELS:
+            dut = make_dut(name, bugs=bugs, coverage_model=model)
+            digests[key][model] = coverage_entries(dut, corpus, f"{key}/{model}")
+    return digests
+
+
 def compute_digests() -> dict:
     """Run the full corpus and return all per-program trace digests."""
     corpus = build_corpus()
@@ -320,6 +403,7 @@ def compute_digests() -> dict:
         for p in trap_corpus[:TRAP_BUGGY_PROGRAMS]
     ]
     digests.update(bug_set_digests())
+    digests.update(coverage_digests())
     return digests
 
 
@@ -466,6 +550,84 @@ def test_superblocks_off_matches_bug_set_fixtures(fixture_digests):
         set_superblocks_enabled(was)
     for key in BUG_SET_KEYS:
         assert off[key] == fixture_digests[key], key
+
+
+# ------------------------------------------------------- coverage extension
+def _assert_coverage_entries_match(current: list, recorded: list,
+                                   label: str) -> None:
+    assert [fp for fp, _ in current] == [fp for fp, _ in recorded], (
+        f"{label}: the coverage corpus changed (a generator or corner "
+        f"program edit), not the coverage")
+    changed = [index for index, (new, old) in enumerate(zip(current, recorded))
+               if new != old]
+    assert not changed, (
+        f"{label}: trace/coverage/bug digests diverged from the recorded "
+        f"fixtures at programs {changed[:10]}")
+
+
+def _assert_clean_slice_matches(fixture_digests, current_digests, name,
+                                coverage_model, part, label):
+    key = f"coverage_{name}"
+    _assert_coverage_entries_match(
+        current_digests[key][coverage_model][part],
+        fixture_digests[key][coverage_model][part],
+        f"{key}/{coverage_model} {label}")
+
+
+@pytest.mark.parametrize("coverage_model", COVERAGE_MODELS)
+@pytest.mark.parametrize("name", DUT_NAMES)
+def test_user_corpus_coverage_matches_fixtures(fixture_digests, current_digests,
+                                               name, coverage_model):
+    _assert_clean_slice_matches(fixture_digests, current_digests, name,
+                                coverage_model, COVERAGE_USER, "user corpus")
+
+
+@pytest.mark.parametrize("coverage_model", COVERAGE_MODELS)
+@pytest.mark.parametrize("name", DUT_NAMES)
+def test_trap_corpus_coverage_matches_fixtures(fixture_digests, current_digests,
+                                               name, coverage_model):
+    _assert_clean_slice_matches(fixture_digests, current_digests, name,
+                                coverage_model, COVERAGE_TRAP, "trap corpus")
+
+
+@pytest.mark.parametrize("coverage_model", COVERAGE_MODELS)
+@pytest.mark.parametrize("name", DUT_NAMES)
+def test_corner_coverage_matches_fixtures(fixture_digests, current_digests,
+                                          name, coverage_model):
+    _assert_clean_slice_matches(fixture_digests, current_digests, name,
+                                coverage_model, COVERAGE_CORNERS,
+                                "corner programs")
+
+
+@pytest.mark.parametrize("name", DUT_NAMES)
+def test_default_bug_set_coverage_matches_fixtures(fixture_digests, name):
+    """Each DUT built with its default bug set reproduces its key under both
+    coverage models; BOOM's set is empty, so it must match the clean key."""
+    key = DEFAULT_BUG_SET_KEYS[name]
+    corpus = build_coverage_corpus()
+    for model in COVERAGE_MODELS:
+        dut = make_dut(name, coverage_model=model)  # default bug set
+        assert bool(dut.bugs) == (COVERAGE_KEYS[key][1] is None), name
+        _assert_coverage_entries_match(
+            coverage_entries(dut, corpus, f"{name}/{model}"),
+            fixture_digests[key][model], f"{name} default bugs/{model}")
+
+
+def test_superblocks_off_matches_coverage_fixtures(fixture_digests):
+    """The per-step loop's emitters reproduce the coverage digests too."""
+    from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
+
+    was = superblocks_enabled()
+    set_superblocks_enabled(False)
+    try:
+        off = coverage_digests()
+    finally:
+        set_superblocks_enabled(was)
+    for key in COVERAGE_KEYS:
+        for model in COVERAGE_MODELS:
+            _assert_coverage_entries_match(off[key][model],
+                                           fixture_digests[key][model],
+                                           f"{key}/{model} (superblocks off)")
 
 
 def record_hotpath_fixtures() -> None:  # pragma: no cover - manual tool

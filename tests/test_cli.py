@@ -96,6 +96,19 @@ class TestParser:
         (["fuzz", "--mutants", "-1"], "must be a positive integer, got -1"),
         (["table1", "--trials", "0"], "must be a positive integer, got 0"),
         (["coverage", "--tests", "many"], "invalid int value: 'many'"),
+        (["fuzz", "--seed", "-1"], "must be a non-negative integer, got -1"),
+        (["table1", "--seed", "-1"], "must be a non-negative integer, got -1"),
+        (["trapcov", "--seed", "-7"], "must be a non-negative integer, got -7"),
+        (["fuzz", "--profile-top", "-3"], "must be a positive integer, got -3"),
+        (["fuzz", "--profile-top", "0"], "must be a positive integer, got 0"),
+        (["fuzz", "--output", "/nonexistent/dir/out.md"],
+         "directory does not exist: '/nonexistent/dir'"),
+        (["fuzz", "--profile", "/nonexistent/dir/x.prof"],
+         "directory does not exist: '/nonexistent/dir'"),
+        (["table1", "--resume", "/nonexistent/dir/j.jsonl"],
+         "directory does not exist: '/nonexistent/dir'"),
+        (["list", "--output", "/nonexistent/dir/list.txt"],
+         "directory does not exist: '/nonexistent/dir'"),
     ])
     def test_bad_counts_rejected_with_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
