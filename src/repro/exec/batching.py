@@ -15,6 +15,7 @@ content alone, so grouping (or not grouping) tasks can never change a
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ from repro.exec.cache import (
     process_golden_cache,
 )
 from repro.harness.campaign import CampaignSpec, run_campaign
+from repro.utils.collector import collection_paused
 
 #: default cap on tasks per batch: large enough to amortize warm-up, small
 #: enough that a grid still spreads across a handful of workers.
@@ -157,38 +159,47 @@ def execute_batch(batch: TrialBatch,
     regenerated across trials (seed replays, bug-sweep variants, duplicate
     mutants) compile once per worker and replay through the shared
     golden/DUT fast loop; ``compiled_trace_*`` deltas account for it.
-    """
-    before = process_cache_stats()
-    configure_process_caches(batch.cache_entries)
-    dut_cache = process_dut_cache()
-    golden_fallback = process_golden_cache()
-    batch_corpus = None
-    if batch_uses_corpus(batch):
-        from repro.fuzzing.corpus import CorpusManager
 
-        batch_corpus = CorpusManager.from_payload(batch.corpus)
-        batch_corpus.mark_base()
-    results = []
-    for task in batch.tasks:
-        if on_trial is not None:
-            on_trial(task)
-        corpus_kwargs = {}
-        if batch_corpus is not None and task_uses_corpus(task):
-            corpus_kwargs = {"corpus_state": batch_corpus.to_payload(),
-                             "corpus_sink": batch_corpus.merge_payload}
-        result = run_campaign(task.spec, task.trial_index,
-                              dut_cache=dut_cache,
-                              golden_fallback=golden_fallback,
-                              **corpus_kwargs)
-        results.append({"spec_index": task.spec_index,
-                        "trial_index": task.trial_index,
-                        "result": result.to_dict()})
-    after = process_cache_stats()
-    payload = {"results": results,
-               "cache_stats": {name: after[name] - before[name]
-                               for name in after}}
-    if batch_corpus is not None:
-        payload["corpus"] = batch_corpus.delta_payload()
+    The whole batch runs with automatic garbage collection paused, so its
+    trials never re-enable it between them.  A batch that ends normally
+    then freezes (``gc.freeze()``) what survives it, just before handing
+    the collector back, so later collections skip the process caches.
+    """
+    with collection_paused():
+        before = process_cache_stats()
+        configure_process_caches(batch.cache_entries)
+        dut_cache = process_dut_cache()
+        golden_fallback = process_golden_cache()
+        batch_corpus = None
+        if batch_uses_corpus(batch):
+            from repro.fuzzing.corpus import CorpusManager
+
+            batch_corpus = CorpusManager.from_payload(batch.corpus)
+            batch_corpus.mark_base()
+        results = []
+        for task in batch.tasks:
+            if on_trial is not None:
+                on_trial(task)
+            corpus_kwargs = {}
+            if batch_corpus is not None and task_uses_corpus(task):
+                corpus_kwargs = {"corpus_state": batch_corpus.to_payload(),
+                                 "corpus_sink": batch_corpus.merge_payload}
+            result = run_campaign(task.spec, task.trial_index,
+                                  dut_cache=dut_cache,
+                                  golden_fallback=golden_fallback,
+                                  **corpus_kwargs)
+            results.append({"spec_index": task.spec_index,
+                            "trial_index": task.trial_index,
+                            "result": result.to_dict()})
+        after = process_cache_stats()
+        payload = {"results": results,
+                   "cache_stats": {name: after[name] - before[name]
+                                   for name in after}}
+        if batch_corpus is not None:
+            payload["corpus"] = batch_corpus.delta_payload()
+        # No collection first: trials make no cyclic garbage.  Skipped when
+        # the batch raises, so its traceback's frames never become permanent.
+        gc.freeze()
     return payload
 
 

@@ -25,6 +25,7 @@ from repro.isa.generator import GeneratorConfig
 from repro.isa.program import TestProgram
 from repro.isa.scenarios import SCENARIOS, make_seed_provider
 from repro.rtl.harness import DutModel
+from repro.utils.collector import collection_paused
 from repro.utils.rng import derive_rng, make_rng
 
 
@@ -163,12 +164,18 @@ class Fuzzer(abc.ABC):
 
     def run(self, num_tests: int,
             metadata: Optional[Dict[str, object]] = None) -> FuzzCampaignResult:
-        """Run a campaign of ``num_tests`` tests and return its summary."""
+        """Run a campaign of ``num_tests`` tests and return its summary.
+
+        The tests run with automatic garbage collection paused
+        (:func:`~repro.utils.collector.collection_paused`): the loop makes
+        no cyclic garbage, so collections would only re-walk live objects.
+        """
         if num_tests < 1:
             raise ValueError("num_tests must be >= 1")
         start = time.perf_counter()
-        for _ in range(num_tests):
-            self.fuzz_one()
+        with collection_paused():
+            for _ in range(num_tests):
+                self.fuzz_one()
         elapsed = time.perf_counter() - start
         return self._build_result(num_tests, elapsed, metadata or {})
 

@@ -28,7 +28,7 @@ configuration surface.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.isa import csr as csrdefs
 from repro.isa.generator import (
@@ -73,17 +73,6 @@ class TrapScenarioGenerator:
         self.config = config or GeneratorConfig()
         self.rng = make_rng(rng)
         self._filler = InstructionGenerator(self.config, self.rng)
-        #: each builder returns *stimulus groups*: instructions inside one
-        #: group are register/data dependent and must stay adjacent, so the
-        #: user-level filler is only ever inserted between groups and can
-        #: never clobber a staged base register.
-        self._builders: Dict[str, Callable[[], List[List[Instruction]]]] = {
-            "illegal": self._illegal_stimuli,
-            "misaligned": self._misaligned_stimuli,
-            "access": self._access_stimuli,
-            "csr": self._csr_stimuli,
-            "system": self._system_stimuli,
-        }
 
     # ------------------------------------------------------------------ helpers
     def _register(self) -> int:
@@ -190,13 +179,19 @@ class TrapScenarioGenerator:
         """
         if kind is None:
             kind = str(self.KINDS[self.rng.integers(0, len(self.KINDS))])
-        elif kind not in self._builders:
+        elif kind not in self.KINDS:
             raise KeyError(f"unknown scenario kind {kind!r}; "
                            f"available: {self.KINDS}")
         if length is None:
             length = int(self.rng.integers(self.config.min_instructions,
                                            self.config.max_instructions + 1))
-        groups = self._builders[kind]()
+        # Each ``_<kind>_stimuli`` builder returns *stimulus groups*:
+        # instructions inside one group are register/data dependent and must
+        # stay adjacent, so the user-level filler is only ever inserted
+        # between groups and can never clobber a staged base register.  They
+        # are looked up per call: a table of bound methods on the generator
+        # would make it a reference cycle.
+        groups = getattr(self, f"_{kind}_stimuli")()
         stimulus_count = sum(len(group) for group in groups)
         body: List[Instruction] = []
         filler_budget = max(length - stimulus_count, len(groups))

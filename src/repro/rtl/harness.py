@@ -994,7 +994,6 @@ class DutModel(ModelBase):
         #: ProcessorFuzz-style CSR value-class transitions (docs/coverage.md).
         self.coverage_model = coverage_model
         self._space: Optional[FrozenSet[str]] = None
-        self._last_executor: Optional[DutExecutor] = None
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -1059,9 +1058,7 @@ class DutModel(ModelBase):
 
     # ------------------------------------------------------------------ run hooks
     def _make_executor(self, state: ArchState, memory: Memory) -> Executor:
-        executor = DutExecutor(state, memory, self.executor_config, dut=self)
-        self._last_executor = executor
-        return executor
+        return DutExecutor(state, memory, self.executor_config, dut=self)
 
     def _prepare_run(self, executor: Executor, program: TestProgram) -> None:
         for bug in self.bugs:
@@ -1070,9 +1067,7 @@ class DutModel(ModelBase):
     # ------------------------------------------------------------------------ run
     def run(self, program: TestProgram,
             max_steps: Optional[int] = None) -> DutRunResult:  # type: ignore[override]
-        execution = super().run(program, max_steps)
-        executor = self._last_executor
-        assert executor is not None
+        execution, executor = self._run_with_executor(program, max_steps)
         first_steps = {bug_id: steps[0] for bug_id, steps in executor.bug_effects.items()}
         return DutRunResult(
             execution=execution,

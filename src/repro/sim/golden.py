@@ -75,6 +75,16 @@ class ModelBase:
         middle of a fused block aborts it and every subsequent
         instruction is re-fetched.
         """
+        return self._run_with_executor(program, max_steps)[0]
+
+    def _run_with_executor(self, program: TestProgram, max_steps: Optional[int]
+                           ) -> Tuple[ExecutionResult, Executor]:
+        """:meth:`run`, also handing back the executor that ran ``program``.
+
+        DUT models read their coverage and bug effects off it.  It is
+        returned rather than kept on the model, which the executor refers
+        back to: that pair would be a reference cycle.
+        """
         memory = Memory(self.layout)
         memory.load_program_words(program.base_address, program.words())
         state = ArchState(pc=program.base_address)
@@ -147,7 +157,7 @@ class ModelBase:
         result.final_registers = tuple(state.regs)
         result.final_csrs = dict(state.csrs)
         self._finish_run(executor, result)
-        return result
+        return result, executor
 
 
 class GoldenModel(ModelBase):
