@@ -43,7 +43,7 @@ class InjectedBug:
 
     Subclasses override the hook methods they need; every hook receives the
     :class:`~repro.rtl.harness.DutExecutor` so it can inspect run state
-    (stores executed, cache dirtiness, recent traps ...).
+    (recent stores, cache dirtiness, recent traps ...).
 
     The DUT's fused superblock loop fires the hooks where they act:
     ``on_mem_load``, ``on_csr_read`` and ``on_csr_write`` inside the
@@ -52,12 +52,25 @@ class InjectedBug:
     bug overriding either must declare in :meth:`triggers_on` every
     instruction they can act on: the fused loop stops before such an
     entry and runs it per-step.
+
+    The run loop replays a loop iteration instead of simulating it once
+    :meth:`~repro.rtl.harness.DutExecutor.periodic_state` compares equal
+    one iteration apart, so every piece of per-run state a hook reads must
+    be in that snapshot.  The executor's own history is, up to the
+    declared :attr:`history_window`; a bug that keeps per-run state of
+    its own (none does today: :meth:`reset` is a no-op) must add it.
     """
 
     bug_id: str = "V?"
     cwe: int = 0
     processor: str = ""
     description: str = ""
+    #: how many commits back the hooks look at ``last_store_step`` or
+    #: ``last_trap_step``; 0 when they read neither.  Like
+    #: :meth:`triggers_on`, a static declaration: the DUT keeps those
+    #: distances in its loop-replay snapshot only up to one past the
+    #: largest window its bugs declare.
+    history_window: int = 0
 
     def reset(self) -> None:
         """Clear per-run state (called before every program run)."""
@@ -119,7 +132,7 @@ class FenceIDecodeBug(InjectedBug):
 
     #: the store buffer must still be draining: a store within this many
     #: commits before the fence.i exercises the broken decode path.
-    store_window = 2
+    history_window = 2
 
     @staticmethod
     def triggers_on(instr: Instruction, word: int) -> bool:
@@ -130,7 +143,7 @@ class FenceIDecodeBug(InjectedBug):
         if not self.triggers_on(instr, word):
             return None
         last_store = executor.last_store_step
-        if last_store is None or executor.current_step - last_store > self.store_window:
+        if last_store is None or executor.current_step - last_store > self.history_window:
             return None
         self.note_effect(executor)
         return Instruction.illegal(word)
@@ -192,7 +205,7 @@ class ExceptionPropagationBug(InjectedBug):
     description = "Exception type incorrectly propagated in instruction queue"
 
     #: maximum commit distance between the two exceptions for the defect to fire.
-    window = 2
+    history_window = 2
     #: causes the first (queued) exception must have for its stale type to
     #: linger in the instruction queue.
     _QUEUED_CAUSES = frozenset(
@@ -214,7 +227,7 @@ class ExceptionPropagationBug(InjectedBug):
         last_cause = executor.last_trap_cause
         if last_step is None or last_cause is None:
             return trap
-        if executor.current_step - last_step > self.window:
+        if executor.current_step - last_step > self.history_window:
             return trap
         if last_cause not in self._QUEUED_CAUSES:
             return trap

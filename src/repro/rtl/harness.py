@@ -38,6 +38,7 @@ from repro.coverage.csr_transitions import (
 from repro.coverage.points import coverage_point
 from repro.isa import csr as csrdefs
 from repro.isa.compiled import Superblock, dirty_word_span
+from repro.isa.decoder import decode_word
 from repro.isa.encoding import InstrClass, InstrFormat, SPECS, spec_for
 from repro.isa.exceptions import Trap, TrapCause
 from repro.isa.instruction import Instruction
@@ -49,7 +50,8 @@ from repro.rtl.microarch import (
     FunctionalUnitMonitor,
     HazardTracker,
 )
-from repro.sim.executor import _LOAD_SIZES, _STORE_SIZES, Executor, ExecutorConfig
+from repro.sim.executor import (_LOAD_SIZES, _STORE_SIZES, Executor,
+                                ExecutorConfig, handler_for)
 from repro.sim.golden import ModelBase
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
@@ -504,6 +506,15 @@ def _entry_plan(word: int, instr: Instruction, handler) -> Tuple:
     return entry
 
 
+def _word_plan(word: int) -> Tuple:
+    """The DUT plan entry of ``word``, decoded as the compiled trace does."""
+    entry = _ENTRY_PLANS.get(word)
+    if entry is None:
+        instr = decode_word(word)
+        entry = _entry_plan(word, instr, handler_for(instr))
+    return entry
+
+
 def _block_dut_plan(block: Superblock) -> Tuple[Tuple, ...]:
     """Attach (and return) the per-entry DUT execution plan of one superblock.
 
@@ -568,7 +579,6 @@ class DutExecutor(Executor):
             CsrTransitionTracker(memory.layout)
             if dut.coverage_model == "csr" else None)
         # Bug / run bookkeeping the bug hooks rely on.
-        self.stores_executed = 0
         self.last_store_step: Optional[int] = None
         self.last_trap_step: Optional[int] = None
         self.last_trap_cause: Optional[TrapCause] = None
@@ -637,7 +647,6 @@ class DutExecutor(Executor):
                    instr: Instruction) -> None:
         self.memory.store(address, value, size)
         self._record_dcache(address, True)
-        self.stores_executed += 1
         self.last_store_step = self._step_index
 
     def _record_dcache(self, address: int, is_store: bool) -> None:
@@ -967,6 +976,63 @@ class DutExecutor(Executor):
             state.pc = pc & MASK64
         return dirtied
 
+    # ------------------------------------------------------------- loop replay
+    def periodic_state(self) -> tuple:
+        """The architectural snapshot plus the DUT state that feeds back.
+
+        Beyond :meth:`Executor.periodic_state`: both caches' LRU sets, the
+        predictor counters, the hazard window, the models' scratch state,
+        the CSR-transition classes, the fetch-line re-hit state, the last
+        trap cause and the number of bug effects so far -- a period in
+        which a bug acts never compares equal, so decode substitutions
+        cannot differ between copies and ``bug_effects`` stays exact.  The
+        distances to the last store and trap are kept only up to one past
+        the longest history window the bugs declare, and not at all when
+        none does.
+        """
+        tracker = self.csr_tracker
+        snapshot = (
+            super().periodic_state(),
+            {index: tuple(ways) for index, ways in self.icache._sets.items()},
+            {index: tuple(ways) for index, ways in self.dcache._sets.items()},
+            dict(self.bpred._counters), tuple(self.hazards._recent),
+            dict(self.dut_scratch),
+            None if tracker is None else dict(tracker._classes),
+            self._fetch_line, self._fetch_rehit, self.last_trap_cause,
+            sum(map(len, self.bug_effects.values())))
+        window = max((bug.history_window for bug in self.bugs), default=0)
+        if window:
+            step = self._step_index
+            snapshot += tuple(None if last is None else min(step - last, window + 1)
+                              for last in (self.last_store_step, self.last_trap_step))
+        return snapshot
+
+    def replay_period(self, records: list, period: int, copies: int,
+                      counter_steps: Tuple[int, int]) -> None:
+        """Replay as :meth:`Executor.replay_period`, then bring the DUT's
+        step-dependent state and coverage up to the copies.
+
+        A store or trap inside the verified period recurs in every copy,
+        so its step moves with the last one; older ones stay put.  The
+        only coverage that depends on the step index is structural (BOOM's
+        ROB, issue-queue, register-file, load/store-queue and lane points,
+        CVA6's scoreboard and commit ports), so the model's
+        :meth:`DutModel.structural_block_mask` runs over the copies; every
+        other family sees the same inputs in each copy as in the verified
+        period and can add nothing.
+        """
+        first = len(records)
+        super().replay_period(records, period, copies, counter_steps)
+        span = copies * period
+        start = first - period
+        if self.last_store_step is not None and self.last_store_step >= start:
+            self.last_store_step += span
+        if self.last_trap_step is not None and self.last_trap_step >= start:
+            self.last_trap_step += span
+        plan = tuple(_word_plan(r.word) for r in records[start:first])
+        self._cov |= self.dut.structural_block_mask(records, first,
+                                                    plan * copies, self)
+
     # ----------------------------------------------------------------- results
     def coverage_hits(self) -> FrozenSet[str]:
         """Materialise the accumulated bitset into the canonical point set."""
@@ -1022,12 +1088,14 @@ class DutModel(ModelBase):
         records the block appended (``records[start:]`` -- possibly fewer
         than ``len(plan)`` entries after a dirty-store abort) and the
         block's execution plan, whose entries carry the decoded
-        instructions.  Equivalent to OR-ing :meth:`structural_mask` over
-        the commits in order -- which is exactly what this default does --
-        but the three processor models override it with a single loop that
-        hoists the table and memo lookups out of the per-commit path (and
-        caches the per-entry plans on ``block.model_plans`` when the
-        superblock is provided).
+        instructions; and once per replayed loop (see
+        :meth:`DutExecutor.replay_period`) with the copies' records and the
+        period's plan entries repeated, without a block.  Equivalent to
+        OR-ing :meth:`structural_mask` over the commits in order -- which
+        is exactly what this default does -- but the three processor
+        models override it with a single loop that hoists the table and
+        memo lookups out of the per-commit path (and caches the per-entry
+        plans on ``block.model_plans`` when the superblock is provided).
         """
         mask = 0
         structural = self.structural_mask

@@ -30,7 +30,7 @@ Harness conventions (shared by the golden model and all DUTs so that a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.isa import csr as csrdefs
 from repro.isa.compiled import Superblock, dirty_word_span
@@ -386,6 +386,50 @@ class Executor:
             if self.halted or record.next_pc != (pc + 4) & MASK64:
                 break
         return None
+
+    # ============================================================= loop replay
+    def periodic_state(self) -> tuple:
+        """Everything that decides future commits, as one comparable value.
+
+        The shared run loop (:mod:`repro.sim.golden`) takes it at two
+        arrivals one loop period apart: equal values mean every further
+        period commits the same records.  Left out are the step index and
+        MINSTRET/MCYCLE, which advance every period; the loop only
+        replays periods that commit no CSR instruction (the counters'
+        only readers) and advances all three itself.  A subclass whose
+        own state feeds back into commits, coverage or bug effects must
+        extend the value with it.
+        """
+        state = self.state
+        csrs = dict(state.csrs)
+        del csrs[csrdefs.MINSTRET], csrs[csrdefs.MCYCLE]
+        return (state.pc, tuple(state.regs), bytes(self.memory._data), csrs,
+                state.reservation)
+
+    def replay_period(self, records: list, period: int, copies: int,
+                      counter_steps: Tuple[int, int]) -> None:
+        """Append ``copies`` repetitions of the last ``period`` records.
+
+        The run loop calls this once the period began and ended in equal
+        :meth:`periodic_state`, so each repetition would commit the same
+        records ``period`` steps later.  The step index and MINSTRET/
+        MCYCLE advance as ``copies`` executed periods would advance them;
+        ``counter_steps`` is their advance over the verified period.
+        """
+        template = records[-period:]
+        append = records.append
+        for shift in range(period, (copies + 1) * period, period):
+            for r in template:
+                append(CommitRecord(
+                    r.step + shift, r.pc, r.word, r.mnemonic, r.rd, r.rd_value,
+                    r.trap, r.mem_addr, r.mem_value, r.mem_size, r.csr_addr,
+                    r.csr_value, r.next_pc, r.trap_tval))
+        csrs = self.state.csrs
+        csrs[csrdefs.MINSTRET] = (csrs[csrdefs.MINSTRET]
+                                  + copies * counter_steps[0]) & MASK64
+        csrs[csrdefs.MCYCLE] = (csrs[csrdefs.MCYCLE]
+                                + copies * counter_steps[1]) & MASK64
+        self._step_index += copies * period
 
     # ============================================================ trap commits
     def _commit_trap(self, pc: int, word: int, instr: Instruction,

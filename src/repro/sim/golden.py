@@ -15,11 +15,19 @@ from typing import Dict, Optional, Tuple
 
 from repro.isa.compiled import (compile_program, dirty_word_span,
                                 superblocks_enabled, superblocks_for)
+from repro.isa.csr import MCYCLE, MINSTRET
+from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.program import TestProgram
 from repro.sim.executor import Executor, ExecutorConfig
 from repro.sim.memory import DEFAULT_LAYOUT, Memory, MemoryLayout
 from repro.sim.state import ArchState
 from repro.sim.trace import ExecutionResult, HaltReason
+from repro.utils.bits import MASK64
+
+#: mnemonics whose commits can read the retirement counters: a loop period
+#: holding one is never replayed.
+_CSR_MNEMONICS = frozenset(mnemonic for mnemonic, spec in SPECS.items()
+                           if spec.cls is InstrClass.CSR)
 
 
 class ModelBase:
@@ -74,6 +82,24 @@ class ModelBase:
         programs execute exactly as they always did -- a store into the
         middle of a fused block aborts it and every subsequent
         instruction is re-fetched.
+
+        **Steady-state loops are replayed, not re-simulated.**  Every
+        arrival at a taken backward transfer (a loop head) is recorded
+        under its ``(pc, registers)``.  When one repeats with period ``P``
+        and at least ``2P`` steps remain, the loop takes the executor's
+        :meth:`~repro.sim.executor.Executor.periodic_state`; if the state
+        at the arrival exactly ``P`` commits later is equal, and that
+        period committed no CSR instruction (the only readers of the
+        MINSTRET/MCYCLE counters the snapshot leaves out),
+        :meth:`~repro.sim.executor.Executor.replay_period` appends the
+        ``(limit - n) // P`` further copies of the period that the
+        simulation would have committed, with ``step`` shifted, and
+        advances the step index and the counters to match.  Execution
+        then continues normally up to the limit.  The result is
+        bit-identical to simulating every copy: the snapshot holds
+        everything that decides future commits (a DUT adds its
+        microarchitectural, coverage and bug state, see
+        :meth:`repro.rtl.harness.DutExecutor.periodic_state`).
         """
         return self._run_with_executor(program, max_steps)[0]
 
@@ -102,6 +128,12 @@ class ModelBase:
         step_compiled = executor.step_compiled
         blocks = superblocks_for(program, compiled) if superblocks_enabled() else None
         run_block = executor.run_block
+        csrs = state.csrs
+        #: (pc, registers) at each arrival at a loop head -> commits so far.
+        arrivals: Dict[Tuple, int] = {}
+        #: (due commit count, period, periodic_state, counters) of the
+        #: period being verified, or None.
+        pending: Optional[Tuple] = None
         while not executor.halted:
             pc = state.pc
             if pc == end_address:
@@ -110,9 +142,33 @@ class ModelBase:
             if not (base_address <= pc < end_address):
                 result.halt_reason = HaltReason.PC_OUT_OF_RANGE
                 break
-            if len(records) >= limit:
+            count = len(records)
+            if count >= limit:
                 result.halt_reason = HaltReason.STEP_LIMIT
                 break
+            last = records[-1] if count else None
+            if last is not None and last.next_pc == pc <= last.pc:
+                # Arrival at a taken backward transfer: a loop head.
+                if pending is not None and count >= pending[0]:
+                    due, period, snapshot, counters = pending
+                    pending = None
+                    if (count == due
+                            and _CSR_MNEMONICS.isdisjoint(
+                                r.mnemonic for r in records[-period:])
+                            and executor.periodic_state() == snapshot):
+                        executor.replay_period(
+                            records, period, (limit - count) // period,
+                            ((csrs[MINSTRET] - counters[0]) & MASK64,
+                             (csrs[MCYCLE] - counters[1]) & MASK64))
+                        continue
+                key = (pc, tuple(state.regs))
+                previous = arrivals.get(key)
+                arrivals[key] = count
+                if (previous is not None and pending is None
+                        and limit - count >= 2 * (count - previous)):
+                    pending = (2 * count - previous, count - previous,
+                               executor.periodic_state(),
+                               (csrs[MINSTRET], csrs[MCYCLE]))
             offset = pc - base_address
             if offset & 3:
                 record = executor.step()  # misaligned fetch: generic path

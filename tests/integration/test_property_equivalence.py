@@ -7,19 +7,34 @@ stays inside its declared coverage space -- identically on the fused
 superblock loop and on the per-step loop, whose coverage emitters are
 separate code.  Hypothesis drives the seed generator (and the mutation
 engine) with arbitrary RNG seeds to search for counterexamples.
+
+The run loop's steady-state replay is checked the same way: random loops
+run with replay and with it neutralised must agree on everything a run
+reports, and a seeded campaign must keep replaying a large share of its
+DUT commits.
 """
 
+import random
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.coverage.csr_transitions import COVERAGE_MODELS
 from repro.fuzzing.differential import compare_traces
 from repro.fuzzing.mutation import MutationEngine
+from repro.harness.campaign import CampaignSpec, run_campaign
+from repro.isa import csr as csrdefs
 from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
 from repro.isa.generator import GeneratorConfig, SeedGenerator
+from repro.isa.instruction import Instruction
+from repro.isa.program import TestProgram
 from repro.rtl.boom import BoomModel
 from repro.rtl.cva6 import CVA6Model
+from repro.rtl.harness import DutExecutor, DutModel
 from repro.rtl.registry import make_dut
 from repro.rtl.rocket import RocketModel
+from repro.sim.executor import Executor
 from repro.sim.golden import GoldenModel
 
 _MODELS = {
@@ -120,3 +135,152 @@ def test_golden_minstret_equals_commit_count(seed):
     assume(not touches_counters)
     result = _GOLDEN.run(program)
     assert result.final_csrs[csrdefs.MINSTRET] == result.instret
+
+
+# ------------------------------------------------------------ loop replay
+#: registers the random loops write, and the ones they only read.
+_LOOP_DST = (5, 6, 7, 8)
+_LOOP_SRC = (0, 5, 6, 9, 12, 13)
+#: illegal words: all-zero, all-one, and one V2 executes as an add.
+_LOOP_ILLEGAL = (0x0000_0000, 0xFFFF_FFFF,
+                 (0x04 << 25) | (7 << 20) | (6 << 15) | (5 << 7) | 0x33)
+
+
+def _random_loop(seed: int) -> TestProgram:
+    """A prefix, a body and a backward branch to the body's first word.
+
+    The prefix sets the read-only registers (x10 the data region, x11 an
+    unmapped address, x12/x13 constants).  Most body instructions keep the
+    registers periodic, a few break it (a counter, a load of a location the
+    body also stores), and the rest cover what the replay must not get
+    wrong: traps of several causes, illegal words, fence.i after stores,
+    counter reads, atomics, mul/div, and forward branches.
+    """
+    rng = random.Random(seed)
+    I = Instruction
+    dst, src = _LOOP_DST, _LOOP_SRC
+    choice = rng.choice
+    makers = (
+        lambda: I(choice(("add", "sub", "xor", "or", "and", "sltu")),
+                  rd=choice(dst), rs1=choice(src), rs2=choice(src)),
+        lambda: I(choice(("addi", "xori", "slli")), rd=choice(dst),
+                  rs1=choice(src), imm=rng.randrange(1, 8)),
+        lambda: I(choice(("mul", "divu", "rem")), rd=choice(dst),
+                  rs1=choice(src), rs2=choice(src)),
+        lambda: I("addi", rd=choice(dst), rs1=choice(dst), imm=1),
+        lambda: I("sd", rs1=10, rs2=choice(src), imm=8 * rng.randrange(4)),
+        lambda: I("ld", rd=choice(dst), rs1=10, imm=8 * rng.randrange(4)),
+        lambda: I("amoadd.d", rd=choice(dst), rs1=10, rs2=choice(src)),
+        lambda: I("ld", rd=choice(dst), rs1=choice((0, 11)), imm=0),
+        lambda: I("ebreak"),
+        lambda: I.illegal(choice(_LOOP_ILLEGAL)),
+        lambda: I("fence.i"),
+        lambda: I("csrrs", rd=choice((0, 5)), rs1=0,
+                  csr=choice((csrdefs.MINSTRET, csrdefs.MCYCLE,
+                              csrdefs.MSCRATCH))),
+        lambda: I("beq", rs1=choice(src), rs2=choice(src), imm=8),
+    )
+    weights = (6, 4, 2, 1, 3, 3, 1, 1, 1, 1, 1, 1, 2)
+    prefix = [I("lui", rd=10, imm=0x40004),
+              I("addi", rd=11, rs1=0, imm=-8),
+              I("addi", rd=12, rs1=0, imm=rng.randrange(-16, 16)),
+              I("addi", rd=13, rs1=0, imm=rng.randrange(1, 64))]
+    body = [maker() for maker in rng.choices(makers, weights,
+                                             k=rng.randrange(1, 12))]
+    closing = rng.choice((I("jal", rd=0, imm=-4 * len(body)),
+                          I("beq", rs1=0, rs2=0, imm=-4 * len(body)),
+                          I("bne", rs1=13, rs2=0, imm=-4 * len(body))))
+    return TestProgram(instructions=tuple(prefix + body + [closing]))
+
+
+@contextmanager
+def _replay_neutralised():
+    """No two loop snapshots compare equal, so the run loop never replays."""
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (Executor, DutExecutor):
+            patch.setattr(cls, "periodic_state", lambda self: object())
+        yield
+
+
+def _execution_view(execution) -> tuple:
+    return (execution.records, execution.halt_reason,
+            execution.final_registers, execution.final_csrs, execution.steps)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       model_name=st.sampled_from(sorted(_MODELS)),
+       coverage_model=st.sampled_from(COVERAGE_MODELS),
+       buggy=st.booleans())
+@_SETTINGS
+def test_loop_replay_is_exact(seed, model_name, coverage_model, buggy):
+    """Replayed and fully simulated runs of a random loop are identical."""
+    program = _random_loop(seed)
+    model = _COVERAGE_DUTS[model_name, coverage_model, buggy]
+    golden, dut = _GOLDEN.run(program), model.run(program)
+    with _replay_neutralised():
+        golden_simulated, dut_simulated = _GOLDEN.run(program), model.run(program)
+    assert _execution_view(golden) == _execution_view(golden_simulated)
+    assert _execution_view(dut.execution) == _execution_view(dut_simulated.execution)
+    assert dut.coverage == dut_simulated.coverage
+    assert dut.fired_bugs == dut_simulated.fired_bugs
+    assert dut.bug_effect_steps == dut_simulated.bug_effect_steps
+
+
+def test_replay_leaves_dut_history_as_simulation_does():
+    """After a replay the DUT executor's step index and last store and
+    trap are where simulating every copy would have left them."""
+    dut = make_dut("cva6", coverage_model="csr")
+
+    def history(program):
+        _, executor = dut._run_with_executor(program, None)
+        return (executor.current_step, executor.last_store_step,
+                executor.last_trap_step, executor.last_trap_cause)
+
+    programs = [_random_loop(seed) for seed in range(40)]
+    replayed = [history(program) for program in programs]
+    with _replay_neutralised():
+        simulated = [history(program) for program in programs]
+    assert replayed == simulated
+
+
+class _ReplaySpy:
+    """Counts the commits DUT runs make and the ones they replay."""
+
+    def __init__(self, patch: pytest.MonkeyPatch) -> None:
+        self.commits = 0
+        self.replayed = 0
+        run, replay = DutModel.run, DutExecutor.replay_period
+
+        def counted_run(model, program, max_steps=None):
+            result = run(model, program, max_steps)
+            self.commits += result.execution.steps
+            return result
+
+        def counted_replay(executor, records, period, copies, counter_steps):
+            self.replayed += period * copies
+            return replay(executor, records, period, copies, counter_steps)
+
+        patch.setattr(DutModel, "run", counted_run)
+        patch.setattr(DutExecutor, "replay_period", counted_replay)
+
+
+def test_random_loops_exercise_replay():
+    """The property above is not vacuous: most random loops replay."""
+    with pytest.MonkeyPatch.context() as patch:
+        spy = _ReplaySpy(patch)
+        dut = make_dut("cva6", coverage_model="csr")
+        for seed in range(40):
+            dut.run(_random_loop(seed))
+    assert spy.replayed >= 0.3 * spy.commits
+
+
+def test_rocket_campaign_replays_dut_commits():
+    """A seeded Rocket MABFuzz-UCB campaign replays >= 40% of its DUT
+    commits: a change that silently stops replay fails here."""
+    with pytest.MonkeyPatch.context() as patch:
+        spy = _ReplaySpy(patch)
+        run_campaign(CampaignSpec("rocket", "mabfuzz:ucb", num_tests=300,
+                                  trials=1, seed=1))
+    assert spy.commits > 0
+    assert spy.replayed >= 0.4 * spy.commits, (
+        f"replayed {spy.replayed} of {spy.commits} DUT commits")

@@ -149,6 +149,46 @@ class TestTriggerDeclarations:
             assert BUGS_BY_ID[bug_id].triggers_on is InjectedBug.triggers_on
 
 
+#: executor attributes whose values depend on how far back a run looks.
+_HISTORY_READS = frozenset({"last_store_step", "last_trap_step", "current_step"})
+
+
+class TestHistoryWindows:
+    """A bug that looks back at the run's history must declare how far.
+
+    The DUT's loop-replay snapshot keeps the distances to the last store
+    and trap only up to one past the largest ``history_window`` its bugs
+    declare (and drops them when none does), so an undeclared reader would
+    make two snapshots compare equal although the bug behaves differently.
+    """
+
+    def test_history_readers_declare_a_window(self):
+        import ast
+        import inspect
+
+        from repro.rtl import bugs
+
+        tree = ast.parse(inspect.getsource(bugs))
+        readers = {
+            node.name: sorted({attribute.attr for attribute in ast.walk(node)
+                               if isinstance(attribute, ast.Attribute)
+                               and attribute.attr in _HISTORY_READS})
+            for node in tree.body if isinstance(node, ast.ClassDef)}
+        undeclared = {name: reads for name, reads in readers.items()
+                      if reads and getattr(bugs, name).history_window < 1}
+        assert not undeclared, (
+            f"bugs read the run history without a history_window: {undeclared}")
+        # The scan is not vacuous: V1 and V3 read the history.
+        assert {"FenceIDecodeBug", "ExceptionPropagationBug"} <= {
+            name for name, reads in readers.items() if reads}
+
+    def test_declared_windows(self):
+        assert InjectedBug.history_window == 0
+        windows = {bug_id: cls.history_window for bug_id, cls in BUGS_BY_ID.items()}
+        assert windows == {"V1": 2, "V2": 0, "V3": 2, "V4": 0, "V5": 0,
+                           "V6": 0, "V7": 0}
+
+
 class TestV1FenceIDecode:
     def _trigger(self):
         return _program(

@@ -28,12 +28,14 @@ import pytest
 
 from repro.fuzzing.mutation import MutationEngine
 from repro.isa import csr as csrdefs
+from repro.isa.assembler import encode_instruction
 from repro.isa.generator import SeedGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.isa.scenarios import TrapScenarioGenerator
 from repro.rtl.registry import make_dut
 from repro.sim.golden import GoldenModel
+from repro.sim.trace import HaltReason
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "hotpath_golden.json"
 
@@ -97,6 +99,21 @@ DEFAULT_BUG_SET_KEYS = {
     "cva6": "coverage_cva6_buggy",
     "rocket": "coverage_rocket_buggy",
     "boom": "coverage_boom",
+}
+
+# Loop extension (recorded before the run loop learned to replay verified
+# steady-state iterations): hand-built loops plus every program of the
+# seeded corpora above that runs to the step limit, through the golden
+# model and every DUT, clean and with its default bug set, under both
+# coverage models.  Entries are ``[fingerprint, digest]`` like the
+# coverage keys.  BOOM's default bug set is empty, so ``loop_boom`` pins
+# both of its configurations.
+LOOP_KEYS = {
+    "loop_cva6": ("cva6", ()),
+    "loop_cva6_buggy": ("cva6", None),
+    "loop_rocket": ("rocket", ()),
+    "loop_rocket_buggy": ("rocket", None),
+    "loop_boom": ("boom", ()),
 }
 
 
@@ -302,6 +319,183 @@ def build_coverage_corpus() -> list:
     return programs
 
 
+def _hand_built_loops() -> list:
+    """Loops that run to the step limit, each stressing one replay edge."""
+    I = Instruction
+    data_upper = 0x40004
+    # "addi x7, x0, 9", built in x5 by lui + addi and stored over the body.
+    patch = encode_instruction(I("addi", rd=7, rs1=0, imm=9))
+    patch_upper = (patch + 0x800) >> 12
+    programs = [
+        # Register-periodic: the whole state repeats after one iteration.
+        [I("addi", rd=5, rs1=0, imm=7),
+         I("addi", rd=6, rs1=5, imm=3),
+         I("xor", rd=7, rs1=6, rs2=5),
+         I("mul", rd=8, rs1=7, rs2=6),
+         I("beq", rs1=0, rs2=0, imm=-12)],
+        # Store then reload constant data: memory settles after one
+        # iteration.
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=5, rs1=0, imm=42),
+         I("sd", rs1=10, rs2=5, imm=8),
+         I("ld", rd=6, rs1=10, imm=8),
+         I("add", rd=7, rs1=6, rs2=5),
+         I("jal", rd=0, imm=-12)],
+        # A counter: the registers never repeat.
+        [I("addi", rd=5, rs1=5, imm=1),
+         I("slli", rd=6, rs1=5, imm=2),
+         I("jal", rd=0, imm=-8)],
+        # The retirement counters read into x0 inside the body.
+        [I("addi", rd=5, rs1=0, imm=1),
+         I("csrrs", rd=0, rs1=0, csr=csrdefs.MINSTRET),
+         I("csrrs", rd=0, rs1=0, csr=csrdefs.MCYCLE),
+         I("jal", rd=0, imm=-8)],
+        # ... and into registers overwritten before the branch.
+        [I("csrrs", rd=6, rs1=0, csr=csrdefs.MINSTRET),
+         I("csrrs", rd=7, rs1=0, csr=csrdefs.MCYCLE),
+         I("addi", rd=6, rs1=0, imm=0),
+         I("addi", rd=7, rs1=0, imm=0),
+         I("bne", rs1=5, rs2=0, imm=-16),
+         I("jal", rd=0, imm=-20)],
+        # A store into the loop's own code: from the first iteration on,
+        # the patched word is re-fetched and executes "addi x7, x0, 9".
+        [I("auipc", rd=10, imm=0),
+         I("lui", rd=5, imm=patch_upper),
+         I("addi", rd=5, rs1=5, imm=patch - (patch_upper << 12)),
+         I("sw", rs1=10, rs2=5, imm=20),
+         I("addi", rd=6, rs1=0, imm=1),
+         I("addi", rd=7, rs1=0, imm=3),
+         I("jal", rd=0, imm=-12)],
+        # A trap in every iteration: ebreak (V7 on Rocket).
+        [I("addi", rd=6, rs1=0, imm=1),
+         I("ebreak"),
+         I("jal", rd=0, imm=-8)],
+        # ... an out-of-window load (V5 on CVA6 swallows it).
+        [I("addi", rd=5, rs1=0, imm=-1),
+         I("andi", rd=5, rs1=5, imm=-8),
+         I("ld", rd=6, rs1=5, imm=0),
+         I("jal", rd=0, imm=-4)],
+        # ... an access fault and an illegal word one commit later (V3).
+        [I("lw", rd=3, rs1=0, imm=0),
+         I("addi", rd=4, rs1=0, imm=2),
+         I.illegal(0xFFFF_FFFF),
+         I("jal", rd=0, imm=-12)],
+        # fence.i right after a store (V1).
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=5, rs1=0, imm=9),
+         I("sw", rs1=10, rs2=5, imm=4),
+         I("fence.i"),
+         I("jal", rd=0, imm=-8)],
+        # A loop closed by mret through a software-seeded mepc.
+        [I("auipc", rd=10, imm=0),
+         I("addi", rd=10, rs1=10, imm=12),
+         I("csrrw", rd=0, rs1=10, csr=csrdefs.MEPC),
+         I("addi", rd=6, rs1=0, imm=3),
+         I("mret")],
+        # Period 1.
+        [I("addi", rd=5, rs1=0, imm=1),
+         I("jal", rd=0, imm=0)],
+        # Period 7 after a 2-commit prefix: it does not divide the 510
+        # remaining commits, so a partial period runs after the replay.
+        [I("addi", rd=5, rs1=0, imm=5),
+         I("addi", rd=6, rs1=0, imm=-3),
+         I("add", rd=7, rs1=5, rs2=6),
+         I("sub", rd=8, rs1=5, rs2=6),
+         I("and", rd=9, rs1=7, rs2=8),
+         I("or", rd=11, rs1=7, rs2=8),
+         I("sltu", rd=12, rs1=9, rs2=11),
+         I("divu", rd=13, rs1=5, rs2=12),
+         I("bne", rs1=5, rs2=0, imm=-24)],
+        # A countdown kept in memory: the registers repeat from the first
+        # iteration on, but the memory image settles only after three, and
+        # the predictor counter of the beq (not taken three times, then
+        # taken) only after three more.
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=5, rs1=0, imm=3),
+         I("sd", rs1=10, rs2=5, imm=0),
+         I("ld", rd=6, rs1=10, imm=0),
+         I("beq", rs1=6, rs2=0, imm=12),
+         I("addi", rd=6, rs1=6, imm=-1),
+         I("sd", rs1=10, rs2=6, imm=0),
+         I("addi", rd=6, rs1=0, imm=0),
+         I("jal", rd=0, imm=-20)],
+        # A store whose distance to the next fence.i is all that changes:
+        # the lr.d reserves the line the sc.d stores to only from the third
+        # iteration on, when the address the body keeps in memory has
+        # settled.  The sc.d then stores two commits before the fence.i,
+        # so V1 fires from the fourth iteration on although the third
+        # ended in the same registers, memory, caches and predictor as the
+        # second.
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=7, rs1=10, imm=64),
+         I("sd", rs1=10, rs2=7, imm=16),
+         I("addi", rd=0, rs1=0, imm=0),
+         I("addi", rd=0, rs1=0, imm=0),
+         I("fence.i"),
+         I("ld", rd=6, rs1=10, imm=16),
+         I("sd", rs1=10, rs2=7, imm=16),
+         I("lr.d", rd=0, rs1=6),
+         I("addi", rd=6, rs1=0, imm=0),
+         I("addi", rd=7, rs1=10, imm=0),
+         I("sc.d", rd=0, rs1=10, rs2=0),
+         I("jal", rd=0, imm=-28)],
+        # Only the predictor differs between the second and the third
+        # iteration: the beq compares a value the body cycles through
+        # memory, so it goes taken, not taken, then taken for good (both
+        # ways are three commits long), and predicts correctly for the
+        # first time in the fourth iteration.  The commits left after a
+        # replay end before the beq.
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=11, rs1=0, imm=5),
+         I("addi", rd=12, rs1=0, imm=5),
+         I("addi", rd=7, rs1=0, imm=9),
+         I("sd", rs1=10, rs2=11, imm=0),
+         I("ld", rd=6, rs1=10, imm=0),
+         I("sd", rs1=10, rs2=7, imm=0),
+         I("addi", rd=7, rs1=12, imm=0),
+         I("beq", rs1=6, rs2=11, imm=12),
+         I("addi", rd=0, rs1=0, imm=0),
+         I("jal", rd=0, imm=12),
+         I("addi", rd=0, rs1=0, imm=0),
+         I("addi", rd=0, rs1=0, imm=0),
+         I("addi", rd=6, rs1=0, imm=0),
+         I("jal", rd=0, imm=-36)],
+        # Only the data cache differs between the second and the third
+        # iteration: a load through an address the body cycles through
+        # memory visits three lines of one set, and hits for the first
+        # time in the fourth iteration.
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=5, rs1=10, imm=64),
+         I("sd", rs1=10, rs2=5, imm=0),
+         I("lui", rd=7, imm=1),
+         I("add", rd=12, rs1=5, rs2=7),
+         I("add", rd=12, rs1=12, rs2=7),
+         I("srli", rd=7, rs1=7, imm=1),
+         I("add", rd=7, rs1=5, rs2=7),
+         I("ld", rd=6, rs1=10, imm=0),
+         I("ld", rd=0, rs1=6, imm=0),
+         I("sd", rs1=10, rs2=7, imm=0),
+         I("addi", rd=6, rs1=0, imm=0),
+         I("addi", rd=7, rs1=12, imm=0),
+         I("jal", rd=0, imm=-20)],
+    ]
+    return [TestProgram(instructions=tuple(body)) for body in programs]
+
+
+def build_loop_corpus() -> list:
+    """The hand-built loops, then the step-limit programs of the seeded
+    corpora (first occurrence of each fingerprint, in corpus order)."""
+    golden = GoldenModel()
+    programs = _hand_built_loops()
+    seen = {program.fingerprint() for program in programs}
+    for program in build_corpus() + build_trap_corpus() + build_coverage_corpus():
+        if (program.fingerprint() not in seen
+                and golden.run(program).halt_reason is HaltReason.STEP_LIMIT):
+            seen.add(program.fingerprint())
+            programs.append(program)
+    return programs
+
+
 def trace_digest(execution) -> str:
     """Digest every architecturally visible aspect of one program run."""
     h = hashlib.sha256()
@@ -369,6 +563,21 @@ def coverage_digests() -> dict:
     return digests
 
 
+def loop_digests() -> dict:
+    """``loop_golden`` and the ``LOOP_KEYS`` entries over the loop corpus."""
+    corpus = build_loop_corpus()
+    golden = GoldenModel()
+    digests = {"loop_golden": [[program.fingerprint(),
+                                trace_digest(golden.run(program))]
+                               for program in corpus]}
+    for key, (name, bugs) in LOOP_KEYS.items():
+        digests[key] = {}
+        for model in COVERAGE_MODELS:
+            dut = make_dut(name, bugs=bugs, coverage_model=model)
+            digests[key][model] = coverage_entries(dut, corpus, f"{key}/{model}")
+    return digests
+
+
 def compute_digests() -> dict:
     """Run the full corpus and return all per-program trace digests."""
     corpus = build_corpus()
@@ -404,6 +613,7 @@ def compute_digests() -> dict:
     ]
     digests.update(bug_set_digests())
     digests.update(coverage_digests())
+    digests.update(loop_digests())
     return digests
 
 
@@ -628,6 +838,43 @@ def test_superblocks_off_matches_coverage_fixtures(fixture_digests):
             _assert_coverage_entries_match(off[key][model],
                                            fixture_digests[key][model],
                                            f"{key}/{model} (superblocks off)")
+
+
+# ----------------------------------------------------------- loop extension
+def test_loop_corpus_is_representative():
+    """Every program loops to the step limit; the seeded corpora add some."""
+    corpus = build_loop_corpus()
+    golden = GoldenModel()
+    assert all(golden.run(p).halt_reason is HaltReason.STEP_LIMIT
+               for p in corpus)
+    assert len(corpus) > len(_hand_built_loops()) + 10
+
+
+def test_loop_golden_traces_match_fixtures(fixture_digests):
+    golden = GoldenModel()
+    _assert_coverage_entries_match(
+        [[p.fingerprint(), trace_digest(golden.run(p))]
+         for p in build_loop_corpus()],
+        fixture_digests["loop_golden"], "loop_golden")
+
+
+@pytest.mark.parametrize("coverage_model", COVERAGE_MODELS)
+@pytest.mark.parametrize("key", sorted(LOOP_KEYS))
+def test_loop_runs_match_fixtures(fixture_digests, key, coverage_model):
+    name, bugs = LOOP_KEYS[key]
+    dut = make_dut(name, bugs=bugs, coverage_model=coverage_model)
+    _assert_coverage_entries_match(
+        coverage_entries(dut, build_loop_corpus(), f"{key}/{coverage_model}"),
+        fixture_digests[key][coverage_model], f"{key}/{coverage_model}")
+
+
+def test_boom_default_bug_set_matches_loop_fixtures(fixture_digests):
+    for model in COVERAGE_MODELS:
+        dut = make_dut("boom", coverage_model=model)  # default (empty) set
+        assert not dut.bugs
+        _assert_coverage_entries_match(
+            coverage_entries(dut, build_loop_corpus(), f"boom/{model}"),
+            fixture_digests["loop_boom"][model], f"boom default bugs/{model}")
 
 
 def record_hotpath_fixtures() -> None:  # pragma: no cover - manual tool
