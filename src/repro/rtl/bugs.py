@@ -55,10 +55,14 @@ class InjectedBug:
 
     The run loop replays a loop iteration instead of simulating it once
     :meth:`~repro.rtl.harness.DutExecutor.periodic_state` compares equal
-    one iteration apart, so every piece of per-run state a hook reads must
-    be in that snapshot.  The executor's own history is, up to the
-    declared :attr:`history_window`; a bug that keeps per-run state of
-    its own (none does today: :meth:`reset` is a no-op) must add it.
+    one iteration apart, also when a bug acts in it: the replay copies the
+    iteration's effects.  So every piece of per-run state a hook reads
+    must be in that snapshot.  The executor's own history is, up to the
+    declared :attr:`history_window`.  A bug keeps no per-run state of its
+    own (no method but ``__init__`` assigns a ``self.`` attribute, and
+    :meth:`reset` is a no-op): state the snapshot does not hold could
+    differ between the verified iteration and a later one, so a replayed
+    copy would diverge from what simulating it commits.
     """
 
     bug_id: str = "V?"

@@ -583,6 +583,8 @@ class DutExecutor(Executor):
         self.last_trap_step: Optional[int] = None
         self.last_trap_cause: Optional[TrapCause] = None
         self.bug_effects: Dict[str, List[int]] = {}
+        #: decode results a bug's ``on_decode`` replaced so far.
+        self._substitutions = 0
         self._operand_values: Tuple[int, int] = (0, 0)
         #: free-form per-run scratch space for DUT-specific structural coverage.
         self.dut_scratch: Dict[str, object] = {}
@@ -611,6 +613,7 @@ class DutExecutor(Executor):
             replacement = bug.on_decode(self, instr, word)
             if replacement is not None:
                 instr = replacement
+                self._substitutions += 1
         self._record_fetch_decode(instr, word, pc)
         return instr
 
@@ -983,12 +986,15 @@ class DutExecutor(Executor):
         Beyond :meth:`Executor.periodic_state`: both caches' LRU sets, the
         predictor counters, the hazard window, the models' scratch state,
         the CSR-transition classes, the fetch-line re-hit state, the last
-        trap cause and the number of bug effects so far -- a period in
-        which a bug acts never compares equal, so decode substitutions
-        cannot differ between copies and ``bug_effects`` stays exact.  The
-        distances to the last store and trap are kept only up to one past
-        the longest history window the bugs declare, and not at all when
-        none does.
+        trap cause, the set of bugs that have fired and the number of
+        decode substitutions so far.  Every other input of a bug's
+        decision is in the value, so a period in which V3-V7 act repeats
+        like any other (:meth:`replay_period` copies its effects); a
+        period in which a bug replaces a decode result never compares
+        equal, because the replay re-decodes each copied word as the
+        compiled trace does.  The distances to the last store and trap
+        are kept only up to one past the longest history window the bugs
+        declare, and not at all when none does.
         """
         tracker = self.csr_tracker
         snapshot = (
@@ -999,7 +1005,7 @@ class DutExecutor(Executor):
             dict(self.dut_scratch),
             None if tracker is None else dict(tracker._classes),
             self._fetch_line, self._fetch_rehit, self.last_trap_cause,
-            sum(map(len, self.bug_effects.values())))
+            frozenset(self.bug_effects), self._substitutions)
         window = max((bug.history_window for bug in self.bugs), default=0)
         if window:
             step = self._step_index
@@ -1013,8 +1019,10 @@ class DutExecutor(Executor):
         step-dependent state and coverage up to the copies.
 
         A store or trap inside the verified period recurs in every copy,
-        so its step moves with the last one; older ones stay put.  The
-        only coverage that depends on the step index is structural (BOOM's
+        so its step moves with the last one; older ones stay put.  So does
+        each bug effect of the period: every copy appends it to
+        ``bug_effects`` at its shifted step.  The only coverage that
+        depends on the step index is structural (BOOM's
         ROB, issue-queue, register-file, load/store-queue and lane points,
         CVA6's scoreboard and commit ports), so the model's
         :meth:`DutModel.structural_block_mask` runs over the copies; every
@@ -1029,6 +1037,12 @@ class DutExecutor(Executor):
             self.last_store_step += span
         if self.last_trap_step is not None and self.last_trap_step >= start:
             self.last_trap_step += span
+        for steps in self.bug_effects.values():
+            if steps[-1] >= start:
+                recent = [step for step in steps if step >= start]
+                steps.extend([step + shift
+                              for shift in range(period, span + 1, period)
+                              for step in recent])
         plan = tuple(_word_plan(r.word) for r in records[start:first])
         self._cov |= self.dut.structural_block_mask(records, first,
                                                     plan * copies, self)

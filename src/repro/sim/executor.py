@@ -395,10 +395,11 @@ class Executor:
         arrivals one loop period apart: equal values mean every further
         period commits the same records.  Left out are the step index and
         MINSTRET/MCYCLE, which advance every period; the loop only
-        replays periods that commit no CSR instruction (the counters'
-        only readers) and advances all three itself.  A subclass whose
-        own state feeds back into commits, coverage or bug effects must
-        extend the value with it.
+        replays periods with no CSR instruction on those counters or
+        their CYCLE/TIME/INSTRET aliases (the counters' only readers and
+        writers) and advances all three itself.  Every other CSR is in
+        the value.  A subclass whose own state feeds back into commits,
+        coverage or bug effects must extend the value with it.
         """
         state = self.state
         csrs = dict(state.csrs)

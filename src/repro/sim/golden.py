@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.isa.compiled import (compile_program, dirty_word_span,
                                 superblocks_enabled, superblocks_for)
-from repro.isa.csr import MCYCLE, MINSTRET
+from repro.isa.csr import CYCLE, INSTRET, MCYCLE, MINSTRET, TIME
 from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.program import TestProgram
 from repro.sim.executor import Executor, ExecutorConfig
@@ -24,10 +24,12 @@ from repro.sim.state import ArchState
 from repro.sim.trace import ExecutionResult, HaltReason
 from repro.utils.bits import MASK64
 
-#: mnemonics whose commits can read the retirement counters: a loop period
-#: holding one is never replayed.
 _CSR_MNEMONICS = frozenset(mnemonic for mnemonic, spec in SPECS.items()
                            if spec.cls is InstrClass.CSR)
+#: CSR fields (word bits 31:20) addressing a retirement counter, the only
+#: state :meth:`Executor.periodic_state` leaves out: a loop period that
+#: commits a CSR instruction on one of them is never replayed.
+_COUNTER_CSRS = frozenset({MCYCLE, MINSTRET, CYCLE, TIME, INSTRET})
 
 
 class ModelBase:
@@ -88,9 +90,10 @@ class ModelBase:
         under its ``(pc, registers)``.  When one repeats with period ``P``
         and at least ``2P`` steps remain, the loop takes the executor's
         :meth:`~repro.sim.executor.Executor.periodic_state`; if the state
-        at the arrival exactly ``P`` commits later is equal, and that
-        period committed no CSR instruction (the only readers of the
-        MINSTRET/MCYCLE counters the snapshot leaves out),
+        at the arrival exactly ``P`` commits later is equal, and no CSR
+        instruction of that period addresses a retirement counter
+        (``mcycle``, ``minstret`` or their ``cycle``/``time``/``instret``
+        aliases, the only state the snapshot leaves out),
         :meth:`~repro.sim.executor.Executor.replay_period` appends the
         ``(limit - n) // P`` further copies of the period that the
         simulation would have committed, with ``step`` shifted, and
@@ -153,8 +156,9 @@ class ModelBase:
                     due, period, snapshot, counters = pending
                     pending = None
                     if (count == due
-                            and _CSR_MNEMONICS.isdisjoint(
-                                r.mnemonic for r in records[-period:])
+                            and not any(r.mnemonic in _CSR_MNEMONICS
+                                        and r.word >> 20 in _COUNTER_CSRS
+                                        for r in records[-period:])
                             and executor.periodic_state() == snapshot):
                         executor.replay_period(
                             records, period, (limit - count) // period,

@@ -37,6 +37,9 @@ class TelemetryListener:
         self.port = int(port)
         self.path = path
         self.events: List[Dict[str, object]] = []
+        #: connections read to a clean end of stream (the sender closed),
+        #: counted after their last event is in ``events``; across restarts.
+        self.connections_drained = 0
         self._server: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
@@ -101,6 +104,8 @@ class TelemetryListener:
             except OSError:
                 return
             if not chunk:
+                with self._lock:
+                    self.connections_drained += 1
                 return  # sender closed cleanly
             residue += chunk
             while b"\n" in residue:

@@ -10,8 +10,8 @@ engine) with arbitrary RNG seeds to search for counterexamples.
 
 The run loop's steady-state replay is checked the same way: random loops
 run with replay and with it neutralised must agree on everything a run
-reports, and a seeded campaign must keep replaying a large share of its
-DUT commits.
+reports, and seeded Rocket and CVA6 campaigns must keep replaying a large
+share of their DUT commits.
 """
 
 import random
@@ -21,11 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.coverage.csr_transitions import COVERAGE_MODELS
+from repro.fuzzing.base import FuzzerConfig
 from repro.fuzzing.differential import compare_traces
 from repro.fuzzing.mutation import MutationEngine
 from repro.harness.campaign import CampaignSpec, run_campaign
 from repro.isa import csr as csrdefs
 from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
+from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.generator import GeneratorConfig, SeedGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
@@ -144,6 +146,18 @@ _LOOP_SRC = (0, 5, 6, 9, 12, 13)
 #: illegal words: all-zero, all-one, and one V2 executes as an add.
 _LOOP_ILLEGAL = (0x0000_0000, 0xFFFF_FFFF,
                  (0x04 << 25) | (7 << 20) | (6 << 15) | (5 << 7) | 0x33)
+#: CSRs the random loops access: scratch, status and trap CSRs, the
+#: retirement counters and their read-only aliases, the unimplemented
+#: satp, and two of the debug CSRs V6 breaks on CVA6.
+_LOOP_CSRS = (csrdefs.MSCRATCH, csrdefs.MSTATUS, csrdefs.MEPC,
+              csrdefs.MINSTRET, csrdefs.MCYCLE, csrdefs.CYCLE, csrdefs.TIME,
+              csrdefs.INSTRET, 0x180, 0x7A0, 0x7B0)
+#: the retirement counters and their aliases: a period with a CSR
+#: instruction on one of them must never replay.
+_COUNTER_CSRS = frozenset({csrdefs.MINSTRET, csrdefs.MCYCLE, csrdefs.CYCLE,
+                           csrdefs.TIME, csrdefs.INSTRET})
+_CSR_MNEMONICS = frozenset(mnemonic for mnemonic, spec in SPECS.items()
+                           if spec.cls is InstrClass.CSR)
 
 
 def _random_loop(seed: int) -> TestProgram:
@@ -154,7 +168,9 @@ def _random_loop(seed: int) -> TestProgram:
     registers periodic, a few break it (a counter, a load of a location the
     body also stores), and the rest cover what the replay must not get
     wrong: traps of several causes, illegal words, fence.i after stores,
-    counter reads, atomics, mul/div, and forward branches.
+    CSR reads and writes (scratch, status and trap CSRs, the retirement
+    counters and their aliases, unimplemented and V6 debug CSRs), atomics,
+    mul/div, and forward branches.
     """
     rng = random.Random(seed)
     I = Instruction
@@ -175,12 +191,13 @@ def _random_loop(seed: int) -> TestProgram:
         lambda: I("ebreak"),
         lambda: I.illegal(choice(_LOOP_ILLEGAL)),
         lambda: I("fence.i"),
-        lambda: I("csrrs", rd=choice((0, 5)), rs1=0,
-                  csr=choice((csrdefs.MINSTRET, csrdefs.MCYCLE,
-                              csrdefs.MSCRATCH))),
+        lambda: I(choice(("csrrw", "csrrs", "csrrc")), rd=choice((0, 5, 6)),
+                  rs1=choice(src), csr=choice(_LOOP_CSRS)),
+        lambda: I(choice(("csrrwi", "csrrsi", "csrrci")), rd=choice((0, 5, 6)),
+                  imm=rng.randrange(32), csr=choice(_LOOP_CSRS)),
         lambda: I("beq", rs1=choice(src), rs2=choice(src), imm=8),
     )
-    weights = (6, 4, 2, 1, 3, 3, 1, 1, 1, 1, 1, 1, 2)
+    weights = (6, 4, 2, 1, 3, 3, 1, 1, 1, 1, 1, 2, 2, 2)
     prefix = [I("lui", rd=10, imm=0x40004),
               I("addi", rd=11, rs1=0, imm=-8),
               I("addi", rd=12, rs1=0, imm=rng.randrange(-16, 16)),
@@ -227,14 +244,16 @@ def test_loop_replay_is_exact(seed, model_name, coverage_model, buggy):
 
 
 def test_replay_leaves_dut_history_as_simulation_does():
-    """After a replay the DUT executor's step index and last store and
-    trap are where simulating every copy would have left them."""
-    dut = make_dut("cva6", coverage_model="csr")
+    """After a replay the DUT executor's step index, last store and trap
+    and every recorded bug effect are where simulating every copy would
+    have left them."""
+    duts = [make_dut(name, coverage_model="csr") for name in ("cva6", "rocket")]
 
     def history(program):
-        _, executor = dut._run_with_executor(program, None)
-        return (executor.current_step, executor.last_store_step,
-                executor.last_trap_step, executor.last_trap_cause)
+        executors = [dut._run_with_executor(program, None)[1] for dut in duts]
+        return [(executor.current_step, executor.last_store_step,
+                 executor.last_trap_step, executor.last_trap_cause,
+                 executor.bug_effects) for executor in executors]
 
     programs = [_random_loop(seed) for seed in range(40)]
     replayed = [history(program) for program in programs]
@@ -244,11 +263,16 @@ def test_replay_leaves_dut_history_as_simulation_does():
 
 
 class _ReplaySpy:
-    """Counts the commits DUT runs make and the ones they replay."""
+    """Counts the commits DUT runs make and the ones they replay, and the
+    replayed periods holding a CSR instruction on a retirement counter,
+    one on any other CSR, and a bug effect."""
 
     def __init__(self, patch: pytest.MonkeyPatch) -> None:
         self.commits = 0
         self.replayed = 0
+        self.counter_periods = 0
+        self.csr_periods = 0
+        self.bug_periods = 0
         run, replay = DutModel.run, DutExecutor.replay_period
 
         def counted_run(model, program, max_steps=None):
@@ -258,6 +282,13 @@ class _ReplaySpy:
 
         def counted_replay(executor, records, period, copies, counter_steps):
             self.replayed += period * copies
+            start = len(records) - period
+            fields = {r.word >> 20 for r in records[start:]
+                      if r.mnemonic in _CSR_MNEMONICS}
+            self.counter_periods += bool(fields & _COUNTER_CSRS)
+            self.csr_periods += bool(fields - _COUNTER_CSRS)
+            self.bug_periods += any(steps[-1] >= start for steps
+                                    in executor.bug_effects.values())
             return replay(executor, records, period, copies, counter_steps)
 
         patch.setattr(DutModel, "run", counted_run)
@@ -274,6 +305,22 @@ def test_random_loops_exercise_replay():
     assert spy.replayed >= 0.3 * spy.commits
 
 
+def test_random_loops_replay_csr_and_bug_active_periods():
+    """Random loops on the buggy CVA6 and Rocket replay periods holding a
+    CSR instruction on a non-counter CSR and periods in which a bug acts,
+    and never a period with a CSR instruction on a retirement counter."""
+    with pytest.MonkeyPatch.context() as patch:
+        spy = _ReplaySpy(patch)
+        for name in ("cva6", "rocket"):
+            for coverage_model in COVERAGE_MODELS:
+                dut = make_dut(name, coverage_model=coverage_model)
+                for seed in range(40):
+                    dut.run(_random_loop(seed))
+    assert spy.counter_periods == 0
+    assert spy.csr_periods >= 10, spy.csr_periods
+    assert spy.bug_periods >= 10, spy.bug_periods
+
+
 def test_rocket_campaign_replays_dut_commits():
     """A seeded Rocket MABFuzz-UCB campaign replays >= 40% of its DUT
     commits: a change that silently stops replay fails here."""
@@ -281,6 +328,22 @@ def test_rocket_campaign_replays_dut_commits():
         spy = _ReplaySpy(patch)
         run_campaign(CampaignSpec("rocket", "mabfuzz:ucb", num_tests=300,
                                   trials=1, seed=1))
+    assert spy.commits > 0
+    assert spy.replayed >= 0.4 * spy.commits, (
+        f"replayed {spy.replayed} of {spy.commits} DUT commits")
+
+
+def test_cva6_csr_campaign_replays_dut_commits():
+    """perfbench's cva6-csr trial at seed 1 (EXP3, CVA6 with V1-V6, csr
+    coverage, mixed seeds, corpus on) replays >= 40% of its DUT commits.
+    Replaying no period with a CSR instruction or a bug effect gives 34.2%."""
+    spec = CampaignSpec("cva6", "mabfuzz:exp3", num_tests=400, trials=1,
+                        seed=1000, coverage_model="csr",
+                        fuzzer_config=FuzzerConfig(scenario="mixed",
+                                                   corpus=True))
+    with pytest.MonkeyPatch.context() as patch:
+        spy = _ReplaySpy(patch)
+        run_campaign(spec, 0)
     assert spy.commits > 0
     assert spy.replayed >= 0.4 * spy.commits, (
         f"replayed {spy.replayed} of {spy.commits} DUT commits")

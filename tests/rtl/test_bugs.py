@@ -189,6 +189,78 @@ class TestHistoryWindows:
                            "V6": 0, "V7": 0}
 
 
+def _self_assignments(tree) -> dict:
+    """``{class: [method.attribute, ...]}`` for every ``self.`` attribute a
+    method other than ``__init__`` assigns."""
+    import ast
+
+    found = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                continue
+            targets = []
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets.extend(node.targets)
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets.append(node.target)
+            for target in targets:
+                for node in ast.walk(target):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"):
+                        found.setdefault(cls.name, []).append(
+                            f"{method.name}.{node.attr}")
+    return found
+
+
+class TestNoHiddenBugState:
+    """A bug keeps no per-run state of its own.
+
+    Loop replay copies a verified iteration, bug effects included, so any
+    state a hook kept outside the DUT snapshot could differ between that
+    iteration and a later one, and a replayed copy would diverge from the
+    simulation.  Constructors may set configuration; nothing else may
+    assign to ``self``.
+    """
+
+    def test_no_bug_assigns_self_outside_init(self):
+        import ast
+        import inspect
+
+        from repro.rtl import bugs
+
+        tree = ast.parse(inspect.getsource(bugs))
+        classes = {node.name for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and issubclass(getattr(bugs, node.name), InjectedBug)}
+        assert {cls.__name__ for cls in BUGS_BY_ID.values()} <= classes
+        offenders = {name: attributes
+                     for name, attributes in _self_assignments(tree).items()
+                     if name in classes}
+        assert not offenders, (
+            f"injected bugs assign self attributes outside __init__: {offenders}")
+
+    def test_scan_finds_hidden_state(self):
+        import ast
+
+        source = (
+            "class Counting:\n"
+            "    def __init__(self):\n"
+            "        self.limit = 3\n"
+            "    def reset(self):\n"
+            "        self.count = 0\n"
+            "    def on_trap(self, executor, trap, instr, pc):\n"
+            "        self.count += 1\n"
+            "        self.seen, other = trap, pc\n"
+            "        return trap\n")
+        assert _self_assignments(ast.parse(source)) == {
+            "Counting": ["reset.count", "on_trap.count", "on_trap.seen"]}
+
+
 class TestV1FenceIDecode:
     def _trigger(self):
         return _program(

@@ -105,9 +105,12 @@ DEFAULT_BUG_SET_KEYS = {
 # steady-state iterations): hand-built loops plus every program of the
 # seeded corpora above that runs to the step limit, through the golden
 # model and every DUT, clean and with its default bug set, under both
-# coverage models.  Entries are ``[fingerprint, digest]`` like the
-# coverage keys.  BOOM's default bug set is empty, so ``loop_boom`` pins
-# both of its configurations.
+# coverage models.  The last eight hand-built loops (CSR instructions,
+# counter aliases, V2/V4/V6 acting every iteration) were added, and
+# recorded, before periods holding a CSR instruction or a bug effect
+# replayed.  Entries are ``[fingerprint, digest]`` like the coverage
+# keys.  BOOM's default bug set is empty, so ``loop_boom`` pins both of
+# its configurations.
 LOOP_KEYS = {
     "loop_cva6": ("cva6", ()),
     "loop_cva6_buggy": ("cva6", None),
@@ -224,12 +227,15 @@ def build_trap_corpus() -> list:
     return programs
 
 
+#: opcode OP, funct3 0, reserved one-hot funct7 0x04: V2 executes it as
+#: "add x5, x6, x7".
+V2_WORD = (0x04 << 25) | (7 << 20) | (6 << 15) | (5 << 7) | 0x33
+
+
 def _bug_corner_programs() -> list:
     """Hand-built programs firing each CVA6 bug, mostly inside superblocks."""
     I = Instruction
     data_upper = 0x40004
-    # opcode OP, funct3 0, reserved one-hot funct7 0x04: V2 executes it as add.
-    v2_word = (0x04 << 25) | (7 << 20) | (6 << 15) | (5 << 7) | 0x33
     programs = [
         # V1: fence.i leading a block with no store in the window (silent),
         # then twice right after a store, mid-block and at a block leader.
@@ -245,10 +251,10 @@ def _bug_corner_programs() -> list:
         # it does not touch.
         [I("addi", rd=6, rs1=0, imm=11),
          I("addi", rd=7, rs1=0, imm=31),
-         I.illegal(v2_word),
+         I.illegal(V2_WORD),
          I.illegal(0x0000_007F),
          I("add", rd=8, rs1=5, rs2=6),
-         I.illegal(v2_word),
+         I.illegal(V2_WORD),
          I("ecall")],
         # V3: an access fault, then an illegal word, a misaligned load and
         # an ebreak inside its window -- each reports the stale cause.
@@ -292,7 +298,7 @@ def _bug_corner_programs() -> list:
          I("sd", rs1=10, rs2=5, imm=0),
          I("fence.i"),
          I("amoor.d", rd=6, rs1=10, rs2=5),
-         I.illegal(v2_word),
+         I.illegal(V2_WORD),
          I("ld", rd=7, rs1=0, imm=0),
          I.illegal(0xFFFF_FFFF),
          I("addi", rd=8, rs1=0, imm=-1),
@@ -478,6 +484,56 @@ def _hand_built_loops() -> list:
          I("addi", rd=6, rs1=0, imm=0),
          I("addi", rd=7, rs1=12, imm=0),
          I("jal", rd=0, imm=-20)],
+        # A read-modify-write of mscratch: the CSR settles after one
+        # iteration.
+        [I("csrrs", rd=5, rs1=0, csr=csrdefs.MSCRATCH),
+         I("ori", rd=5, rs1=5, imm=0x55),
+         I("csrrw", rd=0, rs1=5, csr=csrdefs.MSCRATCH),
+         I("jal", rd=0, imm=-12)],
+        # csrrwi on mstatus: the old value read back settles after one
+        # iteration (a CSR-transition class change under the csr model).
+        [I("addi", rd=6, rs1=0, imm=1),
+         I("csrrwi", rd=7, imm=8, csr=csrdefs.MSTATUS),
+         I("jal", rd=0, imm=-8)],
+        # A trap on the unimplemented satp in every iteration.
+        [I("addi", rd=5, rs1=0, imm=3),
+         I("csrrs", rd=6, rs1=0, csr=0x180),
+         I("jal", rd=0, imm=-8)],
+        # Reads and writes of the debug CSRs V6 breaks: traps on a correct
+        # core, X-values and a swallowed write on CVA6 with V6.
+        [I("csrrs", rd=5, rs1=0, csr=0x7B0),
+         I("csrrw", rd=6, rs1=5, csr=0x7A0),
+         I("addi", rd=7, rs1=0, imm=1),
+         I("jal", rd=0, imm=-12)],
+        # The counter aliases read into registers overwritten before the
+        # jump: the registers repeat, the values read do not.
+        [I("csrrs", rd=6, rs1=0, csr=csrdefs.CYCLE),
+         I("csrrs", rd=7, rs1=0, csr=csrdefs.TIME),
+         I("csrrs", rd=8, rs1=0, csr=csrdefs.INSTRET),
+         I("addi", rd=6, rs1=0, imm=0),
+         I("addi", rd=7, rs1=0, imm=0),
+         I("addi", rd=8, rs1=0, imm=0),
+         I("jal", rd=0, imm=-24)],
+        # A minstret write: the body bumps the counter it read, then
+        # clears the register.
+        [I("csrrs", rd=6, rs1=0, csr=csrdefs.MINSTRET),
+         I("addi", rd=6, rs1=6, imm=1),
+         I("csrrw", rd=0, rs1=6, csr=csrdefs.MINSTRET),
+         I("addi", rd=6, rs1=0, imm=0),
+         I("jal", rd=0, imm=-16)],
+        # V2's reserved-funct7 word in every iteration: an illegal trap on
+        # a correct core, "add x5, x6, x7" on CVA6 with V2.
+        [I("addi", rd=6, rs1=0, imm=11),
+         I("addi", rd=7, rs1=0, imm=31),
+         I.illegal(V2_WORD),
+         I("jal", rd=0, imm=-12)],
+        # An AMO on a line a non-zero store just dirtied (V4 on CVA6 reads
+        # zero and writes the zero back).
+        [I("lui", rd=10, imm=data_upper),
+         I("addi", rd=5, rs1=0, imm=77),
+         I("sd", rs1=10, rs2=5, imm=0),
+         I("amoadd.d", rd=6, rs1=10, rs2=0),
+         I("jal", rd=0, imm=-12)],
     ]
     return [TestProgram(instructions=tuple(body)) for body in programs]
 

@@ -183,6 +183,31 @@ class TestTcpSink:
         assert stats["sent"] == 5
         assert stats["spilled"] == stats["dropped"] == 0
 
+    def test_listener_counts_connections_drained_to_eof(self):
+        """Closed senders count once their last event is in; a connection
+        cut by ``stop()`` does not count."""
+        listener = TelemetryListener().start()
+        for seq in range(2):
+            sink = TcpSink("127.0.0.1", listener.port, backoff=_fast_backoff())
+            sink.emit(_event(seq))
+            sink.close()
+        deadline = time.monotonic() + 5.0
+        while (listener.connections_drained < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert listener.connections_drained == 2
+        assert [event["seq"] for event in listener.snapshot()] == [0, 1]
+        sink = TcpSink("127.0.0.1", listener.port, backoff=_fast_backoff())
+        sink.emit(_event(2))
+        deadline = time.monotonic() + 5.0
+        while (len(listener.snapshot()) < 3
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        listener.stop()
+        sink.close()
+        assert len(listener.snapshot()) == 3
+        assert listener.connections_drained == 2
+
     def test_never_blocks_when_no_listener_exists(self, tmp_path):
         spill = tmp_path / "spill.ndjson"
         sink = TcpSink("127.0.0.1", 1, buffer_limit=4,
@@ -251,7 +276,14 @@ class TestTcpSink:
                 break
             time.sleep(0.01)
         sink.close()
-        time.sleep(0.3)  # let the listener ingest the tail
+        # Every connection after the first went to the restarted listener
+        # and is closed now: wait until it has read each to its end.
+        restarted = sink.stats()["reconnects"] - 1
+        deadline = time.monotonic() + 10.0
+        while (listener.connections_drained < restarted
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert listener.connections_drained >= restarted
         received = listener.snapshot()
         listener.stop()
 
