@@ -1,7 +1,7 @@
 """Arms: the unit the MAB agent schedules.
 
 Each arm corresponds to one seed (Sec. III-B): it owns the seed program, a
-FIFO pool of tests derived from that seed by mutation, and the set of
+FIFO pool of tests derived from that seed by mutation, and the mask of
 coverage points any of its tests have reached (needed for the *local* part
 of the reward).  When the saturation monitor declares an arm depleted, the
 arm is *reset*: a fresh seed replaces it and the per-arm history is cleared.
@@ -10,7 +10,7 @@ arm is *reset*: a fresh seed replaces it and the per-arm history is cleared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional
 
 from repro.fuzzing.testpool import TestPool
 from repro.isa.program import TestProgram
@@ -23,7 +23,7 @@ class Arm:
     index: int
     seed: TestProgram
     pool: TestPool = field(default_factory=TestPool)
-    local_coverage: Set[str] = field(default_factory=set)
+    local_coverage: int = 0
     pulls: int = 0
     total_reward: float = 0.0
     resets: int = 0
@@ -39,23 +39,23 @@ class Arm:
         """Average reward per pull since the last reset."""
         return self.total_reward / self.pulls if self.pulls else 0.0
 
-    def local_new_points(self, coverage: Iterable[str]) -> Set[str]:
-        """Points in ``coverage`` this arm has never reached before."""
-        return set(coverage) - self.local_coverage
+    def local_new_points(self, coverage: int) -> int:
+        """Mask of the points in ``coverage`` this arm never reached before."""
+        return coverage & ~self.local_coverage
 
     # ------------------------------------------------------------------ updates
-    def record_pull(self, coverage: Iterable[str], reward: float) -> None:
-        """Account for one executed test of this arm."""
+    def record_pull(self, coverage: int, reward: float) -> None:
+        """Account for one executed test of this arm (``coverage``: its mask)."""
         self.pulls += 1
         self.total_reward += reward
-        self.local_coverage.update(coverage)
+        self.local_coverage |= coverage
 
     def reset_with(self, new_seed: TestProgram) -> None:
         """Replace the arm with a fresh seed (the paper's arm reset)."""
         self.seed = new_seed
         self.pool.clear()
         self.pool.push(new_seed)
-        self.local_coverage.clear()
+        self.local_coverage = 0
         self.pulls = 0
         self.total_reward = 0.0
         self.resets += 1

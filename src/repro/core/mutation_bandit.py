@@ -92,7 +92,7 @@ class MutationBanditFuzzer(TheHuzzFuzzer):
         if program.mutation_op is not None:
             index = self._operator_index.get(program.mutation_op)
             if index is not None:
-                self.bandit.update(index, float(len(outcome.new_points)))
+                self.bandit.update(index, float(outcome.new_points.bit_count()))
         if outcome.is_interesting:
             self.pool.push_many(self._mutate_with_bandit(program))
 

@@ -21,36 +21,44 @@ The CSR-transition coverage family (``csr.<reg>.<old>-><new>``, see
 docs/coverage.md) is the intended consumer: weighting it above the hit-set
 families steers the bandit toward arms that move the privileged state
 machine, not just arms that touch new decode points.
+
+Coverage arrives as ``int`` masks (:mod:`repro.coverage.bitset`).  Point
+names are built only when weights are configured, and weights are summed
+in sorted point-name order: float addition is not associative, and a
+hash-ordered sum would differ between interpreters (distributed workers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Mapping, Optional, Set
+from typing import Mapping, Optional
+
+from repro.coverage.bitset import points_of
 
 
 @dataclass(frozen=True)
 class RewardBreakdown:
     """The reward of one pull, together with its coverage components.
 
-    ``local_value`` / ``global_value`` hold the *weighted* sums when the
-    computer was configured with point weights; ``None`` means unweighted
-    (the value falls back to the plain counts).
+    ``local_new`` / ``global_new`` are coverage masks.  ``local_value`` /
+    ``global_value`` hold the *weighted* sums when the computer was
+    configured with point weights; ``None`` means unweighted (the value
+    falls back to the plain counts).
     """
 
-    local_new: FrozenSet[str]
-    global_new: FrozenSet[str]
+    local_new: int
+    global_new: int
     alpha: float
     local_value: Optional[float] = None
     global_value: Optional[float] = None
 
     @property
     def local_count(self) -> int:
-        return len(self.local_new)
+        return self.local_new.bit_count()
 
     @property
     def global_count(self) -> int:
-        return len(self.global_new)
+        return self.global_new.bit_count()
 
     @property
     def value(self) -> float:
@@ -102,25 +110,25 @@ class RewardComputer:
                 return 1.0
             prefix = prefix[:cut]
 
-    def _weighted_sum(self, points: Iterable[str]) -> float:
-        return sum(self.point_weight(point) for point in points)
+    def _weighted_sum(self, mask: int) -> float:
+        """Σ w(p) over ``mask``'s points, in sorted point-name order."""
+        return sum(self.point_weight(point) for point in sorted(points_of(mask)))
 
     # ------------------------------------------------------------------ compute
     def compute(self,
-                arm_coverage: Set[str],
-                test_coverage: Iterable[str],
-                global_new_points: Iterable[str]) -> RewardBreakdown:
+                arm_coverage: int,
+                test_coverage: int,
+                global_new_points: int) -> RewardBreakdown:
         """Build the reward breakdown for one executed test.
 
-        Args:
+        Args (all coverage masks):
             arm_coverage: points the pulled arm had covered before this test.
             test_coverage: points covered by the test just executed.
             global_new_points: subset of ``test_coverage`` that no arm had
                 covered before (as reported by the coverage database).
         """
-        test_points = set(test_coverage)
-        local_new = frozenset(test_points - arm_coverage)
-        global_new = frozenset(global_new_points) & local_new
+        local_new = test_coverage & ~arm_coverage
+        global_new = global_new_points & local_new
         if self.point_weights is None:
             return RewardBreakdown(local_new=local_new, global_new=global_new,
                                    alpha=self.alpha)

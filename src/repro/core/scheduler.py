@@ -10,7 +10,7 @@ inside the bandit (reset-arms modification).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.arms import Arm, ArmSet
 from repro.core.bandit.base import BanditAlgorithm
@@ -63,9 +63,9 @@ class MABScheduler:
         return self.arms[self.bandit.select()]
 
     # ------------------------------------------------------------------ update
-    def update(self, arm: Arm, test_coverage: Iterable[str],
-               global_new_points: Iterable[str]) -> SchedulerUpdate:
-        """Process the outcome of one test executed on behalf of ``arm``."""
+    def update(self, arm: Arm, test_coverage: int,
+               global_new_points: int) -> SchedulerUpdate:
+        """Process one test executed on behalf of ``arm`` (coverage masks)."""
         breakdown = self.reward.compute(arm.local_coverage, test_coverage,
                                         global_new_points)
         arm.record_pull(test_coverage, breakdown.value)

@@ -1,29 +1,30 @@
 """Integer-bitset coverage: stable bit indices for coverage points.
 
-String-named coverage points (:mod:`repro.coverage.points`) are ideal for
-debugging, serialisation and set algebra at campaign granularity -- but on
-the *per-commit* hot path of the DUT harness, building and set-inserting
-tuples of strings is the dominant cost of an instrumented run.  This module
-maps every point name onto a process-global **bit index** so a commit's
-coverage observation collapses to ``cov |= mask`` on plain integers:
+String-named coverage points (:mod:`repro.coverage.points`) are what a
+person reads and what crosses a process boundary, but inside a process a
+test's coverage is an ``int`` *mask* from the DUT to the bandit.  This
+module maps every point name onto a process-global **bit index**, so a
+commit's coverage observation collapses to ``cov |= mask`` and every
+campaign-level set operation (new-to-the-campaign, new-to-the-arm, novel
+to the corpus) is integer ``&``/``|``/``~`` plus ``int.bit_count()``:
 
-* a point receives its bit the first time it is registered (model
-  construction registers whole coverage spaces up front, emission helpers
-  register lazily on first observation), and keeps it for the life of the
-  process -- masks memoised anywhere stay valid forever;
-* a *mask* is an ``int`` with one bit per point of an emission situation,
-  memoised by a bounded situation key at each emission site (point names
-  are built only on a memo miss); and
-* ``points_of`` materialises an accumulated coverage integer back into the
-  canonical ``frozenset`` of point names -- deferred to *result*
-  construction (once per run), so nothing downstream of
-  :class:`~repro.rtl.harness.DutRunResult` changes.
+* a point receives its bit the first time it is registered (a DUT's
+  coverage space is registered when its per-process memo is built,
+  emission helpers register lazily on first observation), and keeps it for
+  the life of the process -- masks memoised anywhere stay valid forever;
+* a *mask* is an ``int`` with one bit per point, memoised by a bounded
+  situation key at each emission site (point names are built only on a
+  memo miss); and
+* :func:`points_of` expands a mask back into the canonical ``frozenset``
+  of point names.  It runs only at the boundary: wire and journal
+  payloads, corpus ``to_dict``, ``CoverageDatabase.covered``, trial-end
+  metadata and tests -- never once per test in the fuzzing loop.
 
 Bit assignment depends on registration order and therefore differs between
 processes; that is deliberate and safe, because masks never cross a process
-boundary -- only the materialised point-name sets do (they are what the
-trial wire format serialises), which keeps serial/pool/distributed results
-bit-identical.
+boundary -- only sorted point-name lists do (they are what the trial wire
+format, the journal and corpus payloads carry), which keeps
+serial/pool/distributed results bit-identical.
 """
 
 from __future__ import annotations
@@ -34,15 +35,11 @@ from typing import Dict, Iterable, List
 class PointBitIndex:
     """Append-only point-name <-> bit-index registry."""
 
-    __slots__ = ("_bits", "_points", "_materialised")
-
-    #: bound on the coverage-int -> frozenset memo (see :meth:`points_of`).
-    _MATERIALISED_MAX = 4096
+    __slots__ = ("_bits", "_points")
 
     def __init__(self) -> None:
         self._bits: Dict[str, int] = {}
         self._points: List[str] = []
-        self._materialised: Dict[int, frozenset] = {}
 
     def bit(self, point: str) -> int:
         """The stable bit index of ``point`` (assigned on first use)."""
@@ -64,31 +61,20 @@ class PointBitIndex:
         return value
 
     def points_of(self, cov: int) -> frozenset:
-        """Materialise an accumulated coverage integer back into point names.
+        """Expand a coverage mask into its point names.
 
-        Memoised by the coverage integer itself: campaigns and benchmarks
-        re-run identical programs constantly (bandit arms replay seeds,
-        duplicate mutants are common), and identical runs accumulate the
-        identical bitset, so the ~kilobit-to-frozenset expansion is paid
-        once per distinct outcome instead of once per run.  Safe because
-        bit assignments are append-only for the life of the process.  The
-        memo is bounded; a wipe only costs re-materialisation.
+        One pass over the mask's binary digits: ``str.find`` jumps from one
+        set bit to the next, so the cost is linear in the mask width plus
+        the number of points, without a big-integer operation per bit.
         """
-        cached = self._materialised.get(cov)
-        if cached is not None:
-            return cached
         names = self._points
+        digits = bin(cov)[:1:-1]  # digits[i] is bit i
         out = []
-        bits = cov
-        while bits:
-            low = bits & -bits
-            out.append(names[low.bit_length() - 1])
-            bits ^= low
-        result = frozenset(out)
-        if len(self._materialised) >= self._MATERIALISED_MAX:
-            self._materialised.clear()
-        self._materialised[cov] = result
-        return result
+        index = digits.find("1")
+        while index >= 0:
+            out.append(names[index])
+            index = digits.find("1", index + 1)
+        return frozenset(out)
 
     def __len__(self) -> int:
         return len(self._points)

@@ -3,12 +3,17 @@
 Tracks which points have been covered so far, which test first covered each
 point, and the coverage-vs-tests curve -- the raw material for Fig. 3 and
 for the reward computation (global-new points).
+
+Coverage is an ``int`` mask throughout (:mod:`repro.coverage.bitset`);
+point names are built only for readers (:attr:`CoverageDatabase.covered`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.coverage.bitset import GLOBAL_BITS, point_bit, points_of
 
 
 @dataclass(frozen=True)
@@ -29,59 +34,68 @@ class CoverageSample:
 
 
 class CoverageDatabase:
-    """Campaign-level cumulative coverage bookkeeping."""
+    """Campaign-level cumulative coverage bookkeeping.
 
-    def __init__(self, space: Optional[frozenset] = None) -> None:
-        self.space = space
-        self._covered: Set[str] = set()
-        self._first_hit: Dict[str, int] = {}
+    ``space_mask`` (the DUT's coverage space) rejects points outside it;
+    ``None`` accepts any point.
+    """
+
+    def __init__(self, space_mask: Optional[int] = None) -> None:
+        self.space_mask = space_mask
+        self.covered_mask = 0
+        self._covered_count = 0
+        #: ``(test_index, new-point mask)`` of every test that added points.
+        self._first_hits: List[Tuple[int, int]] = []
         self._curve: List[CoverageSample] = []
-        self._tests_recorded = 0
 
     # ------------------------------------------------------------------ updates
-    def record(self, test_index: int, points: Iterable[str]) -> Set[str]:
-        """Record the coverage of one executed test.
+    def record(self, test_index: int, coverage: int) -> int:
+        """Record the coverage mask of one executed test.
 
-        Returns the set of *globally new* points contributed by this test.
+        Returns the mask of the *globally new* points this test contributed
+        (truthy exactly when the test added points).
         """
-        new_points = set(points) - self._covered
-        if self.space is not None:
-            outside = new_points - self.space
-            if outside:
+        new = coverage & ~self.covered_mask
+        if new:
+            space = self.space_mask
+            if space is not None and new & ~space:
+                outside = sorted(points_of(new & ~space))
                 raise ValueError(
-                    f"coverage points outside the DUT space: {sorted(outside)[:5]}")
-        for point in new_points:
-            self._first_hit[point] = test_index
-        self._covered.update(new_points)
-        self._tests_recorded = max(self._tests_recorded, test_index + 1)
-        self._curve.append(CoverageSample(test_index, len(self._covered)))
-        return new_points
+                    f"coverage points outside the DUT space: {outside[:5]}")
+            self.covered_mask |= new
+            self._covered_count += new.bit_count()
+            self._first_hits.append((test_index, new))
+        self._curve.append(CoverageSample(test_index, self._covered_count))
+        return new
 
     # ------------------------------------------------------------------ queries
     @property
     def covered(self) -> frozenset:
-        return frozenset(self._covered)
+        """The covered points as names (built on every access)."""
+        return points_of(self.covered_mask)
 
     @property
     def covered_count(self) -> int:
-        return len(self._covered)
-
-    @property
-    def tests_recorded(self) -> int:
-        return self._tests_recorded
+        return self._covered_count
 
     def is_covered(self, point: str) -> bool:
-        return point in self._covered
+        return self.first_hit(point) is not None
 
     def first_hit(self, point: str) -> Optional[int]:
         """Index of the test that first covered ``point`` (or ``None``)."""
-        return self._first_hit.get(point)
+        if point not in GLOBAL_BITS:
+            return None
+        bit = 1 << point_bit(point)
+        for test_index, new in self._first_hits:
+            if new & bit:
+                return test_index
+        return None
 
     def percent(self) -> float:
         """Covered percentage of the space (requires a known space)."""
-        if not self.space:
+        if not self.space_mask:
             raise ValueError("coverage space unknown; cannot compute percent")
-        return 100.0 * len(self._covered) / len(self.space)
+        return 100.0 * self._covered_count / self.space_mask.bit_count()
 
     def curve(self) -> List[CoverageSample]:
         """The full coverage-vs-tests curve (one sample per recorded test)."""

@@ -501,7 +501,14 @@ def run_worker(
 
         def on_trial(task, claim=claim):
             for rule in faults.fire(faults.SITE_WORKER_TRIAL, task_id=claim.task_id):
-                faults.perform(rule)
+                if rule.action != faults.ACTION_STALL:
+                    faults.perform(rule)
+                    continue
+                # Claim-steal: hold here until a stale sweep has requeued
+                # the claim, so the heartbeat below certainly finds it gone.
+                deadline = time.monotonic() + (rule.arg or 30.0)
+                while os.path.exists(claim.path) and time.monotonic() < deadline:
+                    time.sleep(0.01)
             if not claim.heartbeat():
                 # The claim file is gone: the batch was requeued to (or
                 # finished by) another worker.  Abort the rest of the

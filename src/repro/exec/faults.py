@@ -17,7 +17,8 @@ site                   actions
 =====================  =========================================================
 ``worker.poll``        ``defer`` (sit the poll out until a beacon fills)
 ``worker.batch``       ``kill`` (``os._exit`` holding the claim), ``delay``
-``worker.trial``       ``kill``, ``delay`` -- fired between trials of a batch
+``worker.trial``       ``kill``, ``delay``, ``stall`` (hold until the claim is
+                       requeued) -- fired between trials of a batch
 ``queue.claim``        ``backdate`` (claim-steal: lease looks expired), ``delay``
 ``queue.publish``      ``torn`` (corrupted result file), ``oserror``, ``delay``
 ``journal.append``     ``corrupt`` (scrambled record), ``torn`` (half a record)
@@ -84,13 +85,14 @@ ACTION_CORRUPT = "corrupt"
 ACTION_OSERROR = "oserror"
 ACTION_DOWN = "down"
 ACTION_DEFER = "defer"
+ACTION_STALL = "stall"
 
 #: actions each site knows how to interpret (validated at plan build time,
 #: so a typo'd plan fails fast instead of silently never firing).
 ACTIONS_BY_SITE: Dict[str, frozenset] = {
     SITE_WORKER_POLL: frozenset({ACTION_DEFER}),
     SITE_WORKER_BATCH: frozenset({ACTION_KILL, ACTION_DELAY}),
-    SITE_WORKER_TRIAL: frozenset({ACTION_KILL, ACTION_DELAY}),
+    SITE_WORKER_TRIAL: frozenset({ACTION_KILL, ACTION_DELAY, ACTION_STALL}),
     SITE_QUEUE_CLAIM: frozenset({ACTION_BACKDATE, ACTION_DELAY}),
     SITE_QUEUE_PUBLISH: frozenset({ACTION_TORN, ACTION_OSERROR, ACTION_DELAY}),
     SITE_JOURNAL_APPEND: frozenset({ACTION_CORRUPT, ACTION_TORN}),
@@ -129,7 +131,8 @@ class FaultRule:
         after: skip this many qualifying hits before firing.
         times: fire on this many hits once armed (``0`` = every later hit).
         arg: action parameter (``delay`` seconds; for ``defer``, the
-            beacon marks to wait for, default 1; ignored elsewhere).
+            beacon marks to wait for, default 1; for ``stall``, the
+            deadline in seconds, default 30; ignored elsewhere).
         match: context equality filters -- the rule only counts hits whose
             ``fire()`` context matches every ``(key, value)`` pair, e.g.
             ``{"task_id": "run-000002"}`` targets one specific batch.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # circular at runtime: corpus imports nothing from here,
     # but keeping the import lazy keeps corpus-off startup untouched.
@@ -100,9 +100,10 @@ class Fuzzer(abc.ABC):
         self.corpus: Optional["CorpusManager"] = None
         self._corpus_seeded = 0
         self._corpus_fresh = 0
-        #: grid-globally novel points of the last executed test (corpus
-        #: mode only) -- the corpus-aware reward signal for schedulers.
-        self._corpus_novel: FrozenSet[str] = frozenset()
+        #: mask of the grid-globally novel points of the last executed
+        #: test (corpus mode only) -- the corpus-aware reward signal for
+        #: schedulers.
+        self._corpus_novel = 0
         if self.config.corpus:
             from repro.fuzzing.corpus import CorpusManager
             self.corpus = CorpusManager(rng=derive_rng(self.rng, "corpus"))
@@ -205,8 +206,7 @@ class Fuzzer(abc.ABC):
                 "mutants_per_test": self.config.mutants_per_test,
                 "scenario": self.config.scenario,
                 "coverage_model": self.dut.coverage_model,
-                "csr_transition_points": self.session.csr_transition_count,
-                "trap_points": self.session.trap_point_count,
+                **self.session.family_counts(),
                 "golden_cache_hits": self.session.golden_cache_hits,
                 "golden_cache_misses": self.session.golden_cache_misses}
         if self.corpus is not None:

@@ -10,8 +10,10 @@ This module keeps it.  A :class:`CorpusManager` holds
   (:mod:`repro.coverage.bitset`) so the admission test is two integer
   operations; and
 * a bounded set of :class:`CorpusEntry` seed programs, keyed by program
-  fingerprint, each remembered together with the coverage points it
-  reached and its provenance (scenario, mutation operator, generation).
+  fingerprint, each remembered together with the mask of the coverage
+  points it reached and its provenance (scenario, mutation operator,
+  generation).  :meth:`CorpusManager.offer` and
+  :meth:`CorpusManager.novel_points` take the DUT run's mask as is.
 
 Admission is by **novelty**: a program is admitted exactly when its
 coverage mask contributes at least one bit the global map does not already
@@ -28,12 +30,12 @@ Process boundaries
 Bitset masks are process-local (bit order depends on registration order),
 so a corpus never serialises masks.  The wire form
 (:meth:`CorpusManager.to_payload` / :meth:`CorpusManager.from_payload`)
-carries canonical data only: sorted point *names*, instruction *words* and
-the base address.  Programs are rebuilt with the decoder on the receiving
-side -- the decode->assemble fixed point (property-tested in
-``tests/isa``) guarantees a rebuilt program has the same fingerprint, so
-corpus identity is stable across serial, process-pool and distributed
-execution.  Merging is idempotent: the novelty gate absorbs duplicates, so
+carries canonical data only: sorted point *names* (the only place a
+corpus builds names), instruction *words* and the base address.  Programs
+are rebuilt with the decoder on the receiving side -- the decode->assemble
+fixed point (property-tested in ``tests/isa``) guarantees a rebuilt
+program has the same fingerprint, so corpus identity is stable across
+serial, process-pool and distributed execution.  Merging is idempotent: the novelty gate absorbs duplicates, so
 the worker<->dispatcher exchange channel (``docs/corpus.md``) may deliver
 a delta twice, late, or already folded into a broadcast without changing
 the final map.
@@ -51,8 +53,8 @@ end-to-end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.coverage.bitset import mask_of, points_of
 from repro.isa.decoder import decode_word
@@ -74,9 +76,8 @@ class CorpusEntry:
             body; the wire form, since ``Instruction`` objects and bitset
             masks do not serialise).
         base_address: load address of the first instruction.
-        points: coverage point *names* the program reached when admitted.
-        mask: process-local bitset of ``points`` (never serialised;
-            recomputed from ``points`` on deserialisation).
+        mask: process-local coverage mask of the points the program
+            reached when admitted (serialised as sorted point names).
         scenario: seed workload family of the campaign that admitted it.
         mutation_op: operator that produced the program (``None`` for
             generator seeds).
@@ -88,8 +89,7 @@ class CorpusEntry:
     fingerprint: str
     words: Tuple[int, ...]
     base_address: int
-    points: FrozenSet[str]
-    mask: int = field(compare=False)
+    mask: int
     scenario: Optional[str] = None
     mutation_op: Optional[str] = None
     generation: int = 0
@@ -109,8 +109,13 @@ class CorpusEntry:
                               mutation_op=self.mutation_op)
         return program
 
+    @property
+    def points(self) -> FrozenSet[str]:
+        """The coverage point names of :attr:`mask`."""
+        return points_of(self.mask)
+
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe wire form (no masks -- they are process-local)."""
+        """JSON-safe wire form (point names -- masks are process-local)."""
         return {
             "fingerprint": self.fingerprint,
             "words": list(self.words),
@@ -125,13 +130,11 @@ class CorpusEntry:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CorpusEntry":
         """Rebuild an entry from :meth:`to_dict`, recomputing its mask."""
-        points = frozenset(str(point) for point in data.get("points", ()))
         return cls(
             fingerprint=str(data["fingerprint"]),
             words=tuple(int(word) for word in data["words"]),
             base_address=int(data.get("base_address", 0)),
-            points=points,
-            mask=mask_of(points),
+            mask=mask_of(str(point) for point in data.get("points", ())),
             scenario=data.get("scenario"),
             mutation_op=data.get("mutation_op"),
             generation=int(data.get("generation", 0)),
@@ -196,8 +199,8 @@ class CorpusManager:
         """The global coverage map as canonical point names."""
         return points_of(self.global_cov)
 
-    def novel_points(self, points: Iterable[str]) -> FrozenSet[str]:
-        """The subset of ``points`` the global map does not know yet.
+    def novel_points(self, coverage: int) -> int:
+        """The mask of the points in ``coverage`` the global map lacks.
 
         This is the corpus-aware reward signal: with inherited state, a
         test re-reaching points some earlier trial (or another worker)
@@ -205,14 +208,7 @@ class CorpusManager:
         the current campaign.  Feeding this to the bandit steers arms
         away from already-charted territory.
         """
-        point_set = frozenset(points)
-        mask = mask_of(point_set)
-        novel = mask & ~self.global_cov
-        if novel == 0:
-            return frozenset()
-        if novel == mask:
-            return point_set
-        return points_of(novel) & point_set
+        return coverage & ~self.global_cov
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -223,27 +219,24 @@ class CorpusManager:
         return bool(self.entries)
 
     # ---------------------------------------------------------------- admission
-    def offer(self, program: TestProgram, points: Iterable[str],
+    def offer(self, program: TestProgram, coverage: int,
               scenario: Optional[str] = None) -> bool:
         """Offer an executed program; admit it iff its coverage is novel.
 
-        Returns ``True`` when the program was admitted.  ``points`` is the
-        full set of coverage points the program reached (not just the
+        Returns ``True`` when the program was admitted.  ``coverage`` is
+        the mask of every point the program reached (not just the
         campaign-new ones): novelty is judged against *this* manager's
         global map, which may already know points a fresh campaign has not
         seen yet (state injected from other trials or workers).
         """
-        point_set = frozenset(points)
-        mask = mask_of(point_set)
-        if mask & ~self.global_cov == 0:
+        if coverage & ~self.global_cov == 0:
             self.counters["rejected"] += 1
             return False
         entry = CorpusEntry(
             fingerprint=program.fingerprint(),
             words=program.words(),
             base_address=program.base_address,
-            points=point_set,
-            mask=mask,
+            mask=coverage,
             scenario=scenario,
             mutation_op=program.mutation_op,
             generation=program.generation,
@@ -288,7 +281,7 @@ class CorpusManager:
             return False
         entry = CorpusEntry(
             fingerprint=entry.fingerprint, words=entry.words,
-            base_address=entry.base_address, points=entry.points,
+            base_address=entry.base_address,
             mask=entry.mask, scenario=entry.scenario,
             mutation_op=entry.mutation_op, generation=entry.generation,
             order=self._order)

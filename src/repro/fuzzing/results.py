@@ -13,12 +13,12 @@ from repro.sim.trace import HaltReason
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Everything observed while executing a single test program."""
+    """Everything observed while executing one test (coverage as masks)."""
 
     test_index: int
     program: TestProgram
-    coverage: FrozenSet[str]
-    new_points: FrozenSet[str]
+    coverage: int
+    new_points: int
     mismatch: Optional[Mismatch]
     detected_bugs: FrozenSet[str]
     halt_reason: HaltReason

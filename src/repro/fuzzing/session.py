@@ -55,7 +55,7 @@ class FuzzSession:
         #: execution workers install their process-local instance here.
         #: DUT runs are deterministic, so a cache hit never changes results.
         self.dut_cache = dut_cache
-        self.coverage_db = CoverageDatabase(space=dut.coverage_space())
+        self.coverage_db = CoverageDatabase(space_mask=dut.coverage_space_mask())
         self.differential = DifferentialTester()
         self.bug_detections: Dict[str, BugDetection] = {}
         self.tests_executed = 0
@@ -88,7 +88,7 @@ class FuzzSession:
             test_index=test_index,
             program=program,
             coverage=dut_run.coverage,
-            new_points=frozenset(new_points),
+            new_points=new_points,
             mismatch=report.mismatch,
             detected_bugs=report.detected_bugs,
             halt_reason=dut_run.execution.halt_reason,
@@ -105,18 +105,16 @@ class FuzzSession:
 
     @property
     def total_points(self) -> int:
-        return len(self.coverage_db.space or ())
+        return self.dut.total_coverage_points
 
-    @property
-    def csr_transition_count(self) -> int:
-        """Covered CSR-transition points (0 under the base coverage model)."""
-        return count_transition_points(self.coverage_db.covered)
-
-    @property
-    def trap_point_count(self) -> int:
-        """Covered points of the ``trap.*`` family (trap-reaching evidence)."""
-        return sum(1 for point in self.coverage_db.covered
-                   if point.startswith("trap."))
+    def family_counts(self) -> Dict[str, int]:
+        """Covered CSR-transition points (0 under the base coverage model)
+        and ``trap.*`` points (trap-reaching evidence), from one expansion
+        of the covered mask into names -- trial-end metadata."""
+        covered = self.coverage_db.covered
+        return {"csr_transition_points": count_transition_points(covered),
+                "trap_points": sum(1 for point in covered
+                                   if point.startswith("trap."))}
 
     @property
     def golden_cache_hits(self) -> int:

@@ -17,7 +17,6 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.coverage.database import CoverageSample
 from repro.fuzzing.results import FuzzCampaignResult
-from repro.harness.campaign import TrialSet
 
 
 # ------------------------------------------------------------------ detection
@@ -140,22 +139,3 @@ def coverage_increment_percent(baseline: Sequence[FuzzCampaignResult],
         return 0.0
     return 100.0 * (candidate_final - baseline_final) / baseline_final
 
-
-# ------------------------------------------------------------------ trial sets
-def trialset_detection_speedup(baseline: TrialSet, candidate: TrialSet,
-                               bug_id: str) -> Optional[float]:
-    """Detection speedup between two trial sets."""
-    return detection_speedup(baseline.completed_results(),
-                             candidate.completed_results(), bug_id)
-
-
-def trialset_coverage_speedup(baseline: TrialSet, candidate: TrialSet) -> float:
-    """Coverage speedup between two trial sets."""
-    return coverage_speedup(baseline.completed_results(),
-                            candidate.completed_results())
-
-
-def trialset_coverage_increment(baseline: TrialSet, candidate: TrialSet) -> float:
-    """Coverage increment between two trial sets (%)."""
-    return coverage_increment_percent(baseline.completed_results(),
-                                      candidate.completed_results())

@@ -99,71 +99,69 @@ class BoomModel(DutModel):
 
     # -------------------------------------------------------------------- emit
     # Table-driven emission (see RocketModel): per-point masks precomputed
-    # once per model instance, emission is table lookups and ``|=`` only.
-    def _structural_tables(self) -> dict:
-        tables = self.__dict__.get("_boom_tables")
-        if tables is None:
-            tables = {
-                "rob_alloc": [point_mask("boom", "rob", f"entry{e}", "alloc")
+    # once per model class and process, emission is table lookups and
+    # ``|=`` only.
+    def _build_structural_tables(self) -> dict:
+        tables = {
+            "rob_alloc": [point_mask("boom", "rob", f"entry{e}", "alloc")
+                          for e in range(self.rob_entries)],
+            "rob_commit": [point_mask("boom", "rob", f"entry{e}", "commit")
+                           for e in range(self.rob_entries)],
+            "rob_exception": [point_mask("boom", "rob", f"entry{e}", "exception")
                               for e in range(self.rob_entries)],
-                "rob_commit": [point_mask("boom", "rob", f"entry{e}", "commit")
-                               for e in range(self.rob_entries)],
-                "rob_exception": [point_mask("boom", "rob", f"entry{e}", "exception")
-                                  for e in range(self.rob_entries)],
-                "occupancy": [point_mask("boom", "rob", "occupancy", f"b{b}")
-                              for b in range(self.occupancy_buckets)],
-                "flush_exception": point_mask("boom", "flush", "exception"),
-                "flush_mispredict": point_mask("boom", "flush", "branch_mispredict"),
-                "uop": {mnemonic: point_mask("boom", "uop", mnemonic,
-                                    _ISSUE_QUEUES[spec.cls])
-                        for mnemonic, spec in SPECS.items()},
-                "iq": {queue: [point_mask("boom", "iq", queue, f"slot{slot}")
-                               for slot in range(self.issue_queue_slots)]
-                       for queue in ("int", "mem", "fp")},
-                "rename": {cls: [point_mask("boom", "rename", cls.value, f"x{reg}")
-                                 for reg in range(32)]
-                           for cls in InstrClass},
-                "wakeup": {mnemonic: point_mask("boom", "wakeup", mnemonic)
-                           for mnemonic, spec in SPECS.items()
-                           if spec.writes_rd},
-                "prf": [point_mask("boom", "prf", f"p{preg}")
-                        for preg in range(self.physical_registers)],
-                "busy_rs1": {cls: [point_mask("boom", "busytable", cls.value,
-                                     f"rs1_x{reg}") for reg in range(32)]
-                             for cls in InstrClass},
-                "busy_rs2": {cls: [point_mask("boom", "busytable", cls.value,
-                                     f"rs2_x{reg}") for reg in range(32)]
-                             for cls in InstrClass},
-                "lsq_load": [point_mask("boom", "lsq", f"entry{e}", "load")
-                             for e in range(self.lsq_entries)],
-                "lsq_store": [point_mask("boom", "lsq", f"entry{e}", "store")
-                              for e in range(self.lsq_entries)],
-                "dualissue": {(a, b): point_mask("boom", "dualissue",
-                                        f"{a.value}_{b.value}")
-                              for a in InstrClass for b in InstrClass},
-                "commit_lane": [{cls: point_mask("boom", "commit", f"lane{lane}",
-                                        cls.value) for cls in InstrClass}
-                                for lane in range(self.coreswidth)],
-                "plans": {},  # per-instruction static plans, filled lazily
-            }
-            # Dense-index twins of the enum-keyed tables: InstrClass.__hash__
-            # is Python-level, so the fused block loop indexes flat lists by
-            # a per-plan integer class index instead of hashing enums.
-            cls_order = list(InstrClass)
-            tables["cls_list"] = cls_order
-            tables["cls_index"] = {cls: i for i, cls in enumerate(cls_order)}
-            tables["dualissue_flat"] = [tables["dualissue"][a, b]
-                                        for a in cls_order for b in cls_order]
-            tables["commit_lane_flat"] = [[lane_table[cls] for cls in cls_order]
-                                          for lane_table in tables["commit_lane"]]
-            # Per-ROB-entry alloc|commit and alloc|exception|flush unions:
-            # every commit emits alloc plus exactly one of the other two.
-            tables["rob_ok"] = [a | c for a, c in zip(tables["rob_alloc"],
-                                                      tables["rob_commit"])]
-            tables["rob_trap"] = [a | e | tables["flush_exception"]
-                                  for a, e in zip(tables["rob_alloc"],
-                                                  tables["rob_exception"])]
-            self.__dict__["_boom_tables"] = tables
+            "occupancy": [point_mask("boom", "rob", "occupancy", f"b{b}")
+                          for b in range(self.occupancy_buckets)],
+            "flush_exception": point_mask("boom", "flush", "exception"),
+            "flush_mispredict": point_mask("boom", "flush", "branch_mispredict"),
+            "uop": {mnemonic: point_mask("boom", "uop", mnemonic,
+                                _ISSUE_QUEUES[spec.cls])
+                    for mnemonic, spec in SPECS.items()},
+            "iq": {queue: [point_mask("boom", "iq", queue, f"slot{slot}")
+                           for slot in range(self.issue_queue_slots)]
+                   for queue in ("int", "mem", "fp")},
+            "rename": {cls: [point_mask("boom", "rename", cls.value, f"x{reg}")
+                             for reg in range(32)]
+                       for cls in InstrClass},
+            "wakeup": {mnemonic: point_mask("boom", "wakeup", mnemonic)
+                       for mnemonic, spec in SPECS.items()
+                       if spec.writes_rd},
+            "prf": [point_mask("boom", "prf", f"p{preg}")
+                    for preg in range(self.physical_registers)],
+            "busy_rs1": {cls: [point_mask("boom", "busytable", cls.value,
+                                 f"rs1_x{reg}") for reg in range(32)]
+                         for cls in InstrClass},
+            "busy_rs2": {cls: [point_mask("boom", "busytable", cls.value,
+                                 f"rs2_x{reg}") for reg in range(32)]
+                         for cls in InstrClass},
+            "lsq_load": [point_mask("boom", "lsq", f"entry{e}", "load")
+                         for e in range(self.lsq_entries)],
+            "lsq_store": [point_mask("boom", "lsq", f"entry{e}", "store")
+                          for e in range(self.lsq_entries)],
+            "dualissue": {(a, b): point_mask("boom", "dualissue",
+                                    f"{a.value}_{b.value}")
+                          for a in InstrClass for b in InstrClass},
+            "commit_lane": [{cls: point_mask("boom", "commit", f"lane{lane}",
+                                    cls.value) for cls in InstrClass}
+                            for lane in range(self.coreswidth)],
+            "plans": {},  # per-instruction static plans, filled lazily
+        }
+        # Dense-index twins of the enum-keyed tables: InstrClass.__hash__
+        # is Python-level, so the fused block loop indexes flat lists by
+        # a per-plan integer class index instead of hashing enums.
+        cls_order = list(InstrClass)
+        tables["cls_list"] = cls_order
+        tables["cls_index"] = {cls: i for i, cls in enumerate(cls_order)}
+        tables["dualissue_flat"] = [tables["dualissue"][a, b]
+                                    for a in cls_order for b in cls_order]
+        tables["commit_lane_flat"] = [[lane_table[cls] for cls in cls_order]
+                                      for lane_table in tables["commit_lane"]]
+        # Per-ROB-entry alloc|commit and alloc|exception|flush unions:
+        # every commit emits alloc plus exactly one of the other two.
+        tables["rob_ok"] = [a | c for a, c in zip(tables["rob_alloc"],
+                                                  tables["rob_commit"])]
+        tables["rob_trap"] = [a | e | tables["flush_exception"]
+                              for a, e in zip(tables["rob_alloc"],
+                                              tables["rob_exception"])]
         return tables
 
     @staticmethod

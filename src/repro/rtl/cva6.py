@@ -108,34 +108,32 @@ class CVA6Model(DutModel):
 
     # -------------------------------------------------------------------- emit
     # Table-driven emission (see RocketModel): per-point masks precomputed
-    # once per model instance, emission is table lookups and ``|=`` only.
-    def _structural_tables(self) -> dict:
-        tables = self.__dict__.get("_cva6_tables")
-        if tables is None:
-            tables = {
-                "sb_issue": [point_mask("cva6", "scoreboard", f"entry{e}", "issue")
+    # once per model class and process, emission is table lookups and
+    # ``|=`` only.
+    def _build_structural_tables(self) -> dict:
+        tables = {
+            "sb_issue": [point_mask("cva6", "scoreboard", f"entry{e}", "issue")
+                         for e in range(self.scoreboard_entries)],
+            "sb_writeback": [point_mask("cva6", "scoreboard", f"entry{e}", "writeback")
                              for e in range(self.scoreboard_entries)],
-                "sb_writeback": [point_mask("cva6", "scoreboard", f"entry{e}", "writeback")
-                                 for e in range(self.scoreboard_entries)],
-                "frontend": [point_mask("cva6", "frontend", f"fetch_bucket{b}")
-                             for b in range(self.frontend_buckets)],
-                "issue_port": {cls: point_mask("cva6", "issue", port)
-                               for cls, port in _ISSUE_PORTS.items()},
-                "commit_port": [{cls: point_mask("cva6", "commit", f"port{port}",
-                                        cls.value) for cls in InstrClass}
-                                for port in range(self.commit_ports)],
-                "fs_dirty": point_mask("cva6", "fpu", "fs_dirty"),
-            }
-            # Dense-index twins of the enum-keyed tables (InstrClass hashes
-            # through Python-level __hash__): the fused block loop indexes
-            # flat lists by a cached integer class index instead.
-            cls_order = list(InstrClass)
-            tables["cls_index"] = {cls: i for i, cls in enumerate(cls_order)}
-            tables["issue_port_flat"] = [tables["issue_port"][cls]
-                                         for cls in cls_order]
-            tables["commit_port_flat"] = [[port_table[cls] for cls in cls_order]
-                                          for port_table in tables["commit_port"]]
-            self.__dict__["_cva6_tables"] = tables
+            "frontend": [point_mask("cva6", "frontend", f"fetch_bucket{b}")
+                         for b in range(self.frontend_buckets)],
+            "issue_port": {cls: point_mask("cva6", "issue", port)
+                           for cls, port in _ISSUE_PORTS.items()},
+            "commit_port": [{cls: point_mask("cva6", "commit", f"port{port}",
+                                    cls.value) for cls in InstrClass}
+                            for port in range(self.commit_ports)],
+            "fs_dirty": point_mask("cva6", "fpu", "fs_dirty"),
+        }
+        # Dense-index twins of the enum-keyed tables (InstrClass hashes
+        # through Python-level __hash__): the fused block loop indexes
+        # flat lists by a cached integer class index instead.
+        cls_order = list(InstrClass)
+        tables["cls_index"] = {cls: i for i, cls in enumerate(cls_order)}
+        tables["issue_port_flat"] = [tables["issue_port"][cls]
+                                     for cls in cls_order]
+        tables["commit_port_flat"] = [[port_table[cls] for cls in cls_order]
+                                      for port_table in tables["commit_port"]]
         return tables
 
     def structural_mask(self, record: CommitRecord, instr: Instruction,

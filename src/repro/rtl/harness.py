@@ -18,10 +18,12 @@ Coverage is recorded as an **integer bitset**: every point name owns a
 process-global bit (:mod:`repro.coverage.bitset`), each emission family
 memoises *masks* keyed by a bounded situation key, and a commit's
 observation collapses to a few dict gets plus ``cov |= mask``.  Point
-names are built only on a memo miss, and the point-name set is only
-materialised once per run, when :class:`DutRunResult` is built.  Frozen
-per-program run digests (``tests/sim/test_hotpath_equivalence.py``) pin
-the emitted coverage on both the fused and the per-step loop.
+names are built only on a memo miss; :class:`DutRunResult` carries the
+run's mask, and :func:`points_of` expands it only for readers.  A DUT's
+coverage space, its mask and its structural tables are per-process memos,
+so a trial's fresh model rebuilds none of them.  Frozen per-program run
+digests (``tests/sim/test_hotpath_equivalence.py``) pin the emitted
+coverage on both the fused and the per-step loop.
 """
 
 from __future__ import annotations
@@ -540,16 +542,20 @@ def _block_dut_plan(block: Superblock) -> Tuple[Tuple, ...]:
 # =================================================================== run result
 @dataclass(frozen=True)
 class DutRunResult:
-    """Outcome of running one test on a DUT: trace + coverage + bug effects."""
+    """Outcome of running one test on a DUT: trace + coverage mask + bug effects."""
 
     execution: ExecutionResult
-    coverage: FrozenSet[str]
+    coverage: int
     fired_bugs: FrozenSet[str]
     bug_effect_steps: Dict[str, int] = field(default_factory=dict)
 
     @property
     def coverage_count(self) -> int:
-        return len(self.coverage)
+        return self.coverage.bit_count()
+
+    def coverage_points(self) -> FrozenSet[str]:
+        """The run's coverage as point names (for readers, not the loop)."""
+        return points_of(self.coverage)
 
 
 # ==================================================================== executor
@@ -1047,13 +1053,14 @@ class DutExecutor(Executor):
         self._cov |= self.dut.structural_block_mask(records, first,
                                                     plan * copies, self)
 
-    # ----------------------------------------------------------------- results
-    def coverage_hits(self) -> FrozenSet[str]:
-        """Materialise the accumulated bitset into the canonical point set."""
-        return points_of(self._cov)
-
 
 # ======================================================================= model
+#: per-process memos: coverage space and mask per (model class, DutConfig,
+#: coverage model), structural emission tables per model class.
+_SPACES: Dict[tuple, Tuple[FrozenSet[str], int]] = {}
+_STRUCTURAL_TABLES: Dict[type, dict] = {}
+
+
 class DutModel(ModelBase):
     """Base class of the three processor models."""
 
@@ -1073,7 +1080,6 @@ class DutModel(ModelBase):
         #: ``"base"`` = hit-set coverage only; ``"csr"`` additionally tracks
         #: ProcessorFuzz-style CSR value-class transitions (docs/coverage.md).
         self.coverage_model = coverage_model
-        self._space: Optional[FrozenSet[str]] = None
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -1118,9 +1124,18 @@ class DutModel(ModelBase):
                                executor)
         return mask
 
-    def coverage_space(self) -> FrozenSet[str]:
-        """The DUT's full branch coverage space (cached)."""
-        if self._space is None:
+    def _structural_tables(self) -> dict:
+        """The subclass's ``_build_structural_tables()``, built once per class."""
+        tables = _STRUCTURAL_TABLES.get(type(self))
+        if tables is None:
+            tables = _STRUCTURAL_TABLES[type(self)] = (
+                self._build_structural_tables())
+        return tables
+
+    def _space_and_mask(self) -> Tuple[FrozenSet[str], int]:
+        key = (type(self), self.config, self.coverage_model)
+        entry = _SPACES.get(key)
+        if entry is None:
             space: Set[str] = set(common_space())
             config = self.config
             space |= CacheModel("icache", config.icache_sets, config.cache_ways).space()
@@ -1131,8 +1146,17 @@ class DutModel(ModelBase):
             space |= self.structural_space()
             if self.coverage_model == "csr":
                 space |= transition_space()
-            self._space = frozenset(space)
-        return self._space
+            frozen = frozenset(space)
+            entry = _SPACES[key] = (frozen, mask_of(frozen))
+        return entry
+
+    def coverage_space(self) -> FrozenSet[str]:
+        """The DUT's full branch coverage space (per-process memo)."""
+        return self._space_and_mask()[0]
+
+    def coverage_space_mask(self) -> int:
+        """:meth:`coverage_space` as a coverage mask (per-process memo)."""
+        return self._space_and_mask()[1]
 
     @property
     def total_coverage_points(self) -> int:
@@ -1153,7 +1177,7 @@ class DutModel(ModelBase):
         first_steps = {bug_id: steps[0] for bug_id, steps in executor.bug_effects.items()}
         return DutRunResult(
             execution=execution,
-            coverage=executor.coverage_hits(),
+            coverage=executor._cov,
             fired_bugs=frozenset(executor.bug_effects),
             bug_effect_steps=first_steps,
         )

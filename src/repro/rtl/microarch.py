@@ -18,7 +18,10 @@ cycle accuracy: the fuzzers only consume coverage and architectural state.
 The mask memos are *class*-level (keyed by component name, so an icache and
 a dcache never collide) because component instances are built fresh for
 every program run -- a per-instance memo would re-pay the string-building
-cost each run.
+cost each run.  The DUT models follow the same rule one level up: a trial
+builds a fresh model, so a model's coverage space, its mask and its
+structural emission tables are per-process memos too
+(:mod:`repro.rtl.harness`).
 """
 
 from __future__ import annotations

@@ -69,43 +69,40 @@ class RocketModel(DutModel):
 
     # -------------------------------------------------------------------- emit
     # Table-driven emission: every point mask is precomputed once per model
-    # instance, so emitting a commit's structural coverage is a handful of
-    # table lookups and ``|=`` -- no string building on the hot path.
-    def _structural_tables(self) -> dict:
-        tables = self.__dict__.get("_rocket_tables")
-        if tables is None:
-            tables = {
-                "illegal": point_mask("rocket", "pipe", "if", "bubble")
-                | point_mask("rocket", "pipe", "id", "bubble"),
-                "pipe": {
-                    mnemonic: sum(point_mask("rocket", "pipe", stage, mnemonic)
-                                  for stage in _PIPELINE_STAGES)
-                    for mnemonic in SPECS
-                },
-                "rf_write": [point_mask("rocket", "regfile", "write", f"x{reg}")
-                             for reg in range(32)],
-                "rf_read": [point_mask("rocket", "regfile", "read", f"x{reg}")
-                            for reg in range(32)],
-                "bypass_ex": [point_mask("rocket", "bypass", "ex_to_id", f"x{reg}")
-                              for reg in range(32)],
-                "bypass_mem": [point_mask("rocket", "bypass", "mem_to_id", f"x{reg}")
-                               for reg in range(32)],
-                "stall": {
-                    InstrClass.DIV: point_mask("rocket", "stall", "div"),
-                    InstrClass.MUL: point_mask("rocket", "stall", "mul"),
-                    InstrClass.CSR: point_mask("rocket", "stall", "csr"),
-                    InstrClass.FENCE: point_mask("rocket", "stall", "fence"),
-                    InstrClass.ATOMIC: point_mask("rocket", "stall", "amo"),
-                },
-                "stall_loaduse": point_mask("rocket", "stall", "loaduse"),
-                "redirect_trap": point_mask("rocket", "pcgen", "redirect", "trap"),
-                "redirect_jump": point_mask("rocket", "pcgen", "redirect", "jump"),
-                "redirect_branch": point_mask("rocket", "pcgen", "redirect", "branch"),
-                "sequential": point_mask("rocket", "pcgen", "sequential"),
-                "plans": {},  # per-instruction static plans, filled lazily
-            }
-            self.__dict__["_rocket_tables"] = tables
-        return tables
+    # class and process (DutModel._structural_tables), so emitting a
+    # commit's structural coverage is a handful of table lookups and
+    # ``|=`` -- no string building on the hot path.
+    def _build_structural_tables(self) -> dict:
+        return {
+            "illegal": point_mask("rocket", "pipe", "if", "bubble")
+            | point_mask("rocket", "pipe", "id", "bubble"),
+            "pipe": {
+                mnemonic: sum(point_mask("rocket", "pipe", stage, mnemonic)
+                              for stage in _PIPELINE_STAGES)
+                for mnemonic in SPECS
+            },
+            "rf_write": [point_mask("rocket", "regfile", "write", f"x{reg}")
+                         for reg in range(32)],
+            "rf_read": [point_mask("rocket", "regfile", "read", f"x{reg}")
+                        for reg in range(32)],
+            "bypass_ex": [point_mask("rocket", "bypass", "ex_to_id", f"x{reg}")
+                          for reg in range(32)],
+            "bypass_mem": [point_mask("rocket", "bypass", "mem_to_id", f"x{reg}")
+                           for reg in range(32)],
+            "stall": {
+                InstrClass.DIV: point_mask("rocket", "stall", "div"),
+                InstrClass.MUL: point_mask("rocket", "stall", "mul"),
+                InstrClass.CSR: point_mask("rocket", "stall", "csr"),
+                InstrClass.FENCE: point_mask("rocket", "stall", "fence"),
+                InstrClass.ATOMIC: point_mask("rocket", "stall", "amo"),
+            },
+            "stall_loaduse": point_mask("rocket", "stall", "loaduse"),
+            "redirect_trap": point_mask("rocket", "pcgen", "redirect", "trap"),
+            "redirect_jump": point_mask("rocket", "pcgen", "redirect", "jump"),
+            "redirect_branch": point_mask("rocket", "pcgen", "redirect", "branch"),
+            "sequential": point_mask("rocket", "pcgen", "sequential"),
+            "plans": {},  # per-instruction static plans, filled lazily
+        }
 
     @staticmethod
     def _instr_plan(instr: Instruction, tables: dict) -> tuple:

@@ -495,21 +495,6 @@ class Executor:
             next_pc=(pc + 4) & MASK64 if next_pc is None else next_pc & MASK64,
         )
 
-    # --------------------------------------------------------- compatibility
-    def _alu_value(self, mnemonic: str, rs1: int, rs2: int, immediate: bool) -> int:
-        """Value of one ALU operation (kept for tests/tools; not on the hot path)."""
-        spec = spec_for(mnemonic)
-        alu_op = spec.alu_op if spec.alu_op is not None else mnemonic
-        return _ALU_OPS[alu_op](rs1, rs2)
-
-    @staticmethod
-    def _div(dividend: int, divisor: int, signed: bool, bits: int) -> int:
-        return _div(dividend, divisor, signed, bits)
-
-    @staticmethod
-    def _rem(dividend: int, divisor: int, signed: bool, bits: int) -> int:
-        return _rem(dividend, divisor, signed, bits)
-
 
 # ============================================================ handler factory
 # One handler closure per mnemonic, specialised at import time with

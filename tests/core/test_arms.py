@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.arms import Arm, ArmSet
+from repro.coverage.bitset import mask_of
 from repro.isa.generator import SeedGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
@@ -21,31 +22,31 @@ class TestArm:
 
     def test_record_pull(self):
         arm = Arm(index=0, seed=_seed())
-        arm.record_pull({"a", "b"}, reward=2.0)
-        arm.record_pull({"b", "c"}, reward=1.0)
+        arm.record_pull(mask_of({"a", "b"}), reward=2.0)
+        arm.record_pull(mask_of({"b", "c"}), reward=1.0)
         assert arm.pulls == 2
         assert arm.total_reward == pytest.approx(3.0)
         assert arm.mean_reward == pytest.approx(1.5)
-        assert arm.local_coverage == {"a", "b", "c"}
+        assert arm.local_coverage == mask_of({"a", "b", "c"})
 
     def test_local_new_points(self):
         arm = Arm(index=0, seed=_seed())
-        arm.record_pull({"a"}, reward=1.0)
-        assert arm.local_new_points({"a", "b"}) == {"b"}
+        arm.record_pull(mask_of({"a"}), reward=1.0)
+        assert arm.local_new_points(mask_of({"a", "b"})) == mask_of({"b"})
 
     def test_mean_reward_zero_when_unpulled(self):
         assert Arm(index=0, seed=_seed()).mean_reward == 0.0
 
     def test_reset_with(self):
         arm = Arm(index=0, seed=_seed(1))
-        arm.record_pull({"a"}, reward=1.0)
+        arm.record_pull(mask_of({"a"}), reward=1.0)
         arm.pool.push(_seed(2))
         new_seed = _seed(3)
         arm.reset_with(new_seed)
         assert arm.seed is new_seed
         assert arm.pulls == 0
         assert arm.total_reward == 0.0
-        assert arm.local_coverage == set()
+        assert arm.local_coverage == 0
         assert arm.resets == 1
         assert arm.generation == 1
         assert len(arm.pool) == 1

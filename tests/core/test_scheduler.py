@@ -8,6 +8,7 @@ from repro.core.bandit.ucb import UCBBandit
 from repro.core.monitor import SaturationMonitor
 from repro.core.reward import RewardComputer
 from repro.core.scheduler import MABScheduler
+from repro.coverage.bitset import mask_of
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 
@@ -67,18 +68,19 @@ class TestUpdate:
         bandit = UCBBandit(2, rng=0)
         scheduler = _scheduler(num_arms=2, bandit=bandit)
         arm = scheduler.arms[0]
-        update = scheduler.update(arm, test_coverage={"a", "b"},
-                                  global_new_points={"a", "b"})
+        update = scheduler.update(arm, test_coverage=mask_of({"a", "b"}),
+                                  global_new_points=mask_of({"a", "b"}))
         assert update.reward_value == pytest.approx(2.0)  # 0.25*2 + 0.75*2
         assert not update.was_reset
         assert arm.pulls == 1
-        assert arm.local_coverage == {"a", "b"}
+        assert arm.local_coverage == mask_of({"a", "b"})
         assert bandit.q_values[0] == pytest.approx(2.0)
 
     def test_local_only_reward(self):
         scheduler = _scheduler(num_arms=2)
         arm = scheduler.arms[0]
-        update = scheduler.update(arm, test_coverage={"a"}, global_new_points=set())
+        update = scheduler.update(arm, test_coverage=mask_of({"a"}),
+                                  global_new_points=0)
         assert update.reward.local_count == 1
         assert update.reward.global_count == 0
         assert update.reward_value == pytest.approx(0.25)
@@ -89,13 +91,13 @@ class TestUpdate:
         arm = scheduler.arms[0]
         old_seed = arm.seed
         bandit.update(0, 1.0)  # give the arm some history to be cleared
-        scheduler.update(arm, {"a"}, set())   # local-new only -> global count 0
+        scheduler.update(arm, mask_of({"a"}), 0)   # local-new only -> global count 0
         assert not scheduler.arms[0].resets
-        update = scheduler.update(arm, {"a"}, set())
+        update = scheduler.update(arm, mask_of({"a"}), 0)
         assert update.was_reset
         assert update.replacement_seed_id is not None
         assert scheduler.arms[0].seed is not old_seed
-        assert scheduler.arms[0].local_coverage == set()
+        assert scheduler.arms[0].local_coverage == 0
         assert bandit.arm_pulls[0] == 0 and bandit.q_values[0] == 0.0
         assert scheduler.total_resets == 1
 
@@ -103,28 +105,28 @@ class TestUpdate:
         scheduler = _scheduler(num_arms=1, gamma=2, metric="local")
         arm = scheduler.arms[0]
         # Local-new coverage keeps the arm alive under the "local" metric.
-        scheduler.update(arm, {"a"}, set())
-        scheduler.update(arm, {"b"}, set())
+        scheduler.update(arm, mask_of({"a"}), 0)
+        scheduler.update(arm, mask_of({"b"}), 0)
         assert scheduler.total_resets == 0
         # Two pulls with nothing new at all -> reset.
-        scheduler.update(arm, {"a"}, set())
-        update = scheduler.update(arm, {"a", "b"}, set())
+        scheduler.update(arm, mask_of({"a"}), 0)
+        update = scheduler.update(arm, mask_of({"a", "b"}), 0)
         assert update.was_reset
 
     def test_global_metric_resets_despite_local_news(self):
         scheduler = _scheduler(num_arms=1, gamma=2, metric="global")
         arm = scheduler.arms[0]
-        scheduler.update(arm, {"a"}, set())
-        update = scheduler.update(arm, {"b"}, set())
+        scheduler.update(arm, mask_of({"a"}), 0)
+        update = scheduler.update(arm, mask_of({"b"}), 0)
         assert update.was_reset
 
     def test_monitor_cleared_after_reset(self):
         scheduler = _scheduler(num_arms=1, gamma=2)
         arm = scheduler.arms[0]
-        scheduler.update(arm, set(), set())
-        scheduler.update(arm, set(), set())          # reset happens here
+        scheduler.update(arm, 0, 0)
+        scheduler.update(arm, 0, 0)          # reset happens here
         assert scheduler.total_resets == 1
-        scheduler.update(arm, set(), set())          # fresh window, not yet saturated
+        scheduler.update(arm, 0, 0)          # fresh window, not yet saturated
         assert scheduler.total_resets == 1
-        scheduler.update(arm, set(), set())
+        scheduler.update(arm, 0, 0)
         assert scheduler.total_resets == 2

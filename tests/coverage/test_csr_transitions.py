@@ -140,7 +140,7 @@ class TestGoldenTraceCollection:
             for record in golden.run(program).records:
                 expected |= _observe(tracker, record)
             run = dut.run(program)
-            emitted = {p for p in run.coverage if is_transition_point(p)}
+            emitted = {p for p in run.coverage_points() if is_transition_point(p)}
             assert emitted == expected
 
     def test_count_transition_points(self):
@@ -164,7 +164,7 @@ class TestDutIntegration:
             Instruction("ecall"),
         ])
         run = dut.run(program)
-        assert not any(is_transition_point(p) for p in run.coverage)
+        assert not any(is_transition_point(p) for p in run.coverage_points())
 
     def test_unknown_coverage_model_rejected(self):
         with pytest.raises(ValueError, match="coverage model"):

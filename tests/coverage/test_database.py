@@ -3,32 +3,33 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coverage.bitset import mask_of, points_of
 from repro.coverage.database import CoverageDatabase
 
 
 class TestRecord:
     def test_new_points_returned(self):
         db = CoverageDatabase()
-        assert db.record(0, ["a", "b"]) == {"a", "b"}
-        assert db.record(1, ["b", "c"]) == {"c"}
+        assert db.record(0, mask_of(["a", "b"])) == mask_of({"a", "b"})
+        assert db.record(1, mask_of(["b", "c"])) == mask_of({"c"})
         assert db.covered_count == 3
 
     def test_first_hit(self):
         db = CoverageDatabase()
-        db.record(0, ["a"])
-        db.record(5, ["a", "b"])
+        db.record(0, mask_of(["a"]))
+        db.record(5, mask_of(["a", "b"]))
         assert db.first_hit("a") == 0
         assert db.first_hit("b") == 5
         assert db.first_hit("zzz") is None
 
     def test_space_enforced(self):
-        db = CoverageDatabase(space=frozenset({"a"}))
+        db = CoverageDatabase(space_mask=mask_of({"a"}))
         with pytest.raises(ValueError):
-            db.record(0, ["nope"])
+            db.record(0, mask_of(["nope"]))
 
     def test_percent(self):
-        db = CoverageDatabase(space=frozenset({"a", "b", "c", "d"}))
-        db.record(0, ["a"])
+        db = CoverageDatabase(space_mask=mask_of({"a", "b", "c", "d"}))
+        db.record(0, mask_of(["a"]))
         assert db.percent() == pytest.approx(25.0)
 
     def test_percent_requires_space(self):
@@ -37,7 +38,7 @@ class TestRecord:
 
     def test_is_covered(self):
         db = CoverageDatabase()
-        db.record(0, ["a"])
+        db.record(0, mask_of(["a"]))
         assert db.is_covered("a")
         assert not db.is_covered("b")
 
@@ -45,24 +46,24 @@ class TestRecord:
 class TestCurve:
     def test_curve_monotonic(self):
         db = CoverageDatabase()
-        db.record(0, ["a"])
-        db.record(1, [])
-        db.record(2, ["b", "c"])
+        db.record(0, mask_of(["a"]))
+        db.record(1, mask_of([]))
+        db.record(2, mask_of(["b", "c"]))
         curve = db.curve()
         assert [s.covered for s in curve] == [1, 1, 3]
         assert [s.test_index for s in curve] == [0, 1, 2]
 
     def test_curve_at(self):
         db = CoverageDatabase()
-        db.record(0, ["a"])
-        db.record(3, ["b"])
+        db.record(0, mask_of(["a"]))
+        db.record(3, mask_of(["b"]))
         samples = db.curve_at([0, 1, 3, 10])
         assert [s.covered for s in samples] == [1, 1, 2, 2]
 
     def test_tests_to_reach(self):
         db = CoverageDatabase()
-        db.record(0, ["a"])
-        db.record(1, ["b", "c"])
+        db.record(0, mask_of(["a"]))
+        db.record(1, mask_of(["b", "c"]))
         assert db.tests_to_reach(1) == 1
         assert db.tests_to_reach(3) == 2
         assert db.tests_to_reach(10) is None
@@ -76,8 +77,8 @@ def test_curve_is_nondecreasing_and_matches_union(test_coverages):
     db = CoverageDatabase()
     union = set()
     for index, points in enumerate(test_coverages):
-        new = db.record(index, points)
-        assert new == points - union
+        new = db.record(index, mask_of(points))
+        assert points_of(new) == points - union
         union |= points
     curve = db.curve()
     assert all(curve[i].covered <= curve[i + 1].covered for i in range(len(curve) - 1))

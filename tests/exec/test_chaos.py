@@ -86,10 +86,10 @@ class TestChaosRecovery:
             # notices and the batch is aborted (lease-lost path).
             FaultRule(site=faults.SITE_QUEUE_CLAIM, action="backdate",
                       after=1, times=1),
-            # Dawdle inside the stolen batch so the sweep is guaranteed
-            # to land before the worker's heartbeat looks.
-            FaultRule(site=faults.SITE_WORKER_TRIAL, action="delay",
-                      arg=0.5, after=1, times=1),
+            # Hold the stolen batch until the sweep has requeued the
+            # claim, so the worker's heartbeat certainly finds it gone.
+            FaultRule(site=faults.SITE_WORKER_TRIAL, action="stall",
+                      arg=60.0, after=1, times=1),
             # Third batch pickup dies holding the claim, like SIGKILL.
             FaultRule(site=faults.SITE_WORKER_BATCH, action="kill",
                       after=2, times=1),
@@ -151,13 +151,13 @@ class TestChaosRecovery:
         serial = CampaignEngine(backend=SerialBackend()).run_grid(specs)
         faults.install(FaultPlan(rules=(
             # First claim looks ancient: the dispatcher's stale sweep
-            # requeues it while the worker dawdles in its first trial.
+            # requeues it while the worker holds its first trial.
             FaultRule(site=faults.SITE_QUEUE_CLAIM, action="backdate",
                       times=1),
-            # The dawdle guarantees the sweep lands before the worker's
-            # between-trials heartbeat notices the stolen claim.
-            FaultRule(site=faults.SITE_WORKER_TRIAL, action="delay",
-                      arg=0.5, times=1),
+            # The worker waits for that requeue before its between-trials
+            # heartbeat, which therefore certainly notices the steal.
+            FaultRule(site=faults.SITE_WORKER_TRIAL, action="stall",
+                      arg=60.0, times=1),
         )).injector())
         queue_dir = str(tmp_path / "spool")
         log_lines = []
@@ -189,7 +189,11 @@ class TestChaosRecovery:
                             trials=6, seed=23, bugs=[],
                             fuzzer_config=SMALL_CONFIG)
         serial = CampaignEngine(backend=SerialBackend()).run_grid([spec])
-        # Every trial dawdles: the whole batch takes several lease periods.
+        # Every trial dawdles, so the batch certainly outlives the lease
+        # (6 x 0.4 s of sleep alone > 2 s), while each heartbeat gap is
+        # one dawdle plus one short trial -- far inside the lease even on
+        # a starved host.
+        lease = 2.0
         faults.install(FaultPlan(rules=(
             FaultRule(site=faults.SITE_WORKER_TRIAL, action="delay",
                       arg=0.4, times=0),
@@ -202,15 +206,18 @@ class TestChaosRecovery:
         worker.start()
         try:
             backend = DistributedBackend(
-                queue_dir, poll_interval=0.05, lease_timeout=1.0,
+                queue_dir, poll_interval=0.05, lease_timeout=lease,
                 batch_size=None,  # all six trials in one long batch
                 max_wait_seconds=120.0, stop_workers_on_exit=True)
+            started = time.monotonic()
             distributed = CampaignEngine(backend=backend).run_grid([spec])
+            elapsed = time.monotonic() - started
         finally:
             worker.join(timeout=60)
         assert not worker.is_alive()
         assert _canonical(distributed) == _canonical(serial)
-        # 6 trials x 0.4s dawdle >> 1s lease, yet nothing was requeued.
+        # The batch outlived the lease, yet nothing was requeued.
+        assert elapsed > lease
         assert backend.robustness_stats["requeued"] == 0
         assert backend.robustness_stats["deadlettered"] == 0
 

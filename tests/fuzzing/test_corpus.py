@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coverage.bitset import mask_of
 from repro.fuzzing.corpus import DEFAULT_MAX_ENTRIES, CorpusEntry, CorpusManager
 from repro.isa.generator import SeedGenerator
 
@@ -12,7 +13,7 @@ def _programs(count, seed=11):
 
 
 def _offer(manager, program, points, **kwargs):
-    return manager.offer(program, frozenset(points), **kwargs)
+    return manager.offer(program, mask_of(points), **kwargs)
 
 
 class TestAdmission:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coverage.bitset import mask_of
 from repro.coverage.database import CoverageSample
 from repro.fuzzing.results import BugDetection, FuzzCampaignResult, TestOutcome
 from repro.isa.instruction import Instruction
@@ -13,8 +14,8 @@ def _outcome(new_points=frozenset()):
     return TestOutcome(
         test_index=0,
         program=TestProgram(instructions=(Instruction("ecall"),)),
-        coverage=frozenset({"a"}),
-        new_points=frozenset(new_points),
+        coverage=mask_of({"a"}),
+        new_points=mask_of(new_points),
         mismatch=None,
         detected_bugs=frozenset(),
         halt_reason=HaltReason.ECALL,

@@ -62,10 +62,10 @@ class TestSchedulingBehaviour:
         assert result.coverage_curve[-1].covered == result.coverage_count
         assert result.coverage_count <= result.total_points
         # The union of per-arm coverage cannot exceed the global database.
-        arm_union = set()
+        arm_union = 0
         for arm in fuzzer.arms:
             arm_union |= arm.local_coverage
-        assert len(arm_union) <= result.coverage_count
+        assert arm_union.bit_count() <= result.coverage_count
 
     def test_mabfuzz_and_thehuzz_share_coverage_space(self):
         """Fuzzer-agnosticism: both fuzzers report against the same DUT space."""

@@ -99,7 +99,7 @@ def test_coverage_always_within_declared_space(seed, model_name, coverage_model,
         program = engine.mutate_once(program)
     result = model.run(program)
     assert result.coverage
-    assert result.coverage <= model.coverage_space()
+    assert result.coverage_points() <= model.coverage_space()
     was = superblocks_enabled()
     set_superblocks_enabled(False)
     try:

@@ -111,8 +111,8 @@ class TestDutRunResult:
         for program in _random_seeds(10, seed=5):
             result = dut.run(program)
             assert result.coverage, "every run must produce some coverage"
-            assert result.coverage <= space
-            assert result.coverage_count == len(result.coverage)
+            assert result.coverage_points() <= space
+            assert result.coverage_count == len(result.coverage_points())
 
     def test_run_isolation(self, straightline_program):
         """Coverage and microarchitectural state must not leak across runs."""
@@ -129,7 +129,7 @@ class TestDutRunResult:
             space = dut.coverage_space()
             for program in _random_seeds(5, seed=33):
                 result = dut.run(program)
-                outside = result.coverage - space
+                outside = result.coverage_points() - space
                 assert not outside, f"{model_cls.__name__}: {sorted(outside)[:5]}"
 
     def test_deterministic_coverage(self):

@@ -16,7 +16,7 @@ def _run_some(model, count=20, seed=3):
     generator = SeedGenerator(rng=seed)
     covered = set()
     for program in generator.generate_many(count):
-        covered |= model.run(program).coverage
+        covered |= model.run(program).coverage_points()
     return covered
 
 
@@ -93,7 +93,7 @@ class TestBoomStructure:
                             ("boom", BoomModel(bugs=[]))):
             covered = set()
             for program in seeds:
-                covered |= model.run(program).coverage
+                covered |= model.run(program).coverage_points()
             totals[name] = len(covered)
         assert totals["boom"] > totals["rocket"]
         assert totals["boom"] > totals["cva6"]

@@ -571,7 +571,7 @@ def trace_digest(execution) -> str:
 def run_digest(run) -> str:
     """Digest one DUT run: its trace, coverage set and bug bookkeeping."""
     h = hashlib.sha256(trace_digest(run.execution).encode())
-    h.update(repr(sorted(run.coverage)).encode())
+    h.update(repr(sorted(run.coverage_points())).encode())
     h.update(repr(sorted(run.fired_bugs)).encode())
     h.update(repr(sorted(run.bug_effect_steps.items())).encode())
     return h.hexdigest()
@@ -599,7 +599,7 @@ def coverage_entries(dut, corpus: list, label: str) -> list:
     entries = []
     for program in corpus:
         run = dut.run(program)
-        outside = run.coverage - space
+        outside = run.coverage_points() - space
         assert not outside, (
             f"{label}: {program.fingerprint()} emitted points outside "
             f"coverage_space(): {sorted(outside)[:5]}")
