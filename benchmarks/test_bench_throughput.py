@@ -46,29 +46,6 @@ def test_dut_model_run_throughput(benchmark, sample_programs, processor):
     assert all(count > 0 for count in counts)
 
 
-def test_dut_model_run_throughput_superblocks_off(benchmark, sample_programs):
-    """Unfused baseline: the per-step compiled loop with superblocks off.
-
-    Pinned in CI alongside the fused runs so a regression in the fallback
-    path (every misaligned/dirty/partial-block dispatch degrades to it)
-    is caught even while the fused path dominates the default numbers.
-    """
-    from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
-
-    dut = make_processor("rocket", bugs=[])
-
-    def run_all():
-        return [dut.run(p).coverage_count for p in sample_programs]
-
-    was_enabled = superblocks_enabled()
-    set_superblocks_enabled(False)
-    try:
-        counts = benchmark(run_all)
-    finally:
-        set_superblocks_enabled(was_enabled)
-    assert all(count > 0 for count in counts)
-
-
 def test_mutation_engine_throughput(benchmark, sample_programs):
     engine = MutationEngine(rng=1)
 

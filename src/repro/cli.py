@@ -237,13 +237,6 @@ def _cmd_fuzz(args) -> int:
         print(f"profile: top {args.profile_top} functions by cumulative time "
               f"(full stats -> {args.profile})", file=sys.stderr)
         stats.print_stats(args.profile_top)
-        from repro.isa.compiled import superblock_cache_stats, superblocks_enabled
-
-        sb = superblock_cache_stats()
-        print(f"profile: superblocks "
-              f"{'on' if superblocks_enabled() else 'off'} -- "
-              f"{sb['hits']} cache hits, {sb['misses']} misses, "
-              f"{sb['evictions']} evictions", file=sys.stderr)
         print("profile: inspect offline with "
               f"`python -m pstats {args.profile}` "
               "(or snakeviz, if installed)", file=sys.stderr)

@@ -10,7 +10,6 @@ from repro.coverage.points import coverage_point, parse_point
 from repro.coverage.csr_transitions import (
     COVERAGE_MODELS,
     CsrTransitionTracker,
-    count_transition_points,
     is_transition_point,
     transition_point,
     transition_space,
@@ -22,7 +21,6 @@ __all__ = [
     "parse_point",
     "COVERAGE_MODELS",
     "CsrTransitionTracker",
-    "count_transition_points",
     "is_transition_point",
     "transition_point",
     "transition_space",

@@ -19,9 +19,9 @@ so this module adds exactly that as a coverage family:
 Transitions are a pure function of the architectural commit trace: the
 :class:`CsrTransitionTracker` consumes :class:`~repro.sim.trace.
 CommitRecord` objects one by one, and the DUT harness feeds it every
-record that can move a tracked CSR (see
-:meth:`repro.rtl.harness.DutExecutor._observe_commit` and the fused
-:meth:`~repro.rtl.harness.DutExecutor.run_block`).  Replaying any stored
+record that can move a tracked CSR -- trap commits and CSR writes -- from
+the fused :meth:`~repro.rtl.harness.DutExecutor.run_block`, where every
+DUT instruction commits.  Replaying any stored
 trace -- golden or DUT -- through a fresh tracker yields the same
 transitions, which is what lets tests assert that a defect-free DUT emits
 exactly the transitions derivable from the golden commit records.
@@ -33,7 +33,7 @@ the hot path.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.coverage.bitset import point_bit
 from repro.coverage.points import coverage_point
@@ -127,11 +127,6 @@ def transition_space() -> Set[str]:
 def is_transition_point(point: str) -> bool:
     """Whether ``point`` belongs to the CSR-transition family."""
     return point.startswith("csr.") and TRANSITION_MARKER in point
-
-
-def count_transition_points(points: Iterable[str]) -> int:
-    """Number of CSR-transition points in ``points``."""
-    return sum(1 for point in points if is_transition_point(point))
 
 
 #: (csr address, old class, new class) -> bitset mask of that point.

@@ -10,19 +10,27 @@ through this interface, which is what makes the MAB layer fuzzer-agnostic
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from functools import cache
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.coverage.csr_transitions import count_transition_points
+from repro.coverage.bitset import mask_of
+from repro.coverage.csr_transitions import transition_space
 from repro.coverage.database import CoverageDatabase
 from repro.isa.compiled import compiled_cache_stats
 from repro.fuzzing.differential import DifferentialTester
 from repro.fuzzing.results import BugDetection, TestOutcome
 from repro.isa.program import TestProgram
-from repro.rtl.harness import DutModel
+from repro.rtl.harness import DutModel, trap_space
 from repro.sim.golden import GoldenModel, GoldenTraceCache
 
 if TYPE_CHECKING:  # avoid a cycle: repro.exec imports the fuzzing layer.
     from repro.exec.cache import DutRunCache
+
+
+@cache
+def _family_masks() -> Tuple[int, int]:
+    """The ``trap.*`` and CSR-transition families as masks, once per process."""
+    return mask_of(trap_space()), mask_of(transition_space())
 
 
 class FuzzSession:
@@ -109,12 +117,12 @@ class FuzzSession:
 
     def family_counts(self) -> Dict[str, int]:
         """Covered CSR-transition points (0 under the base coverage model)
-        and ``trap.*`` points (trap-reaching evidence), from one expansion
-        of the covered mask into names -- trial-end metadata."""
-        covered = self.coverage_db.covered
-        return {"csr_transition_points": count_transition_points(covered),
-                "trap_points": sum(1 for point in covered
-                                   if point.startswith("trap."))}
+        and ``trap.*`` points (trap-reaching evidence) -- trial-end
+        metadata, counted on the covered mask without building names."""
+        covered = self.coverage_db.covered_mask
+        traps, transitions = _family_masks()
+        return {"csr_transition_points": (covered & transitions).bit_count(),
+                "trap_points": (covered & traps).bit_count()}
 
     @property
     def golden_cache_hits(self) -> int:

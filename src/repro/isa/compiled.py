@@ -6,20 +6,12 @@ Both are deterministic functions of the immutable program, so this module
 compiles a program **once** into a threaded-code list of per-instruction
 entries ``(word, instruction, handler)``:
 
-* ``word`` is the 32-bit encoding exactly as the memory image holds it (what
-  legacy ``fetch_word`` returned),
+* ``word`` is the 32-bit encoding exactly as the memory image holds it,
 * ``instruction`` is the shared decode result (the same object the
-  word->Instruction cache in :mod:`repro.isa.decoder` hands the legacy
-  path), and
+  word->Instruction cache in :mod:`repro.isa.decoder` hands out), and
 * ``handler`` is the executor's per-mnemonic execute closure, resolved at
-  compile time (``None`` for illegal words, which take the trap path).
-
-The shared run loop in :mod:`repro.sim.golden` indexes this list by
-``(pc - base) >> 2`` instead of fetching and decoding, falling back to the
-generic ``Executor.step`` for anything a compiled entry cannot represent:
-misaligned in-range program counters, and words a store has overwritten
-since load (self-modifying programs are legal here -- the ``mem.region.code``
-coverage point exists precisely because stores may hit the code window).
+  compile time (illegal words get one that raises the illegal-instruction
+  trap).
 
 Compiled traces are cached in a bounded process-global LRU keyed by the
 program *fingerprint* (content hash of words + base address), so trials
@@ -29,31 +21,31 @@ and the execution subsystem's ``--cache-entries`` knob re-bounds it
 together with the golden/DUT run caches (see ``docs/performance.md``).
 
 On top of the per-entry trace this module builds **superblocks**: maximal
-straight-line runs of compiled entries, fused so the executors can retire a
-whole run in one tight loop instead of paying the shared run loop's
-per-step dispatch.  A superblock ends at the first entry that can redirect
-or halt execution (branches, jumps, system instructions, CSR accesses) or
-that has no handler (illegal words trap through the generic path).  Every
-instruction *inside* a block therefore falls through to ``pc + 4`` -- even
-when it traps, because the harness convention resumes at the next
-instruction -- which is exactly what lets the fused loops defer the ``pc``
-write to the block exit.  Blocks are built lazily per entry index (only
-leaders that execution actually reaches pay the build) and cached per
-program in a second fingerprint-keyed LRU bounded by the same
-``--cache-entries`` knob (``superblock_*`` counters in
-``process_cache_stats``).  See ``docs/performance.md`` for the formation
-rules and the run loop's fallback cases.
+straight-line runs of compiled entries, which the executors retire in one
+tight loop.  Every instruction commits inside a block -- the shared run
+loop in :mod:`repro.sim.golden` has no other dispatch.  A block ends at
+the first entry that can redirect or halt execution (branches, jumps,
+system instructions, CSR accesses), which it keeps as its *tail*.  Every
+instruction before the tail falls through to ``pc + 4`` -- even when it
+traps, because the harness convention resumes at the next instruction --
+which is exactly what lets the fused loops defer the ``pc`` write to the
+block exit.  Blocks are built lazily per entry index (only leaders that
+execution actually reaches pay the build) and cached per program in a
+second fingerprint-keyed LRU bounded by the same ``--cache-entries`` knob
+(``superblock_*`` counters in ``process_cache_stats``).  The run loop cuts
+a block short at the step limit and before a word a store overwrote, and
+runs an overwritten word, re-fetched, as a block of its own
+(:meth:`Superblock.prefix`, :func:`word_block`).  See
+``docs/performance.md`` for the formation rules.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import List, Dict, Optional, Tuple
 
 from repro.isa.decoder import decode_word
-from repro.isa.encoding import InstrClass, spec_for
-from repro.isa.exceptions import Trap, TrapCause
+from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.program import TestProgram
 
 #: default capacity of the process-global fingerprint-keyed cache; the
@@ -177,35 +169,21 @@ def configure_compiled_cache(max_entries: Optional[int]) -> None:
 # Superblocks: fused straight-line runs of the compiled trace.
 # ---------------------------------------------------------------------------
 
-#: instruction classes that end a superblock.  Branches and jumps redirect
-#: the pc; system instructions halt (``ecall``), trap, or redirect
-#: (``mret``); CSR instructions read or write the retirement counters the
-#: fused loops batch, so they may only close a block, as its tail (after
-#: the counters are flushed).  Everything else -- ALU, loads/stores,
-#: atomics, fences, mul/div -- commits ``next_pc == pc + 4``
-#: unconditionally, *including* when it traps (the harness convention
-#: resumes at the next instruction).
-_TERMINATOR_CLASSES = frozenset({
-    InstrClass.BRANCH, InstrClass.JUMP, InstrClass.SYSTEM, InstrClass.CSR,
-})
-
-#: terminators that may still execute *inside* a block as its final "tail"
-#: entry: branches and jumps commit one ordinary record whose ``next_pc``
-#: carries the (possibly redirected) target, and on a misaligned-target
-#: trap the trap record's ``next_pc`` is ``pc + 4`` -- either way the
-#: block exit pc is simply the tail record's ``next_pc``.  System and CSR
-#: instructions stay excluded: they read or write machine state (counter
-#: CSRs, ``mepc``) that the fused loops batch or do not maintain
-#: mid-block.
-_TAIL_CLASSES = frozenset({InstrClass.BRANCH, InstrClass.JUMP})
-
-#: minimum entries worth fusing.  Even a one-instruction "block" wins for
-#: the instrumented DUT executor: the fused loop replaces the whole
-#: per-step hook-dispatch chain (fetch/decode recording, observe hooks,
-#: retirement bookkeeping), which costs far more than the block dispatch
-#: checks, and isolated straight-line instructions between terminators are
-#: common in fuzzed programs (~1/3 of non-terminator steps).
-MIN_SUPERBLOCK_LENGTH = 1
+#: mnemonics that end a superblock, as its tail.  Branches and jumps
+#: redirect the pc: the tail record's ``next_pc`` carries the target (or
+#: ``pc + 4`` when not taken or trapped).  System instructions halt
+#: (``ecall``), trap (``ebreak``) or redirect (``mret`` exits at
+#: ``mepc``).  CSR instructions read or write the retirement counters the
+#: fused loops batch, so those flush the batch right before a CSR tail.
+#: Everything else -- ALU, loads/stores, atomics, fences, mul/div, illegal
+#: words -- commits ``next_pc == pc + 4`` unconditionally, *including* when
+#: it traps (the harness convention resumes at the next instruction).
+_TERMINATORS = frozenset(
+    mnemonic for mnemonic, spec in SPECS.items()
+    if spec.cls in (InstrClass.BRANCH, InstrClass.JUMP, InstrClass.SYSTEM,
+                    InstrClass.CSR))
+_CSR_MNEMONICS = frozenset(mnemonic for mnemonic, spec in SPECS.items()
+                           if spec.cls is InstrClass.CSR)
 
 
 def dirty_word_span(mem_addr: int, mem_size: int,
@@ -237,14 +215,11 @@ class Superblock:
             the fused loops can run the dirty-store abort check without
             reaching back to the program.
         word_set: ``frozenset`` of the word indices the block spans; the
-            run loop dispatches a block only when this is disjoint from
-            the dirty-word set (a store into the middle of a fused block
-            must re-fetch every subsequent instruction).
+            run loop cuts the block before the first of them a store
+            overwrote (a store into the middle of a fused block must
+            re-fetch every subsequent instruction).
         entries: the compiled ``(word, instr, handler)`` slice -- what the
             golden fused loop iterates.
-        tail_redirect: ``True`` when the final entry is a branch or jump
-            (:data:`_TAIL_CLASSES`); the block's exit pc is then the tail
-            record's ``next_pc`` instead of the fall-through address.
         csr_tail: ``True`` when the final entry is a CSR instruction.  CSR
             reads must observe architecturally exact MINSTRET/MCYCLE, so
             the fused loops flush their batched retirement counters (and
@@ -269,11 +244,10 @@ class Superblock:
 
     __slots__ = ("start", "length", "base_address", "end_address",
                  "word_set", "entries", "dut_plan", "model_plans",
-                 "tail_redirect", "csr_tail", "bug_cut")
+                 "csr_tail", "bug_cut")
 
     def __init__(self, start: int, entries: Tuple[Tuple, ...],
-                 base_address: int, end_address: int,
-                 tail_redirect: bool = False, csr_tail: bool = False) -> None:
+                 base_address: int, end_address: int) -> None:
         self.start = start
         self.length = len(entries)
         self.base_address = base_address
@@ -282,37 +256,47 @@ class Superblock:
         self.entries = entries
         self.dut_plan = None
         self.model_plans = {}
-        self.tail_redirect = tail_redirect
-        self.csr_tail = csr_tail
+        self.csr_tail = entries[-1][1].mnemonic in _CSR_MNEMONICS
         self.bug_cut = None
 
+    def prefix(self, length: int) -> "Superblock":
+        """The block's first ``length`` entries, as a block of their own.
 
-#: table sentinel distinguishing "not built yet" from "not fusable" (None).
-_UNBUILT = object()
+        The run loop runs one when fewer steps remain under the step limit
+        than the block holds, or when a store overwrote one of its later
+        words.  A prefix never holds the tail, so it falls through.
+        """
+        return Superblock(self.start, self.entries[:length],
+                          self.base_address, self.end_address)
 
 
-def _illegal_step(executor, instr, pc: int, word: int):
-    """Superblock stand-in handler for illegal words.
+def word_block(index: int, word: int, base_address: int,
+               end_address: int) -> Superblock:
+    """A one-entry block running ``word`` as the instruction at ``index``.
 
-    Compiled entries carry ``None`` handlers for illegal words and the
-    per-step dispatcher raises the illegal-instruction trap itself.  Inside
-    a superblock the entry gets this handler instead, so the fused loops'
-    existing ``except Trap`` arm commits the identical trap record --
-    illegal words are deterministic straight-line entries (trap, fall
-    through to pc+4) and no longer terminate block formation.
+    How the run loop executes a word a store overwrote since load: it
+    re-fetches the word and decodes it as the compiled trace would.
     """
-    raise Trap(TrapCause.ILLEGAL_INSTRUCTION, tval=word)
+    from repro.sim.executor import handler_for
+
+    instr = decode_word(word)
+    return Superblock(index, ((word, instr, handler_for(instr)),),
+                      base_address, end_address)
+
+
+#: table sentinel distinguishing "not built yet" from a built block.
+_UNBUILT = object()
 
 
 class ProgramBlocks:
     """Lazily built superblock table of one compiled program.
 
-    ``at(index)`` returns the superblock *leading at* ``index`` (or
-    ``None`` when fewer than :data:`MIN_SUPERBLOCK_LENGTH` fusable entries
-    start there).  Blocks are built per leader index on first request, so
-    a program only pays for the leaders execution actually reaches; blocks
-    starting at different indices may overlap (a jump into the middle of
-    one straight-line run simply leads its own block).
+    ``at(index)`` returns the superblock *leading at* ``index``: every
+    entry leads one, at least one entry long.  Blocks are built per leader
+    index on first request, so a program only pays for the leaders
+    execution actually reaches; blocks starting at different indices may
+    overlap (a jump into the middle of one straight-line run simply leads
+    its own block).
     """
 
     __slots__ = ("_compiled", "_table")
@@ -321,56 +305,23 @@ class ProgramBlocks:
         self._compiled = compiled
         self._table: List[object] = [_UNBUILT] * len(compiled.entries)
 
-    def at(self, index: int) -> Optional[Superblock]:
+    def at(self, index: int) -> Superblock:
         block = self._table[index]
         if block is _UNBUILT:
-            block = self._build(index)
-            self._table[index] = block
+            block = self._table[index] = self._build(index)
         return block
 
-    def _build(self, index: int) -> Optional[Superblock]:
-        entries = self._compiled.entries
+    def _build(self, index: int) -> Superblock:
+        compiled = self._compiled
+        entries = compiled.entries
         count = len(entries)
         stop = index
-        tail_redirect = False
-        csr_tail = False
-        fused_illegal = False
         while stop < count:
-            handler = entries[stop][2]
-            if handler is None:
-                # Illegal word: a deterministic illegal-instruction trap
-                # that falls through to pc+4, so it fuses like any other
-                # straight-line entry (via _illegal_step below).
-                fused_illegal = True
-                stop += 1
-                continue
-            cls = spec_for(entries[stop][1].mnemonic).cls
-            if cls in _TERMINATOR_CLASSES:
-                if cls in _TAIL_CLASSES:
-                    stop += 1  # branch/jump closes the block as its tail
-                    tail_redirect = True
-                elif cls is InstrClass.CSR:
-                    # CSR closes the block as its tail: the fused loops
-                    # flush their batched retirement counters right before
-                    # it, so its CSR reads/writes are architecturally
-                    # exact.  It always falls through (or traps to pc+4),
-                    # so no redirect handling is needed.
-                    stop += 1
-                    csr_tail = True
-                break
             stop += 1
-        if stop - index < MIN_SUPERBLOCK_LENGTH:
-            return None
-        block_entries = entries[index:stop]
-        if fused_illegal:
-            block_entries = tuple(
-                entry if entry[2] is not None
-                else (entry[0], entry[1], _illegal_step)
-                for entry in block_entries)
-        compiled = self._compiled
-        return Superblock(index, block_entries,
-                          compiled.base_address, compiled.end_address,
-                          tail_redirect, csr_tail)
+            if entries[stop - 1][1].mnemonic in _TERMINATORS:
+                break  # the terminator closes the block as its tail
+        return Superblock(index, entries[index:stop],
+                          compiled.base_address, compiled.end_address)
 
 
 class SuperblockCache:
@@ -455,26 +406,3 @@ def configure_superblock_cache(max_entries: Optional[int]) -> None:
     """Re-bound the process cache (``None`` = :data:`DEFAULT_COMPILED_ENTRIES`)."""
     process_superblock_cache().configure(
         DEFAULT_COMPILED_ENTRIES if max_entries is None else max_entries)
-
-
-# Superblock dispatch can be disabled fleet-wide or per process -- the
-# per-entry path is the reference semantics, and CI proves a mixed fleet
-# (some workers fused, some not) still agrees bit-for-bit.  Worker
-# processes read the environment variable at import, so exporting
-# ``REPRO_SUPERBLOCKS=0`` before launching a worker opts just that worker
-# out; ``set_superblocks_enabled`` flips the current process at runtime
-# (benchmarks and the digest-equality tests toggle it around runs).
-_SUPERBLOCKS_ENABLED = (
-    os.environ.get("REPRO_SUPERBLOCKS", "1").strip().lower()
-    not in ("0", "false", "off", "no"))
-
-
-def superblocks_enabled() -> bool:
-    """Whether run loops in this process dispatch fused superblocks."""
-    return _SUPERBLOCKS_ENABLED
-
-
-def set_superblocks_enabled(enabled: bool) -> None:
-    """Enable/disable superblock dispatch for this process."""
-    global _SUPERBLOCKS_ENABLED
-    _SUPERBLOCKS_ENABLED = bool(enabled)

@@ -21,7 +21,6 @@ from repro.isa.instruction import Instruction
 from repro.rtl.bugs import InjectedBug
 from repro.rtl.harness import _INSTR_MEMO_MAX, DutConfig, DutExecutor, DutModel
 from repro.sim.executor import ExecutorConfig
-from repro.sim.trace import CommitRecord
 
 _ISSUE_QUEUES = {
     InstrClass.ARITH: "int", InstrClass.LOGIC: "int", InstrClass.SHIFT: "int",
@@ -192,55 +191,20 @@ class BoomModel(DutModel):
             )
         return plan
 
-    def structural_mask(self, record: CommitRecord, instr: Instruction,
-                        executor: DutExecutor) -> int:
-        tables = self._structural_tables()
-        step = record.step
-        rob_entry = step % self.rob_entries
-        mask = tables["rob_alloc"][rob_entry]
-        mask |= tables["occupancy"][min(step, self.occupancy_buckets - 1)]
-        if record.trap is not None:
-            mask |= tables["rob_exception"][rob_entry]
-            mask |= tables["flush_exception"]
-        else:
-            mask |= tables["rob_commit"][rob_entry]
-
-        if instr.is_illegal:
-            return mask
-
-        static, cls, _, iq_slots, rd, lsq_load, lsq_store = self._instr_plan(
-            instr, tables)
-        mask |= static
-        mask |= iq_slots[step % self.issue_queue_slots]
-        if rd is not None:
-            mask |= tables["prf"][(step * 7 + rd) % self.physical_registers]
-        if lsq_load:
-            mask |= tables["lsq_load"][step % self.lsq_entries]
-        if lsq_store:
-            mask |= tables["lsq_store"][step % self.lsq_entries]
-
-        prev_cls = executor.dut_scratch.get("boom_prev_cls")
-        if isinstance(prev_cls, InstrClass):
-            mask |= tables["dualissue"][prev_cls, cls]
-        executor.dut_scratch["boom_prev_cls"] = cls
-
-        mask |= tables["commit_lane"][step % self.coreswidth][cls]
-        if (cls is InstrClass.BRANCH and record.trap is None
-                and record.next_pc != record.pc + 4):
-            mask |= tables["flush_mispredict"]
-        return mask
-
     def structural_block_mask(self, records: list, start: int, plan: tuple,
                               executor: "DutExecutor", block=None) -> int:
-        """One-call-per-superblock twin of :meth:`structural_mask`.
+        """ROB, issue-queue, rename, register-file, LSQ and lane points.
 
-        Identical emission and ``boom_prev_cls`` evolution, with the table
-        and memo lookups hoisted out of the per-commit loop.  Illegal
-        words (``None`` in the per-block plan list) emit only the ROB /
-        occupancy / exception masks and leave ``boom_prev_cls`` alone,
-        like the per-commit illegal early-exit.  The per-entry static
-        plans are resolved once per block and cached on
-        ``block.model_plans`` (masks are stable for the life of the
+        Per commit, indexed by its step: the ROB entry (with the
+        exception flush on a trap), the occupancy bucket, the uop's issue
+        queue slot, physical register and load/store-queue entry, the
+        dual-issue pairing with the previous commit's class (carried
+        across blocks in ``dut_scratch["boom_prev_cls"]``), the commit
+        lane, and a mispredict flush on a taken branch.  Illegal words
+        (``None`` in the per-block plan list) emit only the ROB /
+        occupancy / exception masks and leave ``boom_prev_cls`` alone.
+        The per-entry static plans are resolved once per block and cached
+        on ``block.model_plans`` (masks are stable for the life of the
         process), replacing an instruction-hash memo lookup per commit
         with a list index.
         """

@@ -48,10 +48,11 @@ class InjectedBug:
     The DUT's fused superblock loop fires the hooks where they act:
     ``on_mem_load``, ``on_csr_read`` and ``on_csr_write`` inside the
     instruction handlers, ``on_trap`` on every trap commit.  ``on_decode``
-    and ``should_count_retirement`` only fire on the per-step path, so a
-    bug overriding either must declare in :meth:`triggers_on` every
-    instruction they can act on: the fused loop stops before such an
-    entry and runs it per-step.
+    and ``should_count_retirement`` fire only on the entries
+    :meth:`triggers_on` declares, so a bug overriding either must declare
+    every instruction they can act on: a block stops before such an
+    entry, which then runs alone -- decoded through ``on_decode`` first,
+    and asked ``should_count_retirement`` once it has committed.
 
     The run loop replays a loop iteration instead of simulating it once
     :meth:`~repro.rtl.harness.DutExecutor.periodic_state` compares equal

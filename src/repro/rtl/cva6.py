@@ -20,13 +20,11 @@ from typing import Optional, Sequence, Set, Union
 
 from repro.coverage.bitset import point_mask
 from repro.coverage.points import coverage_point
-from repro.isa.encoding import InstrClass, spec_for
-from repro.isa.instruction import Instruction
+from repro.isa.encoding import InstrClass
 from repro.isa import csr as csrdefs
 from repro.rtl.bugs import CVA6_BUG_IDS, InjectedBug
 from repro.rtl.harness import DutConfig, DutExecutor, DutModel
 from repro.sim.executor import ExecutorConfig
-from repro.sim.trace import CommitRecord
 
 #: Issue-port assignment per instruction class.
 _ISSUE_PORTS = {
@@ -136,32 +134,18 @@ class CVA6Model(DutModel):
                                       for port_table in tables["commit_port"]]
         return tables
 
-    def structural_mask(self, record: CommitRecord, instr: Instruction,
-                        executor: DutExecutor) -> int:
-        tables = self._structural_tables()
-        step = record.step
-        entry = step % self.scoreboard_entries
-        mask = tables["sb_issue"][entry]
-        if record.rd is not None:
-            mask |= tables["sb_writeback"][entry]
-        mask |= tables["frontend"][(record.pc >> 2) % self.frontend_buckets]
-        if not instr.is_illegal:
-            cls = spec_for(instr.mnemonic).cls
-            mask |= tables["issue_port"][cls]
-            mask |= tables["commit_port"][step % self.commit_ports][cls]
-            if record.csr_addr == csrdefs.MSTATUS:
-                mask |= tables["fs_dirty"]
-        return mask
-
     def structural_block_mask(self, records: list, start: int, plan: tuple,
                               executor: DutExecutor, block=None) -> int:
-        """One-call-per-superblock twin of :meth:`structural_mask`.
+        """Scoreboard, frontend, issue-port and commit-port points.
 
-        Identical emission with the table lookups hoisted out of the
-        per-commit loop.  The per-entry integer class indices (``None``
-        for illegal words, which emit only the scoreboard/frontend masks)
-        are resolved once per block and cached on ``block.model_plans``,
-        so the loop indexes flat lists instead of hashing enums.
+        Per commit, indexed by its step and pc: the scoreboard entry (and
+        its writeback when the commit writes ``rd``), the fetch bucket,
+        the issue port and commit port of its class, and the FPU
+        dirty-state point on an ``mstatus`` write.  The per-entry integer
+        class indices (``None`` for illegal words, which emit only the
+        scoreboard/frontend masks) are resolved once per block and cached
+        on ``block.model_plans``, so the loop indexes flat lists instead
+        of hashing enums.
         """
         tables = self._structural_tables()
         indices = None if block is None else block.model_plans.get(CVA6Model)

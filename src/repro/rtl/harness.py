@@ -21,9 +21,10 @@ observation collapses to a few dict gets plus ``cov |= mask``.  Point
 names are built only on a memo miss; :class:`DutRunResult` carries the
 run's mask, and :func:`points_of` expands it only for readers.  A DUT's
 coverage space, its mask and its structural tables are per-process memos,
-so a trial's fresh model rebuilds none of them.  Frozen per-program run
-digests (``tests/sim/test_hotpath_equivalence.py``) pin the emitted
-coverage on both the fused and the per-step loop.
+so a trial's fresh model rebuilds none of them.  Every instruction commits
+inside :meth:`DutExecutor.run_block`, so each coverage family has exactly
+one emitter; frozen per-program run digests
+(``tests/sim/test_hotpath_equivalence.py``) pin what it emits.
 """
 
 from __future__ import annotations
@@ -325,34 +326,6 @@ def static_instr_mask(instr: Instruction, word: int) -> int:
     return mask
 
 
-#: per-instruction decode plan: everything the fetch/decode observation
-#: needs that is static per decoded instruction, resolved once --
-#: ``(static_mask, spec|None, rd_written|None, rs1_read|None, rs2_read|None,
-#: is_mem)``.  Illegal words share one plan per opcode-bit pattern.
-_DECODE_PLANS: Dict[object, Tuple] = {}
-
-
-def _decode_plan(instr: Instruction, word: int) -> Tuple:
-    key: object = (word >> 2) & 0x1F if instr.raw is not None else instr
-    plan = _DECODE_PLANS.get(key)
-    if plan is None:
-        static = static_instr_mask(instr, word)
-        if instr.raw is not None:
-            plan = (static, None, None, None, None, False)
-        else:
-            spec = spec_for(instr.mnemonic)
-            cls = spec.cls
-            plan = (static, spec,
-                    instr.rd if spec.writes_rd else None,
-                    instr.rs1 if spec.reads_rs1 else None,
-                    instr.rs2 if spec.reads_rs2 else None,
-                    cls is InstrClass.LOAD or cls is InstrClass.STORE)
-        if len(_DECODE_PLANS) >= _INSTR_MEMO_MAX:
-            _DECODE_PLANS.clear()
-        _DECODE_PLANS[key] = plan
-    return plan
-
-
 _MEM_MASKS: Dict[Tuple, int] = {}
 
 
@@ -471,49 +444,51 @@ def _cut_point(block: Superblock, triggers: Tuple) -> int:
 _ENTRY_PLANS: Dict[int, Tuple] = {}
 
 
-def _entry_plan(word: int, instr: Instruction, handler) -> Tuple:
-    """Build (and memoise) the DUT plan entry of one superblock entry."""
+def _plan_entry(word: int, instr: Instruction) -> Tuple:
+    """The DUT plan entry running ``instr`` as the instruction at ``word``.
+
+    Uncached: :func:`_word_plan` memoises the entries of decoded words,
+    and the entry of a bug's substituted decode must not take their place.
+    """
+    handler = handler_for(instr)
     if instr.raw is not None:
         # Illegal word: no spec, no operand/hazard bookkeeping -- the
         # handler raises the illegal-instruction trap and the loop's trap
         # arm commits it (with the trap coverage of the cause a bug may
         # have rewritten).
-        entry = (word, instr, handler, None, None, None, None, None,
-                 False, False, False, None, False, False,
-                 static_instr_mask(instr, word))
-    else:
-        spec = spec_for(instr.mnemonic)
-        cls = spec.cls
-        is_mem = cls is InstrClass.LOAD or cls is InstrClass.STORE
-        entry = (
-            word, instr, handler, spec, cls,
-            instr.rd if spec.writes_rd else None,
-            instr.rs1 if spec.reads_rs1 else None,
-            instr.rs2 if spec.reads_rs2 else None,
-            is_mem,
-            is_mem or cls is InstrClass.ATOMIC,
-            cls is InstrClass.MUL or cls is InstrClass.DIV,
-            # ALU result-bucket masks (zero/neg/pos), pre-resolved so the
-            # fused loop picks one with integer tests instead of calling
-            # alu_mask (bucket string + tuple key + memo get) per commit.
-            (alu_mask(instr.mnemonic, 0), alu_mask(instr.mnemonic, 1 << 63),
-             alu_mask(instr.mnemonic, 1)) if cls in _ALU_CLASSES else None,
-            cls is InstrClass.ATOMIC,
-            cls is InstrClass.BRANCH,
-            static_instr_mask(instr, word),
-        )
-    if len(_ENTRY_PLANS) >= _INSTR_MEMO_MAX:
-        _ENTRY_PLANS.clear()
-    _ENTRY_PLANS[word] = entry
-    return entry
+        return (word, instr, handler, None, None, None, None, None,
+                False, False, False, None, False, False,
+                static_instr_mask(instr, word))
+    spec = spec_for(instr.mnemonic)
+    cls = spec.cls
+    is_mem = cls is InstrClass.LOAD or cls is InstrClass.STORE
+    return (
+        word, instr, handler, spec, cls,
+        instr.rd if spec.writes_rd else None,
+        instr.rs1 if spec.reads_rs1 else None,
+        instr.rs2 if spec.reads_rs2 else None,
+        is_mem,
+        # The handler emits dcache or CSR coverage through ``self._cov``.
+        is_mem or cls is InstrClass.ATOMIC or cls is InstrClass.CSR,
+        cls is InstrClass.MUL or cls is InstrClass.DIV,
+        # ALU result-bucket masks (zero/neg/pos), pre-resolved so the
+        # fused loop picks one with integer tests instead of calling
+        # alu_mask (bucket string + tuple key + memo get) per commit.
+        (alu_mask(instr.mnemonic, 0), alu_mask(instr.mnemonic, 1 << 63),
+         alu_mask(instr.mnemonic, 1)) if cls in _ALU_CLASSES else None,
+        cls is InstrClass.ATOMIC,
+        cls is InstrClass.BRANCH,
+        static_instr_mask(instr, word),
+    )
 
 
 def _word_plan(word: int) -> Tuple:
     """The DUT plan entry of ``word``, decoded as the compiled trace does."""
     entry = _ENTRY_PLANS.get(word)
     if entry is None:
-        instr = decode_word(word)
-        entry = _entry_plan(word, instr, handler_for(instr))
+        if len(_ENTRY_PLANS) >= _INSTR_MEMO_MAX:
+            _ENTRY_PLANS.clear()
+        entry = _ENTRY_PLANS[word] = _plan_entry(word, decode_word(word))
     return entry
 
 
@@ -529,13 +504,8 @@ def _block_dut_plan(block: Superblock) -> Tuple[Tuple, ...]:
     and bug-independent; one block serves every DUT model in the process.
     """
     memo = _ENTRY_PLANS
-    plan = []
-    for word, instr, handler in block.entries:
-        entry = memo.get(word)
-        if entry is None:
-            entry = _entry_plan(word, instr, handler)
-        plan.append(entry)
-    block.dut_plan = tuple(plan)
+    block.dut_plan = tuple(memo.get(word) or _word_plan(word)
+                           for word, _, _ in block.entries)
     return block.dut_plan
 
 
@@ -573,8 +543,9 @@ class DutExecutor(Executor):
         self.hazards = HazardTracker("hazard", dut_config.hazard_window)
         self.fu = FunctionalUnitMonitor("fu")
         self.bugs: List[InjectedBug] = dut.bugs
-        #: static trigger declarations of the bugs whose decode/retirement
-        #: hooks the fused loop must hand to the per-step path.
+        #: static trigger declarations of the bugs with decode/retirement
+        #: hooks: a block stops before the first entry they declare, which
+        #: then runs alone with those hooks applied (see run_block).
         self._bug_triggers = tuple(
             bug.triggers_on for bug in self.bugs
             if bug.triggers_on is not InjectedBug.triggers_on)
@@ -591,7 +562,6 @@ class DutExecutor(Executor):
         self.bug_effects: Dict[str, List[int]] = {}
         #: decode results a bug's ``on_decode`` replaced so far.
         self._substitutions = 0
-        self._operand_values: Tuple[int, int] = (0, 0)
         #: free-form per-run scratch space for DUT-specific structural coverage.
         self.dut_scratch: Dict[str, object] = {}
         #: accumulated coverage bitset (see :mod:`repro.coverage.bitset`).
@@ -613,33 +583,18 @@ class DutExecutor(Executor):
         self.bug_effects.setdefault(bug_id, []).append(self._step_index)
 
     # ------------------------------------------------------------------ decode
-    def _observe_decode(self, instr: Instruction, word: int, pc: int) -> Instruction:
-        """Bug decode hooks + fetch/decode coverage (both step paths)."""
+    def _decode_hooks(self, entry: Tuple) -> Tuple:
+        """The plan entry a bug-declared block leader runs as: ``entry``
+        itself, or an uncached one for the decode a bug's ``on_decode``
+        substituted (later bugs see the earlier substitution)."""
+        word, instr = entry[0], entry[1]
+        decoded = instr
         for bug in self.bugs:
-            replacement = bug.on_decode(self, instr, word)
+            replacement = bug.on_decode(self, decoded, word)
             if replacement is not None:
-                instr = replacement
+                decoded = replacement
                 self._substitutions += 1
-        self._record_fetch_decode(instr, word, pc)
-        return instr
-
-    def _record_fetch_decode(self, instr: Instruction, word: int, pc: int) -> None:
-        """Coverage of one fetch+decode (bitset fast path)."""
-        static_mask, spec, rd, rs1, rs2, is_mem = _decode_plan(instr, word)
-        icache = self.icache
-        cov = self._cov | icache.access_mask(pc, False) | static_mask
-        line = pc // icache.line_bytes
-        if line != self._fetch_line:
-            self._fetch_line = line
-            self._fetch_rehit = icache.repeat_hit_mask(pc)
-        if spec is not None:
-            regs = self.state.regs
-            self._operand_values = (regs[rs1] if rs1 is not None else 0,
-                                    regs[rs2] if rs2 is not None else 0)
-            if is_mem:
-                cov |= mem_mask(instr, spec, self)
-            cov |= self.hazards.observe_mask(rd, rs1, rs2)
-        self._cov = cov
+        return entry if decoded is instr else _plan_entry(word, decoded)
 
     # ------------------------------------------------------------------ memory
     def _mem_load(self, address: int, size: int, signed: bool,
@@ -699,6 +654,13 @@ class DutExecutor(Executor):
 
     # -------------------------------------------------------------------- traps
     def _trap_cause(self, trap: Trap, instr: Instruction, pc: int) -> Optional[Trap]:
+        """Map a raised trap to the trap that is architecturally reported.
+
+        Each bug's ``on_trap`` sees the previous one's result.  ``None``
+        suppresses the trap entirely (the instruction then commits as a
+        no-op writing 0 to ``rd`` if it has one) -- this models defects
+        such as V5 where an exception is silently swallowed.
+        """
         current: Optional[Trap] = trap
         for bug in self.bugs:
             if current is None:
@@ -706,89 +668,55 @@ class DutExecutor(Executor):
             current = bug.on_trap(self, current, instr, pc)
         return current
 
-    # --------------------------------------------------------------- retirement
-    def _count_retirement(self, instr: Instruction, trapped: bool) -> None:
-        for bug in self.bugs:
-            if not bug.should_count_retirement(self, instr):
-                self.state.csrs[csrdefs.MCYCLE] = (
-                    self.state.csrs[csrdefs.MCYCLE] + 1) & MASK64
-                return
-        super()._count_retirement(instr, trapped)
-
-    # ------------------------------------------------------------------ observe
-    def _observe_commit(self, record: CommitRecord, instr: Instruction) -> CommitRecord:
-        cov = self._cov
-        trap = record.trap
-        if trap is not None:
-            cov |= trap_mask(instr, record)
-        if not instr.is_illegal:
-            cls = spec_for(instr.mnemonic).cls
-            rd_value = record.rd_value
-            if trap is None:
-                if rd_value is not None and cls in _ALU_CLASSES:
-                    cov |= alu_mask(instr.mnemonic, rd_value)
-                elif cls is InstrClass.BRANCH:
-                    taken = record.next_pc != (record.pc + 4) & MASK64
-                    cov |= branch_mask(instr.mnemonic, taken,
-                                       record.next_pc < record.pc)
-                    cov |= self.bpred.update_mask(record.pc, taken)
-                elif cls is InstrClass.ATOMIC:
-                    cov |= atomic_mask(instr, record)
-            if rd_value is not None and (cls is InstrClass.MUL
-                                         or cls is InstrClass.DIV):
-                operands = self._operand_values
-                cov |= self.fu.observe_mask(cls, operands[0], operands[1],
-                                            rd_value)
-        cov |= self.dut.structural_mask(record, instr, self)
-        if self.csr_tracker is not None:
-            cov |= self.csr_tracker.observe_mask(record)
-        self._cov = cov
-        if trap is not None:
-            self.last_trap_step = self._step_index
-            self.last_trap_cause = trap
-        return record
-
     # ------------------------------------------------------------- superblocks
     def run_block(self, block: Superblock, records: list) -> Optional[tuple]:
         """Fused superblock execution with inline coverage emission.
 
-        Mirrors one iteration of the per-step path -- fetch/decode coverage,
-        operand capture, execution, retirement counters, commit observation
-        -- per plan entry, with the bounded-memo lookups pre-resolved into
-        the block's plan and the coverage bitset held in a local.  Stateful
-        microarchitectural components (icache LRU, hazard window, dcache via
-        the memory hooks, the DUT's ``structural_mask`` emitter) are still
-        consulted per instruction, in the same order as the per-step path,
-        so the accumulated coverage set is bit-identical.
+        Every DUT instruction commits here, so this loop is the one
+        emitter of every coverage family.  Per plan entry it emits the
+        fetch/decode coverage, executes, commits and observes the commit,
+        with the bounded-memo lookups pre-resolved into the block's plan
+        and the coverage bitset held in a local.  Stateful
+        microarchitectural components (icache LRU, hazard window, dcache
+        via the memory hooks) are consulted per instruction, in commit
+        order; the model's structural emitter and the retirement counters
+        run once per block.
 
-        Every DUT configuration runs here.  Injected bugs hook in where
-        they act (see :class:`~repro.rtl.bugs.InjectedBug`):
+        Injected bugs hook in where they act (see
+        :class:`~repro.rtl.bugs.InjectedBug`):
 
         * ``on_mem_load``, ``on_csr_read`` and ``on_csr_write`` fire inside
-          the handlers, as on the per-step path;
+          the handlers;
         * ``on_trap`` fires in the trap arm via :meth:`_trap_cause`; the arm
           commits the reported trap -- or, when a bug swallows it, the
           :meth:`_commit_suppressed_trap` record, which then takes the
           ordinary non-trap coverage arm;
         * ``on_decode`` and ``should_count_retirement`` only act on entries
-          their bug's ``triggers_on`` declares.  The first such entry is
-          the block's *cut point*: the loop stops before it, flushes what
-          a block exit flushes, runs it through :meth:`step_compiled`
-          (every hook fires) and returns.
+          their bug's ``triggers_on`` declares.  A block stops before the
+          first such entry; a block led by one runs that entry alone,
+          decoded through ``on_decode`` (a substituted decode gets its own
+          uncached plan entry), and asks ``should_count_retirement``
+          whether it retires once it has committed.
 
         Under the ``csr`` coverage model the transition tracker observes
-        the trap commits and the CSR tail, the only records that carry
-        ``trap`` or ``csr_addr``/``csr_value``, so it sees the same
-        records in the same order as on the per-step path.
+        the trap commits and the last commit, the only records that carry
+        ``trap`` or ``csr_addr``/``csr_value`` (only a CSR tail writes a
+        CSR), in commit order.
         """
         plan = block.dut_plan
         if plan is None:
             plan = _block_dut_plan(block)
         entries = plan
-        cut = -1
+        owner = block  # whose cached structural plans ``plan`` matches
+        hooked = False
         if self._bug_triggers:
             cut = _cut_point(block, self._bug_triggers)
-            if cut >= 0:
+            if cut == 0:
+                hooked = True
+                entries = (self._decode_hooks(plan[0]),)
+                if entries[0] is not plan[0]:
+                    plan, owner = entries, None
+            elif cut > 0:
                 entries = plan[:cut]
         bugs = self.bugs
         tracker = self.csr_tracker
@@ -828,9 +756,9 @@ class DutExecutor(Executor):
         # triggers exactly there.
         flush_at = block.length - 1 if block.csr_tail else -1
         commits = 0
-        uncounted = 0  # trapped commits excluded from minstret
+        uncounted = 0  # commits excluded from minstret
         for (word, instr, handler, spec, cls, rd, rs1, rs2, is_mem,
-             is_memlike, is_muldiv, alu3, is_atomic, is_branch,
+             syncs_cov, is_muldiv, alu3, is_atomic, is_branch,
              static_mask) in entries:
             line = pc // line_bytes
             if line == fetch_line:
@@ -841,10 +769,10 @@ class DutExecutor(Executor):
                 fetch_rehit = icache_repeat(pc)
             if spec is not None:
                 # Illegal words (spec None) get no operand capture and no
-                # hazard-window update, exactly like the per-step path.
+                # hazard-window update.
                 if is_muldiv:
-                    self._operand_values = (regs[rs1] if rs1 is not None else 0,
-                                            regs[rs2] if rs2 is not None else 0)
+                    operands = (regs[rs1] if rs1 is not None else 0,
+                                regs[rs2] if rs2 is not None else 0)
                 if is_mem:
                     cov |= mem_mask(instr, spec, self)
                 # --- hazards.observe_mask, inlined ---------------------------
@@ -869,18 +797,14 @@ class DutExecutor(Executor):
             if commits == flush_at:
                 # CSR tail: flush the batched counters so its CSR reads
                 # and writes are architecturally exact, then restart the
-                # batch (see Executor.run_block).  Its handler emits CSR
-                # coverage through ``self._cov``, so sync like memlike.
+                # batch (see Executor.run_block).
                 csrs[csrdefs.MINSTRET] = (
                     csrs[csrdefs.MINSTRET] + commits - uncounted) & MASK64
                 csrs[csrdefs.MCYCLE] = (csrs[csrdefs.MCYCLE] + commits) & MASK64
                 commits = 0
                 uncounted = 0
                 flush_at = -1
-                sync_cov = True
-            else:
-                sync_cov = is_memlike
-            if sync_cov:
+            if syncs_cov:
                 # dcache / CSR coverage is recorded inside the handler via
                 # ``self._cov``; keep it coherent across the handler call.
                 self._cov = cov
@@ -909,7 +833,6 @@ class DutExecutor(Executor):
                         cov |= (alu3[0] if rd_value == 0 else
                                 alu3[1] if rd_value >> 63 else alu3[2])
                     if is_muldiv:
-                        operands = self._operand_values
                         cov |= self.fu.observe_mask(cls, operands[0],
                                                     operands[1], rd_value)
                 if is_branch:
@@ -921,7 +844,8 @@ class DutExecutor(Executor):
                     cov |= atomic_mask(instr, record)
             else:
                 # Break the trap -> traceback -> this frame -> ``trap``
-                # cycle (see Executor._commit_trap).
+                # cycle, which would keep this executor, its memory and
+                # the run's records alive until the cycle collector ran.
                 trap.with_traceback(None)
                 cause = trap.cause
                 csrs[csrdefs.MEPC] = pc
@@ -941,6 +865,9 @@ class DutExecutor(Executor):
                     cov |= tracker.observe_mask(record)
                 self.last_trap_step = self._step_index
                 self.last_trap_cause = cause
+            if hooked and not all(bug.should_count_retirement(self, instr)
+                                  for bug in bugs):
+                uncounted = 1  # the lone entry: one commit, off minstret
             commits += 1
             append(record)
             self._step_index += 1
@@ -951,38 +878,21 @@ class DutExecutor(Executor):
                                           base_address, end_address)
                 if dirtied is not None:
                     break  # store hit the code window: stop fused execution
-        if (tracker is not None and block.csr_tail
-                and len(records) - block_start == block.length
-                and record.trap is None):
-            # The CSR tail committed: after the trap commits (observed in
-            # the trap arm), the only record that can move a tracked CSR.
+        if tracker is not None and record.csr_addr is not None:
+            # A CSR tail's write: after the trap commits (observed in the
+            # trap arm), the only record that can move a tracked CSR.
             cov |= tracker.observe_mask(record)
         # Structural coverage is a pure function of the commit records (plus
         # the model's own scratch state, which it advances in record order),
         # so it batches into one call per block instead of one per commit.
         cov |= self.dut.structural_block_mask(records, block_start, plan, self,
-                                              block)
+                                              owner)
         csrs[csrdefs.MINSTRET] = (csrs[csrdefs.MINSTRET] + commits - uncounted) & MASK64
         csrs[csrdefs.MCYCLE] = (csrs[csrdefs.MCYCLE] + commits) & MASK64
         self._cov = cov
         self._fetch_line = fetch_line
         self._fetch_rehit = fetch_rehit
-        if cut >= 0 and dirtied is None:
-            # Cut point: everything above was a block exit; the entry a
-            # bug's decode/retirement hook may act on runs per-step.
-            state.pc = pc & MASK64
-            record = self.step_compiled(block.entries[cut])
-            append(record)
-            mem_addr = record.mem_addr
-            if mem_addr is not None:
-                dirtied = dirty_word_span(mem_addr, record.mem_size or 1,
-                                          base_address, end_address)
-            return dirtied
-        if block.tail_redirect and dirtied is None:
-            # The tail branch/jump ran; its record carries the exit pc.
-            state.pc = record.next_pc
-        else:
-            state.pc = pc & MASK64
+        state.pc = record.next_pc
         return dirtied
 
     # ------------------------------------------------------------- loop replay
@@ -1090,39 +1000,24 @@ class DutModel(ModelBase):
         """DUT-specific structural coverage points (overridden by subclasses)."""
         return set()
 
-    def structural_mask(self, record: CommitRecord, instr: Instruction,
-                        executor: DutExecutor) -> int:
-        """DUT-specific structural coverage of one commit, as a bitset mask.
-
-        The three processor models override this with table-driven emitters
-        (precomputed per-point masks, no string building per commit); the
-        base model has no structural coverage.
-        """
-        return 0
-
     def structural_block_mask(self, records: list, start: int, plan: Tuple,
                               executor: DutExecutor, block=None) -> int:
-        """Structural coverage of one fused superblock's commits, batched.
+        """DUT-specific structural coverage of a run of commits, as one mask.
 
-        Called once per superblock by the fused DUT loop with the commit
-        records the block appended (``records[start:]`` -- possibly fewer
-        than ``len(plan)`` entries after a dirty-store abort) and the
-        block's execution plan, whose entries carry the decoded
-        instructions; and once per replayed loop (see
-        :meth:`DutExecutor.replay_period`) with the copies' records and the
-        period's plan entries repeated, without a block.  Equivalent to
-        OR-ing :meth:`structural_mask` over the commits in order -- which
-        is exactly what this default does -- but the three processor
-        models override it with a single loop that hoists the table and
-        memo lookups out of the per-commit path (and caches the per-entry
-        plans on ``block.model_plans`` when the superblock is provided).
+        Called once per superblock by :meth:`DutExecutor.run_block` with
+        the commit records the block appended (``records[start:]`` --
+        possibly fewer than ``len(plan)`` entries after a dirty-store
+        abort or a cut before a bug-declared entry) and the block's
+        execution plan, whose entries carry the decoded instructions; and
+        once per replayed loop (see :meth:`DutExecutor.replay_period`)
+        with the copies' records and the period's plan entries repeated,
+        without a block.  The three processor models override it with a
+        table-driven loop over the commits in order (precomputed
+        per-point masks, no string building per commit), caching the
+        per-entry plans on ``block.model_plans`` when a block is given;
+        the base model has no structural coverage.
         """
-        mask = 0
-        structural = self.structural_mask
-        for offset in range(len(records) - start):
-            mask |= structural(records[start + offset], plan[offset][1],
-                               executor)
-        return mask
+        return 0
 
     def _structural_tables(self) -> dict:
         """The subclass's ``_build_structural_tables()``, built once per class."""

@@ -20,7 +20,6 @@ from repro.isa.instruction import Instruction
 from repro.rtl.bugs import ROCKET_BUG_IDS, InjectedBug
 from repro.rtl.harness import _INSTR_MEMO_MAX, DutConfig, DutExecutor, DutModel
 from repro.sim.executor import ExecutorConfig
-from repro.sim.trace import CommitRecord
 
 _PIPELINE_STAGES = ("if", "id", "ex", "mem", "wb")
 _STALL_KINDS = ("loaduse", "div", "mul", "csr", "fence", "amo")
@@ -130,51 +129,18 @@ class RocketModel(DutModel):
             )
         return plan
 
-    def structural_mask(self, record: CommitRecord, instr: Instruction,
-                        executor: DutExecutor) -> int:
-        tables = self._structural_tables()
-        if instr.is_illegal:
-            return tables["illegal"]
-
-        mask, writes_rd, rs1, rs2, cls = self._instr_plan(instr, tables)
-
-        rd = record.rd
-        if writes_rd and rd is not None:
-            mask |= tables["rf_write"][rd]
-
-        # The previous commit's state is a plain ``(rd, is_load)`` tuple.
-        prev = executor.dut_scratch.get("rocket_prev")
-        if prev is not None and prev[0]:
-            prev_rd = prev[0]
-            if rs1 == prev_rd:
-                mask |= tables["bypass_ex"][prev_rd]
-                if prev[1]:
-                    mask |= tables["stall_loaduse"]
-            if rs2 == prev_rd:
-                mask |= tables["bypass_mem"][prev_rd]
-
-        if record.trap is not None:
-            mask |= tables["redirect_trap"]
-        elif cls is InstrClass.JUMP:
-            mask |= tables["redirect_jump"]
-        elif cls is InstrClass.BRANCH and record.next_pc != record.pc + 4:
-            mask |= tables["redirect_branch"]
-        else:
-            mask |= tables["sequential"]
-
-        executor.dut_scratch["rocket_prev"] = (rd, cls is InstrClass.LOAD)
-        return mask
-
     def structural_block_mask(self, records: list, start: int, plan: tuple,
                               executor: DutExecutor, block=None) -> int:
-        """One-call-per-superblock twin of :meth:`structural_mask`.
+        """Pipeline, register-file, bypass, stall and pc-generation points.
 
-        Identical emission and scratch-state evolution, with the table and
-        previous-commit lookups hoisted out of the per-commit loop.
-        Illegal words (``None`` in the per-block plan list) emit only the
-        fetch/decode bubbles and leave the previous-commit state alone,
-        like the per-commit illegal fast-exit.  The per-entry static plans
-        are resolved once per block and cached on ``block.model_plans``
+        Per commit: every stage of the instruction's pipeline slot, its
+        register reads and write, a bypass (and a load-use stall) when it
+        reads the previous commit's destination, and the pc-generation
+        outcome.  The previous commit's ``(rd, is_load)`` carries across
+        blocks in ``dut_scratch``.  Illegal words (``None`` in the
+        per-block plan list) emit only the fetch/decode bubbles and leave
+        the previous-commit state alone.  The per-entry static plans are
+        resolved once per block and cached on ``block.model_plans``
         (masks are stable for the life of the process), replacing an
         instruction-hash memo lookup per commit with a list index.
         """

@@ -1,19 +1,21 @@
 """Instruction-set executor: the functional semantics of the modelled ISA.
 
-The :class:`Executor` implements fetch/decode/execute for one hart.  It is
-used directly by the golden model and subclassed by the DUT harness
-(:mod:`repro.rtl.harness`), which overrides the protected hook methods
-(``_decode``, ``_mem_load``, ``_csr_read``, ``_trap_cause``,
-``_count_retirement`` ...) to inject microarchitectural behaviour, coverage
-instrumentation and the paper's vulnerabilities.
+The :class:`Executor` runs one hart, one superblock at a time
+(:meth:`Executor.run_block`; blocks come from :mod:`repro.isa.compiled`).
+It is used directly by the golden model and subclassed by the DUT harness
+(:mod:`repro.rtl.harness`), which overrides :meth:`Executor.run_block` with
+an instrumented fused loop and the protected hook methods the handlers call
+(``_mem_load``, ``_csr_read``, ``_trap_cause`` ...) to inject
+microarchitectural behaviour, coverage instrumentation and the paper's
+vulnerabilities.
 
 Execution is table-dispatched: every mnemonic's handler -- including its
 canonical ALU operation, operand signedness and load/store width -- is
 resolved **once** from the instruction-spec table when this module is
 imported, not per step.  Handlers are closures that reach all overridable
-behaviour (memory, CSRs, traps, retirement) through the ``self`` hook
-methods, so a single shared dispatch table serves the golden executor and
-every DUT subclass without changing their semantics.
+behaviour (memory, CSRs) through the ``self`` hook methods, so a single
+shared dispatch table serves the golden executor and every DUT subclass
+without changing their semantics.
 
 Harness conventions (shared by the golden model and all DUTs so that a
 *correct* DUT produces a bit-identical commit trace):
@@ -34,10 +36,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.isa import csr as csrdefs
 from repro.isa.compiled import Superblock, dirty_word_span
-from repro.isa.decoder import decode_word
 from repro.isa.encoding import InstrClass, InstrFormat, SPECS, spec_for
 from repro.isa.exceptions import Trap, TrapCause
-from repro.isa.instruction import Instruction
+from repro.isa.instruction import ILLEGAL_MNEMONIC, Instruction
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
 from repro.sim.trace import CommitRecord, HaltReason
@@ -159,22 +160,9 @@ class Executor:
         self._step_index = 0
 
     # =================================================================== hooks
-    # The DUT harness overrides these to model decode defects, cache effects,
-    # coverage emission and the injected vulnerabilities.
-
-    def _observe_decode(self, instr: Instruction, word: int, pc: int) -> Instruction:
-        """Observe (and possibly replace) a decoded instruction.
-
-        This is the post-decode hook shared by the fetch-and-decode path
-        (:meth:`step`) and the pre-decoded compiled-trace path
-        (:meth:`step_compiled`): DUTs emit fetch/decode coverage and give
-        the injected bugs their ``on_decode`` shot here, so both paths
-        instrument every commit identically.
-        """
-        return instr
-
-    def _decode(self, word: int, pc: int) -> Instruction:
-        return self._observe_decode(decode_word(word), word, pc)
+    # The handlers reach memory and CSRs through these; the DUT harness
+    # overrides them to model cache effects, coverage emission and the
+    # injected vulnerabilities.
 
     def _mem_load(self, address: int, size: int, signed: bool,
                   instr: Instruction) -> int:
@@ -190,108 +178,26 @@ class Executor:
     def _csr_write(self, address: int, value: int, instr: Instruction) -> None:
         self.state.write_csr(address, value)
 
-    def _trap_cause(self, trap: Trap, instr: Instruction, pc: int) -> Optional[Trap]:
-        """Map a raised trap to the trap that is architecturally reported.
-
-        Returning ``None`` suppresses the trap entirely (the instruction then
-        commits as a no-op writing 0 to ``rd`` if it has one) -- this models
-        defects such as V5 where an exception is silently swallowed.
-        """
-        return trap
-
-    def _count_retirement(self, instr: Instruction, trapped: bool) -> None:
-        if trapped and not self.config.count_trapped_instructions:
-            self.state.csrs[csrdefs.MCYCLE] = (
-                self.state.csrs[csrdefs.MCYCLE] + 1) & MASK64
-            return
-        self.state.increment_counters(instret=1, cycles=1)
-
-    def _observe_commit(self, record: CommitRecord, instr: Instruction) -> CommitRecord:
-        """Called after each commit; DUTs use it for coverage and bug effects."""
-        return record
-
-    # =================================================================== fetch
-    def step(self) -> Optional[CommitRecord]:
-        """Execute one instruction; return its commit record (or ``None`` if halted)."""
-        if self.halted:
-            return None
-        pc = self.state.pc
-        try:
-            word = self.memory.fetch_word(pc)
-        except Trap as trap:
-            record = self._commit_trap(pc, 0, Instruction.illegal(0), trap)
-            self.halted = True
-            self.halt_reason = HaltReason.PC_OUT_OF_RANGE
-            return record
-        instr = self._decode(word, pc)
-        return self._dispatch_step(instr, pc, word,
-                                   _HANDLERS.get(instr.mnemonic))
-
-    def step_compiled(self, entry: tuple) -> Optional[CommitRecord]:
-        """Execute one pre-decoded instruction from a compiled trace.
-
-        ``entry`` is a ``(word, instr, handler)`` tuple produced by
-        :func:`repro.isa.compiled.compile_program`; the caller (the shared
-        run loop in :mod:`repro.sim.golden`) guarantees it corresponds to
-        the current ``pc`` and that the backing memory word is unmodified.
-        Semantics are identical to :meth:`step` minus the fetch and decode:
-        the decode-observation hook still runs (a bug may replace the
-        instruction, in which case the pre-resolved handler is discarded).
-        """
-        if self.halted:
-            return None
-        word, instr, handler = entry
-        pc = self.state.pc
-        observed = self._observe_decode(instr, word, pc)
-        if observed is not instr:
-            instr = observed
-            handler = _HANDLERS.get(instr.mnemonic)
-        return self._dispatch_step(instr, pc, word, handler)
-
-    def _dispatch_step(self, instr: Instruction, pc: int, word: int,
-                       handler: Optional[Callable]) -> CommitRecord:
-        """Execute + commit one decoded instruction (shared by both step paths)."""
-        try:
-            if handler is not None:
-                record = handler(self, instr, pc, word)
-            else:
-                record = self._execute(instr, pc, word)
-        except Trap as trap:
-            reported = self._trap_cause(trap, instr, pc)
-            if reported is None:
-                record = self._commit_suppressed_trap(pc, word, instr)
-            else:
-                record = self._commit_trap(pc, word, instr, reported)
-        self._count_retirement(instr, trapped=record.trap is not None)
-        record = self._observe_commit(record, instr)
-        self.state.pc = record.next_pc
-        self._step_index += 1
-        if instr.mnemonic == "ecall":
-            self.halted = True
-            self.halt_reason = HaltReason.ECALL
-        return record
-
     # ============================================================ superblocks
     def run_block(self, block: Superblock, records: list) -> Optional[tuple]:
-        """Execute one fused superblock from the current pc.
+        """Execute one superblock from the current pc: the only way an
+        instruction commits.
 
         The caller (the shared run loop in :mod:`repro.sim.golden`)
         guarantees the preconditions: ``state.pc`` is the block's leader
         address, none of the block's words are dirty, and at least
-        ``block.length`` steps remain under the step limit.  Commit
-        records are appended to ``records`` directly; ``state.pc`` is
-        written once at block exit.  Returns the ``(first, last)``
-        dirty-word span of a committed store that hit the code window --
-        which aborts the block after that instruction, so every
-        subsequent word is re-fetched -- or ``None``.
+        ``block.length`` steps remain under the step limit (the loop
+        hands over a truncated block otherwise).  Commit records are
+        appended to ``records`` directly; ``state.pc`` is written once at
+        block exit, from the last record's ``next_pc`` (a redirecting
+        tail's target, ``mepc`` after an ``mret``, ``pc + 4`` otherwise).
+        Returns the ``(first, last)`` dirty-word span of a committed store
+        that hit the code window -- which aborts the block after that
+        instruction, so every subsequent word is re-fetched -- or ``None``.
 
-        This base implementation fuses the *base* semantics: handler
-        call, trap commit, retirement counters.  It bypasses the
-        per-step hook methods (``_observe_decode``, ``_trap_cause``,
-        ``_count_retirement``, ``_observe_commit``), which are identity
-        no-ops here; any subclass that overrides a hook MUST also
-        override :meth:`run_block` with a fused loop of its own that fires
-        the hooks, as the DUT harness does.
+        This base implementation runs the *base* semantics: handler call,
+        trap commit, retirement counters.  The DUT harness overrides it
+        with a fused loop that adds coverage and the injected bugs.
         """
         state = self.state
         csrs = state.csrs
@@ -342,50 +248,17 @@ class Executor:
                     break  # store hit the code window: stop fused execution
         csrs[csrdefs.MINSTRET] = (csrs[csrdefs.MINSTRET] + commits - uncounted) & MASK64
         csrs[csrdefs.MCYCLE] = (csrs[csrdefs.MCYCLE] + commits) & MASK64
-        if block.tail_redirect and dirtied is None:
-            # The tail branch/jump ran: its record carries the exit pc
-            # (the redirect target, or pc + 4 for not-taken and trapped
-            # tails -- trap records commit ``next_pc == pc + 4`` too).
-            state.pc = record.next_pc
-        else:
-            state.pc = pc & MASK64
+        state.pc = record.next_pc
         return dirtied
 
     def run_block_generic(self, block: Superblock, records: list) -> Optional[tuple]:
-        """Hook-preserving superblock execution: per-entry via :meth:`step_compiled`.
+        """:meth:`run_block` under its former second name.
 
-        Semantically identical to the shared run loop's per-entry path --
-        every decode/trap/commit hook fires -- just without re-checking
-        bounds/alignment/dirtiness between entries (the block's
-        preconditions cover those).  Stops early, returning control to the
-        outer loop, when an entry halts the hart, redirects the pc (a bug
-        replacing an instruction can turn a fusable entry into a jump), or
-        dirties part of the code window (returning the dirty span, like
-        :meth:`run_block`).
-
-        Nothing in the package calls it: every DUT, bug-injected or not,
-        runs the fused :meth:`repro.rtl.harness.DutExecutor.run_block`.
-        It is kept unchanged only because ``perfbench/tracer.py`` binds it
-        by name, and goes once the tracer stops doing so.
+        Nothing in the package calls it; it stays only because
+        ``perfbench/tracer.py`` binds it by name, and goes once the tracer
+        stops doing so.
         """
-        step_compiled = self.step_compiled
-        base_address = block.base_address
-        end_address = block.end_address
-        for entry in block.entries:
-            pc = self.state.pc
-            record = step_compiled(entry)
-            if record is None:  # halted before the entry ran
-                break
-            records.append(record)
-            mem_addr = record.mem_addr
-            if mem_addr is not None:
-                span = dirty_word_span(mem_addr, record.mem_size or 1,
-                                       base_address, end_address)
-                if span is not None:
-                    return span
-            if self.halted or record.next_pc != (pc + 4) & MASK64:
-                break
-        return None
+        return self.run_block(block, records)
 
     # ============================================================= loop replay
     def periodic_state(self) -> tuple:
@@ -433,21 +306,22 @@ class Executor:
         self._step_index += copies * period
 
     # ============================================================ trap commits
-    def _commit_trap(self, pc: int, word: int, instr: Instruction,
-                     trap: Trap) -> CommitRecord:
-        # The traceback references the frame that caught the trap, whose
-        # locals may still reference the trap (``reported`` in
-        # _dispatch_step): a cycle that keeps this executor, its memory and
-        # the run's records alive until the cycle collector finds it.
-        trap.with_traceback(None)
-        self.state.csrs[csrdefs.MEPC] = pc
-        self.state.csrs[csrdefs.MCAUSE] = int(trap.cause)
-        self.state.csrs[csrdefs.MTVAL] = trap.tval & MASK64
+    def fetch_fault(self, pc: int) -> CommitRecord:
+        """Commit the fault of fetching at a misaligned in-range ``pc``.
+
+        Only an ``mret`` to a software-written ``mepc`` gets there.  The
+        fetch faults before anything is decoded, so the trap record names
+        no instruction, retires nothing and emits no coverage; the run
+        loop then halts with ``PC_OUT_OF_RANGE``.
+        """
+        cause = TrapCause.INSTRUCTION_ADDRESS_MISALIGNED
+        csrs = self.state.csrs
+        csrs[csrdefs.MEPC] = pc
+        csrs[csrdefs.MCAUSE] = int(cause)
+        csrs[csrdefs.MTVAL] = pc
         return CommitRecord(
-            step=self._step_index, pc=pc, word=word, mnemonic=instr.mnemonic,
-            trap=trap.cause, next_pc=(pc + 4) & MASK64,
-            trap_tval=trap.tval & MASK64,
-        )
+            step=self._step_index, pc=pc, word=0, mnemonic=ILLEGAL_MNEMONIC,
+            trap=cause, next_pc=(pc + 4) & MASK64, trap_tval=pc)
 
     def _commit_suppressed_trap(self, pc: int, word: int,
                                 instr: Instruction) -> CommitRecord:
@@ -462,15 +336,6 @@ class Executor:
             step=self._step_index, pc=pc, word=word, mnemonic=instr.mnemonic,
             rd=rd, rd_value=rd_value, next_pc=(pc + 4) & MASK64,
         )
-
-    # ================================================================= execute
-    def _execute(self, instr: Instruction, pc: int, word: int) -> CommitRecord:
-        handler = _HANDLERS.get(instr.mnemonic)
-        if handler is None:
-            if instr.is_illegal:
-                raise Trap(TrapCause.ILLEGAL_INSTRUCTION, tval=word)
-            raise KeyError(f"unknown mnemonic: {instr.mnemonic!r}")
-        return handler(self, instr, pc, word)
 
     # ------------------------------------------------------------------ helpers
     def _commit_rd(self, instr: Instruction, pc: int, word: int, value: int,
@@ -612,7 +477,12 @@ def _make_csr_handler(mnemonic: str, fmt: InstrFormat):
 
 def _make_system_handler(mnemonic: str):
     if mnemonic == "ecall":
+        # ``ecall`` ends the test: it is always the last entry a block
+        # runs (SYSTEM instructions only close blocks), and the run loop
+        # stops at the halt once its trap record has committed.
         def execute(self: Executor, instr: Instruction, pc: int, word: int) -> CommitRecord:
+            self.halted = True
+            self.halt_reason = HaltReason.ECALL
             raise Trap(TrapCause.ECALL_FROM_M, tval=0)
     elif mnemonic == "ebreak":
         def execute(self: Executor, instr: Instruction, pc: int, word: int) -> CommitRecord:
@@ -669,6 +539,13 @@ def _make_atomic_handler(mnemonic: str):
     return execute
 
 
+def _illegal_handler(self: Executor, instr: Instruction, pc: int,
+                     word: int) -> CommitRecord:
+    """Illegal words raise the illegal-instruction trap, whose commit falls
+    through to ``pc + 4`` like any straight-line entry."""
+    raise Trap(TrapCause.ILLEGAL_INSTRUCTION, tval=word)
+
+
 def _build_handlers() -> Dict[str, Callable]:
     handlers: Dict[str, Callable] = {}
     for mnemonic, spec in SPECS.items():
@@ -698,6 +575,7 @@ def _build_handlers() -> Dict[str, Callable]:
             handlers[mnemonic] = _make_atomic_handler(mnemonic)
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unhandled class {cls}")
+    handlers[ILLEGAL_MNEMONIC] = _illegal_handler
     return handlers
 
 
@@ -705,12 +583,10 @@ def _build_handlers() -> Dict[str, Callable]:
 _HANDLERS: Dict[str, Callable] = _build_handlers()
 
 
-def handler_for(instr: Instruction) -> Optional[Callable]:
-    """The execute closure for ``instr`` (``None`` = illegal/unknown path).
+def handler_for(instr: Instruction) -> Callable:
+    """The execute closure for ``instr`` (illegal words included).
 
     Used by the trace compiler (:mod:`repro.isa.compiled`) to resolve
-    handlers once per program instead of once per step; a ``None`` handler
-    makes :meth:`Executor.step_compiled` fall back to :meth:`Executor._execute`,
-    which raises the architectural illegal-instruction trap.
+    handlers once per program instead of once per step.
     """
-    return _HANDLERS.get(instr.mnemonic)
+    return _HANDLERS[instr.mnemonic]

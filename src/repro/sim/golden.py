@@ -13,10 +13,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.isa.compiled import (compile_program, dirty_word_span,
-                                superblocks_enabled, superblocks_for)
+from repro.isa.compiled import (_CSR_MNEMONICS, compile_program,
+                                superblocks_for, word_block)
 from repro.isa.csr import CYCLE, INSTRET, MCYCLE, MINSTRET, TIME
-from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.program import TestProgram
 from repro.sim.executor import Executor, ExecutorConfig
 from repro.sim.memory import DEFAULT_LAYOUT, Memory, MemoryLayout
@@ -24,8 +23,6 @@ from repro.sim.state import ArchState
 from repro.sim.trace import ExecutionResult, HaltReason
 from repro.utils.bits import MASK64
 
-_CSR_MNEMONICS = frozenset(mnemonic for mnemonic, spec in SPECS.items()
-                           if spec.cls is InstrClass.CSR)
 #: CSR fields (word bits 31:20) addressing a retirement counter, the only
 #: state :meth:`Executor.periodic_state` leaves out: a loop period that
 #: commits a CSR instruction on one of them is never replayed.
@@ -60,30 +57,29 @@ class ModelBase:
         """Execute ``program`` to completion and return its commit trace.
 
         The loop is driven by the program's **compiled trace**
-        (:func:`repro.isa.compiled.compile_program`): an in-range, aligned
-        ``pc`` indexes straight into the pre-decoded ``(word, instr,
-        handler)`` entries and skips fetch + decode entirely.  On top of
-        that, straight-line runs dispatch as fused **superblocks**
-        (:func:`repro.isa.compiled.superblocks_for` /
-        :meth:`Executor.run_block`), retiring a whole run per loop
-        iteration.  A block is dispatched only when its preconditions
-        hold; otherwise the loop degrades gracefully, one level at a time:
+        (:func:`repro.isa.compiled.compile_program`), cut into fused
+        **superblocks** (:func:`repro.isa.compiled.superblocks_for`): an
+        in-range, aligned ``pc`` indexes the block leading there, and
+        :meth:`Executor.run_block` retires the whole block -- every
+        instruction commits inside one.  The loop hands over less than
+        the block in two cases:
 
         * fewer than ``block.length`` steps remain under the step limit
-          (a partial block replays per-entry, so step-limit truncation is
-          bit-identical to the unfused loop), or the block overlaps a
-          dirty word -> per-entry compiled dispatch;
-        * a misaligned in-range ``pc`` (reachable via ``mret`` with a
-          software-seeded ``mepc``) or a word some earlier store
-          overwrote -> the generic fetch-and-decode :meth:`Executor.step`,
-          whose semantics (including its trap behaviour) are unchanged.
+          -> the block's prefix up to the limit
+          (:meth:`~repro.isa.compiled.Superblock.prefix`);
+        * a store overwrote one of the block's words -> the prefix before
+          the first such word, and an overwritten word at the pc runs
+          alone, re-fetched and decoded afresh
+          (:func:`repro.isa.compiled.word_block`).
 
         Committed stores that overlap the code window mark their word
         slots dirty (range math shared with the fused loops through
         :func:`repro.isa.compiled.dirty_word_span`), so self-modifying
-        programs execute exactly as they always did -- a store into the
-        middle of a fused block aborts it and every subsequent
-        instruction is re-fetched.
+        programs execute exactly as if every word were fetched -- a store
+        into the middle of a fused block aborts it and every subsequent
+        instruction is re-fetched.  A misaligned in-range ``pc``
+        (reachable via ``mret`` with a software-seeded ``mepc``) commits
+        the fetch fault (:meth:`Executor.fetch_fault`) and halts the run.
 
         **Steady-state loops are replayed, not re-simulated.**  Every
         arrival at a taken backward transfer (a loop head) is recorded
@@ -121,15 +117,13 @@ class ModelBase:
         self._prepare_run(executor, program)
 
         compiled = compile_program(program)
-        entries = compiled.entries
         base_address = program.base_address
+        end_address = compiled.end_address
         limit = max_steps or self.executor_config.step_limit
         result = ExecutionResult()
         records = result.records
-        end_address = compiled.end_address
         dirty_words: Optional[set] = None  # built lazily on first code store
-        step_compiled = executor.step_compiled
-        blocks = superblocks_for(program, compiled) if superblocks_enabled() else None
+        blocks = superblocks_for(program, compiled)
         run_block = executor.run_block
         csrs = state.csrs
         #: (pc, registers) at each arrival at a loop head -> commits so far.
@@ -175,43 +169,32 @@ class ModelBase:
                                (csrs[MINSTRET], csrs[MCYCLE]))
             offset = pc - base_address
             if offset & 3:
-                record = executor.step()  # misaligned fetch: generic path
+                records.append(executor.fetch_fault(pc))
+                result.halt_reason = HaltReason.PC_OUT_OF_RANGE
+                break
+            index = offset >> 2
+            if dirty_words is None:
+                block = blocks.at(index)
+            elif index in dirty_words:
+                block = word_block(index, memory.fetch_word(pc),
+                                   base_address, end_address)
             else:
-                index = offset >> 2
-                if dirty_words is not None and index in dirty_words:
-                    record = executor.step()  # overwritten word: re-fetch
-                else:
-                    if blocks is not None:
-                        block = blocks.at(index)
-                        if (block is not None
-                                and block.length <= limit - len(records)
-                                and (dirty_words is None
-                                     or dirty_words.isdisjoint(block.word_set))):
-                            span = run_block(block, records)
-                            if span is not None:
-                                if dirty_words is None:
-                                    dirty_words = set()
-                                dirty_words.update(range(span[0], span[1] + 1))
-                            continue
-                    record = step_compiled(entries[index])
-            if record is not None:
-                records.append(record)
-                mem_addr = record.mem_addr
-                if mem_addr is not None:
-                    # Records carry mem_addr only for committed memory
-                    # *writes* (stores, AMOs, successful SCs).
-                    span = dirty_word_span(mem_addr, record.mem_size or 1,
-                                           base_address, end_address)
-                    if span is not None:
-                        # The store overlapped the code window: its compiled
-                        # entries are stale from the next fetch on.
-                        if dirty_words is None:
-                            dirty_words = set()
-                        dirty_words.update(range(span[0], span[1] + 1))
+                block = blocks.at(index)
+                if not dirty_words.isdisjoint(block.word_set):
+                    block = block.prefix(
+                        min(dirty_words & block.word_set) - index)
+            if block.length > limit - count:
+                block = block.prefix(limit - count)
+            span = run_block(block, records)
+            if span is not None:
+                # A store overlapped the code window: its compiled entries
+                # are stale from the next fetch on.
+                if dirty_words is None:
+                    dirty_words = set()
+                dirty_words.update(range(span[0], span[1] + 1))
         else:
-            # Loop exited because the executor halted itself (e.g. ecall).
-            if executor.halt_reason is not None:
-                result.halt_reason = executor.halt_reason
+            # Loop exited because the executor halted itself (ecall).
+            result.halt_reason = executor.halt_reason
 
         result.steps = len(result.records)
         result.final_registers = tuple(state.regs)

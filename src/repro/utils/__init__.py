@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG management, bit manipulation, logging."""
+"""Shared utilities: deterministic RNG management and bit manipulation."""
 
 from repro.utils.rng import derive_rng, make_rng, split_rng
 from repro.utils.bits import (

@@ -8,7 +8,6 @@ from repro.coverage.csr_transitions import (
     TRANSITION_MARKER,
     CsrTransitionTracker,
     _MSTATUS_RESET,
-    count_transition_points,
     is_transition_point,
     transition_point,
     transition_space,
@@ -142,11 +141,6 @@ class TestGoldenTraceCollection:
             run = dut.run(program)
             emitted = {p for p in run.coverage_points() if is_transition_point(p)}
             assert emitted == expected
-
-    def test_count_transition_points(self):
-        points = ["csr.mscratch.zero->nonzero", "csr.mscratch.read",
-                  "decode.addi", "csr.mepc.zero->code"]
-        assert count_transition_points(points) == 2
 
 
 class TestDutIntegration:

@@ -151,3 +151,41 @@ class TestGoldenCacheInCampaign:
         assert result.metadata["golden_cache_hits"] >= 1
         assert result.metadata["golden_cache_misses"] == 1
         assert fuzzer.session.golden_cache_hits == 3
+
+
+class TestFamilyCounts:
+    """Trial-end trap and CSR-transition counts come off the covered mask."""
+
+    def _session(self, coverage_model):
+        from repro.isa.scenarios import TrapScenarioGenerator
+
+        session = FuzzSession(CVA6Model(coverage_model=coverage_model))
+        for program in TrapScenarioGenerator(rng=7).generate_many(6):
+            session.run_test(program)
+        return session
+
+    @pytest.mark.parametrize("coverage_model", ["base", "csr"])
+    def test_counts_equal_the_named_families(self, coverage_model):
+        from repro.coverage.csr_transitions import is_transition_point
+
+        session = self._session(coverage_model)
+        covered = session.coverage_db.covered
+        counts = session.family_counts()
+        assert counts == {
+            "csr_transition_points": sum(map(is_transition_point, covered)),
+            "trap_points": sum(p.startswith("trap.") for p in covered)}
+        assert counts["trap_points"] > 0
+        assert (counts["csr_transition_points"] > 0) == (coverage_model == "csr")
+
+    def test_counting_builds_no_point_names(self, monkeypatch):
+        from repro.coverage import database
+
+        session = self._session("csr")
+
+        def no_names(cov):
+            raise AssertionError("a mask was expanded into names")
+
+        monkeypatch.setattr(database, "points_of", no_names)
+        with pytest.raises(AssertionError):
+            session.coverage_db.covered  # the names the old count read
+        assert session.family_counts()["trap_points"] > 0

@@ -4,10 +4,13 @@ Each test builds a minimal program that deterministically exercises one
 bug's trigger condition and checks that (a) the DUT diverges from the golden
 model, and (b) the divergence is attributed to the right bug id.  A matching
 negative test checks the bug does *not* fire without its trigger.  Every
-program runs twice, on the fused superblock loop and on the per-step path,
-and the two runs must agree exactly.
+directed DUT run must reproduce its run digest (trace, coverage, fired bugs
+and first effect steps) frozen in ``hotpath_golden.json`` under
+``directed_bugs``, recorded with the fused superblock loop and the since
+deleted per-step loop asserted equal.
 """
 
+import json
 import random
 
 import pytest
@@ -15,7 +18,7 @@ import pytest
 from repro.fuzzing.differential import DifferentialTester
 from repro.isa import csr as csrdefs
 from repro.isa.assembler import encode_instruction
-from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
+from repro.isa.compiled import superblocks_for
 from repro.isa.decoder import decode_word
 from repro.isa.encoding import OPCODE_OP, SPECS
 from repro.isa.exceptions import TrapCause
@@ -30,10 +33,13 @@ from repro.rtl.bugs import (
     make_bugs,
 )
 from repro.rtl.cva6 import CVA6Model
+from repro.rtl import harness
 from repro.rtl.rocket import RocketModel
 from repro.sim.golden import GoldenModel
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
+from repro.sim.trace import HaltReason
+from tests.sim.test_hotpath_equivalence import FIXTURE_PATH, run_digest
 
 DATA_UPPER = 0x40004  # lui immediate for the data region base
 
@@ -42,29 +48,22 @@ def _program(*instructions):
     return TestProgram(instructions=tuple(instructions))
 
 
-def _run_fused_and_per_step(dut, program):
-    """Run ``program`` on the fused loop and per-step; assert they agree."""
-    was = superblocks_enabled()
-    try:
-        set_superblocks_enabled(True)
-        fused = dut.run(program)
-        set_superblocks_enabled(False)
-        per_step = dut.run(program)
-    finally:
-        set_superblocks_enabled(was)
-    assert fused.execution.records == per_step.execution.records
-    assert fused.execution.halt_reason == per_step.execution.halt_reason
-    assert fused.execution.final_registers == per_step.execution.final_registers
-    assert fused.execution.final_csrs == per_step.execution.final_csrs
-    assert fused.coverage == per_step.coverage
-    assert fused.fired_bugs == per_step.fired_bugs
-    assert fused.bug_effect_steps == per_step.bug_effect_steps
-    return fused
+#: frozen run digest per (DUT, bugs, coverage model, program fingerprint).
+_FROZEN = json.loads(FIXTURE_PATH.read_text())["directed_bugs"]
+
+
+def _run_frozen(dut, program):
+    """Run ``program`` on ``dut``; the run must match its frozen digest."""
+    run = dut.run(program)
+    bugs = ",".join(bug.bug_id for bug in dut.bugs) or "-"
+    key = f"{dut.name}|{bugs}|{dut.coverage_model}|{program.fingerprint()}"
+    assert run_digest(run) == _FROZEN[key], key
+    return run
 
 
 def _detect(dut, program):
     golden = GoldenModel().run(program)
-    dut_run = _run_fused_and_per_step(dut, program)
+    dut_run = _run_frozen(dut, program)
     return DifferentialTester().check(golden, dut_run), dut_run
 
 
@@ -113,9 +112,9 @@ def _trigger_probe_words():
 class TestTriggerDeclarations:
     """``triggers_on`` must cover every entry a decode/retirement hook acts on.
 
-    The fused superblock loop skips ``on_decode`` and
-    ``should_count_retirement`` on entries no bug declares, so a bug that
-    forgets a declaration would silently diverge from the per-step path.
+    The fused superblock loop applies ``on_decode`` and
+    ``should_count_retirement`` only to entries a bug declares, so a bug
+    that forgets a declaration would silently never act there.
     """
 
     @pytest.mark.parametrize("bug_id", sorted(BUGS_BY_ID))
@@ -435,6 +434,69 @@ class TestV7EbreakInstret:
         # The defect fired (count skipped) but is architecturally invisible.
         assert "V7" in dut_run.fired_bugs
         assert not report.found_mismatch
+
+
+class TestDeclaredBlockLeaders:
+    """A block stops before the first entry a bug's ``triggers_on``
+    declares, and a block led by one runs that entry alone with
+    ``on_decode`` and ``should_count_retirement`` applied."""
+
+    def test_v1_leader_substitution_leaves_shared_plans_alone(self):
+        program = _program(
+            Instruction("lui", rd=10, imm=DATA_UPPER),
+            Instruction("addi", rd=5, rs1=0, imm=1),
+            Instruction("sd", rs1=10, rs2=5, imm=0),
+            Instruction("fence.i"),                   # 3: declared, leads
+            Instruction("addi", rd=6, rs1=0, imm=2),
+            Instruction("addi", rd=7, rs1=6, imm=3),
+            Instruction("csrrs", rd=8, rs1=0, csr=csrdefs.MINSTRET),
+            Instruction("ecall"),
+        )
+        leader = superblocks_for(program).at(3)
+        assert leader.length == 4  # fence.i through the CSR tail
+        run = CVA6Model(bugs=["V1"]).run(program)
+        golden = GoldenModel().run(program)
+        assert DifferentialTester().check(golden, run).detected_bugs == {"V1"}
+        assert run.bug_effect_steps == {"V1": 3}
+        records = run.execution.records
+        assert records[3].mnemonic == "illegal"
+        assert records[3].trap is TrapCause.ILLEGAL_INSTRUCTION
+        # The rest of the leader's block ran in the following blocks.
+        assert [r.mnemonic for r in records[4:]] == ["addi", "addi", "csrrs", "ecall"]
+        assert records[5].rd_value == 5
+        assert run.execution.halt_reason is HaltReason.ECALL
+        # The substituted decode got a plan entry of its own: the per-word
+        # plan memo, the block's plan and its structural plans still
+        # describe the fence.i the word decodes to.
+        word = records[3].word
+        assert harness._ENTRY_PLANS[word][1].mnemonic == "fence.i"
+        assert leader.dut_plan[0][1].mnemonic == "fence.i"
+        assert CVA6Model not in leader.model_plans
+        clean = CVA6Model(bugs=[]).run(program)
+        assert ([r.arch_key() for r in clean.execution.records]
+                == [r.arch_key() for r in golden.records])
+
+    def test_v7_ebreak_tail_runs_alone_and_skips_retirement(self):
+        program = _program(
+            Instruction("addi", rd=5, rs1=0, imm=1),
+            Instruction("ebreak"),                    # 1: SYSTEM tail, declared
+            Instruction("addi", rd=6, rs1=0, imm=2),
+            Instruction("csrrs", rd=7, rs1=0, csr=csrdefs.MINSTRET),
+            Instruction("ecall"),
+        )
+        head = superblocks_for(program).at(0)
+        assert head.length == 2 and head.entries[-1][1].mnemonic == "ebreak"
+        run = RocketModel(bugs=["V7"]).run(program)
+        golden = GoldenModel().run(program)
+        assert DifferentialTester().check(golden, run).detected_bugs == {"V7"}
+        assert run.bug_effect_steps == {"V7": 1}
+        assert run.execution.records[1].trap is TrapCause.BREAKPOINT
+        assert golden.records[3].rd_value == 3
+        assert run.execution.records[3].rd_value == 2  # ebreak did not retire
+        assert (run.execution.final_csrs[csrdefs.MINSTRET]
+                == golden.final_csrs[csrdefs.MINSTRET] - 1)
+        assert (run.execution.final_csrs[csrdefs.MCYCLE]
+                == golden.final_csrs[csrdefs.MCYCLE])
 
 
 class TestBugsOnlyFireOnTheirProcessorDefaults:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.isa.assembler import encode_instruction
+from repro.isa.compiled import word_block
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.sim.executor import Executor, ExecutorConfig
@@ -41,9 +42,17 @@ def execute_one(instr: Instruction,
     for index, value in (regs or {}).items():
         state.write_reg(index, value)
     executor = Executor(state, memory, ExecutorConfig())
-    record = executor.step()
-    assert record is not None
-    return record, state, memory
+    return step_block(executor), state, memory
+
+
+def step_block(executor: Executor) -> CommitRecord:
+    """Run the word at the executor's pc as a one-entry block; its record."""
+    pc = executor.state.pc
+    records: list = []
+    executor.run_block(word_block((pc - BASE) >> 2, executor.memory.fetch_word(pc),
+                                  BASE, pc + 4), records)
+    (record,) = records
+    return record
 
 
 def run_program(instructions: Iterable[Instruction],

@@ -1,12 +1,18 @@
 """Tests for the compiled-trace execution substrate.
 
 The trace compiler (:mod:`repro.isa.compiled`) pre-decodes programs into
-threaded code; the shared run loop indexes it instead of fetching and
-decoding.  Bit-identity of whole corpora is pinned by
-``test_hotpath_equivalence.py``; this module covers the substrate's own
-mechanics, and the two cases where the loop must *leave* the compiled
-trace: self-modifying code and misaligned in-range program counters.
+threaded code cut into superblocks; the shared run loop runs one block per
+iteration instead of fetching and decoding.  Bit-identity of whole corpora
+is pinned by ``test_hotpath_equivalence.py``; this module covers the
+substrate's own mechanics and the cases where the loop hands a block less
+than its whole span: the step limit, self-modifying code and misaligned
+in-range program counters.  The fallback-path programs must reproduce the
+golden and DUT run digests frozen under ``directed_fallbacks`` in
+``hotpath_golden.json``, recorded with the fused loop and the since deleted
+per-step loop asserted equal.
 """
+
+import json
 
 import pytest
 
@@ -18,17 +24,21 @@ from repro.isa.compiled import (
     compile_program,
     dirty_word_span,
     process_compiled_cache,
-    set_superblocks_enabled,
-    superblocks_enabled,
     superblocks_for,
 )
 from repro.isa.decoder import decode_word
+from repro.isa.exceptions import TrapCause
 from repro.isa.generator import SeedGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.rtl.registry import make_dut
+from repro.sim.executor import Executor, handler_for
 from repro.sim.golden import GoldenModel
+from repro.sim.memory import Memory
+from repro.sim.state import ArchState
 from repro.sim.trace import HaltReason
+from tests.sim.test_hotpath_equivalence import (FIXTURE_PATH, run_digest,
+                                                trace_digest)
 
 I = Instruction
 
@@ -45,26 +55,24 @@ def _digest(result):
             sorted(result.final_csrs.items()))
 
 
-@pytest.fixture
-def superblocks_off():
-    was = superblocks_enabled()
-    set_superblocks_enabled(False)
-    yield
-    set_superblocks_enabled(was)
+#: golden and DUT run digests per ``fingerprint|max_steps`` of the
+#: fallback-path programs below.
+_FROZEN = json.loads(FIXTURE_PATH.read_text())["directed_fallbacks"]
+#: every DUT, with its default bugs, under both coverage models.
+_DUTS = [(name, model) for name in ("cva6", "rocket", "boom")
+         for model in ("base", "csr")]
 
 
-def _run_both_ways(program, max_steps=None):
-    """Golden digests with superblocks on and off (flag restored)."""
-    golden = GoldenModel()
-    was = superblocks_enabled()
-    digests = {}
-    try:
-        for flag in (False, True):
-            set_superblocks_enabled(flag)
-            digests[flag] = _digest(golden.run(program, max_steps=max_steps))
-    finally:
-        set_superblocks_enabled(was)
-    return digests[True], digests[False]
+def _run_frozen(program, max_steps=None):
+    """Golden digest of ``program``; its golden run and every DUT's run
+    must match their frozen digests."""
+    frozen = _FROZEN[f"{program.fingerprint()}|{max_steps}"]
+    result = GoldenModel().run(program, max_steps=max_steps)
+    assert trace_digest(result) == frozen["golden"]
+    for name, model in _DUTS:
+        run = make_dut(name, coverage_model=model).run(program, max_steps)
+        assert run_digest(run) == frozen[f"{name}/{model}"], (name, model)
+    return _digest(result)
 
 
 class TestCompileProgram:
@@ -80,7 +88,8 @@ class TestCompileProgram:
                                                       compiled.entries):
             assert entry_word == word & 0xFFFF_FFFF
             assert instr is decode_word(word)  # shares the decode cache
-            assert (handler is None) == instr.is_illegal
+            # Illegal words too: their handler raises the trap.
+            assert handler is handler_for(instr) is not None
 
     def test_fingerprint_keyed_sharing(self):
         body = (I("addi", rd=3, rs1=0, imm=9), I("ecall"))
@@ -232,24 +241,45 @@ class TestSuperblockFormation:
             I("addi", rd=3, rs1=0, imm=3),            # 3 ┐ block: CSR tail
             I("csrrs", rd=4, rs1=0, csr=csrdefs.MINSTRET),  # 4 ┘
             I("addi", rd=5, rs1=0, imm=5),            # 5 ┐
-            I.illegal(0xFFFF_FFFF),                   # 6 │ block: illegal fused
-            I("addi", rd=6, rs1=0, imm=6),            # 7 ┘
-            I("ecall"),                               # 8 never fused (SYSTEM)
+            I.illegal(0xFFFF_FFFF),                   # 6 │ block: illegal fused,
+            I("addi", rd=6, rs1=0, imm=6),            # 7 │ SYSTEM tail
+            I("ecall"),                               # 8 ┘
         )
         blocks = superblocks_for(program)
         head = blocks.at(0)
         assert (head.start, head.length) == (0, 3)
-        assert head.tail_redirect and not head.csr_tail
+        assert head.entries[-1][1].mnemonic == "beq" and not head.csr_tail
         assert head.word_set == frozenset({0, 1, 2})
         csr_block = blocks.at(3)
         assert (csr_block.start, csr_block.length) == (3, 2)
-        assert csr_block.csr_tail and not csr_block.tail_redirect
+        assert csr_block.csr_tail
         tail = blocks.at(5)
-        assert (tail.start, tail.length) == (5, 3)
-        assert not tail.tail_redirect and not tail.csr_tail
-        # The illegal word fused with a working stand-in handler.
+        assert (tail.start, tail.length) == (5, 4)
+        assert tail.entries[-1][1].mnemonic == "ecall" and not tail.csr_tail
+        # The illegal word fused with a working handler.
         assert all(handler is not None for _, _, handler in tail.entries)
-        assert blocks.at(8) is None  # a lone SYSTEM entry leads no block
+        # Every entry leads a block: a lone SYSTEM entry leads a block of one.
+        ecall = blocks.at(8)
+        assert (ecall.start, ecall.length) == (8, 1)
+
+    def test_every_system_instruction_closes_a_block(self):
+        for mnemonic in ("ecall", "ebreak", "mret", "wfi"):
+            program = _program(I("addi", rd=1, rs1=0, imm=1), I(mnemonic),
+                               I("addi", rd=2, rs1=0, imm=2))
+            blocks = superblocks_for(program)
+            assert blocks.at(0).length == 2, mnemonic
+            assert blocks.at(2).length == 1, mnemonic
+
+    def test_prefix_drops_the_tail(self):
+        program = _program(I("addi", rd=1, rs1=0, imm=1),
+                           I("addi", rd=2, rs1=0, imm=2),
+                           I("csrrs", rd=3, rs1=0, csr=csrdefs.MINSTRET))
+        block = superblocks_for(program).at(0)
+        assert block.csr_tail
+        prefix = block.prefix(2)
+        assert (prefix.start, prefix.length) == (0, 2)
+        assert prefix.word_set == frozenset({0, 1})
+        assert not prefix.csr_tail
 
     def test_lru_bound_and_stats(self):
         cache = SuperblockCache(max_entries=2)
@@ -271,16 +301,15 @@ class TestSuperblockFormation:
 
 
 class TestSuperblockSemantics:
-    """Bit-identity of the fused loops against the per-step path."""
+    """The fused loops on the cases the run loop cuts a block short for."""
 
     def test_partial_block_step_limit_truncation(self):
-        # A 10-entry straight-line block truncated mid-block: the run loop
-        # must fall back to per-entry dispatch and stop on the exact step.
+        # An 11-entry block truncated mid-block: the run loop hands over
+        # the block's prefix and stops on the exact step.
         program = _program(*[I("addi", rd=1, rs1=1, imm=1) for _ in range(10)],
                            I("ecall"))
         for limit in (5, 10):
-            on, off = _run_both_ways(program, max_steps=limit)
-            assert on == off
+            on = _run_frozen(program, max_steps=limit)
             assert on[1] is HaltReason.STEP_LIMIT
             assert len(on[0]) == limit
 
@@ -295,8 +324,7 @@ class TestSuperblockSemantics:
             I("csrrs", rd=6, rs1=0, csr=csrdefs.MINSTRET),
             I("ecall"),
         )
-        on, off = _run_both_ways(program)
-        assert on == off
+        _run_frozen(program)
         result = GoldenModel().run(program)
         assert result.final_registers[5] == 2  # two retirements before it
         assert result.final_registers[6] == 4
@@ -308,8 +336,7 @@ class TestSuperblockSemantics:
             I("addi", rd=2, rs1=0, imm=7),
             I("ecall"),
         )
-        on, off = _run_both_ways(program)
-        assert on == off
+        _run_frozen(program)
         result = GoldenModel().run(program)
         trap_record = result.records[1]
         assert trap_record.trap is not None
@@ -334,15 +361,14 @@ class TestSuperblockSemantics:
             I("addi", rd=5, rs1=0, imm=1),     # 6: the victim
             I("ecall"),                        # 7
         )
-        on, off = _run_both_ways(program)
-        assert on == off
+        _run_frozen(program)
         result = GoldenModel().run(program)
         assert result.final_registers[5] == 42
 
     def test_self_modifying_and_misaligned_mret_agree_with_unfused(self):
-        # The fallback-path programs from TestFallbackPaths, re-run both
-        # ways: aborting a block mid-flight and leaving the compiled
-        # trace entirely must not depend on the superblock flag.
+        # The fallback-path programs from TestFallbackPaths: aborting a
+        # block mid-flight, re-fetching an overwritten word and faulting
+        # on a misaligned fetch reproduce the runs the unfused loop made.
         new_word = encode_instruction(I("addi", rd=5, rs1=0, imm=42))
         upper = (new_word + 0x800) >> 12
         lower = new_word - (upper << 12)
@@ -364,15 +390,95 @@ class TestSuperblockSemantics:
             I("ecall"),
         )
         for program in (self_modifying, misaligned_mret):
-            on, off = _run_both_ways(program)
-            assert on == off
+            _run_frozen(program)
 
-    def test_superblocks_off_disables_block_dispatch(self, superblocks_off):
-        assert not superblocks_enabled()
-        program = _program(I("addi", rd=1, rs1=0, imm=3), I("ecall"))
-        result = GoldenModel().run(program)
-        assert result.final_registers[1] == 3
-        assert result.halt_reason is HaltReason.ECALL
+class TestSystemTails:
+    """Blocks ending in ``ecall`` halt, blocks ending in ``mret`` exit at
+    ``mepc``, and a misaligned ``mepc`` faults on the fetch."""
+
+    def test_block_ending_in_ecall_halts(self):
+        program = _program(I("addi", rd=1, rs1=0, imm=1),
+                           I("addi", rd=2, rs1=1, imm=1),
+                           I("ecall"),
+                           I("addi", rd=3, rs1=0, imm=3))
+        block = superblocks_for(program).at(0)
+        assert block.length == 3
+        memory = Memory()
+        memory.load_program_words(program.base_address, program.words())
+        executor = Executor(ArchState(pc=program.base_address), memory)
+        records = []
+        assert executor.run_block(block, records) is None
+        assert executor.halted and executor.halt_reason is HaltReason.ECALL
+        assert [r.mnemonic for r in records] == ["addi", "addi", "ecall"]
+        assert records[-1].trap is TrapCause.ECALL_FROM_M
+        assert executor.state.pc == program.base_address + 12
+        golden = GoldenModel().run(program)
+        assert golden.halt_reason is HaltReason.ECALL
+        assert golden.steps == 3 and golden.final_registers[3] == 0
+        for name, model in _DUTS:
+            run = make_dut(name, coverage_model=model).run(program)
+            assert run.execution.halt_reason is HaltReason.ECALL
+            assert ([r.arch_key() for r in run.execution.records]
+                    == [r.arch_key() for r in golden.records])
+
+    def test_block_ending_in_mret_exits_at_mepc(self):
+        base = 0x4000_0000
+        program = _program(
+            I("lui", rd=1, imm=0x40000),              # 0 ┐ x1 = base
+            I("addi", rd=1, rs1=1, imm=24),           # 1 │ x1 = base + 24
+            I("csrrw", rd=0, rs1=1, csr=csrdefs.MEPC),  # 2 ┘
+            I("addi", rd=2, rs1=0, imm=1),            # 3 ┐ block: mret tail
+            I("mret"),                                # 4 ┘ -> slot 6
+            I("addi", rd=3, rs1=0, imm=5),            # 5 (skipped)
+            I("addi", rd=4, rs1=0, imm=7),            # 6
+            I("ecall"),                               # 7
+        )
+        assert program.base_address == base
+        block = superblocks_for(program).at(3)
+        assert block.length == 2 and block.entries[-1][1].mnemonic == "mret"
+        golden = GoldenModel().run(program)
+        assert [r.pc - base for r in golden.records] == [0, 4, 8, 12, 16, 24, 28]
+        assert golden.records[4].next_pc == base + 24
+        assert golden.final_registers[3] == 0 and golden.final_registers[4] == 7
+        assert golden.halt_reason is HaltReason.ECALL
+        for name, model in _DUTS:
+            run = make_dut(name, coverage_model=model).run(program)
+            assert ([r.arch_key() for r in run.execution.records]
+                    == [r.arch_key() for r in golden.records])
+
+    def test_mret_to_misaligned_mepc_commits_the_fetch_fault(self):
+        program = _program(
+            I("lui", rd=1, imm=0x40000),
+            I("addi", rd=1, rs1=1, imm=6),            # base + 6: misaligned
+            I("csrrw", rd=0, rs1=1, csr=csrdefs.MEPC),
+            I("mret"),
+            I("addi", rd=2, rs1=0, imm=1),
+            I("ecall"),
+        )
+        target = program.base_address + 6
+        golden = GoldenModel().run(program)
+        assert golden.halt_reason is HaltReason.PC_OUT_OF_RANGE
+        assert golden.steps == 5
+        fault = golden.records[-1]
+        assert (fault.pc, fault.word, fault.mnemonic) == (target, 0, "illegal")
+        assert fault.trap is TrapCause.INSTRUCTION_ADDRESS_MISALIGNED
+        assert fault.trap_tval == target and fault.next_pc == target + 4
+        csrs = golden.final_csrs
+        assert csrs[csrdefs.MEPC] == target and csrs[csrdefs.MTVAL] == target
+        assert csrs[csrdefs.MCAUSE] == int(TrapCause.INSTRUCTION_ADDRESS_MISALIGNED)
+        # The fault retires nothing: four instructions retired.
+        assert csrs[csrdefs.MINSTRET] == 4 and csrs[csrdefs.MCYCLE] == 4
+        for name, model in _DUTS:
+            dut = make_dut(name, coverage_model=model)
+            run = dut.run(program)
+            assert ([r.arch_key() for r in run.execution.records]
+                    == [r.arch_key() for r in golden.records])
+            assert run.execution.halt_reason is HaltReason.PC_OUT_OF_RANGE
+            # ... and emits no coverage: stopping just before it covers
+            # exactly as much.
+            before = dut.run(program, max_steps=4)
+            assert before.execution.halt_reason is HaltReason.STEP_LIMIT
+            assert before.coverage == run.coverage, (name, model)
 
 
 class TestCorpusSanity:

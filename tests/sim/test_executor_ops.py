@@ -5,7 +5,7 @@ from repro.isa import csr as csrdefs
 from repro.isa.exceptions import TrapCause
 from repro.isa.instruction import Instruction
 from repro.utils.bits import MASK64, to_unsigned
-from tests.sim.helpers import BASE, DATA, execute_one
+from tests.sim.helpers import BASE, DATA, execute_one, step_block
 
 
 class TestLoads:
@@ -179,7 +179,7 @@ class TestSystemInstructions:
         memory = Memory()
         memory.load_program_words(BASE, [encode_instruction(Instruction("ecall"))])
         executor = Executor(ArchState(pc=BASE), memory, ExecutorConfig())
-        record = executor.step()
+        record = step_block(executor)
         assert record.trap is TrapCause.ECALL_FROM_M
         assert executor.halted
 
@@ -222,8 +222,8 @@ class TestAtomics:
         state.write_reg(1, DATA)
         state.write_reg(2, 99)
         executor = Executor(state, memory, ExecutorConfig())
-        lr_record = executor.step()
-        sc_record = executor.step()
+        lr_record = step_block(executor)
+        sc_record = step_block(executor)
         assert lr_record.rd_value == 77
         assert sc_record.rd_value == 0  # success
         assert memory.load(DATA, 8) == 99

@@ -9,8 +9,8 @@ in this file): a deterministic ~200-program corpus -- random seeds, mutated
 programs (including illegal words produced by bit-level mutation) and
 hand-built corner cases -- is digested per program and compared digest by
 digest.  DUT run digests also cover the coverage set, fired bugs and first
-bug-effect steps: they are the reference for the coverage emitters, on the
-fused superblock loop and on the per-step loop alike.
+bug-effect steps: they are the reference for the coverage emitters, which
+run only inside the fused superblock loop.
 
 To re-record the fixtures (only after intentionally changing architectural
 semantics, never to paper over a regression)::
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ import pytest
 from repro.fuzzing.mutation import MutationEngine
 from repro.isa import csr as csrdefs
 from repro.isa.assembler import encode_instruction
-from repro.isa.generator import SeedGenerator
+from repro.isa.generator import GeneratorConfig, SeedGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.isa.scenarios import TrapScenarioGenerator
@@ -117,6 +118,29 @@ LOOP_KEYS = {
     "loop_rocket": ("rocket", ()),
     "loop_rocket_buggy": ("rocket", None),
     "loop_boom": ("boom", ()),
+}
+
+
+# Per-step extension (recorded before the per-step execution path was
+# deleted, with every run asserted equal on the fused loop and on the
+# per-step loop): a seeded corpus drawn the way the coverage property in
+# tests/integration/test_property_equivalence.py draws -- a seed program
+# with a few illegal words, mutated zero to three times -- through every
+# DUT under both coverage models, clean and with its default bug set.
+# Entries are ``[fingerprint, digest]`` like the coverage keys; BOOM's
+# default bug set is empty, so ``property_boom`` pins both of its
+# configurations.  The same recording froze two keys that other modules
+# check: ``directed_bugs`` (the directed programs of
+# tests/rtl/test_bugs.py) and ``directed_fallbacks`` (the fallback-path
+# programs of tests/sim/test_compiled.py); ``--record`` keeps them.
+PROPERTY_SEED = 20261018
+PROPERTY_PROGRAMS = 80
+PROPERTY_KEYS = {
+    "property_cva6": ("cva6", ()),
+    "property_cva6_buggy": ("cva6", None),
+    "property_rocket": ("rocket", ()),
+    "property_rocket_buggy": ("rocket", None),
+    "property_boom": ("boom", ()),
 }
 
 
@@ -552,6 +576,21 @@ def build_loop_corpus() -> list:
     return programs
 
 
+def build_property_corpus() -> list:
+    """Seeded programs drawn like ``test_coverage_always_within_declared_space``."""
+    rng = random.Random(PROPERTY_SEED)
+    programs = []
+    for _ in range(PROPERTY_PROGRAMS):
+        seed, mutations = rng.getrandbits(32), rng.randrange(4)
+        program = SeedGenerator(GeneratorConfig(illegal_word_prob=0.05),
+                                rng=seed).generate()
+        engine = MutationEngine(rng=seed)
+        for _ in range(mutations):
+            program = engine.mutate_once(program)
+        programs.append(program)
+    return programs
+
+
 def trace_digest(execution) -> str:
     """Digest every architecturally visible aspect of one program run."""
     h = hashlib.sha256()
@@ -634,6 +673,18 @@ def loop_digests() -> dict:
     return digests
 
 
+def property_digests() -> dict:
+    """The ``PROPERTY_KEYS`` entries over the property corpus."""
+    corpus = build_property_corpus()
+    digests = {}
+    for key, (name, bugs) in PROPERTY_KEYS.items():
+        digests[key] = {}
+        for model in COVERAGE_MODELS:
+            dut = make_dut(name, bugs=bugs, coverage_model=model)
+            digests[key][model] = coverage_entries(dut, corpus, f"{key}/{model}")
+    return digests
+
+
 def compute_digests() -> dict:
     """Run the full corpus and return all per-program trace digests."""
     corpus = build_corpus()
@@ -670,6 +721,7 @@ def compute_digests() -> dict:
     digests.update(bug_set_digests())
     digests.update(coverage_digests())
     digests.update(loop_digests())
+    digests.update(property_digests())
     return digests
 
 
@@ -761,30 +813,6 @@ def test_trap_buggy_dut_traces_match_fixtures(fixture_digests, current_digests):
         "bug-injected rocket trap traces diverged from recorded fixtures")
 
 
-def test_superblocks_off_matches_fixtures(fixture_digests):
-    """The unfused per-step loop must reproduce the recorded digests too.
-
-    The other tests in this module run with superblocks on (the default),
-    so together they prove superblock-on == superblock-off == pre-rewrite
-    semantics over the whole corpus.
-    """
-    from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
-
-    corpus = build_corpus()
-    golden = GoldenModel()
-    was = superblocks_enabled()
-    set_superblocks_enabled(False)
-    try:
-        off_golden = [trace_digest(golden.run(p)) for p in corpus]
-        dut = make_dut("rocket", bugs=[])
-        off_rocket = [trace_digest(dut.run(p).execution)
-                      for p in corpus[:DUT_PROGRAMS]]
-    finally:
-        set_superblocks_enabled(was)
-    assert off_golden == fixture_digests["golden"]
-    assert off_rocket == fixture_digests["duts"]["rocket"]
-
-
 # ------------------------------------------------------ CVA6 bug-set extension
 def test_bug_corners_fire_every_cva6_bug():
     dut = make_dut("cva6")
@@ -802,20 +830,6 @@ def test_cva6_bug_set_runs_match_fixtures(fixture_digests, current_digests,
             == fixture_digests[key][coverage_model]), (
         f"cva6 V1-V6 runs ({key}, {coverage_model} coverage) diverged from "
         f"the recorded trace/coverage/bug digests")
-
-
-def test_superblocks_off_matches_bug_set_fixtures(fixture_digests):
-    """The per-step loop reproduces the CVA6 bug-set digests as well."""
-    from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
-
-    was = superblocks_enabled()
-    set_superblocks_enabled(False)
-    try:
-        off = bug_set_digests()
-    finally:
-        set_superblocks_enabled(was)
-    for key in BUG_SET_KEYS:
-        assert off[key] == fixture_digests[key], key
 
 
 # ------------------------------------------------------- coverage extension
@@ -879,23 +893,6 @@ def test_default_bug_set_coverage_matches_fixtures(fixture_digests, name):
             fixture_digests[key][model], f"{name} default bugs/{model}")
 
 
-def test_superblocks_off_matches_coverage_fixtures(fixture_digests):
-    """The per-step loop's emitters reproduce the coverage digests too."""
-    from repro.isa.compiled import set_superblocks_enabled, superblocks_enabled
-
-    was = superblocks_enabled()
-    set_superblocks_enabled(False)
-    try:
-        off = coverage_digests()
-    finally:
-        set_superblocks_enabled(was)
-    for key in COVERAGE_KEYS:
-        for model in COVERAGE_MODELS:
-            _assert_coverage_entries_match(off[key][model],
-                                           fixture_digests[key][model],
-                                           f"{key}/{model} (superblocks off)")
-
-
 # ----------------------------------------------------------- loop extension
 def test_loop_corpus_is_representative():
     """Every program loops to the step limit; the seeded corpora add some."""
@@ -933,9 +930,32 @@ def test_boom_default_bug_set_matches_loop_fixtures(fixture_digests):
             fixture_digests["loop_boom"][model], f"boom default bugs/{model}")
 
 
+# ---------------------------------------------------------- per-step extension
+@pytest.mark.parametrize("coverage_model", COVERAGE_MODELS)
+@pytest.mark.parametrize("key", sorted(PROPERTY_KEYS))
+def test_property_corpus_matches_fixtures(fixture_digests, current_digests,
+                                         key, coverage_model):
+    _assert_coverage_entries_match(current_digests[key][coverage_model],
+                                   fixture_digests[key][coverage_model],
+                                   f"{key}/{coverage_model}")
+
+
+def test_boom_default_bug_set_matches_property_fixtures(fixture_digests):
+    for model in COVERAGE_MODELS:
+        dut = make_dut("boom", coverage_model=model)  # default (empty) set
+        assert not dut.bugs
+        _assert_coverage_entries_match(
+            coverage_entries(dut, build_property_corpus(), f"boom/{model}"),
+            fixture_digests["property_boom"][model], f"boom default bugs/{model}")
+
+
 def record_hotpath_fixtures() -> None:  # pragma: no cover - manual tool
     FIXTURE_PATH.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE_PATH.write_text(json.dumps(compute_digests(), indent=1) + "\n")
+    # Keys this module does not compute (``directed_*``) stay as recorded.
+    digests = (json.loads(FIXTURE_PATH.read_text())
+               if FIXTURE_PATH.exists() else {})
+    digests.update(compute_digests())
+    FIXTURE_PATH.write_text(json.dumps(digests, indent=1) + "\n")
     print(f"recorded fixtures for {json.loads(FIXTURE_PATH.read_text())['corpus_size']} "
           f"programs -> {FIXTURE_PATH}")
 
