@@ -167,10 +167,6 @@ def _backend(args):
 
 def _engine(args) -> CampaignEngine:
     """Build the campaign engine the grid commands hand their specs to."""
-    if args.batch_size is not None and args.batch_size < 0:
-        raise SystemExit("--batch-size must be >= 0 (0 = unbounded)")
-    if args.cache_entries is not None and args.cache_entries < 1:
-        raise SystemExit("--cache-entries must be >= 1")
     backend = _backend(args)
     if args.batch_size is not None:
         # 0 = unbounded batches (one per cache-locality group).
@@ -445,11 +441,34 @@ def _positive_int(text: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of a base RNG seed, which numpy requires to be >= 0."""
+    """argparse type of a count that may be 0, or of a base RNG seed
+    (numpy requires seeds to be >= 0)."""
     value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of an interval in seconds, which must be above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type of a TCP port number (0 = ephemeral)."""
+    value = _int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port number in 0-65535, got {value}")
     return value
 
 
@@ -501,25 +520,28 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stop-workers", action="store_true",
                         help="write the queue's STOP sentinel when the grid "
                              "finishes, so attached workers drain and exit")
-    parser.add_argument("--lease-timeout", type=float, default=None,
+    parser.add_argument("--lease-timeout", type=_positive_float, default=None,
                         help="seconds before a silent worker's claim is "
                              "requeued (distributed backend only)")
-    parser.add_argument("--max-attempts", type=int, default=None,
+    parser.add_argument("--max-attempts", type=_positive_int, default=None,
                         help="execution budget per batch before it is "
                              "quarantined in deadletter/ (distributed "
                              "backend only; default 3)")
-    parser.add_argument("--max-tasks-per-child", type=int, default=None,
+    parser.add_argument("--max-tasks-per-child", type=_positive_int,
+                        default=None,
                         help="recycle each pool worker after this many batches")
-    parser.add_argument("--batch-size", type=int, default=None,
+    parser.add_argument("--batch-size", type=_non_negative_int, default=None,
                         help="max trials per worker batch (0 = one batch per "
                              "cache-locality group)")
-    parser.add_argument("--cache-entries", type=int, default=None,
-                        help="capacity of the per-worker golden/DUT run "
-                             "caches (default 4096)")
+    parser.add_argument("--cache-entries", type=_positive_int, default=None,
+                        help="capacity of each per-worker cache: golden "
+                             "runs, DUT runs and compiled programs "
+                             "(default 4096)")
     parser.add_argument("--resume", metavar="PATH", default=None,
                         type=_path_in_existing_dir,
                         help="JSONL checkpoint journal to write and resume from")
-    parser.add_argument("--spawn-workers", type=int, default=0, metavar="N",
+    parser.add_argument("--spawn-workers", type=_non_negative_int, default=0,
+                        metavar="N",
                         help="launch and supervise N local `worker` "
                              "processes for the queue (distributed backend "
                              "only; crashed workers restart under the "
@@ -528,7 +550,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="launch and supervise one `worker` per ssh "
                              "host (distributed backend only)")
-    parser.add_argument("--crash-loop-budget", type=int, default=None,
+    parser.add_argument("--crash-loop-budget", type=_positive_int,
+                        default=None,
                         help="supervised restarts allowed per host per "
                              "crash window before the host is marked "
                              "degraded (default 3)")
@@ -636,19 +659,23 @@ def build_parser() -> argparse.ArgumentParser:
                                help="spool directory shared with the dispatcher")
     worker_parser.add_argument("--worker-id", default=None,
                                help="stable worker name (default: host-pid)")
-    worker_parser.add_argument("--poll-interval", type=float, default=0.2,
+    worker_parser.add_argument("--poll-interval", type=_positive_float,
+                               default=0.2,
                                help="seconds between queue scans while idle")
-    worker_parser.add_argument("--lease-timeout", type=float, default=300.0,
+    worker_parser.add_argument("--lease-timeout", type=_positive_float,
+                               default=300.0,
                                help="seconds before another worker's stalled "
                                     "claim is rescued")
-    worker_parser.add_argument("--max-tasks", type=int, default=None,
+    worker_parser.add_argument("--max-tasks", type=_positive_int, default=None,
                                help="exit after this many batches (worker "
                                     "recycling)")
-    worker_parser.add_argument("--max-attempts", type=int, default=None,
+    worker_parser.add_argument("--max-attempts", type=_positive_int,
+                               default=None,
                                help="retry-budget fallback applied when "
                                     "rescuing stale tasks enqueued without "
                                     "one (default 3)")
-    worker_parser.add_argument("--max-poll-interval", type=float, default=None,
+    worker_parser.add_argument("--max-poll-interval", type=_positive_float,
+                               default=None,
                                help="ceiling of the idle-poll backoff "
                                     "(default 16x --poll-interval)")
     worker_parser.add_argument("--fault-plan", metavar="PATH", default=None,
@@ -669,7 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     deadletter_parser.add_argument("--all", action="store_true",
                                    help="apply show/requeue/discard to every "
                                         "quarantined batch")
-    deadletter_parser.add_argument("--max-attempts", type=int, default=None,
+    deadletter_parser.add_argument("--max-attempts", type=_positive_int,
+                                   default=None,
                                    help="retry budget for requeued batches "
                                         "(default: the batch's original "
                                         "budget)")
@@ -681,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "streams")
     telemetry_parser.add_argument("action", choices=("serve",))
     telemetry_parser.add_argument("--host", default="127.0.0.1")
-    telemetry_parser.add_argument("--port", type=int, default=0,
+    telemetry_parser.add_argument("--port", type=_port, default=0,
                                   help="TCP port (0 = ephemeral, printed "
                                        "on stderr)")
     telemetry_parser.add_argument("--log", metavar="PATH", default=None,

@@ -40,25 +40,9 @@ from repro.exec.batching import (
     execute_batch,
     plan_batches,
 )
-from repro.harness.campaign import run_campaign
 
 if TYPE_CHECKING:
     from repro.fuzzing.corpus import CorpusManager
-
-
-def execute_trial(task: TrialTask) -> Tuple[int, int, Dict[str, object]]:
-    """Run one trial and return ``(spec_index, trial_index, result_dict)``.
-
-    The single-task ancestor of :func:`~repro.exec.batching.execute_batch`,
-    kept for direct callers and tests; it routes DUT runs through the
-    calling process's :func:`~repro.exec.cache.process_dut_cache` exactly
-    as the batch executor does.
-    """
-    from repro.exec.cache import process_dut_cache  # local import: cycle
-
-    result = run_campaign(task.spec, task.trial_index,
-                          dut_cache=process_dut_cache())
-    return task.spec_index, task.trial_index, result.to_dict()
 
 
 class ExecutionBackend(abc.ABC):

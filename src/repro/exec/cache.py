@@ -1,19 +1,28 @@
-"""Per-process DUT-run cache.
+"""Per-process run caches; one bound and one read-out for every process cache.
 
 The DUT models are deterministic: a :class:`~repro.rtl.harness.DutRunResult`
 depends only on the program words, the load address, the step limit and the
 DUT's full configuration (microarchitecture parameters + injected bug set).
 Campaigns replay programs constantly -- MABFuzz arms re-run their seeds,
 mutants duplicate each other -- so caching DUT runs removes the second half
-of the per-iteration simulation cost the same way PR 1's
-:class:`~repro.sim.golden.GoldenTraceCache` removed the golden half.
+of the per-iteration simulation cost the same way
+:class:`~repro.sim.golden.GoldenTraceCache` removes the golden half.
 
-The cache is *process-local by design*: worker processes each build their
-own (:func:`process_dut_cache`), so no locking or shared memory is needed
-and a cached entry can never leak between incompatible DUT configurations
-running in other workers.  Cached :class:`DutRunResult` objects are frozen
-and must be treated as read-only, which every consumer (differential
-tester, coverage database) already does.
+A worker process keeps three caches, each a
+:class:`~repro.utils.lru.LRUCache`: DUT runs (:func:`process_dut_cache`),
+golden runs (:func:`process_golden_cache`, the fallback behind every
+trial's session cache) and compiled programs
+(:func:`repro.isa.compiled.process_compiled_cache`, whose entries also
+hold each program's superblock table).  :func:`configure_process_caches`
+is their one bound and :func:`process_cache_stats` their one counter
+read-out.
+
+The caches are *process-local by design*: worker processes each build
+their own, so no locking or shared memory is needed and a cached entry can
+never leak between incompatible DUT configurations running in other
+workers.  Cached :class:`DutRunResult` objects are frozen and must be
+treated as read-only, which every consumer (differential tester, coverage
+database) already does.
 
 Cache hits never change campaign results -- only wall-clock -- so the
 hit/miss counters are deliberately *not* copied into
@@ -26,16 +35,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.isa.compiled import (compiled_cache_stats, configure_compiled_cache,
-                                configure_superblock_cache,
-                                superblock_cache_stats)
+from repro.isa.compiled import process_compiled_cache
 from repro.isa.program import TestProgram
-from repro.rtl.harness import DutModel, DutRunResult
+from repro.rtl.harness import DutModel
 from repro.sim.golden import GoldenTraceCache, KeyedRunCache
-
-#: default capacity of the process-level caches; the engine-level
-#: ``cache_entries`` knob overrides it per grid run.
-DEFAULT_CACHE_ENTRIES = 4096
+from repro.utils.lru import DEFAULT_CACHE_ENTRIES
 
 
 class DutRunCache(KeyedRunCache):
@@ -60,32 +64,24 @@ class DutRunCache(KeyedRunCache):
                 tuple(sorted(bug.bug_id for bug in dut.bugs)),
                 dut.executor_config, dut.layout, dut.coverage_model)
 
-    def get_or_run(self, dut: DutModel, program: TestProgram,
-                   max_steps: Optional[int] = None) -> DutRunResult:
-        """Return the cached run for ``program`` on ``dut``, running on a miss."""
-        return super().get_or_run(dut, program, max_steps)
 
-
-_PROCESS_CACHE: Optional[DutRunCache] = None
-_PROCESS_GOLDEN_CACHE: Optional[GoldenTraceCache] = None
+_PROCESS_CACHE = DutRunCache()
+_PROCESS_GOLDEN_CACHE = GoldenTraceCache()
 
 
 def process_dut_cache() -> DutRunCache:
-    """The calling process's shared :class:`DutRunCache` (created lazily).
+    """The calling process's shared :class:`DutRunCache`.
 
     Trial workers route every DUT run through this instance so that trials
     of the same spec executed back-to-back in one worker reuse each other's
     seed-program runs.  Worker recycling (``max_tasks_per_child``) resets
     it together with the rest of the interpreter state.
     """
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = DutRunCache(DEFAULT_CACHE_ENTRIES)
     return _PROCESS_CACHE
 
 
 def process_golden_cache() -> GoldenTraceCache:
-    """The calling process's shared golden-trace cache (created lazily).
+    """The calling process's shared golden-trace cache.
 
     Installed as the *fallback* of every trial's session-level
     :class:`~repro.sim.golden.GoldenTraceCache` by the batch executor, so
@@ -93,9 +89,6 @@ def process_golden_cache() -> GoldenTraceCache:
     executes -- without touching the per-trial session counters that go
     into result metadata (see :class:`~repro.sim.golden.KeyedRunCache`).
     """
-    global _PROCESS_GOLDEN_CACHE
-    if _PROCESS_GOLDEN_CACHE is None:
-        _PROCESS_GOLDEN_CACHE = GoldenTraceCache(DEFAULT_CACHE_ENTRIES)
     return _PROCESS_GOLDEN_CACHE
 
 
@@ -108,34 +101,29 @@ def configure_process_caches(cache_entries: Optional[int]) -> None:
     never leaks into the next.  Shrinking spills LRU entries immediately
     (the spill's evictions still count: callers snapshot counters *before*
     configuring, see :func:`repro.exec.batching.execute_batch`).  The
-    compiled-trace and superblock caches (:mod:`repro.isa.compiled`) are
-    bounded alongside the run caches so one knob governs all per-worker
-    memory.
+    compiled-program cache is bounded alongside the run caches so one knob
+    governs all per-worker memory.
     """
     bound = DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries
-    process_dut_cache().configure(bound)
-    process_golden_cache().configure(bound)
-    configure_compiled_cache(bound)
-    configure_superblock_cache(bound)
+    for cache in (_PROCESS_CACHE, _PROCESS_GOLDEN_CACHE,
+                  process_compiled_cache()):
+        cache.configure(bound)
 
 
 def process_cache_stats() -> Dict[str, int]:
-    """Cumulative hit/miss/eviction counters of this process's caches."""
-    dut = process_dut_cache().stats()
-    golden = process_golden_cache().stats()
-    compiled = compiled_cache_stats()
-    superblock = superblock_cache_stats()
-    return {
-        "dut_cache_hits": dut["hits"],
-        "dut_cache_misses": dut["misses"],
-        "dut_cache_evictions": dut["evictions"],
-        "shared_golden_hits": golden["hits"],
-        "shared_golden_misses": golden["misses"],
-        "shared_golden_evictions": golden["evictions"],
-        "compiled_trace_hits": compiled["hits"],
-        "compiled_trace_misses": compiled["misses"],
-        "compiled_trace_evictions": compiled["evictions"],
-        "superblock_hits": superblock["hits"],
-        "superblock_misses": superblock["misses"],
-        "superblock_evictions": superblock["evictions"],
-    }
+    """Cumulative hit/miss/eviction counters of this process's caches.
+
+    A program's superblock table lives on its compiled entry, so the
+    ``superblock_*`` counters repeat the ``compiled_trace_*`` ones; they
+    are kept because perfbench's tracer reports both.
+    """
+    compiled = process_compiled_cache()
+    stats = {}
+    for prefix, cache in (("dut_cache", _PROCESS_CACHE),
+                          ("shared_golden", _PROCESS_GOLDEN_CACHE),
+                          ("compiled_trace", compiled),
+                          ("superblock", compiled)):
+        stats[f"{prefix}_hits"] = cache.hits
+        stats[f"{prefix}_misses"] = cache.misses
+        stats[f"{prefix}_evictions"] = cache.evictions
+    return stats

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.coverage.bitset import mask_of
 from repro.coverage.csr_transitions import transition_space
 from repro.coverage.database import CoverageDatabase
-from repro.isa.compiled import compiled_cache_stats
 from repro.fuzzing.differential import DifferentialTester
 from repro.fuzzing.results import BugDetection, TestOutcome
 from repro.isa.program import TestProgram
@@ -38,19 +37,19 @@ class FuzzSession:
 
     Golden-model runs are served through a :class:`GoldenTraceCache`:
     duplicate or unmutated programs (MABFuzz arms replay their seeds) never
-    re-run the reference model within a campaign.  Cache hit/miss counters
-    are part of :meth:`stats`.
+    re-run the reference model within a campaign.  Its hit/miss counters
+    (:attr:`golden_cache_hits`, :attr:`golden_cache_misses`) go into the
+    campaign-result metadata.
 
     Both halves of a test -- the golden reference and the instrumented DUT
     -- execute the program's **compiled trace**
     (:mod:`repro.isa.compiled`): the golden run compiles it (or pulls it
     from the process-level fingerprint cache) and the DUT run replays the
     very same threaded-code object, so fetch+decode work is paid once per
-    distinct program per process rather than once per model per run.
-    :meth:`stats` surfaces the process-level compiled-trace counters for
-    observability only; they are process-cumulative and therefore
-    deliberately kept out of campaign-result metadata (the same rule the
-    DUT-run cache follows, see ``docs/parallel.md``).
+    distinct program per process rather than once per model per run.  The
+    process-level counters are process-cumulative and therefore kept out of
+    campaign-result metadata (see :func:`repro.exec.cache.process_cache_stats`
+    and ``docs/parallel.md``).
     """
 
     def __init__(self, dut: DutModel, golden: Optional[GoldenModel] = None,
@@ -131,29 +130,6 @@ class FuzzSession:
     @property
     def golden_cache_misses(self) -> int:
         return self.golden_cache.misses
-
-    def stats(self) -> Dict[str, int]:
-        """Campaign-level session counters (incl. golden-trace cache traffic).
-
-        DUT-cache counters appear only when a cache is installed, and are
-        *process-cumulative* (the cache outlives individual sessions in a
-        worker), which is why they never go into campaign-result metadata.
-        """
-        stats = {
-            "tests_executed": self.tests_executed,
-            "interesting_tests": self.interesting_tests,
-            "mismatching_tests": self.mismatching_tests,
-            "coverage_count": self.coverage_count,
-            "golden_cache_hits": self.golden_cache.hits,
-            "golden_cache_misses": self.golden_cache.misses,
-        }
-        if self.dut_cache is not None:
-            stats["dut_cache_hits"] = self.dut_cache.hits
-            stats["dut_cache_misses"] = self.dut_cache.misses
-        compiled = compiled_cache_stats()
-        stats["compiled_trace_hits"] = compiled["hits"]
-        stats["compiled_trace_misses"] = compiled["misses"]
-        return stats
 
     def undetected_bugs(self) -> List[str]:
         """Bug ids injected into the DUT that have not been detected yet."""

@@ -13,12 +13,14 @@ entries ``(word, instruction, handler)``:
   compile time (illegal words get one that raises the illegal-instruction
   trap).
 
-Compiled traces are cached in a bounded process-global LRU keyed by the
+Compiled programs are cached in a bounded process-global LRU keyed by the
 program *fingerprint* (content hash of words + base address), so trials
 that regenerate identical programs -- bug-set sweeps, MABFuzz arms
 replaying seeds, duplicate mutants -- share one compilation per process,
 and the execution subsystem's ``--cache-entries`` knob re-bounds it
 together with the golden/DUT run caches (see ``docs/performance.md``).
+The compiled program is a program's only entry in this process cache:
+it also holds the program's superblock table.
 
 On top of the per-entry trace this module builds **superblocks**: maximal
 straight-line runs of compiled entries, which the executors retire in one
@@ -30,41 +32,65 @@ instruction before the tail falls through to ``pc + 4`` -- even when it
 traps, because the harness convention resumes at the next instruction --
 which is exactly what lets the fused loops defer the ``pc`` write to the
 block exit.  Blocks are built lazily per entry index (only leaders that
-execution actually reaches pay the build) and cached per program in a
-second fingerprint-keyed LRU bounded by the same ``--cache-entries`` knob
-(``superblock_*`` counters in ``process_cache_stats``).  The run loop cuts
-a block short at the step limit and before a word a store overwrote, and
-runs an overwritten word, re-fetched, as a block of its own
-(:meth:`Superblock.prefix`, :func:`word_block`).  See
+execution actually reaches pay the build) into the table the compiled
+program holds, so one cache spill drops a program's trace and its blocks
+together.  The run loop cuts a block short at the step limit and before a
+word a store overwrote, and runs an overwritten word, re-fetched, as a
+block of its own (:meth:`Superblock.prefix`, :func:`word_block`).  See
 ``docs/performance.md`` for the formation rules.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.decoder import decode_word
 from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.program import TestProgram
+from repro.utils.lru import LRUCache
 
-#: default capacity of the process-global fingerprint-keyed cache; the
-#: execution subsystem re-bounds it per batch together with the run caches.
-DEFAULT_COMPILED_ENTRIES = 4096
+#: table sentinel distinguishing "not built yet" from a built block.
+_UNBUILT = object()
 
 
 class CompiledProgram:
-    """A program's threaded-code form: one ``(word, instr, handler)`` per slot."""
+    """A program's threaded-code form and its lazily built superblock table.
 
-    __slots__ = ("base_address", "end_address", "entries")
+    ``entries`` holds one ``(word, instr, handler)`` per slot.  ``at(index)``
+    returns the superblock *leading at* ``index``: every entry leads one, at
+    least one entry long.  Blocks are built per leader index on first
+    request, so a program only pays for the leaders execution actually
+    reaches; blocks starting at different indices may overlap (a jump into
+    the middle of one straight-line run simply leads its own block).
+    """
+
+    __slots__ = ("base_address", "end_address", "entries", "_blocks")
 
     def __init__(self, base_address: int, entries: Tuple[Tuple, ...]) -> None:
         self.base_address = base_address
         self.end_address = base_address + 4 * len(entries)
         self.entries = entries
+        self._blocks: List[object] = [_UNBUILT] * len(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def at(self, index: int) -> "Superblock":
+        block = self._blocks[index]
+        if block is _UNBUILT:
+            block = self._blocks[index] = self._build(index)
+        return block
+
+    def _build(self, index: int) -> "Superblock":
+        entries = self.entries
+        count = len(entries)
+        stop = index
+        while stop < count:
+            stop += 1
+            if entries[stop - 1][1].mnemonic in _TERMINATORS:
+                break  # the terminator closes the block as its tail
+        return Superblock(index, entries[index:stop],
+                          self.base_address, self.end_address)
 
 
 def _compile(program: TestProgram) -> CompiledProgram:
@@ -82,63 +108,12 @@ def _compile(program: TestProgram) -> CompiledProgram:
     return CompiledProgram(program.base_address, tuple(entries))
 
 
-class CompiledTraceCache:
-    """Bounded LRU of compiled traces keyed by program fingerprint."""
-
-    def __init__(self, max_entries: int = DEFAULT_COMPILED_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, CompiledProgram]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_compile(self, program: TestProgram) -> CompiledProgram:
-        key = program.fingerprint()
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        compiled = _compile(program)
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[key] = compiled
-        return compiled
-
-    def configure(self, max_entries: int) -> None:
-        """Re-bound the cache, spilling LRU entries down to the new capacity."""
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self._entries),
-                "max_entries": self.max_entries}
-
-    def __len__(self) -> int:
-        return len(self._entries)
+#: the process-global compiled-program cache (one per worker process).
+_PROCESS_COMPILED_CACHE = LRUCache()
 
 
-#: the process-global compiled-trace cache (one per worker process).
-_PROCESS_COMPILED_CACHE: Optional[CompiledTraceCache] = None
-
-
-def process_compiled_cache() -> CompiledTraceCache:
-    """The calling process's shared compiled-trace cache (created lazily)."""
-    global _PROCESS_COMPILED_CACHE
-    if _PROCESS_COMPILED_CACHE is None:
-        _PROCESS_COMPILED_CACHE = CompiledTraceCache()
+def process_compiled_cache() -> LRUCache:
+    """The calling process's compiled-program cache, keyed by fingerprint."""
     return _PROCESS_COMPILED_CACHE
 
 
@@ -151,18 +126,12 @@ def compile_program(program: TestProgram) -> CompiledProgram:
     memory.  A lookup is one memoised ``fingerprint()`` read plus an LRU
     dict get -- negligible next to a run.
     """
-    return process_compiled_cache().get_or_compile(program)
-
-
-def compiled_cache_stats() -> Dict[str, int]:
-    """Counters of the process-global compiled-trace cache."""
-    return process_compiled_cache().stats()
-
-
-def configure_compiled_cache(max_entries: Optional[int]) -> None:
-    """Re-bound the process cache (``None`` = :data:`DEFAULT_COMPILED_ENTRIES`)."""
-    process_compiled_cache().configure(
-        DEFAULT_COMPILED_ENTRIES if max_entries is None else max_entries)
+    key = program.fingerprint()
+    compiled = _PROCESS_COMPILED_CACHE.lookup(key)
+    if compiled is None:
+        compiled = _compile(program)
+        _PROCESS_COMPILED_CACHE.insert(key, compiled)
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -284,125 +253,12 @@ def word_block(index: int, word: int, base_address: int,
                       base_address, end_address)
 
 
-#: table sentinel distinguishing "not built yet" from a built block.
-_UNBUILT = object()
-
-
-class ProgramBlocks:
-    """Lazily built superblock table of one compiled program.
-
-    ``at(index)`` returns the superblock *leading at* ``index``: every
-    entry leads one, at least one entry long.  Blocks are built per leader
-    index on first request, so a program only pays for the leaders
-    execution actually reaches; blocks starting at different indices may
-    overlap (a jump into the middle of one straight-line run simply leads
-    its own block).
-    """
-
-    __slots__ = ("_compiled", "_table")
-
-    def __init__(self, compiled: CompiledProgram) -> None:
-        self._compiled = compiled
-        self._table: List[object] = [_UNBUILT] * len(compiled.entries)
-
-    def at(self, index: int) -> Superblock:
-        block = self._table[index]
-        if block is _UNBUILT:
-            block = self._table[index] = self._build(index)
-        return block
-
-    def _build(self, index: int) -> Superblock:
-        compiled = self._compiled
-        entries = compiled.entries
-        count = len(entries)
-        stop = index
-        while stop < count:
-            stop += 1
-            if entries[stop - 1][1].mnemonic in _TERMINATORS:
-                break  # the terminator closes the block as its tail
-        return Superblock(index, entries[index:stop],
-                          compiled.base_address, compiled.end_address)
-
-
-class SuperblockCache:
-    """Bounded LRU of per-program superblock tables keyed by fingerprint."""
-
-    def __init__(self, max_entries: int = DEFAULT_COMPILED_ENTRIES) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, ProgramBlocks]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_build(self, program: TestProgram,
-                     compiled: Optional[CompiledProgram] = None) -> ProgramBlocks:
-        key = program.fingerprint()
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        if compiled is None:
-            compiled = compile_program(program)
-        blocks = ProgramBlocks(compiled)
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[key] = blocks
-        return blocks
-
-    def configure(self, max_entries: int) -> None:
-        """Re-bound the cache, spilling LRU entries down to the new capacity."""
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self._entries),
-                "max_entries": self.max_entries}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: the process-global superblock cache (one per worker process).
-_PROCESS_SUPERBLOCK_CACHE: Optional[SuperblockCache] = None
-
-
-def process_superblock_cache() -> SuperblockCache:
-    """The calling process's shared superblock cache (created lazily)."""
-    global _PROCESS_SUPERBLOCK_CACHE
-    if _PROCESS_SUPERBLOCK_CACHE is None:
-        _PROCESS_SUPERBLOCK_CACHE = SuperblockCache()
-    return _PROCESS_SUPERBLOCK_CACHE
-
-
 def superblocks_for(program: TestProgram,
-                    compiled: Optional[CompiledProgram] = None) -> ProgramBlocks:
-    """The superblock table of ``program``, served from the process LRU.
+                    compiled: Optional[CompiledProgram] = None) -> CompiledProgram:
+    """The superblock table of ``program``: its compiled program.
 
-    Pass the already-resolved ``compiled`` trace when the caller holds one
-    (the run loop does) to skip a redundant compiled-cache lookup on miss.
+    The table lives on the compiled entry (:meth:`CompiledProgram.at`),
+    so pass the already-resolved ``compiled`` trace when the caller holds
+    one (the run loop does) to skip a second cache lookup.
     """
-    return process_superblock_cache().get_or_build(program, compiled)
-
-
-def superblock_cache_stats() -> Dict[str, int]:
-    """Counters of the process-global superblock cache."""
-    return process_superblock_cache().stats()
-
-
-def configure_superblock_cache(max_entries: Optional[int]) -> None:
-    """Re-bound the process cache (``None`` = :data:`DEFAULT_COMPILED_ENTRIES`)."""
-    process_superblock_cache().configure(
-        DEFAULT_COMPILED_ENTRIES if max_entries is None else max_entries)
+    return compile_program(program) if compiled is None else compiled

@@ -10,7 +10,6 @@ construction -- exactly the property differential testing relies on.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.isa.compiled import (_CSR_MNEMONICS, compile_program,
@@ -22,6 +21,7 @@ from repro.sim.memory import DEFAULT_LAYOUT, Memory, MemoryLayout
 from repro.sim.state import ArchState
 from repro.sim.trace import ExecutionResult, HaltReason
 from repro.utils.bits import MASK64
+from repro.utils.lru import DEFAULT_CACHE_ENTRIES, LRUCache
 
 #: CSR fields (word bits 31:20) addressing a retirement counter, the only
 #: state :meth:`Executor.periodic_state` leaves out: a loop period that
@@ -209,15 +209,14 @@ class GoldenModel(ModelBase):
     name = "golden"
 
 
-class KeyedRunCache:
+class KeyedRunCache(LRUCache):
     """Bounded LRU cache of deterministic model runs, keyed by subclasses.
 
     Both the golden reference and the DUT models are deterministic
     functions of (program, step limit, model configuration), so their runs
     can be cached and shared.  Subclasses define what "model configuration"
-    means by overriding :meth:`key`; everything else -- hit/miss/eviction
-    counters, the LRU spill policy, stats -- is shared here so the two
-    caches cannot drift apart.
+    means by overriding :meth:`key`; the LRU itself -- counters, spill
+    policy, re-bound, stats -- is :class:`~repro.utils.lru.LRUCache`.
 
     ``fallback`` optionally chains a second (usually longer-lived, e.g.
     process-level) cache behind this one: a miss here is served from the
@@ -232,54 +231,16 @@ class KeyedRunCache:
     coverage database only read).
     """
 
-    def __init__(self, max_entries: int = 4096,
+    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES,
                  fallback: Optional["KeyedRunCache"] = None) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+        super().__init__(max_entries)
         self.fallback = fallback
-        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     @staticmethod
     def key(model: ModelBase, program: TestProgram, step_limit: int) -> Tuple:
         """Cache key for one run (overridden per cache flavour)."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------- primitives
-    def lookup(self, key: Tuple):
-        """Return the entry for ``key`` (or ``None``), updating counters/LRU."""
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        return None
-
-    def insert(self, key: Tuple, result: object) -> None:
-        """Store ``result`` under ``key``, spilling the LRU entry if full."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = result
-            return
-        while len(self._entries) >= self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        self._entries[key] = result
-
-    def configure(self, max_entries: int) -> None:
-        """Re-bound the cache, spilling LRU entries down to the new capacity."""
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    # ------------------------------------------------------------------- runs
     def get_or_run(self, model: ModelBase, program: TestProgram,
                    max_steps: Optional[int] = None):
         """Return the cached run for ``program``, running ``model`` on a miss."""
@@ -298,17 +259,6 @@ class KeyedRunCache:
         self.insert(key, result)
         return result
 
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "entries": len(self._entries),
-                "max_entries": self.max_entries}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class GoldenTraceCache(KeyedRunCache):
     """Program-keyed cache of golden-model execution results.
@@ -319,7 +269,7 @@ class GoldenTraceCache(KeyedRunCache):
     seeds; duplicate mutants are common), so caching the golden trace halves
     the per-iteration simulation cost for every repeated program.
 
-    ``hits`` / ``misses`` counters are surfaced in the fuzzing-session stats.
+    A session's ``hits`` / ``misses`` go into its campaign-result metadata.
     """
 
     @staticmethod
@@ -333,8 +283,3 @@ class GoldenTraceCache(KeyedRunCache):
         """
         return (program.fingerprint(), step_limit,
                 model.executor_config, model.layout)
-
-    def get_or_run(self, model: ModelBase, program: TestProgram,
-                   max_steps: Optional[int] = None) -> ExecutionResult:
-        """Return the cached trace for ``program``, running ``model`` on a miss."""
-        return super().get_or_run(model, program, max_steps)

@@ -6,8 +6,8 @@ from repro.exec.backends import (
     ProcessPoolBackend,
     SerialBackend,
     TrialTask,
-    execute_trial,
 )
+from repro.exec.batching import TrialBatch, execute_batch
 from repro.exec.engine import run_grid
 from repro.fuzzing.base import FuzzerConfig
 from repro.harness.campaign import CampaignSpec
@@ -53,13 +53,17 @@ class TestBackendValidation:
 
 
 class TestExecuteTrial:
+    """A single trial runs as a one-task batch through `execute_batch`."""
+
     def test_returns_serialized_payload(self):
         spec = _grid()[0]
-        spec_index, trial_index, payload = execute_trial(TrialTask(0, 1, spec))
-        assert (spec_index, trial_index) == (0, 1)
-        assert isinstance(payload, dict)
-        assert payload["dut_name"] == "rocket"
-        assert payload["metadata"]["trial"] == 1
+        payload = execute_batch(TrialBatch(index=0,
+                                           tasks=(TrialTask(0, 1, spec),)))
+        [item] = payload["results"]
+        assert (item["spec_index"], item["trial_index"]) == (0, 1)
+        assert isinstance(item["result"], dict)
+        assert item["result"]["dut_name"] == "rocket"
+        assert item["result"]["metadata"]["trial"] == 1
 
 
 class TestPoolAbort:

@@ -89,6 +89,8 @@ class TestExecuteBatch:
         for task, item in zip(tasks, payload["results"]):
             assert item["spec_index"] == task.spec_index
             assert item["trial_index"] == task.trial_index
+            assert item["result"]["dut_name"] == "rocket"
+            assert item["result"]["metadata"]["trial"] == task.trial_index
             direct = run_campaign(task.spec, task.trial_index)
             expected = direct.to_dict()
             del expected["elapsed_seconds"]

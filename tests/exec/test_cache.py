@@ -136,18 +136,16 @@ class TestProcessCaches:
         from repro.exec.cache import DEFAULT_CACHE_ENTRIES
         from repro.isa.compiled import process_compiled_cache
 
-        from repro.isa.compiled import process_superblock_cache
-
         try:
             configure_process_caches(77)
             assert process_dut_cache().max_entries == 77
             assert process_golden_cache().max_entries == 77
             assert process_compiled_cache().max_entries == 77
-            assert process_superblock_cache().max_entries == 77
         finally:
             configure_process_caches(None)  # None restores the default bound
         assert process_dut_cache().max_entries == DEFAULT_CACHE_ENTRIES
         assert process_golden_cache().max_entries == DEFAULT_CACHE_ENTRIES
+        assert process_compiled_cache().max_entries == DEFAULT_CACHE_ENTRIES
 
     def test_process_cache_stats_keys(self):
         stats = process_cache_stats()

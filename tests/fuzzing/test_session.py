@@ -119,10 +119,9 @@ class TestGoldenTraceCache:
     def test_stats_surface_cache_counters(self, session, straightline_program):
         session.run_test(straightline_program)
         session.run_test(straightline_program)
-        stats = session.stats()
-        assert stats["golden_cache_hits"] == 1
-        assert stats["golden_cache_misses"] == 1
-        assert stats["tests_executed"] == 2
+        assert session.golden_cache_hits == 1
+        assert session.golden_cache_misses == 1
+        assert session.tests_executed == 2
 
 
 class TestGoldenCacheInCampaign:

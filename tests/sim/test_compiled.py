@@ -16,11 +16,11 @@ import json
 
 import pytest
 
+from repro.exec.cache import configure_process_caches, process_cache_stats
 from repro.isa import csr as csrdefs
 from repro.isa.assembler import encode_instruction
 from repro.isa.compiled import (
-    CompiledTraceCache,
-    SuperblockCache,
+    CompiledProgram,
     compile_program,
     dirty_word_span,
     process_compiled_cache,
@@ -37,6 +37,7 @@ from repro.sim.golden import GoldenModel
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
 from repro.sim.trace import HaltReason
+from repro.utils.lru import LRUCache
 from tests.sim.test_hotpath_equivalence import (FIXTURE_PATH, run_digest,
                                                 trace_digest)
 
@@ -104,24 +105,46 @@ class TestCompileProgram:
         # Nothing is pinned on the program object: the LRU bound governs
         # all compiled-trace memory (the --cache-entries contract).
         assert "_compiled" not in first.__dict__
+        assert not any(isinstance(value, CompiledProgram)
+                       for value in vars(first).values())
 
     def test_lru_bound_and_stats(self):
-        cache = CompiledTraceCache(max_entries=2)
+        """The one LRU behind every process cache, used as the compiled
+        cache uses it: program fingerprint -> compiled program."""
+        cache = LRUCache(max_entries=2)
         programs = [_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
                     for n in range(3)]
-        for program in programs:
-            cache.get_or_compile(program)
+        keys = [program.fingerprint() for program in programs]
+        for key, program in zip(keys, programs):
+            assert cache.lookup(key) is None
+            cache.insert(key, compile_program(program))
         assert len(cache) == 2
         stats = cache.stats()
         assert stats["misses"] == 3 and stats["evictions"] == 1
-        cache.get_or_compile(programs[0])  # spilled -> recompiled
+        assert stats["entries"] == 2 and stats["max_entries"] == 2
+        assert cache.lookup(keys[-1]) is compile_program(programs[-1])
+        assert cache.stats()["hits"] == 1
+        assert cache.lookup(keys[0]) is None  # spilled -> recompiled
         assert cache.stats()["misses"] == 4
-        cache.configure(1)
-        assert len(cache) == 1
+        # Spill order: a lookup refreshes an entry, so after keys[1] is
+        # looked up, keys[-1] is the least recently used and the next
+        # insert spills it.
+        assert cache.lookup(keys[1]) is not None
+        cache.insert(keys[0], compile_program(programs[0]))
+        assert cache.lookup(keys[-1]) is None
+        assert cache.lookup(keys[1]) is not None
+        # Re-inserting a present key refreshes it without a spill.
+        cache.insert(keys[0], compile_program(programs[0]))
+        assert cache.stats()["evictions"] == 2
+        cache.configure(1)  # re-bound spills down to the most recent entry
+        assert len(cache) == 1 and cache.stats()["evictions"] == 3
+        assert cache.lookup(keys[0]) is not None
         with pytest.raises(ValueError):
             cache.configure(0)
         with pytest.raises(ValueError):
-            CompiledTraceCache(max_entries=0)
+            LRUCache(max_entries=0)
+        cache.clear()
+        assert len(cache) == 0
 
 
 class TestFallbackPaths:
@@ -282,22 +305,36 @@ class TestSuperblockFormation:
         assert not prefix.csr_tail
 
     def test_lru_bound_and_stats(self):
-        cache = SuperblockCache(max_entries=2)
-        programs = [_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
-                    for n in range(3)]
-        for program in programs:
-            cache.get_or_build(program)
-        assert len(cache) == 2
-        stats = cache.stats()
-        assert stats["misses"] == 3 and stats["evictions"] == 1
-        cache.get_or_build(programs[-1])
-        assert cache.stats()["hits"] == 1
-        cache.configure(1)
-        assert len(cache) == 1
-        with pytest.raises(ValueError):
-            cache.configure(0)
-        with pytest.raises(ValueError):
-            SuperblockCache(max_entries=0)
+        """The compiled entry is a program's only per-program cache entry:
+        its superblock table shares the entry's bound, spill and counters."""
+        first, second = (_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
+                         for n in (1201, 1202))
+        compiled = compile_program(first)
+        assert superblocks_for(first) is compiled
+        assert superblocks_for(first, compiled) is compiled
+        block = superblocks_for(first).at(0)
+        assert superblocks_for(first).at(0) is block  # built once
+        compile_program(second)
+        cache = process_compiled_cache()
+        misses, evictions = cache.misses, cache.evictions
+        try:
+            configure_process_caches(1)  # spills all but `second`
+            assert len(cache) == 1 and cache.evictions > evictions
+            assert cache.misses == misses
+            # One spill dropped the trace and its table together: both
+            # come back rebuilt on a single miss.
+            rebuilt = superblocks_for(first)
+            assert cache.misses == misses + 1
+            assert rebuilt is compile_program(first)
+            assert rebuilt is not compiled
+            assert rebuilt.at(0) is not block
+            assert (rebuilt.at(0).start, rebuilt.at(0).length) == (0, 2)
+            stats = process_cache_stats()
+            for counter in ("hits", "misses", "evictions"):
+                assert (stats[f"superblock_{counter}"]
+                        == stats[f"compiled_trace_{counter}"])
+        finally:
+            configure_process_caches(None)
 
 
 class TestSuperblockSemantics:

@@ -80,16 +80,6 @@ class TestParser:
                   "--backend", "distributed", "--queue", "spool",
                   "--max-tasks-per-child", "8"])
 
-    def test_negative_batch_size_rejected_up_front(self):
-        with pytest.raises(SystemExit, match="--batch-size"):
-            main(["ablation", "arms", "--tests", "6", "--trials", "1",
-                  "--batch-size", "-2"])
-
-    def test_nonpositive_cache_entries_rejected_up_front(self):
-        with pytest.raises(SystemExit, match="--cache-entries"):
-            main(["ablation", "arms", "--tests", "6", "--trials", "1",
-                  "--cache-entries", "0"])
-
     @pytest.mark.parametrize("argv, message", [
         (["fuzz", "--tests", "0"], "must be a positive integer, got 0"),
         (["fuzz", "--seeds", "0"], "must be a positive integer, got 0"),
@@ -109,10 +99,49 @@ class TestParser:
          "directory does not exist: '/nonexistent/dir'"),
         (["list", "--output", "/nonexistent/dir/list.txt"],
          "directory does not exist: '/nonexistent/dir'"),
+        # Execution-engine and service flags: a value past argparse would
+        # reach a constructor that raises (or, for --spawn-workers, a
+        # dispatcher that waits forever for workers).  The flag under test
+        # comes first, so argparse rejects it before the other flags.
+        (["table1", "--batch-size", "-2"],
+         "must be a non-negative integer, got -2"),
+        (["ablation", "--cache-entries", "0", "arms"],
+         "must be a positive integer, got 0"),
+        (["table1", "--max-tasks-per-child", "0", "--workers", "2"],
+         "must be a positive integer, got 0"),
+        (["table1", "--max-attempts", "0", "--backend", "distributed",
+          "--queue", "Q"], "must be a positive integer, got 0"),
+        (["table1", "--lease-timeout", "-1", "--backend", "distributed",
+          "--queue", "Q"], "must be a positive number, got -1"),
+        (["table1", "--lease-timeout", "0", "--backend", "distributed",
+          "--queue", "Q"], "must be a positive number, got 0"),
+        (["table1", "--lease-timeout", "soon"], "invalid float value: 'soon'"),
+        (["table1", "--spawn-workers", "-1", "--backend", "distributed",
+          "--queue", "Q"], "must be a non-negative integer, got -1"),
+        (["table1", "--crash-loop-budget", "0"],
+         "must be a positive integer, got 0"),
+        (["worker", "--max-tasks", "0", "--queue", "Q"],
+         "must be a positive integer, got 0"),
+        (["worker", "--max-attempts", "0", "--queue", "Q"],
+         "must be a positive integer, got 0"),
+        (["worker", "--lease-timeout", "-1", "--queue", "Q"],
+         "must be a positive number, got -1"),
+        (["worker", "--poll-interval", "0", "--queue", "Q"],
+         "must be a positive number, got 0"),
+        (["worker", "--max-poll-interval", "nan", "--queue", "Q"],
+         "must be a positive number, got nan"),
+        (["deadletter", "--max-attempts", "0", "list", "--queue", "Q"],
+         "must be a positive integer, got 0"),
+        (["telemetry", "--port", "-1", "serve"],
+         "must be a port number in 0-65535, got -1"),
+        (["telemetry", "--port", "65536", "serve"],
+         "must be a port number in 0-65535, got 65536"),
     ])
     def test_bad_counts_rejected_with_usage_error(self, argv, message, capsys):
+        # Parse only: should a type check regress, the command must not
+        # run (a negative --spawn-workers would wait forever for workers).
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         error = capsys.readouterr().err.strip().splitlines()[-1]
         assert error == f"mabfuzz {argv[0]}: error: argument {argv[1]}: {message}"
