@@ -46,6 +46,7 @@ from repro.exec import (
 )
 from repro.exec.queue import ATTEMPTS_KEY, MAX_ATTEMPTS_KEY
 from repro.telemetry import TelemetryListener, parse_sink_spec
+from repro.telemetry.sink import tcp_address
 from repro.fuzzing.base import FuzzerConfig
 from repro.harness.experiments import (
     ExperimentConfig,
@@ -472,6 +473,32 @@ def _port(text: str) -> int:
     return value
 
 
+def _telemetry_spec(text: str) -> str:
+    """argparse type of a ``--telemetry`` sink spec: a ``tcp:`` spec must
+    have :func:`~repro.telemetry.sink.parse_sink_spec`'s form and a port
+    in 0-65535 (the sink itself is built after parsing)."""
+    if text.startswith("tcp:"):
+        try:
+            _, port = tcp_address(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        _port(str(port))
+    return text
+
+
+def _fault_plan(text: str) -> str:
+    """argparse type of a fault-plan JSON path: the plan must load."""
+    try:
+        faults.FaultPlan.from_file(text)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot load fault plan {text!r}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot load fault plan {text!r}: {exc}") from None
+    return text
+
+
 def _path_in_existing_dir(text: str) -> str:
     """argparse type of a file to write, whose directory must already exist.
 
@@ -555,11 +582,13 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                         help="supervised restarts allowed per host per "
                              "crash window before the host is marked "
                              "degraded (default 3)")
-    parser.add_argument("--worker-fault-plan", metavar="PATH", default=None,
+    parser.add_argument("--worker-fault-plan", metavar="PATH", type=_fault_plan,
+                        default=None,
                         help="fault-plan JSON exported to the first "
                              "supervised worker's initial spawn (chaos "
                              "testing; restarts run clean)")
-    parser.add_argument("--telemetry", metavar="SPEC", default=None,
+    parser.add_argument("--telemetry", metavar="SPEC", type=_telemetry_spec,
+                        default=None,
                         help="stream NDJSON campaign telemetry to a sink: "
                              "tcp:HOST:PORT, file:PATH, or a bare file "
                              "path (docs/service.md)")
@@ -678,7 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
                                default=None,
                                help="ceiling of the idle-poll backoff "
                                     "(default 16x --poll-interval)")
-    worker_parser.add_argument("--fault-plan", metavar="PATH", default=None,
+    worker_parser.add_argument("--fault-plan", metavar="PATH", type=_fault_plan,
+                               default=None,
                                help="fault-injection plan JSON for chaos "
                                     "testing (docs/robustness.md)")
     worker_parser.set_defaults(func=_cmd_worker)

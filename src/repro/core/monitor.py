@@ -62,6 +62,10 @@ class SaturationMonitor:
 class ProgressMonitor:
     """Live progress of a grid run: trials done/total, ETA, cache traffic.
 
+    Cache traffic covers every per-process cache the engine's
+    ``cache_entries`` bounds in a worker: DUT runs, shared golden runs and
+    compiled programs (see :func:`repro.exec.cache.process_cache_stats`).
+
     The execution engine calls :meth:`start` once with the total trial
     count *before* loading any checkpoint journal, then
     :meth:`restore_completed` once the restore finishes (restored trials
@@ -88,9 +92,9 @@ class ProgressMonitor:
         self.cache_stats: Dict[str, int] = {"golden_cache_hits": 0,
                                             "golden_cache_misses": 0}
         #: worker-side cache-traffic deltas for the current grid, summed
-        #: over finished batches (DUT-run and shared golden caches); fed
-        #: out-of-band by the engine because these counters are kept out
-        #: of result metadata on purpose.
+        #: over finished batches (DUT-run, shared golden and compiled-
+        #: program caches); fed out-of-band by the engine because these
+        #: counters are kept out of result metadata on purpose.
         self.worker_cache_stats: Dict[str, int] = {}
         #: self-healing counters for the current grid: stale-lease
         #: requeues, failed-batch retries, dead-lettered batches and
@@ -273,9 +277,12 @@ class ProgressMonitor:
         return hits / total if total else None
 
     def cache_evictions(self) -> int:
-        """LRU spills in the worker caches this grid (capacity pressure signal)."""
-        return (self.worker_cache_stats.get("dut_cache_evictions", 0)
-                + self.worker_cache_stats.get("shared_golden_evictions", 0))
+        """LRU spills in the worker caches this grid (capacity pressure
+        signal): DUT runs, shared golden runs and compiled programs.  The
+        ``superblock_*`` counters repeat the compiled-program ones, so
+        they are not added again."""
+        return sum(self.worker_cache_stats.get(f"{cache}_evictions", 0)
+                   for cache in ("dut_cache", "shared_golden", "compiled_trace"))
 
     def render(self, label: str = "") -> str:
         """One status line: ``trials 3/12 | eta 41s | golden-cache 87% hit``."""

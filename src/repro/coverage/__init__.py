@@ -9,10 +9,10 @@ coverage is the set of points its execution hit.
 from repro.coverage.points import coverage_point, parse_point
 from repro.coverage.csr_transitions import (
     COVERAGE_MODELS,
+    TRANSITION_TABLE,
     CsrTransitionTracker,
     is_transition_point,
     transition_point,
-    transition_space,
 )
 from repro.coverage.database import CoverageDatabase, CoverageSample
 
@@ -23,7 +23,7 @@ __all__ = [
     "CsrTransitionTracker",
     "is_transition_point",
     "transition_point",
-    "transition_space",
+    "TRANSITION_TABLE",
     "CoverageDatabase",
     "CoverageSample",
 ]

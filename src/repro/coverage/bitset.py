@@ -8,13 +8,15 @@ commit's coverage observation collapses to ``cov |= mask`` and every
 campaign-level set operation (new-to-the-campaign, new-to-the-arm, novel
 to the corpus) is integer ``&``/``|``/``~`` plus ``int.bit_count()``:
 
-* a point receives its bit the first time it is registered (a DUT's
-  coverage space is registered when its per-process memo is built,
-  emission helpers register lazily on first observation), and keeps it for
-  the life of the process -- masks memoised anywhere stay valid forever;
-* a *mask* is an ``int`` with one bit per point, memoised by a bounded
-  situation key at each emission site (point names are built only on a
-  memo miss); and
+* a point receives its bit the first time it is registered -- when the
+  coverage table declaring it is built -- and keeps it for the life of the
+  process, so a mask held anywhere stays valid forever;
+* a *mask* is an ``int`` with one bit per point.  Every coverage family is
+  one table mapping the bounded situation key its emitter computes to that
+  situation's mask, built whole before anything emits from it, so point
+  names are built only when a table is; and a table holds only masks, so
+  :func:`union` reads any family's points (a DUT's coverage space is the
+  union of its tables); and
 * :func:`points_of` expands a mask back into the canonical ``frozenset``
   of point names.  It runs only at the boundary: wire and journal
   payloads, corpus ``to_dict``, ``CoverageDatabase.covered``, trial-end
@@ -30,6 +32,8 @@ serial/pool/distributed results bit-identical.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
+
+from repro.coverage.points import coverage_point
 
 
 class PointBitIndex:
@@ -96,6 +100,15 @@ points_of = GLOBAL_BITS.points_of
 
 def point_mask(*parts: object) -> int:
     """Single-point mask for ``coverage_point(*parts)`` (table-builder helper)."""
-    from repro.coverage.points import coverage_point
-
     return 1 << point_bit(coverage_point(*parts))
+
+
+def union(table: object) -> int:
+    """The union of every mask in a coverage table: a mask, or a dict,
+    list or tuple of tables (dict keys are not read)."""
+    if isinstance(table, int):
+        return table
+    mask = 0
+    for value in (table.values() if isinstance(table, dict) else table):
+        mask |= union(value)
+    return mask

@@ -13,8 +13,11 @@ so this module adds exactly that as a coverage family:
 * a coverage point is one observed class change, named
   ``csr.<reg>.<old-class>-><new-class>`` via the normal
   :func:`~repro.coverage.points.coverage_point` scheme, and
-* the space is the full set of ordered class pairs per register, so the
-  usual "emitted ⊆ enumerated" property tests apply unchanged.
+* :data:`TRANSITION_TABLE` declares the family once: every ordered class
+  pair per register, keyed ``(csr address, old class, new class)``, maps to
+  its point's mask.  The family's points are the table's union, and a
+  transition outside it cannot be emitted silently (the lookup raises
+  ``KeyError``).
 
 Transitions are a pure function of the architectural commit trace: the
 :class:`CsrTransitionTracker` consumes :class:`~repro.sim.trace.
@@ -26,14 +29,14 @@ trace -- golden or DUT -- through a fresh tracker yields the same
 transitions, which is what lets tests assert that a defect-free DUT emits
 exactly the transitions derivable from the golden commit records.
 
-Like the other emitters, the tracker returns *memoised bitset masks*
+Like the other emitters, the tracker returns its table's bitset masks
 (:mod:`repro.coverage.bitset`), so observing a commit allocates nothing on
 the hot path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.coverage.bitset import point_bit
 from repro.coverage.points import coverage_point
@@ -88,8 +91,9 @@ def _classify_zero(value: int, layout: MemoryLayout) -> str:
 
 _Classifier = Callable[[int, MemoryLayout], str]
 
-#: tracked CSR -> (class enumeration, classifier).  The enumeration and the
-#: classifier range must agree -- the property tests assert emitted ⊆ space.
+#: tracked CSR -> (class enumeration, classifier).  The enumeration must
+#: cover the classifier's range: :data:`TRANSITION_TABLE` is built from it,
+#: so a class outside it makes the tracker raise ``KeyError``.
 TRACKED_CSRS: Dict[int, Tuple[Tuple[str, ...], _Classifier]] = {
     csrdefs.MCAUSE: (tuple(sorted(set(_CAUSE_CLASSES.values()))) + ("other",),
                      _classify_cause),
@@ -113,24 +117,20 @@ def transition_point(csr_address: int, old_class: str, new_class: str) -> str:
                           f"{old_class}{TRANSITION_MARKER}{new_class}")
 
 
-def transition_space() -> Set[str]:
-    """Every enumerable transition point: ordered class pairs per CSR."""
-    points: Set[str] = set()
-    for address, (classes, _) in TRACKED_CSRS.items():
-        for old_class in classes:
-            for new_class in classes:
-                if old_class != new_class:
-                    points.add(transition_point(address, old_class, new_class))
-    return points
+#: (csr address, old class, new class) -> mask of that transition point,
+#: for every ordered pair of distinct classes of every tracked CSR.
+TRANSITION_TABLE: Dict[Tuple[int, str, str], int] = {
+    (address, old_class, new_class):
+        1 << point_bit(transition_point(address, old_class, new_class))
+    for address, (classes, _) in TRACKED_CSRS.items()
+    for old_class in classes for new_class in classes
+    if old_class != new_class
+}
 
 
 def is_transition_point(point: str) -> bool:
     """Whether ``point`` belongs to the CSR-transition family."""
     return point.startswith("csr.") and TRANSITION_MARKER in point
-
-
-#: (csr address, old class, new class) -> bitset mask of that point.
-_MASK_MEMO: Dict[Tuple[int, str, str], int] = {}
 
 
 class CsrTransitionTracker:
@@ -184,13 +184,6 @@ class CsrTransitionTracker:
         self._classes[address] = new_class
         return (address, old_class, new_class)
 
-    @staticmethod
-    def _mask_for(key: Tuple[int, str, str]) -> int:
-        mask = _MASK_MEMO.get(key)
-        if mask is None:
-            mask = _MASK_MEMO[key] = 1 << point_bit(transition_point(*key))
-        return mask
-
     def observe_mask(self, record: CommitRecord) -> int:
         """Transition points of one commit, as a bitset mask (0 if none)."""
         if record.trap is not None:
@@ -200,10 +193,10 @@ class CsrTransitionTracker:
                                    (csrdefs.MTVAL, record.trap_tval or 0)):
                 moved = self._move(address, value)
                 if moved is not None:
-                    mask |= self._mask_for(moved)
+                    mask |= TRANSITION_TABLE[moved]
             return mask
         if record.csr_addr is not None and record.csr_value is not None:
             moved = self._move(record.csr_addr, record.csr_value)
             if moved is not None:
-                return self._mask_for(moved)
+                return TRANSITION_TABLE[moved]
         return 0

@@ -42,9 +42,10 @@ class CampaignEngine:
         backend: trial executor (defaults to :class:`SerialBackend`).
         checkpoint_path: JSONL journal path; ``None`` disables journaling.
         monitor: progress monitor; a silent one is created when omitted.
-        cache_entries: capacity bound applied to the per-process golden
-            and DUT run caches inside every worker (``None`` keeps the
-            backend's default, currently 4096).  Capacity never changes
+        cache_entries: capacity bound applied to every per-process cache
+            inside every worker -- golden runs, DUT runs and compiled
+            programs (``None`` keeps the backend's default, currently
+            4096).  Capacity never changes
             results -- the per-trial counters that enter result metadata
             come from the session-level cache, which this knob does not
             touch (see ``docs/parallel.md``).

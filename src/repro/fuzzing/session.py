@@ -13,13 +13,13 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.coverage.bitset import mask_of
-from repro.coverage.csr_transitions import transition_space
+from repro.coverage.bitset import union
+from repro.coverage.csr_transitions import TRANSITION_TABLE
 from repro.coverage.database import CoverageDatabase
 from repro.fuzzing.differential import DifferentialTester
 from repro.fuzzing.results import BugDetection, TestOutcome
 from repro.isa.program import TestProgram
-from repro.rtl.harness import DutModel, trap_space
+from repro.rtl.harness import TRAP_TABLE, DutModel
 from repro.sim.golden import GoldenModel, GoldenTraceCache
 
 if TYPE_CHECKING:  # avoid a cycle: repro.exec imports the fuzzing layer.
@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # avoid a cycle: repro.exec imports the fuzzing layer.
 @cache
 def _family_masks() -> Tuple[int, int]:
     """The ``trap.*`` and CSR-transition families as masks, once per process."""
-    return mask_of(trap_space()), mask_of(transition_space())
+    return union(TRAP_TABLE), union(TRANSITION_TABLE)
 
 
 class FuzzSession:

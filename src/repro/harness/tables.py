@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.coverage.csr_transitions import transition_space
+from repro.coverage.bitset import union
+from repro.coverage.csr_transitions import TRANSITION_TABLE
 from repro.harness.campaign import TrialSet
 from repro.harness.experiments import Table1Result, TrapCoverageStudy
 
@@ -95,7 +96,7 @@ def render_trap_coverage_table(study: TrapCoverageStudy) -> str:
     many ``trap.*`` points fired -- the evidence that trap arms buy
     coverage user-level arms cannot reach.
     """
-    space_size = len(transition_space())
+    space_size = union(TRANSITION_TABLE).bit_count()
     header = ["Processor", "Scenario", "Coverage %", "CSR transitions",
               "Transition %", "Trap points"]
     rows: List[List[str]] = []

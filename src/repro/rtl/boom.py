@@ -12,14 +12,14 @@ entries and dual-issue class pairings).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.coverage.bitset import point_mask
-from repro.coverage.points import coverage_point
 from repro.isa.encoding import SPECS, InstrClass, spec_for
 from repro.isa.instruction import Instruction
 from repro.rtl.bugs import InjectedBug
-from repro.rtl.harness import _INSTR_MEMO_MAX, DutConfig, DutExecutor, DutModel
+from repro.rtl.harness import (_INSTR_MEMO_MAX, CLASS_INDEX, CLASSES, DutConfig,
+                               DutExecutor, DutModel)
 from repro.sim.executor import ExecutorConfig
 
 _ISSUE_QUEUES = {
@@ -29,6 +29,10 @@ _ISSUE_QUEUES = {
     InstrClass.SYSTEM: "int", InstrClass.FENCE: "mem", InstrClass.LOAD: "mem",
     InstrClass.STORE: "mem", InstrClass.ATOMIC: "mem",
 }
+
+#: model class -> its per-instruction static structural plans (see
+#: BoomModel._instr_plan), kept per class like its tables.
+_PLANS: Dict[type, Dict[Instruction, tuple]] = {}
 
 
 class BoomModel(DutModel):
@@ -59,131 +63,80 @@ class BoomModel(DutModel):
         super().__init__(config, bugs, executor_config,
                          coverage_model=coverage_model)
 
-    # ------------------------------------------------------------------- space
-    def structural_space(self) -> Set[str]:
-        points: Set[str] = set()
-        for entry in range(self.rob_entries):
-            points.add(coverage_point("boom", "rob", f"entry{entry}", "alloc"))
-            points.add(coverage_point("boom", "rob", f"entry{entry}", "commit"))
-            points.add(coverage_point("boom", "rob", f"entry{entry}", "exception"))
-        for bucket in range(self.occupancy_buckets):
-            points.add(coverage_point("boom", "rob", "occupancy", f"b{bucket}"))
-        for queue in ("int", "mem", "fp"):
-            for slot in range(self.issue_queue_slots):
-                points.add(coverage_point("boom", "iq", queue, f"slot{slot}"))
-        for entry in range(self.lsq_entries):
-            points.add(coverage_point("boom", "lsq", f"entry{entry}", "load"))
-            points.add(coverage_point("boom", "lsq", f"entry{entry}", "store"))
-        for preg in range(self.physical_registers):
-            points.add(coverage_point("boom", "prf", f"p{preg}"))
-        for cls in InstrClass:
-            for reg in range(32):
-                points.add(coverage_point("boom", "rename", cls.value, f"x{reg}"))
-                points.add(coverage_point("boom", "busytable", cls.value, f"rs1_x{reg}"))
-                points.add(coverage_point("boom", "busytable", cls.value, f"rs2_x{reg}"))
-        for mnemonic, spec in SPECS.items():
-            points.add(coverage_point("boom", "uop", mnemonic, _ISSUE_QUEUES[spec.cls]))
-            if spec.writes_rd:
-                points.add(coverage_point("boom", "wakeup", mnemonic))
-        for cls_a in InstrClass:
-            for cls_b in InstrClass:
-                points.add(coverage_point("boom", "dualissue",
-                                          f"{cls_a.value}_{cls_b.value}"))
-        for lane in range(self.coreswidth):
-            for cls in InstrClass:
-                points.add(coverage_point("boom", "commit", f"lane{lane}", cls.value))
-        points.add(coverage_point("boom", "flush", "branch_mispredict"))
-        points.add(coverage_point("boom", "flush", "exception"))
-        return points
-
-    # -------------------------------------------------------------------- emit
+    # ---------------------------------------------------------------- coverage
     # Table-driven emission (see RocketModel): per-point masks precomputed
     # once per model class and process, emission is table lookups and
-    # ``|=`` only.
+    # ``|=`` only.  The tables are the family's only declaration; lists
+    # over instruction classes are indexed by CLASS_INDEX, not by the enum
+    # (whose hash is Python-level).
     def _build_structural_tables(self) -> dict:
-        tables = {
-            "rob_alloc": [point_mask("boom", "rob", f"entry{e}", "alloc")
-                          for e in range(self.rob_entries)],
-            "rob_commit": [point_mask("boom", "rob", f"entry{e}", "commit")
-                           for e in range(self.rob_entries)],
-            "rob_exception": [point_mask("boom", "rob", f"entry{e}", "exception")
-                              for e in range(self.rob_entries)],
+        rob_alloc = [point_mask("boom", "rob", f"entry{e}", "alloc")
+                     for e in range(self.rob_entries)]
+        flush_exception = point_mask("boom", "flush", "exception")
+        return {
+            # Every commit allocates its ROB entry and then either commits
+            # it or raises an exception that flushes the pipeline.
+            "rob_ok": [alloc | point_mask("boom", "rob", f"entry{e}", "commit")
+                       for e, alloc in enumerate(rob_alloc)],
+            "rob_trap": [alloc | flush_exception
+                         | point_mask("boom", "rob", f"entry{e}", "exception")
+                         for e, alloc in enumerate(rob_alloc)],
             "occupancy": [point_mask("boom", "rob", "occupancy", f"b{b}")
                           for b in range(self.occupancy_buckets)],
-            "flush_exception": point_mask("boom", "flush", "exception"),
             "flush_mispredict": point_mask("boom", "flush", "branch_mispredict"),
             "uop": {mnemonic: point_mask("boom", "uop", mnemonic,
-                                _ISSUE_QUEUES[spec.cls])
+                                         _ISSUE_QUEUES[spec.cls])
                     for mnemonic, spec in SPECS.items()},
+            # The ``fp`` queue is declared, never emitted: no integer
+            # instruction class issues to it.
             "iq": {queue: [point_mask("boom", "iq", queue, f"slot{slot}")
                            for slot in range(self.issue_queue_slots)]
                    for queue in ("int", "mem", "fp")},
-            "rename": {cls: [point_mask("boom", "rename", cls.value, f"x{reg}")
-                             for reg in range(32)]
-                       for cls in InstrClass},
+            "rename": [[point_mask("boom", "rename", cls.value, f"x{reg}")
+                        for reg in range(32)] for cls in CLASSES],
             "wakeup": {mnemonic: point_mask("boom", "wakeup", mnemonic)
                        for mnemonic, spec in SPECS.items()
                        if spec.writes_rd},
             "prf": [point_mask("boom", "prf", f"p{preg}")
                     for preg in range(self.physical_registers)],
-            "busy_rs1": {cls: [point_mask("boom", "busytable", cls.value,
-                                 f"rs1_x{reg}") for reg in range(32)]
-                         for cls in InstrClass},
-            "busy_rs2": {cls: [point_mask("boom", "busytable", cls.value,
-                                 f"rs2_x{reg}") for reg in range(32)]
-                         for cls in InstrClass},
+            "busy_rs1": [[point_mask("boom", "busytable", cls.value, f"rs1_x{reg}")
+                          for reg in range(32)] for cls in CLASSES],
+            "busy_rs2": [[point_mask("boom", "busytable", cls.value, f"rs2_x{reg}")
+                          for reg in range(32)] for cls in CLASSES],
             "lsq_load": [point_mask("boom", "lsq", f"entry{e}", "load")
                          for e in range(self.lsq_entries)],
             "lsq_store": [point_mask("boom", "lsq", f"entry{e}", "store")
                           for e in range(self.lsq_entries)],
-            "dualissue": {(a, b): point_mask("boom", "dualissue",
-                                    f"{a.value}_{b.value}")
-                          for a in InstrClass for b in InstrClass},
-            "commit_lane": [{cls: point_mask("boom", "commit", f"lane{lane}",
-                                    cls.value) for cls in InstrClass}
+            # The pairing of the previous commit's class with this one's,
+            # at ``previous * len(CLASSES) + this``.
+            "dualissue": [point_mask("boom", "dualissue", f"{a.value}_{b.value}")
+                          for a in CLASSES for b in CLASSES],
+            "commit_lane": [[point_mask("boom", "commit", f"lane{lane}", cls.value)
+                             for cls in CLASSES]
                             for lane in range(self.coreswidth)],
-            "plans": {},  # per-instruction static plans, filled lazily
         }
-        # Dense-index twins of the enum-keyed tables: InstrClass.__hash__
-        # is Python-level, so the fused block loop indexes flat lists by
-        # a per-plan integer class index instead of hashing enums.
-        cls_order = list(InstrClass)
-        tables["cls_list"] = cls_order
-        tables["cls_index"] = {cls: i for i, cls in enumerate(cls_order)}
-        tables["dualissue_flat"] = [tables["dualissue"][a, b]
-                                    for a in cls_order for b in cls_order]
-        tables["commit_lane_flat"] = [[lane_table[cls] for cls in cls_order]
-                                      for lane_table in tables["commit_lane"]]
-        # Per-ROB-entry alloc|commit and alloc|exception|flush unions:
-        # every commit emits alloc plus exactly one of the other two.
-        tables["rob_ok"] = [a | c for a, c in zip(tables["rob_alloc"],
-                                                  tables["rob_commit"])]
-        tables["rob_trap"] = [a | e | tables["flush_exception"]
-                              for a, e in zip(tables["rob_alloc"],
-                                              tables["rob_exception"])]
-        return tables
 
     @staticmethod
-    def _instr_plan(instr: Instruction, tables: dict) -> tuple:
+    def _instr_plan(instr: Instruction, tables: dict, plans: dict) -> tuple:
         """Per-instruction static plan: uop/wakeup/rename/busytable masks
         and the issue-queue slot table, resolved once per instruction."""
-        plans = tables["plans"]
         plan = plans.get(instr)
         if plan is None:
             spec = spec_for(instr.mnemonic)
             cls = spec.cls
+            cls_idx = CLASS_INDEX[cls]
             static = tables["uop"][instr.mnemonic]
             if spec.writes_rd:
-                static |= tables["rename"][cls][instr.rd]
+                static |= tables["rename"][cls_idx][instr.rd]
                 static |= tables["wakeup"][instr.mnemonic]
             if spec.reads_rs1:
-                static |= tables["busy_rs1"][cls][instr.rs1]
+                static |= tables["busy_rs1"][cls_idx][instr.rs1]
             if spec.reads_rs2:
-                static |= tables["busy_rs2"][cls][instr.rs2]
+                static |= tables["busy_rs2"][cls_idx][instr.rs2]
             if len(plans) >= _INSTR_MEMO_MAX:
                 plans.clear()
             plan = plans[instr] = (
-                static, cls, tables["cls_index"][cls],
+                static, cls, cls_idx,
                 tables["iq"][_ISSUE_QUEUES[cls]],
                 instr.rd if spec.writes_rd else None,
                 cls is InstrClass.LOAD or cls is InstrClass.ATOMIC,
@@ -209,13 +162,15 @@ class BoomModel(DutModel):
         with a list index.
         """
         tables = self._structural_tables()
-        iplans = None if block is None else block.model_plans.get(BoomModel)
+        model = type(self)
+        iplans = None if block is None else block.model_plans.get(model)
         if iplans is None:
             instr_plan = self._instr_plan
-            iplans = [None if entry[3] is None else instr_plan(entry[1], tables)
+            memo = _PLANS.setdefault(model, {})
+            iplans = [None if entry[3] is None else instr_plan(entry[1], tables, memo)
                       for entry in plan]
             if block is not None:
-                block.model_plans[BoomModel] = iplans
+                block.model_plans[model] = iplans
         rob_ok = tables["rob_ok"]
         rob_trap = tables["rob_trap"]
         occupancy = tables["occupancy"]
@@ -223,10 +178,9 @@ class BoomModel(DutModel):
         prf = tables["prf"]
         lsq_load_t = tables["lsq_load"]
         lsq_store_t = tables["lsq_store"]
-        dualissue_flat = tables["dualissue_flat"]
-        commit_lane_flat = tables["commit_lane_flat"]
-        cls_list = tables["cls_list"]
-        ncls = len(cls_list)
+        dualissue = tables["dualissue"]
+        commit_lane = tables["commit_lane"]
+        ncls = len(CLASSES)
         rob_entries = self.rob_entries
         occ_top = self.occupancy_buckets - 1
         iq_mod = self.issue_queue_slots
@@ -236,7 +190,7 @@ class BoomModel(DutModel):
         branch_cls = InstrClass.BRANCH
         scratch = executor.dut_scratch
         prev_cls = scratch.get("boom_prev_cls")
-        prev_idx = (tables["cls_index"][prev_cls]
+        prev_idx = (CLASS_INDEX[prev_cls]
                     if isinstance(prev_cls, InstrClass) else -1)
         mask = 0
         for offset in range(len(records) - start):
@@ -259,13 +213,13 @@ class BoomModel(DutModel):
             if lsq_store:
                 m |= lsq_store_t[step % lsq_mod]
             if prev_idx >= 0:
-                m |= dualissue_flat[prev_idx * ncls + cls_idx]
+                m |= dualissue[prev_idx * ncls + cls_idx]
             prev_idx = cls_idx
-            m |= commit_lane_flat[step % lanes][cls_idx]
+            m |= commit_lane[step % lanes][cls_idx]
             if (cls is branch_cls and trap is None
                     and record.next_pc != record.pc + 4):
                 m |= flush_mispredict
             mask |= m
-        scratch["boom_prev_cls"] = (cls_list[prev_idx] if prev_idx >= 0
+        scratch["boom_prev_cls"] = (CLASSES[prev_idx] if prev_idx >= 0
                                     else prev_cls)
         return mask

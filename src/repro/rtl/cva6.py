@@ -16,14 +16,14 @@ structure.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Union
+from typing import Optional, Sequence, Union
 
-from repro.coverage.bitset import point_mask
+from repro.coverage.bitset import mask_of, point_mask
 from repro.coverage.points import coverage_point
 from repro.isa.encoding import InstrClass
 from repro.isa import csr as csrdefs
 from repro.rtl.bugs import CVA6_BUG_IDS, InjectedBug
-from repro.rtl.harness import DutConfig, DutExecutor, DutModel
+from repro.rtl.harness import CLASS_INDEX, CLASSES, DutConfig, DutExecutor, DutModel
 from repro.sim.executor import ExecutorConfig
 
 #: Issue-port assignment per instruction class.
@@ -81,58 +81,34 @@ class CVA6Model(DutModel):
         super().__init__(config, bugs, executor_config,
                          coverage_model=coverage_model)
 
-    # ------------------------------------------------------------------- space
-    def structural_space(self) -> Set[str]:
-        points: Set[str] = set()
-        for entry in range(self.scoreboard_entries):
-            points.add(coverage_point("cva6", "scoreboard", f"entry{entry}", "issue"))
-            points.add(coverage_point("cva6", "scoreboard", f"entry{entry}", "writeback"))
-        for port in sorted(set(_ISSUE_PORTS.values())):
-            points.add(coverage_point("cva6", "issue", port))
-        for port in range(self.commit_ports):
-            for cls in InstrClass:
-                points.add(coverage_point("cva6", "commit", f"port{port}", cls.value))
-        for bucket in range(self.frontend_buckets):
-            points.add(coverage_point("cva6", "frontend", f"fetch_bucket{bucket}"))
-        # The SIMD FPU: a large family that integer-only fuzzing cannot reach
-        # (only the CSR-side dirty-state point is reachable).  This is what
-        # keeps CVA6's coverage percentage the lowest of the three cores.
-        for op in _FPU_OPERATIONS:
-            for fmt in _FPU_FORMATS:
-                for lane in range(_FPU_LANES):
-                    points.add(coverage_point("cva6", "fpu", op, fmt, f"lane{lane}"))
-        points.add(coverage_point("cva6", "fpu", "fs_dirty"))
-        return points
-
-    # -------------------------------------------------------------------- emit
+    # ---------------------------------------------------------------- coverage
     # Table-driven emission (see RocketModel): per-point masks precomputed
     # once per model class and process, emission is table lookups and
-    # ``|=`` only.
+    # ``|=`` only.  The tables are the family's only declaration.
     def _build_structural_tables(self) -> dict:
-        tables = {
+        return {
             "sb_issue": [point_mask("cva6", "scoreboard", f"entry{e}", "issue")
                          for e in range(self.scoreboard_entries)],
             "sb_writeback": [point_mask("cva6", "scoreboard", f"entry{e}", "writeback")
                              for e in range(self.scoreboard_entries)],
             "frontend": [point_mask("cva6", "frontend", f"fetch_bucket{b}")
                          for b in range(self.frontend_buckets)],
-            "issue_port": {cls: point_mask("cva6", "issue", port)
-                           for cls, port in _ISSUE_PORTS.items()},
-            "commit_port": [{cls: point_mask("cva6", "commit", f"port{port}",
-                                    cls.value) for cls in InstrClass}
+            # Indexed by CLASS_INDEX, not by the enum (whose hash is
+            # Python-level): per class, then per commit port and class.
+            "issue_port": [point_mask("cva6", "issue", _ISSUE_PORTS[cls])
+                           for cls in CLASSES],
+            "commit_port": [[point_mask("cva6", "commit", f"port{port}", cls.value)
+                             for cls in CLASSES]
                             for port in range(self.commit_ports)],
             "fs_dirty": point_mask("cva6", "fpu", "fs_dirty"),
+            # The SIMD FPU datapath: declared, never emitted.  Integer-only
+            # fuzzing cannot reach it (only the CSR-side dirty-state point
+            # above is reachable), which keeps CVA6's coverage percentage
+            # the lowest of the three cores.
+            "fpu_lanes": mask_of(coverage_point("cva6", "fpu", op, fmt, f"lane{lane}")
+                                 for op in _FPU_OPERATIONS for fmt in _FPU_FORMATS
+                                 for lane in range(_FPU_LANES)),
         }
-        # Dense-index twins of the enum-keyed tables (InstrClass hashes
-        # through Python-level __hash__): the fused block loop indexes
-        # flat lists by a cached integer class index instead.
-        cls_order = list(InstrClass)
-        tables["cls_index"] = {cls: i for i, cls in enumerate(cls_order)}
-        tables["issue_port_flat"] = [tables["issue_port"][cls]
-                                     for cls in cls_order]
-        tables["commit_port_flat"] = [[port_table[cls] for cls in cls_order]
-                                      for port_table in tables["commit_port"]]
-        return tables
 
     def structural_block_mask(self, records: list, start: int, plan: tuple,
                               executor: DutExecutor, block=None) -> int:
@@ -148,18 +124,17 @@ class CVA6Model(DutModel):
         of hashing enums.
         """
         tables = self._structural_tables()
-        indices = None if block is None else block.model_plans.get(CVA6Model)
+        indices = None if block is None else block.model_plans.get(type(self))
         if indices is None:
-            cls_index = tables["cls_index"]
-            indices = [None if entry[4] is None else cls_index[entry[4]]
+            indices = [None if entry[4] is None else CLASS_INDEX[entry[4]]
                        for entry in plan]
             if block is not None:
-                block.model_plans[CVA6Model] = indices
+                block.model_plans[type(self)] = indices
         sb_issue = tables["sb_issue"]
         sb_writeback = tables["sb_writeback"]
         frontend = tables["frontend"]
-        issue_port_flat = tables["issue_port_flat"]
-        commit_port_flat = tables["commit_port_flat"]
+        issue_port = tables["issue_port"]
+        commit_port = tables["commit_port"]
         fs_dirty = tables["fs_dirty"]
         sb_mod = self.scoreboard_entries
         fe_mod = self.frontend_buckets
@@ -176,8 +151,8 @@ class CVA6Model(DutModel):
                 m |= sb_writeback[entry]
             m |= frontend[(record.pc >> 2) % fe_mod]
             if cls_idx is not None:
-                m |= issue_port_flat[cls_idx]
-                m |= commit_port_flat[step % port_mod][cls_idx]
+                m |= issue_port[cls_idx]
+                m |= commit_port[step % port_mod][cls_idx]
                 if record.csr_addr == mstatus:
                     m |= fs_dirty
             mask |= m

@@ -15,30 +15,33 @@ the golden model -- the invariant the differential tester relies on (and
 which the test-suite checks property-style).
 
 Coverage is recorded as an **integer bitset**: every point name owns a
-process-global bit (:mod:`repro.coverage.bitset`), each emission family
-memoises *masks* keyed by a bounded situation key, and a commit's
-observation collapses to a few dict gets plus ``cov |= mask``.  Point
-names are built only on a memo miss; :class:`DutRunResult` carries the
-run's mask, and :func:`points_of` expands it only for readers.  A DUT's
-coverage space, its mask and its structural tables are per-process memos,
-so a trial's fresh model rebuilds none of them.  Every instruction commits
-inside :meth:`DutExecutor.run_block`, so each coverage family has exactly
-one emitter; frozen per-program run digests
+process-global bit (:mod:`repro.coverage.bitset`).  Each coverage family
+is declared once, as a table from the bounded situation key its emitter
+computes to that situation's *mask*, so a commit's observation collapses
+to a few dict gets plus ``cov |= mask``, and point names are built only
+when a table is.  A DUT's coverage space is the union of its tables
+(:meth:`DutModel.coverage_space_mask`), so a point cannot be emitted
+without being declared: a situation missing from its table raises
+``KeyError``.  :class:`DutRunResult` carries the run's mask, and
+:func:`points_of` expands it only for readers.  A DUT's coverage space,
+its mask and its structural tables are per-process memos, so a trial's
+fresh model rebuilds none of them.  Every instruction commits inside
+:meth:`DutExecutor.run_block`, so each coverage family has exactly one
+emitter; frozen per-program run digests
 (``tests/sim/test_hotpath_equivalence.py``) pin what it emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.coverage.bitset import mask_of, point_bit, point_mask, points_of
+from repro.coverage.bitset import point_mask, points_of, union
 from repro.coverage.csr_transitions import (
     COVERAGE_MODELS,
+    TRANSITION_TABLE,
     CsrTransitionTracker,
-    transition_space,
 )
-from repro.coverage.points import coverage_point
 from repro.isa import csr as csrdefs
 from repro.isa.compiled import Superblock, dirty_word_span
 from repro.isa.decoder import decode_word
@@ -59,7 +62,7 @@ from repro.sim.golden import ModelBase
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
 from repro.sim.trace import CommitRecord, ExecutionResult
-from repro.utils.bits import MASK64, to_signed
+from repro.utils.bits import MASK64
 
 
 # ======================================================================== config
@@ -81,96 +84,135 @@ class DutConfig:
                 raise ValueError(f"{attribute} must be positive")
 
 
-# ============================================================== coverage families
-# Shared (ISA-level) coverage families.  Each family provides a space
-# enumeration and the point-name builders its mask memo (below) calls on a
-# miss; the two must stay consistent, which the property-based tests check
-# by asserting emitted ⊆ enumerated.
+# ============================================================== coverage tables
+# The ISA-level families (see the module docstring), built whole at import.
 
 _ALU_CLASSES = (InstrClass.ARITH, InstrClass.LOGIC, InstrClass.SHIFT,
                 InstrClass.COMPARE, InstrClass.MUL, InstrClass.DIV)
 _IMM_FORMATS = (InstrFormat.I, InstrFormat.I_SHIFT, InstrFormat.S,
                 InstrFormat.B, InstrFormat.U, InstrFormat.J)
-_MEM_SIZES = (1, 2, 4, 8)
 _SYS_MNEMONICS = ("ecall", "ebreak", "mret", "wfi")
 _FENCE_MNEMONICS = ("fence", "fence.i")
+#: load/store mnemonic -> (access kind, size in bytes).
+_MEM_ACCESSES = {**{m: ("load", size) for m, (size, _) in _LOAD_SIZES.items()},
+                 **{m: ("store", size) for m, size in _STORE_SIZES.items()}}
 
 
-def decode_space() -> Set[str]:
-    points = {coverage_point("decode", m) for m in SPECS}
-    points.update(coverage_point("decode", "illegal", f"op{i}") for i in range(32))
-    return points
-
-
-def operand_space() -> Set[str]:
-    points: Set[str] = set()
+def _instr_table() -> Dict[Tuple[str, bool, bool, int], int]:
+    table = {}
     for mnemonic, spec in SPECS.items():
-        if spec.writes_rd:
-            points.add(coverage_point("operand", mnemonic, "rd_zero"))
-            points.add(coverage_point("operand", mnemonic, "rd_nonzero"))
-        if spec.reads_rs1 and spec.reads_rs2:
-            points.add(coverage_point("operand", mnemonic, "rs_equal"))
-        if spec.fmt in _IMM_FORMATS:
-            points.add(coverage_point("operand", mnemonic, "imm_neg"))
-            points.add(coverage_point("operand", mnemonic, "imm_zero"))
-            points.add(coverage_point("operand", mnemonic, "imm_pos"))
-    return points
+        static = point_mask("decode", mnemonic)
+        if mnemonic in _SYS_MNEMONICS:
+            static |= point_mask("sys", mnemonic)
+        elif mnemonic in _FENCE_MNEMONICS:
+            static |= point_mask("fencepath", mnemonic)
+        rd = ((point_mask("operand", mnemonic, "rd_zero"),
+               point_mask("operand", mnemonic, "rd_nonzero"))
+              if spec.writes_rd else (0, 0))
+        rs = ((0, point_mask("operand", mnemonic, "rs_equal"))
+              if spec.reads_rs1 and spec.reads_rs2 else (0, 0))
+        imm = (tuple(point_mask("operand", mnemonic, bucket)
+                     for bucket in ("imm_neg", "imm_zero", "imm_pos"))
+               if spec.fmt in _IMM_FORMATS else (0, 0, 0))
+        for rd_nonzero in (False, True):
+            for rs_equal in (False, True):
+                for sign in (-1, 0, 1):
+                    table[mnemonic, rd_nonzero, rs_equal, sign] = (
+                        static | rd[rd_nonzero] | rs[rs_equal] | imm[sign + 1])
+    return table
 
 
-def alu_space() -> Set[str]:
-    points: Set[str] = set()
-    for mnemonic, spec in SPECS.items():
-        if spec.cls in _ALU_CLASSES:
-            for bucket in ("zero", "neg", "pos"):
-                points.add(coverage_point("alu", mnemonic, bucket))
-    return points
+#: (mnemonic, rd != 0, rs1 == rs2, sign of imm) -> decode + operand +
+#: system coverage of one legal instruction.
+INSTR_TABLE = _instr_table()
+
+#: opcode field (word bits 6:2) -> decode coverage of an illegal word.
+ILLEGAL_TABLE = tuple(point_mask("decode", "illegal", f"op{opcode}")
+                      for opcode in range(32))
+
+#: ALU mnemonic -> its result-bucket masks (zero, negative, positive).
+ALU_TABLE = {mnemonic: tuple(point_mask("alu", mnemonic, bucket)
+                             for bucket in ("zero", "neg", "pos"))
+             for mnemonic, spec in SPECS.items() if spec.cls in _ALU_CLASSES}
+
+#: (mnemonic, taken, backward) -> coverage of one branch outcome.
+BRANCH_TABLE = {
+    (mnemonic, taken, backward):
+        point_mask("branch", mnemonic, "taken" if taken else "nottaken")
+        | (point_mask("branch", "backward_taken" if backward else "forward_taken")
+           if taken else 0)
+    for mnemonic, spec in SPECS.items() if spec.cls is InstrClass.BRANCH
+    for taken in (False, True) for backward in (False, True)}
+
+#: (mnemonic, alignment, region) -> coverage of one load/store address.
+MEM_TABLE = {
+    (mnemonic, aligned, region):
+        point_mask("mem", kind, f"size{size}", aligned)
+        | point_mask("mem", "region", region)
+    for mnemonic, (kind, size) in _MEM_ACCESSES.items()
+    for aligned in ("aligned", "unaligned")
+    for region in ("code", "data", "invalid")}
+
+#: (mnemonic, sc outcome or None, aq/rl set) -> coverage of one atomic.
+ATOMIC_TABLE = {
+    (mnemonic, outcome, ordered):
+        point_mask("atomic", mnemonic)
+        | (point_mask("atomic", "sc", outcome) if outcome else 0)
+        | (point_mask("atomic", "ordered") if ordered else 0)
+    for mnemonic, spec in SPECS.items() if spec.cls is InstrClass.ATOMIC
+    for outcome in (("success", "fail") if mnemonic.startswith("sc.")
+                    else (None,))
+    for ordered in (False, True)}
+
+#: (cause, instruction class or ``illegal_word``) -> coverage of one trap.
+TRAP_TABLE = {
+    (cause.name.lower(), source):
+        point_mask("trap", cause.name.lower())
+        | point_mask("trap", cause.name.lower(), source)
+    for cause in TrapCause
+    for source in [cls.value for cls in InstrClass] + ["illegal_word"]}
+
+#: (access kind, CSR address) -> coverage of one CSR access situation.
+CSR_TABLE = {
+    **{(kind, address): point_mask("csr", csrdefs.csr_name(address), kind)
+       for address in csrdefs.IMPLEMENTED_CSRS for kind in ("read", "write")},
+    **{("unimplemented", address):
+       point_mask("csr", "unimplemented", f"0x{address:03x}")
+       for address in csrdefs.UNIMPLEMENTED_CSRS},
+    **{("readonly_write", address): point_mask("csr", "readonly_write")
+       for address in csrdefs.READ_ONLY_CSRS},
+}
+
+#: every ISA-level family: the coverage every DUT shares.
+ISA_TABLES = (INSTR_TABLE, ILLEGAL_TABLE, ALU_TABLE, BRANCH_TABLE, MEM_TABLE,
+              ATOMIC_TABLE, TRAP_TABLE, CSR_TABLE)
+
+#: trap coverage of an illegal word's own illegal-instruction trap: the
+#: fused loop's shortcut past ``trap_mask`` for the commonest trap.
+_ILLEGAL_WORD_TRAP_MASK = TRAP_TABLE["illegal_instruction", "illegal_word"]
+
+#: dense index of each instruction class: the models' structural loops
+#: index flat lists by it, since ``InstrClass.__hash__`` is Python-level.
+CLASSES = tuple(InstrClass)
+CLASS_INDEX = {cls: index for index, cls in enumerate(CLASSES)}
 
 
-def _alu_bucket(rd_value: int) -> str:
-    signed = to_signed(rd_value)
-    return "zero" if signed == 0 else ("neg" if signed < 0 else "pos")
+def static_instr_mask(instr: Instruction, word: int) -> int:
+    """decode + operand + system coverage of one instruction, as one mask.
+
+    These three families are static per decoded instruction; illegal
+    words are keyed by the opcode bits their decode point depends on.
+    """
+    if instr.raw is not None:
+        return ILLEGAL_TABLE[(word >> 2) & 0x1F]
+    imm = instr.imm
+    return INSTR_TABLE[instr.mnemonic, instr.rd != 0, instr.rs1 == instr.rs2,
+                       (imm > 0) - (imm < 0)]
 
 
-def branch_space() -> Set[str]:
-    points: Set[str] = set()
-    for mnemonic, spec in SPECS.items():
-        if spec.cls is InstrClass.BRANCH:
-            points.add(coverage_point("branch", mnemonic, "taken"))
-            points.add(coverage_point("branch", mnemonic, "nottaken"))
-    points.add(coverage_point("branch", "backward_taken"))
-    points.add(coverage_point("branch", "forward_taken"))
-    return points
-
-
-def _branch_points_for(mnemonic: str, taken: bool,
-                       direction: Optional[str]) -> Tuple[str, ...]:
-    built = [coverage_point("branch", mnemonic,
-                            "taken" if taken else "nottaken")]
-    if direction is not None:
-        built.append(coverage_point("branch", direction))
-    return tuple(built)
-
-
-def mem_space() -> Set[str]:
-    points: Set[str] = set()
-    for kind in ("load", "store"):
-        for size in _MEM_SIZES:
-            points.add(coverage_point("mem", kind, f"size{size}", "aligned"))
-            points.add(coverage_point("mem", kind, f"size{size}", "unaligned"))
-    for region in ("code", "data", "invalid"):
-        points.add(coverage_point("mem", "region", region))
-    return points
-
-
-def _mem_situation(instr: Instruction, spec,
-                   executor: "DutExecutor") -> Tuple[str, int, str, str]:
-    """Classify one load/store pre-execution: (kind, size, aligned, region)."""
-    if spec.cls is InstrClass.LOAD:
-        kind, size = "load", _LOAD_SIZES[instr.mnemonic][0]
-    else:
-        kind, size = "store", _STORE_SIZES[instr.mnemonic]
+def mem_mask(instr: Instruction, executor: "DutExecutor") -> int:
+    """mem-family coverage of one load/store, as a mask (pre-execution)."""
     address = (executor.state.read_reg(instr.rs1) + instr.imm) & MASK64
-    aligned = "aligned" if address % size == 0 else "unaligned"
     layout = executor.memory.layout
     if not layout.contains(address, 1):
         region = "invalid"
@@ -178,246 +220,23 @@ def _mem_situation(instr: Instruction, spec,
         region = "code"
     else:
         region = "data"
-    return kind, size, aligned, region
-
-
-def _mem_points_for(kind: str, size: int, aligned: str,
-                    region: str) -> Tuple[str, ...]:
-    return (coverage_point("mem", kind, f"size{size}", aligned),
-            coverage_point("mem", "region", region))
-
-
-def atomic_space() -> Set[str]:
-    points: Set[str] = set()
-    for mnemonic, spec in SPECS.items():
-        if spec.cls is InstrClass.ATOMIC:
-            points.add(coverage_point("atomic", mnemonic))
-    points.add(coverage_point("atomic", "sc", "success"))
-    points.add(coverage_point("atomic", "sc", "fail"))
-    points.add(coverage_point("atomic", "ordered"))
-    return points
-
-
-def _atomic_situation(instr: Instruction,
-                      record: CommitRecord) -> Tuple[str, Optional[str], bool]:
-    outcome = (("success" if record.rd_value == 0 else "fail")
-               if instr.mnemonic.startswith("sc.") else None)
-    return instr.mnemonic, outcome, bool(instr.aq or instr.rl)
-
-
-def _atomic_points_for(mnemonic: str, outcome: Optional[str],
-                       ordered: bool) -> Tuple[str, ...]:
-    built = [coverage_point("atomic", mnemonic)]
-    if outcome is not None:
-        built.append(coverage_point("atomic", "sc", outcome))
-    if ordered:
-        built.append(coverage_point("atomic", "ordered"))
-    return tuple(built)
-
-
-def trap_space() -> Set[str]:
-    points = {coverage_point("trap", cause.name.lower()) for cause in TrapCause}
-    for cause in TrapCause:
-        for cls in InstrClass:
-            points.add(coverage_point("trap", cause.name.lower(), cls.value))
-        points.add(coverage_point("trap", cause.name.lower(), "illegal_word"))
-    return points
-
-
-def _trap_situation(instr: Instruction, record: CommitRecord) -> Tuple[str, str]:
-    cause = record.trap.name.lower()
-    source = ("illegal_word" if instr.is_illegal
-              else spec_for(instr.mnemonic).cls.value)
-    return cause, source
-
-
-def _trap_points_for(cause: str, source: str) -> Tuple[str, ...]:
-    return (coverage_point("trap", cause), coverage_point("trap", cause, source))
-
-
-def csr_space() -> Set[str]:
-    points: Set[str] = set()
-    for address in csrdefs.IMPLEMENTED_CSRS:
-        name = csrdefs.csr_name(address)
-        points.add(coverage_point("csr", name, "read"))
-        points.add(coverage_point("csr", name, "write"))
-    for address in csrdefs.UNIMPLEMENTED_CSRS:
-        points.add(coverage_point("csr", "unimplemented", f"0x{address:03x}"))
-    points.add(coverage_point("csr", "readonly_write"))
-    return points
-
-
-def system_space() -> Set[str]:
-    points = {coverage_point("sys", m) for m in _SYS_MNEMONICS}
-    points.update(coverage_point("fencepath", m) for m in _FENCE_MNEMONICS)
-    return points
-
-
-def common_space() -> Set[str]:
-    """The ISA-level coverage space shared by every DUT."""
-    space: Set[str] = set()
-    space |= decode_space()
-    space |= operand_space()
-    space |= alu_space()
-    space |= branch_space()
-    space |= mem_space()
-    space |= atomic_space()
-    space |= trap_space()
-    space |= csr_space()
-    space |= system_space()
-    return space
-
-
-# ================================================================= mask faces
-# The emitters the DUT executor runs.  Each memo is keyed by a bounded
-# situation key; a miss builds the situation's point names once and
-# converts them through the global bit registry.
-
-#: bound on the Instruction-keyed memos below.  Their key space is every
-#: distinct decoded instruction a worker ever sees (bit-level mutation keeps
-#: minting new encodings), so -- like the decoder's word cache -- they are
-#: cleared on overflow rather than grown forever; recomputing an entry is a
-#: few dict gets, so the occasional cold restart is cheaper than LRU
-#: bookkeeping at this size.
-_INSTR_MEMO_MAX = 1 << 16
-
-_STATIC_MASKS: Dict[object, int] = {}
-
-
-def _static_points(instr: Instruction) -> List[str]:
-    """decode + operand + system point names of one legal instruction."""
-    mnemonic = instr.mnemonic
-    spec = spec_for(mnemonic)
-    points = [coverage_point("decode", mnemonic)]
-    if spec.writes_rd:
-        points.append(coverage_point(
-            "operand", mnemonic, "rd_zero" if instr.rd == 0 else "rd_nonzero"))
-    if spec.reads_rs1 and spec.reads_rs2 and instr.rs1 == instr.rs2:
-        points.append(coverage_point("operand", mnemonic, "rs_equal"))
-    if spec.fmt in _IMM_FORMATS:
-        bucket = ("imm_neg" if instr.imm < 0
-                  else "imm_zero" if instr.imm == 0 else "imm_pos")
-        points.append(coverage_point("operand", mnemonic, bucket))
-    if mnemonic in _SYS_MNEMONICS:
-        points.append(coverage_point("sys", mnemonic))
-    elif mnemonic in _FENCE_MNEMONICS:
-        points.append(coverage_point("fencepath", mnemonic))
-    return points
-
-
-def static_instr_mask(instr: Instruction, word: int) -> int:
-    """decode + operand + system coverage of one instruction, as one mask.
-
-    These three families are static per decoded instruction, so the
-    per-commit cost is a single dict get.  Illegal words are keyed by the
-    opcode bits their decode point depends on; legal instructions key by
-    value (bug-substituted instructions hash equal to their cached twins).
-    """
-    key: object = (word >> 2) & 0x1F if instr.raw is not None else instr
-    mask = _STATIC_MASKS.get(key)
-    if mask is None:
-        if instr.is_illegal:
-            mask = point_mask("decode", "illegal", f"op{(word >> 2) & 0x1F}")
-        else:
-            mask = mask_of(_static_points(instr))
-        if len(_STATIC_MASKS) >= _INSTR_MEMO_MAX:
-            _STATIC_MASKS.clear()
-        _STATIC_MASKS[key] = mask
-    return mask
-
-
-_MEM_MASKS: Dict[Tuple, int] = {}
-
-
-def mem_mask(instr: Instruction, spec, executor: "DutExecutor") -> int:
-    """mem-family coverage of one load/store, as a mask (pre-execution)."""
-    if spec.cls is not InstrClass.LOAD and spec.cls is not InstrClass.STORE:
-        return 0
-    kind, size, aligned, region = _mem_situation(instr, spec, executor)
-    key = (instr.mnemonic, aligned, region)
-    mask = _MEM_MASKS.get(key)
-    if mask is None:
-        mask = _MEM_MASKS[key] = mask_of(
-            _mem_points_for(kind, size, aligned, region))
-    return mask
-
-
-_ALU_MASKS: Dict[Tuple[str, str], int] = {}
-
-
-def alu_mask(mnemonic: str, rd_value: int) -> int:
-    """ALU result-bucket coverage (caller guarantees an untrapped ALU commit)."""
-    key = (mnemonic, _alu_bucket(rd_value))
-    mask = _ALU_MASKS.get(key)
-    if mask is None:
-        mask = _ALU_MASKS[key] = mask_of((coverage_point("alu", *key),))
-    return mask
-
-
-_BRANCH_MASKS: Dict[Tuple, int] = {}
-
-
-def branch_mask(mnemonic: str, taken: bool, backward: bool) -> int:
-    """Branch outcome coverage (caller guarantees an untrapped branch commit)."""
-    key = (mnemonic, taken, backward)
-    mask = _BRANCH_MASKS.get(key)
-    if mask is None:
-        direction = (("backward_taken" if backward else "forward_taken")
-                     if taken else None)
-        mask = _BRANCH_MASKS[key] = mask_of(
-            _branch_points_for(mnemonic, taken, direction))
-    return mask
-
-
-_ATOMIC_MASKS: Dict[Tuple, int] = {}
+    size = _MEM_ACCESSES[instr.mnemonic][1]
+    return MEM_TABLE[instr.mnemonic,
+                     "aligned" if address % size == 0 else "unaligned", region]
 
 
 def atomic_mask(instr: Instruction, record: CommitRecord) -> int:
     """Atomic coverage (caller guarantees an untrapped atomic commit)."""
-    key = _atomic_situation(instr, record)
-    mask = _ATOMIC_MASKS.get(key)
-    if mask is None:
-        mask = _ATOMIC_MASKS[key] = mask_of(_atomic_points_for(*key))
-    return mask
-
-
-_TRAP_MASKS: Dict[Tuple[str, str], int] = {}
+    outcome = (("success" if record.rd_value == 0 else "fail")
+               if instr.mnemonic.startswith("sc.") else None)
+    return ATOMIC_TABLE[instr.mnemonic, outcome, bool(instr.aq or instr.rl)]
 
 
 def trap_mask(instr: Instruction, record: CommitRecord) -> int:
     """Trap coverage of one trapping commit, as a mask."""
-    key = _trap_situation(instr, record)
-    mask = _TRAP_MASKS.get(key)
-    if mask is None:
-        mask = _TRAP_MASKS[key] = mask_of(_trap_points_for(*key))
-    return mask
-
-
-def _csr_point(kind: str, address: int) -> str:
-    """The csr-family point name for one access situation (shared source)."""
-    if kind == "unimplemented":
-        return coverage_point("csr", "unimplemented", f"0x{address:03x}")
-    if kind == "readonly_write":
-        return coverage_point("csr", "readonly_write")
-    return coverage_point("csr", csrdefs.csr_name(address), kind)
-
-
-_CSR_MASKS: Dict[Tuple[str, int], int] = {}
-
-
-def csr_mask(kind: str, address: int) -> int:
-    """csr-family coverage of one access situation, as a mask."""
-    key = (kind, address)
-    mask = _CSR_MASKS.get(key)
-    if mask is None:
-        mask = _CSR_MASKS[key] = 1 << point_bit(_csr_point(kind, address))
-    return mask
-
-
-#: trap coverage of an illegal word's own illegal-instruction trap: the
-#: fused loop's shortcut past ``trap_mask`` for the commonest trap.
-_ILLEGAL_WORD_TRAP_MASK = mask_of(
-    _trap_points_for("illegal_instruction", "illegal_word"))
+    source = ("illegal_word" if instr.is_illegal
+              else spec_for(instr.mnemonic).cls.value)
+    return TRAP_TABLE[record.trap.name.lower(), source]
 
 
 def _cut_point(block: Superblock, triggers: Tuple) -> int:
@@ -438,9 +257,17 @@ def _cut_point(block: Superblock, triggers: Tuple) -> int:
     return cut
 
 
+#: bound on the per-word and per-instruction plan memos (this module's
+#: and the models').  Their key space is every distinct word or decoded
+#: instruction a worker ever sees (bit-level mutation keeps minting new
+#: encodings), so -- like the decoder's word cache -- they are cleared on
+#: overflow rather than grown forever; rebuilding an entry is a few table
+#: gets, so the occasional cold restart is cheaper than LRU bookkeeping.
+_INSTR_MEMO_MAX = 1 << 16
+
 #: per-word DUT plan entries.  An entry is a pure function of its word
 #: (decode, handler and masks all follow from it), so every block holding
-#: a word shares one entry tuple; bounded like the memos above.
+#: a word shares one entry tuple.
 _ENTRY_PLANS: Dict[int, Tuple] = {}
 
 
@@ -471,11 +298,9 @@ def _plan_entry(word: int, instr: Instruction) -> Tuple:
         # The handler emits dcache or CSR coverage through ``self._cov``.
         is_mem or cls is InstrClass.ATOMIC or cls is InstrClass.CSR,
         cls is InstrClass.MUL or cls is InstrClass.DIV,
-        # ALU result-bucket masks (zero/neg/pos), pre-resolved so the
-        # fused loop picks one with integer tests instead of calling
-        # alu_mask (bucket string + tuple key + memo get) per commit.
-        (alu_mask(instr.mnemonic, 0), alu_mask(instr.mnemonic, 1 << 63),
-         alu_mask(instr.mnemonic, 1)) if cls in _ALU_CLASSES else None,
+        # ALU result-bucket masks (zero/neg/pos): the fused loop picks
+        # one with integer tests on the result.
+        ALU_TABLE[instr.mnemonic] if cls in _ALU_CLASSES else None,
         cls is InstrClass.ATOMIC,
         cls is InstrClass.BRANCH,
         static_instr_mask(instr, word),
@@ -497,8 +322,8 @@ def _block_dut_plan(block: Superblock) -> Tuple[Tuple, ...]:
 
     Everything static per instruction -- spec, class predicates, register
     fields, the decode/operand/system mask -- is resolved once per word
-    and cached on the block, so the fused DUT loop touches no memo
-    dictionaries.  Illegal words fuse too (their handler raises the
+    and cached on the block, so the fused DUT loop looks none of it up.
+    Illegal words fuse too (their handler raises the
     deterministic illegal-instruction trap); their plan entries carry a
     ``None`` spec and only the static fetch/decode mask.  The plan is DUT-
     and bug-independent; one block serves every DUT model in the process.
@@ -529,6 +354,17 @@ class DutRunResult:
 
 
 # ==================================================================== executor
+def _components(config: DutConfig) -> Tuple[CacheModel, CacheModel,
+                                            BranchPredictor, HazardTracker,
+                                            FunctionalUnitMonitor]:
+    """The microarchitectural components of a DUT with ``config``."""
+    return (CacheModel("icache", config.icache_sets, config.cache_ways),
+            CacheModel("dcache", config.dcache_sets, config.cache_ways),
+            BranchPredictor("bpred", config.bpred_entries),
+            HazardTracker("hazard", config.hazard_window),
+            FunctionalUnitMonitor("fu"))
+
+
 class DutExecutor(Executor):
     """Golden-semantics executor instrumented with microarchitecture, coverage and bugs."""
 
@@ -536,12 +372,8 @@ class DutExecutor(Executor):
                  dut: "DutModel") -> None:
         super().__init__(state, memory, config)
         self.dut = dut
-        dut_config = dut.config
-        self.icache = CacheModel("icache", dut_config.icache_sets, dut_config.cache_ways)
-        self.dcache = CacheModel("dcache", dut_config.dcache_sets, dut_config.cache_ways)
-        self.bpred = BranchPredictor("bpred", dut_config.bpred_entries)
-        self.hazards = HazardTracker("hazard", dut_config.hazard_window)
-        self.fu = FunctionalUnitMonitor("fu")
+        self.icache, self.dcache, self.bpred, self.hazards, self.fu = (
+            _components(dut.config))
         self.bugs: List[InjectedBug] = dut.bugs
         #: static trigger declarations of the bugs with decode/retirement
         #: hooks: a block stops before the first entry they declare, which
@@ -620,7 +452,7 @@ class DutExecutor(Executor):
     # --------------------------------------------------------------------- CSR
     def _record_csr(self, kind: str, address: int) -> None:
         """Coverage of one CSR access situation (bitset fast path)."""
-        self._cov |= csr_mask(kind, address)
+        self._cov |= CSR_TABLE[kind, address]
 
     def _csr_read(self, address: int, instr: Instruction) -> int:
         for bug in self.bugs:
@@ -675,7 +507,7 @@ class DutExecutor(Executor):
         Every DUT instruction commits here, so this loop is the one
         emitter of every coverage family.  Per plan entry it emits the
         fetch/decode coverage, executes, commits and observes the commit,
-        with the bounded-memo lookups pre-resolved into the block's plan
+        with the static table lookups pre-resolved into the block's plan
         and the coverage bitset held in a local.  Stateful
         microarchitectural components (icache LRU, hazard window, dcache
         via the memory hooks) are consulted per instruction, in commit
@@ -745,7 +577,7 @@ class DutExecutor(Executor):
         # one attribute hop and call frame per entry is ~30% of its cost).
         hazards = self.hazards
         hz_recent = hazards._recent
-        hz_table = hazards._mask_table()
+        hz_table = hazards.table
         hz_window = hazards.window
         hz_no_hazard = hz_table["no_hazard"]
         # Retirement counters are batched like the base run_block: nothing
@@ -774,7 +606,7 @@ class DutExecutor(Executor):
                     operands = (regs[rs1] if rs1 is not None else 0,
                                 regs[rs2] if rs2 is not None else 0)
                 if is_mem:
-                    cov |= mem_mask(instr, spec, self)
+                    cov |= mem_mask(instr, self)
                 # --- hazards.observe_mask, inlined ---------------------------
                 hmask = 0
                 distance = 0
@@ -828,8 +660,7 @@ class DutExecutor(Executor):
                 rd_value = record.rd_value
                 if rd_value is not None:
                     if alu3 is not None:
-                        # bucket: zero / neg (bit 63 set) / pos -- same
-                        # partition _alu_bucket derives via to_signed.
+                        # bucket: zero / neg (bit 63 set) / pos.
                         cov |= (alu3[0] if rd_value == 0 else
                                 alu3[1] if rd_value >> 63 else alu3[2])
                     if is_muldiv:
@@ -837,8 +668,8 @@ class DutExecutor(Executor):
                                                     operands[1], rd_value)
                 if is_branch:
                     taken = record.next_pc != (pc + 4) & MASK64
-                    cov |= branch_mask(instr.mnemonic, taken,
-                                       record.next_pc < pc)
+                    cov |= BRANCH_TABLE[instr.mnemonic, taken,
+                                        record.next_pc < pc]
                     cov |= self.bpred.update_mask(pc, taken)
                 elif is_atomic:
                     cov |= atomic_mask(instr, record)
@@ -965,9 +796,10 @@ class DutExecutor(Executor):
 
 
 # ======================================================================= model
-#: per-process memos: coverage space and mask per (model class, DutConfig,
-#: coverage model), structural emission tables per model class.
-_SPACES: Dict[tuple, Tuple[FrozenSet[str], int]] = {}
+#: per-process memos: coverage space mask and names per (model class,
+#: DutConfig, coverage model), structural tables per model class.
+_SPACE_MASKS: Dict[tuple, int] = {}
+_SPACES: Dict[tuple, FrozenSet[str]] = {}
 _STRUCTURAL_TABLES: Dict[type, dict] = {}
 
 
@@ -996,10 +828,6 @@ class DutModel(ModelBase):
         return self.config.name
 
     # -------------------------------------------------------------- coverage space
-    def structural_space(self) -> Set[str]:
-        """DUT-specific structural coverage points (overridden by subclasses)."""
-        return set()
-
     def structural_block_mask(self, records: list, start: int, plan: Tuple,
                               executor: DutExecutor, block=None) -> int:
         """DUT-specific structural coverage of a run of commits, as one mask.
@@ -1019,43 +847,47 @@ class DutModel(ModelBase):
         """
         return 0
 
+    def _build_structural_tables(self) -> dict:
+        """The model's structural coverage tables: masks only, keyed as its
+        :meth:`structural_block_mask` indexes them (none for the base)."""
+        return {}
+
     def _structural_tables(self) -> dict:
-        """The subclass's ``_build_structural_tables()``, built once per class."""
+        """:meth:`_build_structural_tables`, built once per model class."""
         tables = _STRUCTURAL_TABLES.get(type(self))
         if tables is None:
             tables = _STRUCTURAL_TABLES[type(self)] = (
                 self._build_structural_tables())
         return tables
 
-    def _space_and_mask(self) -> Tuple[FrozenSet[str], int]:
-        key = (type(self), self.config, self.coverage_model)
-        entry = _SPACES.get(key)
-        if entry is None:
-            space: Set[str] = set(common_space())
-            config = self.config
-            space |= CacheModel("icache", config.icache_sets, config.cache_ways).space()
-            space |= CacheModel("dcache", config.dcache_sets, config.cache_ways).space()
-            space |= BranchPredictor("bpred", config.bpred_entries).space()
-            space |= HazardTracker("hazard", config.hazard_window).space()
-            space |= FunctionalUnitMonitor("fu").space()
-            space |= self.structural_space()
-            if self.coverage_model == "csr":
-                space |= transition_space()
-            frozen = frozenset(space)
-            entry = _SPACES[key] = (frozen, mask_of(frozen))
-        return entry
-
-    def coverage_space(self) -> FrozenSet[str]:
-        """The DUT's full branch coverage space (per-process memo)."""
-        return self._space_and_mask()[0]
+    def _space_key(self) -> tuple:
+        return (type(self), self.config, self.coverage_model)
 
     def coverage_space_mask(self) -> int:
-        """:meth:`coverage_space` as a coverage mask (per-process memo)."""
-        return self._space_and_mask()[1]
+        """The union of every coverage table the model emits from: the
+        ISA-level families, its components', its structural tables and,
+        under the ``csr`` model, the CSR transitions (per-process memo)."""
+        key = self._space_key()
+        mask = _SPACE_MASKS.get(key)
+        if mask is None:
+            tables = [ISA_TABLES, self._structural_tables()]
+            tables += [component.table for component in _components(self.config)]
+            if self.coverage_model == "csr":
+                tables.append(TRANSITION_TABLE)
+            mask = _SPACE_MASKS[key] = union(tables)
+        return mask
+
+    def coverage_space(self) -> FrozenSet[str]:
+        """:meth:`coverage_space_mask` as point names (per-process memo)."""
+        key = self._space_key()
+        space = _SPACES.get(key)
+        if space is None:
+            space = _SPACES[key] = points_of(self.coverage_space_mask())
+        return space
 
     @property
     def total_coverage_points(self) -> int:
-        return len(self.coverage_space())
+        return self.coverage_space_mask().bit_count()
 
     # ------------------------------------------------------------------ run hooks
     def _make_executor(self, state: ArchState, memory: Memory) -> Executor:

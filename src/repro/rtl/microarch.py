@@ -1,37 +1,54 @@
 """Reusable microarchitectural components for the DUT models.
 
-Each component exposes two faces that must stay consistent:
-
-* ``space()`` -- the full set of coverage points the component can ever emit
-  (used to enumerate the DUT's coverage space), and
-* ``*_mask`` runtime methods (``access_mask``/``update_mask``/
-  ``observe_mask``) that update the component's state for one event and
-  return the points it hit as an integer bitset
-  (:mod:`repro.coverage.bitset`), memoised per observable situation so
-  recording coverage is a dict get plus an ``|=``.
+Each component declares its coverage family once, as its ``table``: a dict
+from every observable situation key to the mask (:mod:`repro.coverage.
+bitset`) of the points that situation hits.  Its ``*_mask`` runtime
+methods (``access_mask``/``update_mask``/``observe_mask``) update the
+component's state for one event and return that event's table entry, so
+recording coverage is a dict get plus an ``|=``; the component's points
+are the table's :func:`~repro.coverage.bitset.union`, which is how the
+DUT's coverage space counts them.
 
 Components model state at the granularity needed for realistic coverage
 structure (set-indexed caches with dirty evictions, a bimodal branch
 predictor, register-hazard tracking, functional-unit corner cases), not at
 cycle accuracy: the fuzzers only consume coverage and architectural state.
 
-The mask memos are *class*-level (keyed by component name, so an icache and
-a dcache never collide) because component instances are built fresh for
-every program run -- a per-instance memo would re-pay the string-building
-cost each run.  The DUT models follow the same rule one level up: a trial
-builds a fresh model, so a model's coverage space, its mask and its
-structural emission tables are per-process memos too
-(:mod:`repro.rtl.harness`).
+A table is built whole on first use per (name, size), and shared by every
+instance: components are built fresh for every program run, so a
+per-instance table would re-pay the string building each run.  The DUT
+models follow the same rule one level up: a trial builds a fresh model, so
+a model's coverage space, its mask and its structural tables are
+per-process memos too (:mod:`repro.rtl.harness`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cache
+from typing import Dict, List, Optional, Tuple
 
-from repro.coverage.bitset import mask_of, point_bit
-from repro.coverage.points import coverage_point
+from repro.coverage.bitset import point_mask
 from repro.isa.encoding import InstrClass
 from repro.utils.bits import to_signed
+
+
+@cache
+def _cache_table(name: str, num_sets: int) -> Dict[Tuple, int]:
+    """(is_store, set index, hit, victim_dirty) -> mask of one access;
+    ``victim_dirty`` is ``None`` unless a miss evicted a line."""
+    table = {}
+    for is_store in (False, True):
+        access = point_mask(name, "access", "store" if is_store else "load")
+        for index in range(num_sets):
+            table[is_store, index, True, None] = (
+                access | point_mask(name, f"set{index}", "hit"))
+            miss = access | point_mask(name, f"set{index}", "miss")
+            table[is_store, index, False, None] = miss
+            evict = miss | point_mask(name, f"set{index}", "evict")
+            for dirty in (False, True):
+                table[is_store, index, False, dirty] = evict | point_mask(
+                    name, "writeback", "dirty" if dirty else "clean")
+    return table
 
 
 class CacheModel:
@@ -45,23 +62,12 @@ class CacheModel:
         self.num_sets = num_sets
         self.ways = ways
         self.line_bytes = line_bytes
+        self.table = _cache_table(name, num_sets)
         # Per set: list of (tag, dirty) in LRU order (front = most recent).
         self._sets: Dict[int, List[Tuple[int, bool]]] = {}
 
     def reset(self) -> None:
         self._sets.clear()
-
-    def space(self) -> Set[str]:
-        points = set()
-        for index in range(self.num_sets):
-            points.add(coverage_point(self.name, f"set{index}", "hit"))
-            points.add(coverage_point(self.name, f"set{index}", "miss"))
-            points.add(coverage_point(self.name, f"set{index}", "evict"))
-        points.add(coverage_point(self.name, "writeback", "dirty"))
-        points.add(coverage_point(self.name, "writeback", "clean"))
-        points.add(coverage_point(self.name, "access", "load"))
-        points.add(coverage_point(self.name, "access", "store"))
-        return points
 
     def _touch(self, address: int,
                is_store: bool) -> Tuple[int, bool, Optional[bool]]:
@@ -85,32 +91,10 @@ class CacheModel:
         entries.insert(0, (tag, is_store))
         return index, False, victim_dirty
 
-    def _points_for(self, is_store: bool, index: int, hit: bool,
-                    victim_dirty: Optional[bool]) -> List[str]:
-        points = [coverage_point(self.name, "access", "store" if is_store else "load")]
-        if hit:
-            points.append(coverage_point(self.name, f"set{index}", "hit"))
-            return points
-        points.append(coverage_point(self.name, f"set{index}", "miss"))
-        if victim_dirty is not None:
-            points.append(coverage_point(self.name, f"set{index}", "evict"))
-            points.append(coverage_point(
-                self.name, "writeback", "dirty" if victim_dirty else "clean"))
-        return points
-
-    #: (name, is_store, index, hit, victim_dirty) -> mask, shared by all
-    #: instances (components are rebuilt per run; situations are bounded).
-    _MASK_MEMO: Dict[Tuple, int] = {}
-
     def access_mask(self, address: int, is_store: bool = False) -> int:
         """Access ``address``; return the exercised points as a bitset mask."""
         index, hit, victim_dirty = self._touch(address, is_store)
-        key = (self.name, is_store, index, hit, victim_dirty)
-        mask = self._MASK_MEMO.get(key)
-        if mask is None:
-            mask = self._MASK_MEMO[key] = mask_of(
-                self._points_for(is_store, index, hit, victim_dirty))
-        return mask
+        return self.table[is_store, index, hit, victim_dirty]
 
     def repeat_hit_mask(self, address: int) -> int:
         """Mask of a guaranteed *load re-hit* on the line just accessed.
@@ -124,13 +108,8 @@ class CacheModel:
         Only valid when ``address``'s line is known to be most-recent in
         its set (i.e. the previous access touched the same line).
         """
-        index = (address // self.line_bytes) % self.num_sets
-        key = (self.name, False, index, True, None)
-        mask = self._MASK_MEMO.get(key)
-        if mask is None:
-            mask = self._MASK_MEMO[key] = mask_of(
-                self._points_for(False, index, True, None))
-        return mask
+        return self.table[False, (address // self.line_bytes) % self.num_sets,
+                          True, None]
 
     def line_is_dirty(self, address: int) -> bool:
         """Whether the line containing ``address`` is currently dirty."""
@@ -143,6 +122,16 @@ class CacheModel:
         return False
 
 
+@cache
+def _predictor_table(name: str, entries: int) -> Dict[Tuple, int]:
+    """(entry index, taken, prediction correct) -> mask of one branch."""
+    return {(index, taken, correct):
+            point_mask(name, f"entry{index}", "taken" if taken else "nottaken")
+            | point_mask(name, "predict", "correct" if correct else "mispredict")
+            for index in range(entries) for taken in (False, True)
+            for correct in (False, True)}
+
+
 class BranchPredictor:
     """Bimodal 2-bit predictor with per-entry outcome coverage."""
 
@@ -151,22 +140,14 @@ class BranchPredictor:
             raise ValueError("entries must be positive")
         self.name = name
         self.entries = entries
+        self.table = _predictor_table(name, entries)
         self._counters: Dict[int, int] = {}
 
     def reset(self) -> None:
         self._counters.clear()
 
-    def space(self) -> Set[str]:
-        points = set()
-        for index in range(self.entries):
-            points.add(coverage_point(self.name, f"entry{index}", "taken"))
-            points.add(coverage_point(self.name, f"entry{index}", "nottaken"))
-        points.add(coverage_point(self.name, "predict", "correct"))
-        points.add(coverage_point(self.name, "predict", "mispredict"))
-        return points
-
-    def _observe(self, pc: int, taken: bool) -> Tuple[int, bool]:
-        """Update the predictor for one branch; return ``(index, correct)``."""
+    def update_mask(self, pc: int, taken: bool) -> int:
+        """Record one branch outcome; return the coverage points as a mask."""
         index = (pc >> 2) % self.entries
         counter = self._counters.get(index, 1)
         predicted_taken = counter >= 2
@@ -175,27 +156,21 @@ class BranchPredictor:
         else:
             counter = max(counter - 1, 0)
         self._counters[index] = counter
-        return index, predicted_taken == taken
+        return self.table[index, taken, predicted_taken == taken]
 
-    def _points_for(self, index: int, taken: bool, correct: bool) -> List[str]:
-        return [
-            coverage_point(self.name, f"entry{index}",
-                           "taken" if taken else "nottaken"),
-            coverage_point(self.name, "predict",
-                           "correct" if correct else "mispredict"),
-        ]
 
-    _MASK_MEMO: Dict[Tuple, int] = {}
-
-    def update_mask(self, pc: int, taken: bool) -> int:
-        """Record one branch outcome; return the coverage points as a mask."""
-        index, correct = self._observe(pc, taken)
-        key = (self.name, index, taken, correct)
-        mask = self._MASK_MEMO.get(key)
-        if mask is None:
-            mask = self._MASK_MEMO[key] = mask_of(
-                self._points_for(index, taken, correct))
-        return mask
+@cache
+def _hazard_table(name: str, window: int) -> Dict:
+    """Single-point masks: ``("rs1"|"rs2"|"waw", distance)``,
+    ``("fwd", register)`` and ``"no_hazard"``."""
+    table: Dict = {"no_hazard": point_mask(name, "no_hazard")}
+    for distance in range(1, window + 1):
+        table["rs1", distance] = point_mask(name, f"raw_dist{distance}", "rs1")
+        table["rs2", distance] = point_mask(name, f"raw_dist{distance}", "rs2")
+        table["waw", distance] = point_mask(name, f"waw_dist{distance}")
+    for reg in range(32):
+        table["fwd", reg] = point_mask(name, "forward_reg", f"x{reg}")
+    return table
 
 
 class HazardTracker:
@@ -206,48 +181,16 @@ class HazardTracker:
             raise ValueError("window must be positive")
         self.name = name
         self.window = window
+        self.table = _hazard_table(name, window)
         self._recent: List[Optional[int]] = []
 
     def reset(self) -> None:
         self._recent.clear()
 
-    def space(self) -> Set[str]:
-        points = set()
-        for distance in range(1, self.window + 1):
-            points.add(coverage_point(self.name, f"raw_dist{distance}", "rs1"))
-            points.add(coverage_point(self.name, f"raw_dist{distance}", "rs2"))
-            points.add(coverage_point(self.name, f"waw_dist{distance}"))
-        for reg in range(32):
-            points.add(coverage_point(self.name, "forward_reg", f"x{reg}"))
-        points.add(coverage_point(self.name, "no_hazard"))
-        return points
-
-    #: (name, window) -> precomputed single-point mask tables.
-    _MASK_TABLES: Dict[Tuple[str, int], Dict] = {}
-
-    def _mask_table(self) -> Dict:
-        table = self._MASK_TABLES.get((self.name, self.window))
-        if table is None:
-            table = {}
-            for distance in range(1, self.window + 1):
-                table["rs1", distance] = 1 << point_bit(
-                    coverage_point(self.name, f"raw_dist{distance}", "rs1"))
-                table["rs2", distance] = 1 << point_bit(
-                    coverage_point(self.name, f"raw_dist{distance}", "rs2"))
-                table["waw", distance] = 1 << point_bit(
-                    coverage_point(self.name, f"waw_dist{distance}"))
-            for reg in range(32):
-                table["fwd", reg] = 1 << point_bit(
-                    coverage_point(self.name, "forward_reg", f"x{reg}"))
-            table["no_hazard"] = 1 << point_bit(
-                coverage_point(self.name, "no_hazard"))
-            self._MASK_TABLES[(self.name, self.window)] = table
-        return table
-
     def observe_mask(self, rd: Optional[int], rs1: Optional[int],
                      rs2: Optional[int]) -> int:
         """Record one instruction's register usage; return points as a mask."""
-        table = self._mask_table()
+        table = self.table
         mask = 0
         hazard = False
         for distance, prior_rd in enumerate(reversed(self._recent), start=1):
@@ -287,60 +230,46 @@ def _operand_bucket(value: int) -> str:
     return "large"
 
 
+@cache
+def _fu_table(name: str) -> Dict[Tuple, int]:
+    """(unit, operand buckets, divide by zero, corner) -> mask of one
+    mul/div; the corner is a non-zero upper half for ``mul`` and a signed
+    overflow for ``div``."""
+    upper = point_mask(name, "mul", "upper_nonzero")
+    by_zero = point_mask(name, "div", "by_zero")
+    overflow = point_mask(name, "div", "overflow")
+    table = {}
+    for a in _OPERAND_BUCKETS:
+        for b in _OPERAND_BUCKETS:
+            bucket = f"{a}_{b}"
+            mul = point_mask(name, "mul", bucket)
+            div = point_mask(name, "div", bucket)
+            for corner in (False, True):
+                table["mul", bucket, False, corner] = mul | (upper if corner else 0)
+                for zero in (False, True):
+                    table["div", bucket, zero, corner] = (
+                        div | (by_zero if zero else 0) | (overflow if corner else 0))
+    return table
+
+
 class FunctionalUnitMonitor:
     """Coverage of multiplier/divider corner cases."""
 
     def __init__(self, name: str = "fu") -> None:
         self.name = name
+        self.table = _fu_table(name)
 
     def reset(self) -> None:  # stateless, present for interface symmetry
         return None
 
-    def space(self) -> Set[str]:
-        points = set()
-        for a in _OPERAND_BUCKETS:
-            for b in _OPERAND_BUCKETS:
-                points.add(coverage_point(self.name, "mul", f"{a}_{b}"))
-                points.add(coverage_point(self.name, "div", f"{a}_{b}"))
-        points.add(coverage_point(self.name, "div", "by_zero"))
-        points.add(coverage_point(self.name, "div", "overflow"))
-        points.add(coverage_point(self.name, "mul", "upper_nonzero"))
-        return points
-
-    def _situation(self, cls: InstrClass, rs1_value: int, rs2_value: int,
-                   result: int) -> Optional[Tuple]:
-        """The bounded situation key of one mul/div observation (or ``None``)."""
-        if cls not in (InstrClass.MUL, InstrClass.DIV):
-            return None
+    def observe_mask(self, cls: InstrClass, rs1_value: int, rs2_value: int,
+                     result: int) -> int:
+        """Record one mul/div operation; return its coverage points as a mask."""
+        if cls is not InstrClass.MUL and cls is not InstrClass.DIV:
+            return 0
         bucket = f"{_operand_bucket(rs1_value)}_{_operand_bucket(rs2_value)}"
         if cls is InstrClass.DIV:
             overflow = (to_signed(rs1_value) == -(2**63)
                         and to_signed(rs2_value) == -1)
-            return ("div", bucket, rs2_value == 0, overflow)
-        return ("mul", bucket, False, bool(result >> 63))
-
-    def _points_for(self, unit: str, bucket: str, by_zero: bool,
-                    corner: bool) -> List[str]:
-        points = [coverage_point(self.name, unit, bucket)]
-        if unit == "div":
-            if by_zero:
-                points.append(coverage_point(self.name, "div", "by_zero"))
-            if corner:
-                points.append(coverage_point(self.name, "div", "overflow"))
-        elif corner:
-            points.append(coverage_point(self.name, "mul", "upper_nonzero"))
-        return points
-
-    _MASK_MEMO: Dict[Tuple, int] = {}
-
-    def observe_mask(self, cls: InstrClass, rs1_value: int, rs2_value: int,
-                     result: int) -> int:
-        """Record one mul/div operation; return its coverage points as a mask."""
-        situation = self._situation(cls, rs1_value, rs2_value, result)
-        if situation is None:
-            return 0
-        key = (self.name, situation)
-        mask = self._MASK_MEMO.get(key)
-        if mask is None:
-            mask = self._MASK_MEMO[key] = mask_of(self._points_for(*situation))
-        return mask
+            return self.table["div", bucket, rs2_value == 0, overflow]
+        return self.table["mul", bucket, False, bool(result >> 63)]

@@ -11,10 +11,9 @@ why Rocket sits between CVA6 and BOOM in covered points and percentage.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.coverage.bitset import point_mask
-from repro.coverage.points import coverage_point
 from repro.isa.encoding import SPECS, InstrClass, spec_for
 from repro.isa.instruction import Instruction
 from repro.rtl.bugs import ROCKET_BUG_IDS, InjectedBug
@@ -22,8 +21,10 @@ from repro.rtl.harness import _INSTR_MEMO_MAX, DutConfig, DutExecutor, DutModel
 from repro.sim.executor import ExecutorConfig
 
 _PIPELINE_STAGES = ("if", "id", "ex", "mem", "wb")
-_STALL_KINDS = ("loaduse", "div", "mul", "csr", "fence", "amo")
-_REDIRECT_KINDS = ("branch", "jump", "trap")
+
+#: model class -> its per-instruction static structural plans (see
+#: RocketModel._instr_plan), kept per class like its tables.
+_PLANS: Dict[type, Dict[Instruction, tuple]] = {}
 
 
 class RocketModel(DutModel):
@@ -47,34 +48,20 @@ class RocketModel(DutModel):
         super().__init__(config, bugs, executor_config,
                          coverage_model=coverage_model)
 
-    # ------------------------------------------------------------------- space
-    def structural_space(self) -> Set[str]:
-        points: Set[str] = set()
-        for stage in _PIPELINE_STAGES:
-            for mnemonic in SPECS:
-                points.add(coverage_point("rocket", "pipe", stage, mnemonic))
-            points.add(coverage_point("rocket", "pipe", stage, "bubble"))
-        for reg in range(32):
-            points.add(coverage_point("rocket", "regfile", "write", f"x{reg}"))
-            points.add(coverage_point("rocket", "regfile", "read", f"x{reg}"))
-            points.add(coverage_point("rocket", "bypass", "ex_to_id", f"x{reg}"))
-            points.add(coverage_point("rocket", "bypass", "mem_to_id", f"x{reg}"))
-        for kind in _STALL_KINDS:
-            points.add(coverage_point("rocket", "stall", kind))
-        for kind in _REDIRECT_KINDS:
-            points.add(coverage_point("rocket", "pcgen", "redirect", kind))
-        points.add(coverage_point("rocket", "pcgen", "sequential"))
-        return points
-
-    # -------------------------------------------------------------------- emit
+    # ---------------------------------------------------------------- coverage
     # Table-driven emission: every point mask is precomputed once per model
     # class and process (DutModel._structural_tables), so emitting a
     # commit's structural coverage is a handful of table lookups and
-    # ``|=`` -- no string building on the hot path.
+    # ``|=`` -- no string building on the hot path.  The tables are also
+    # the family's only declaration: its points are their union.
     def _build_structural_tables(self) -> dict:
         return {
             "illegal": point_mask("rocket", "pipe", "if", "bubble")
             | point_mask("rocket", "pipe", "id", "bubble"),
+            # Declared, never emitted: an illegal word bubbles only the
+            # fetch and decode stages.
+            "late_bubbles": [point_mask("rocket", "pipe", stage, "bubble")
+                             for stage in ("ex", "mem", "wb")],
             "pipe": {
                 mnemonic: sum(point_mask("rocket", "pipe", stage, mnemonic)
                               for stage in _PIPELINE_STAGES)
@@ -100,14 +87,12 @@ class RocketModel(DutModel):
             "redirect_jump": point_mask("rocket", "pcgen", "redirect", "jump"),
             "redirect_branch": point_mask("rocket", "pcgen", "redirect", "branch"),
             "sequential": point_mask("rocket", "pcgen", "sequential"),
-            "plans": {},  # per-instruction static plans, filled lazily
         }
 
     @staticmethod
-    def _instr_plan(instr: Instruction, tables: dict) -> tuple:
+    def _instr_plan(instr: Instruction, tables: dict, plans: dict) -> tuple:
         """Per-instruction static plan: pipeline/regfile-read/stall masks
         and the spec flags, resolved once per decoded instruction."""
-        plans = tables["plans"]
         plan = plans.get(instr)
         if plan is None:
             spec = spec_for(instr.mnemonic)
@@ -145,13 +130,15 @@ class RocketModel(DutModel):
         instruction-hash memo lookup per commit with a list index.
         """
         tables = self._structural_tables()
-        plans = None if block is None else block.model_plans.get(RocketModel)
+        model = type(self)
+        plans = None if block is None else block.model_plans.get(model)
         if plans is None:
             instr_plan = self._instr_plan
-            plans = [None if entry[3] is None else instr_plan(entry[1], tables)
+            memo = _PLANS.setdefault(model, {})
+            plans = [None if entry[3] is None else instr_plan(entry[1], tables, memo)
                      for entry in plan]
             if block is not None:
-                block.model_plans[RocketModel] = plans
+                block.model_plans[model] = plans
         illegal = tables["illegal"]
         rf_write = tables["rf_write"]
         bypass_ex = tables["bypass_ex"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import socket
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.exec import faults
 from repro.telemetry.events import encode_event, make_event
@@ -290,6 +290,15 @@ class TelemetryRecorder:
         return stats
 
 
+def tcp_address(spec: str) -> Tuple[str, int]:
+    """``(host, port)`` of a ``tcp:HOST:PORT`` sink spec; ``ValueError``
+    if it does not have that form (the port range is not checked)."""
+    host, sep, port = spec[len("tcp:"):].rpartition(":")
+    if not sep or not host or not port.isdigit():
+        raise ValueError(f"bad telemetry spec {spec!r}: expected tcp:HOST:PORT")
+    return host, int(port)
+
+
 def parse_sink_spec(
     spec: str,
     spill_path: Optional[str] = None,
@@ -298,12 +307,8 @@ def parse_sink_spec(
     """Build a sink from a CLI spec: ``tcp:HOST:PORT``, ``file:PATH``, or
     a bare path (treated as ``file:``)."""
     if spec.startswith("tcp:"):
-        rest = spec[len("tcp:"):]
-        host, sep, port = rest.rpartition(":")
-        if not sep or not host or not port.isdigit():
-            raise ValueError(
-                f"bad telemetry spec {spec!r}: expected tcp:HOST:PORT")
-        return TcpSink(host, int(port), buffer_limit=buffer_limit,
+        host, port = tcp_address(spec)
+        return TcpSink(host, port, buffer_limit=buffer_limit,
                        spill_path=spill_path)
     if spec.startswith("file:"):
         return FileSink(spec[len("file:"):])
@@ -318,4 +323,5 @@ __all__ = [
     "TelemetryRecorder",
     "TelemetrySink",
     "parse_sink_spec",
+    "tcp_address",
 ]

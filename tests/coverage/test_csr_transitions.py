@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.coverage.bitset import points_of
+from repro.coverage.bitset import points_of, union
 from repro.coverage.csr_transitions import (
     TRACKED_CSRS,
     TRANSITION_MARKER,
+    TRANSITION_TABLE,
     CsrTransitionTracker,
     _MSTATUS_RESET,
     is_transition_point,
     transition_point,
-    transition_space,
 )
 from repro.isa import csr as csrdefs
 from repro.isa.exceptions import TrapCause
@@ -38,9 +38,14 @@ def _observe(tracker, record):
     return points_of(tracker.observe_mask(record))
 
 
+def _transition_space():
+    """Every transition point, as the family's table declares it."""
+    return points_of(union(TRANSITION_TABLE))
+
+
 class TestSpace:
     def test_space_is_ordered_class_pairs(self):
-        space = transition_space()
+        space = _transition_space()
         for address, (classes, _) in TRACKED_CSRS.items():
             expected = len(classes) * (len(classes) - 1)
             name = csrdefs.csr_name(address)
@@ -106,8 +111,18 @@ class TestTracker:
         points = _observe(tracker, _csr_write_record(csrdefs.MCAUSE, 0xDEAD))
         assert points == {"csr.mcause.instruction_address_misaligned->other"}
 
+    def test_class_outside_the_enumeration_raises(self, monkeypatch):
+        """A class the enumeration lacks names no declared point, so the
+        tracker raises instead of emitting outside the space."""
+        monkeypatch.setitem(TRACKED_CSRS, csrdefs.MSCRATCH, (
+            ("zero", "nonzero"),
+            lambda value, layout: "bogus" if value else "zero"))
+        tracker = CsrTransitionTracker()
+        with pytest.raises(KeyError):
+            tracker.observe_mask(_csr_write_record(csrdefs.MSCRATCH, 7))
+
     def test_emitted_points_stay_inside_the_space(self):
-        space = transition_space()
+        space = _transition_space()
         tracker = CsrTransitionTracker()
         records = [
             _trap_record(cause, pc=pc, tval=tval)
@@ -149,7 +164,7 @@ class TestDutIntegration:
         csr = make_dut("rocket", bugs=[], coverage_model="csr")
         assert base.coverage_space() < csr.coverage_space()
         assert (csr.coverage_space() - base.coverage_space()
-                == frozenset(transition_space()))
+                == _transition_space())
 
     def test_base_model_emits_no_transition_points(self):
         dut = make_dut("rocket", bugs=[])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coverage.bitset import points_of
+from repro.coverage.bitset import points_of, union
 from repro.isa.encoding import InstrClass
 from repro.rtl.microarch import (
     BranchPredictor,
@@ -67,7 +67,7 @@ class TestCacheModel:
 
     def test_emitted_points_within_space(self):
         cache = CacheModel("dcache", num_sets=4, ways=1)
-        space = cache.space()
+        space = points_of(union(cache.table))
         emitted = set()
         for address in range(0, 0x2000, 72):
             emitted.update(points_of(
@@ -77,12 +77,13 @@ class TestCacheModel:
     def test_space_size(self):
         cache = CacheModel("c", num_sets=8, ways=2)
         # 3 per-set events + 2 writeback + 2 access kinds.
-        assert len(cache.space()) == 8 * 3 + 4
+        assert len(points_of(union(cache.table))) == 8 * 3 + 4
 
 
 class TestBranchPredictor:
     def test_space_size(self):
-        assert len(BranchPredictor("b", entries=16).space()) == 16 * 2 + 2
+        table = BranchPredictor("b", entries=16).table
+        assert len(points_of(union(table))) == 16 * 2 + 2
 
     def test_outcome_points(self):
         predictor = BranchPredictor("b", entries=8)
@@ -107,7 +108,7 @@ class TestBranchPredictor:
 
     def test_emitted_within_space(self):
         predictor = BranchPredictor("b", entries=4)
-        space = predictor.space()
+        space = points_of(union(predictor.table))
         emitted = set()
         for pc in range(0x4000_0000, 0x4000_0100, 4):
             emitted.update(points_of(predictor.update_mask(pc, taken=pc % 8 == 0)))
@@ -150,7 +151,7 @@ class TestHazardTracker:
 
     def test_emitted_within_space(self):
         tracker = HazardTracker(window=2)
-        space = tracker.space()
+        space = points_of(union(tracker.table))
         emitted = set()
         for i in range(40):
             emitted.update(points_of(
@@ -185,7 +186,7 @@ class TestFunctionalUnitMonitor:
 
     def test_emitted_within_space(self):
         monitor = FunctionalUnitMonitor()
-        space = monitor.space()
+        space = points_of(union(monitor.table))
         emitted = set()
         for a in (0, 1, 5, 2**63, 2**13):
             for b in (0, 1, 3, (1 << 64) - 1):

@@ -1,6 +1,7 @@
 """Per-processor structural model tests (CVA6 / Rocket / BOOM specifics)."""
 
 
+from repro.coverage.bitset import points_of, union
 from repro.coverage.points import parse_point
 from repro.isa.generator import SeedGenerator
 from repro.rtl.boom import BoomModel
@@ -8,8 +9,13 @@ from repro.rtl.cva6 import CVA6Model
 from repro.rtl.rocket import RocketModel
 
 
+def _structural_space(model):
+    """The model's structural points, as its tables declare them."""
+    return points_of(union(model._structural_tables()))
+
+
 def _structural_prefixes(model):
-    return {parse_point(p)[0] for p in model.structural_space()}
+    return {parse_point(p)[0] for p in _structural_space(model)}
 
 
 def _run_some(model, count=20, seed=3):
@@ -25,7 +31,7 @@ class TestCVA6Structure:
         assert _structural_prefixes(CVA6Model(bugs=[])) == {"cva6"}
 
     def test_fpu_family_exists_and_is_large(self):
-        space = CVA6Model(bugs=[]).structural_space()
+        space = _structural_space(CVA6Model(bugs=[]))
         fpu_points = {p for p in space if p.startswith("cva6.fpu.")}
         assert len(fpu_points) > 500
 
@@ -64,7 +70,7 @@ class TestRocketStructure:
         percentage the paper reports relative to CVA6."""
         model = RocketModel(bugs=[])
         covered = _run_some(model, count=60, seed=11)
-        structural = {p for p in model.structural_space()}
+        structural = _structural_space(model)
         reached = len(covered & structural) / len(structural)
         assert reached > 0.5
 
@@ -82,6 +88,23 @@ class TestBoomStructure:
     def test_fp_issue_queue_unreachable(self):
         covered = _run_some(BoomModel(bugs=[]), count=15)
         assert not any(p.startswith("boom.iq.fp.") for p in covered)
+
+    def test_subclass_keeps_its_own_block_plans(self):
+        """A subclass with other structure sizes runs the same compiled
+        blocks as BoomModel; each must emit from its own tables and plans
+        (a shared plan list once indexed 4 issue-queue slots modulo 16)."""
+        class SmallIssueQueue(BoomModel):
+            issue_queue_slots = 4
+
+        programs = SeedGenerator(rng=3).generate_many(3)
+        small = [SmallIssueQueue(bugs=[]).run(p).coverage for p in programs]
+        boom = [BoomModel(bugs=[]).run(p).coverage for p in programs]
+        assert [SmallIssueQueue(bugs=[]).run(p).coverage
+                for p in programs] == small
+        slots = {int(point.rsplit("slot", 1)[1])
+                 for mask in boom for point in points_of(mask)
+                 if point.startswith("boom.iq.")}
+        assert max(slots) >= 4
 
     def test_boom_covers_more_points_than_others_on_same_stimulus(self):
         """On identical stimulus BOOM reports the most covered branch points,

@@ -136,6 +136,19 @@ class TestParser:
          "must be a port number in 0-65535, got -1"),
         (["telemetry", "--port", "65536", "serve"],
          "must be a port number in 0-65535, got 65536"),
+        # A bad telemetry sink or fault plan would otherwise surface only
+        # once the campaign (or worker) is under way.
+        (["table1", "--telemetry", "tcp:localhost"],
+         "bad telemetry spec 'tcp:localhost': expected tcp:HOST:PORT"),
+        (["table1", "--telemetry", "tcp:127.0.0.1:99999"],
+         "must be a port number in 0-65535, got 99999"),
+        (["worker", "--fault-plan", "/nonexistent.json", "--queue", "Q"],
+         "cannot load fault plan '/nonexistent.json': "
+         "No such file or directory"),
+        (["table1", "--worker-fault-plan", "/nonexistent.json", "--backend",
+          "distributed", "--queue", "Q", "--spawn-workers", "1"],
+         "cannot load fault plan '/nonexistent.json': "
+         "No such file or directory"),
     ])
     def test_bad_counts_rejected_with_usage_error(self, argv, message, capsys):
         # Parse only: should a type check regress, the command must not
@@ -247,18 +260,26 @@ class TestTrapCommands:
         assert capsys.readouterr().out == serial_out
 
 
+def _plan_file(tmp_path):
+    """A loadable fault plan (``--fault-plan`` loads it while parsing)."""
+    path = tmp_path / "plan.json"
+    path.write_text('{"rules": []}')
+    return str(path)
+
+
 class TestServiceFlags:
-    def test_fleet_and_telemetry_flags_parse(self):
+    def test_fleet_and_telemetry_flags_parse(self, tmp_path):
+        plan = _plan_file(tmp_path)
         args = build_parser().parse_args(
             ["report", "--backend", "distributed", "--queue", "spool",
              "--spawn-workers", "2", "--worker-hosts", "node1", "node2",
-             "--crash-loop-budget", "5", "--worker-fault-plan", "plan.json",
+             "--crash-loop-budget", "5", "--worker-fault-plan", plan,
              "--telemetry", "tcp:127.0.0.1:9900",
              "--telemetry-spill", "spill.ndjson"])
         assert args.spawn_workers == 2
         assert args.worker_hosts == ["node1", "node2"]
         assert args.crash_loop_budget == 5
-        assert args.worker_fault_plan == "plan.json"
+        assert args.worker_fault_plan == plan
         assert args.telemetry == "tcp:127.0.0.1:9900"
         assert args.telemetry_spill == "spill.ndjson"
 
@@ -266,18 +287,20 @@ class TestServiceFlags:
         with pytest.raises(SystemExit, match="--backend distributed"):
             main(["report", "--spawn-workers", "2"])
 
-    def test_fault_plan_requires_a_fleet(self):
+    def test_fault_plan_requires_a_fleet(self, tmp_path):
         with pytest.raises(SystemExit, match="--spawn-workers"):
             main(["report", "--backend", "distributed", "--queue", "spool",
-                  "--worker-fault-plan", "plan.json"])
+                  "--worker-fault-plan", _plan_file(tmp_path)])
 
     def test_telemetry_spill_requires_telemetry(self):
         with pytest.raises(SystemExit, match="--telemetry-spill requires"):
             main(["report", "--telemetry-spill", "spill.ndjson"])
 
-    def test_bad_telemetry_spec_rejected(self):
-        with pytest.raises(ValueError, match="expected tcp:HOST:PORT"):
+    def test_bad_telemetry_spec_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["report", "--telemetry", "tcp:nohost"])
+        assert exit_info.value.code == 2
+        assert "expected tcp:HOST:PORT" in capsys.readouterr().err
 
     def test_telemetry_serve_parses(self):
         args = build_parser().parse_args(
