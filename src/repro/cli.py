@@ -476,13 +476,16 @@ def _port(text: str) -> int:
 def _telemetry_spec(text: str) -> str:
     """argparse type of a ``--telemetry`` sink spec: a ``tcp:`` spec must
     have :func:`~repro.telemetry.sink.parse_sink_spec`'s form and a port
-    in 0-65535 (the sink itself is built after parsing)."""
+    in 0-65535, and a ``file:`` or bare path must pass
+    :func:`_path_in_existing_dir` (the sink itself is built after parsing)."""
     if text.startswith("tcp:"):
         try:
             _, port = tcp_address(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         _port(str(port))
+    else:
+        _path_in_existing_dir(text.removeprefix("file:"))
     return text
 
 
@@ -593,6 +596,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                              "tcp:HOST:PORT, file:PATH, or a bare file "
                              "path (docs/service.md)")
     parser.add_argument("--telemetry-spill", metavar="PATH", default=None,
+                        type=_path_in_existing_dir,
                         help="local spill file for events a disconnected "
                              "tcp: telemetry sink cannot buffer")
     parser.epilog = _EXECUTION_EPILOG

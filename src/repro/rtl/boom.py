@@ -12,6 +12,7 @@ entries and dual-issue class pairings).
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, Optional, Sequence, Union
 
 from repro.coverage.bitset import point_mask
@@ -62,6 +63,12 @@ class BoomModel(DutModel):
             bugs = ()
         super().__init__(config, bugs, executor_config,
                          coverage_model=coverage_model)
+
+    @property
+    def step_cycle(self) -> int:
+        """The lcm of the step moduli; occupancy saturates well inside it."""
+        return lcm(self.rob_entries, self.issue_queue_slots,
+                   self.physical_registers, self.lsq_entries, self.coreswidth)
 
     # ---------------------------------------------------------------- coverage
     # Table-driven emission (see RocketModel): per-point masks precomputed
@@ -145,17 +152,19 @@ class BoomModel(DutModel):
         return plan
 
     def structural_block_mask(self, records: list, start: int, plan: tuple,
-                              executor: "DutExecutor", block=None) -> int:
+                              executor: "DutExecutor", block=None,
+                              copies: int = 1) -> int:
         """ROB, issue-queue, rename, register-file, LSQ and lane points.
 
-        Per commit, indexed by its step: the ROB entry (with the
-        exception flush on a trap), the occupancy bucket, the uop's issue
-        queue slot, physical register and load/store-queue entry, the
-        dual-issue pairing with the previous commit's class (carried
-        across blocks in ``dut_scratch["boom_prev_cls"]``), the commit
-        lane, and a mispredict flush on a taken branch.  Illegal words
-        (``None`` in the per-block plan list) emit only the ROB /
-        occupancy / exception masks and leave ``boom_prev_cls`` alone.
+        Per commit, indexed by its step (its index in ``records``): the
+        ROB entry (with the exception flush on a trap), the occupancy
+        bucket, the uop's issue queue slot, physical register and
+        load/store-queue entry, the dual-issue pairing with the previous
+        commit's class (carried across blocks in
+        ``dut_scratch["boom_prev_cls"]``), the commit lane, and a
+        mispredict flush on a taken branch.  Illegal words (``None`` in
+        the per-block plan list) emit only the ROB / occupancy /
+        exception masks and leave ``boom_prev_cls`` alone.
         The per-entry static plans are resolved once per block and cached
         on ``block.model_plans`` (masks are stable for the life of the
         process), replacing an instruction-hash memo lookup per commit
@@ -171,6 +180,8 @@ class BoomModel(DutModel):
                       for entry in plan]
             if block is not None:
                 block.model_plans[model] = iplans
+        if copies > 1:
+            iplans = iplans * copies
         rob_ok = tables["rob_ok"]
         rob_trap = tables["rob_trap"]
         occupancy = tables["occupancy"]
@@ -193,9 +204,9 @@ class BoomModel(DutModel):
         prev_idx = (CLASS_INDEX[prev_cls]
                     if isinstance(prev_cls, InstrClass) else -1)
         mask = 0
-        for offset in range(len(records) - start):
-            record = records[start + offset]
-            step = record.step
+        for offset in range(min(len(records) - start, len(iplans))):
+            step = start + offset
+            record = records[step]
             trap = record.trap
             m = (rob_trap if trap is not None else rob_ok)[step % rob_entries]
             m |= occupancy[step if step < occ_top else occ_top]

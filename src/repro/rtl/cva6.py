@@ -16,6 +16,7 @@ structure.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from repro.coverage.bitset import mask_of, point_mask
@@ -81,6 +82,11 @@ class CVA6Model(DutModel):
         super().__init__(config, bugs, executor_config,
                          coverage_model=coverage_model)
 
+    @property
+    def step_cycle(self) -> int:
+        """Scoreboard entries and commit ports; the frontend reads the pc."""
+        return lcm(self.scoreboard_entries, self.commit_ports)
+
     # ---------------------------------------------------------------- coverage
     # Table-driven emission (see RocketModel): per-point masks precomputed
     # once per model class and process, emission is table lookups and
@@ -111,17 +117,18 @@ class CVA6Model(DutModel):
         }
 
     def structural_block_mask(self, records: list, start: int, plan: tuple,
-                              executor: DutExecutor, block=None) -> int:
+                              executor: DutExecutor, block=None,
+                              copies: int = 1) -> int:
         """Scoreboard, frontend, issue-port and commit-port points.
 
-        Per commit, indexed by its step and pc: the scoreboard entry (and
-        its writeback when the commit writes ``rd``), the fetch bucket,
-        the issue port and commit port of its class, and the FPU
-        dirty-state point on an ``mstatus`` write.  The per-entry integer
-        class indices (``None`` for illegal words, which emit only the
-        scoreboard/frontend masks) are resolved once per block and cached
-        on ``block.model_plans``, so the loop indexes flat lists instead
-        of hashing enums.
+        Per commit, indexed by its step (its index in ``records``) and
+        pc: the scoreboard entry (and its writeback when the commit writes
+        ``rd``), the fetch bucket, the issue port and commit port of its
+        class, and the FPU dirty-state point on an ``mstatus`` write.  The
+        per-entry integer class indices (``None`` for illegal words, which
+        emit only the scoreboard/frontend masks) are resolved once per
+        block and cached on ``block.model_plans``, so the loop indexes
+        flat lists instead of hashing enums.
         """
         tables = self._structural_tables()
         indices = None if block is None else block.model_plans.get(type(self))
@@ -130,6 +137,8 @@ class CVA6Model(DutModel):
                        for entry in plan]
             if block is not None:
                 block.model_plans[type(self)] = indices
+        if copies > 1:
+            indices = indices * copies
         sb_issue = tables["sb_issue"]
         sb_writeback = tables["sb_writeback"]
         frontend = tables["frontend"]
@@ -141,10 +150,10 @@ class CVA6Model(DutModel):
         port_mod = self.commit_ports
         mstatus = csrdefs.MSTATUS
         mask = 0
-        for offset in range(len(records) - start):
-            record = records[start + offset]
+        for offset in range(min(len(records) - start, len(indices))):
+            step = start + offset
+            record = records[step]
             cls_idx = indices[offset]
-            step = record.step
             entry = step % sb_mod
             m = sb_issue[entry]
             if record.rd is not None:

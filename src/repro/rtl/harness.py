@@ -34,6 +34,7 @@ emitter; frozen per-program run digests
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.coverage.bitset import point_mask, points_of, union
@@ -388,6 +389,7 @@ class DutExecutor(Executor):
             CsrTransitionTracker(memory.layout)
             if dut.coverage_model == "csr" else None)
         # Bug / run bookkeeping the bug hooks rely on.
+        self._step_index = 0
         self.last_store_step: Optional[int] = None
         self.last_trap_step: Optional[int] = None
         self.last_trap_cause: Optional[TrapCause] = None
@@ -683,8 +685,7 @@ class DutExecutor(Executor):
                 csrs[csrdefs.MCAUSE] = int(cause)
                 csrs[csrdefs.MTVAL] = trap.tval & MASK64
                 record = CommitRecord(
-                    step=self._step_index, pc=pc, word=word,
-                    mnemonic=instr.mnemonic, trap=cause,
+                    pc=pc, word=word, mnemonic=instr.mnemonic, trap=cause,
                     next_pc=(pc + 4) & MASK64, trap_tval=trap.tval & MASK64)
                 if not count_trapped:
                     uncounted += 1
@@ -765,20 +766,22 @@ class DutExecutor(Executor):
         """Replay as :meth:`Executor.replay_period`, then bring the DUT's
         step-dependent state and coverage up to the copies.
 
-        A store or trap inside the verified period recurs in every copy,
-        so its step moves with the last one; older ones stay put.  So does
-        each bug effect of the period: every copy appends it to
-        ``bug_effects`` at its shifted step.  The only coverage that
-        depends on the step index is structural (BOOM's
-        ROB, issue-queue, register-file, load/store-queue and lane points,
-        CVA6's scoreboard and commit ports), so the model's
-        :meth:`DutModel.structural_block_mask` runs over the copies; every
-        other family sees the same inputs in each copy as in the verified
-        period and can add nothing.
+        The step index advances by the copies' commits.  A store or trap
+        inside the verified period recurs in every copy, so its step
+        moves with the last one; older ones stay put.  So does each bug
+        effect of the period: every copy appends it to ``bug_effects`` at
+        its shifted step.  The only coverage that depends on the step
+        index is structural (BOOM's ROB, issue-queue, register-file,
+        load/store-queue and lane points, CVA6's scoreboard and commit
+        ports), and it repeats every :attr:`DutModel.step_cycle` steps:
+        copy ``k + cycle // gcd(period, cycle)`` is a multiple of the
+        cycle after copy ``k``, so :meth:`DutModel.structural_block_mask`
+        covers only that many copies (none without a cycle).
         """
         first = len(records)
         super().replay_period(records, period, copies, counter_steps)
         span = copies * period
+        self._step_index += span
         start = first - period
         if self.last_store_step is not None and self.last_store_step >= start:
             self.last_store_step += span
@@ -790,9 +793,11 @@ class DutExecutor(Executor):
                 steps.extend([step + shift
                               for shift in range(period, span + 1, period)
                               for step in recent])
-        plan = tuple(_word_plan(r.word) for r in records[start:first])
-        self._cov |= self.dut.structural_block_mask(records, first,
-                                                    plan * copies, self)
+        cycle = self.dut.step_cycle
+        if cycle:
+            plan = tuple(_word_plan(r.word) for r in records[start:first])
+            self._cov |= self.dut.structural_block_mask(
+                records, first, plan, self, copies=min(copies, cycle // gcd(period, cycle)))
 
 
 # ======================================================================= model
@@ -808,6 +813,10 @@ class DutModel(ModelBase):
 
     #: subclasses override with their default configuration.
     default_config = DutConfig()
+    #: steps after which the model's step-indexed structural points
+    #: repeat (BOOM and CVA6 derive it from their sizes); 0 when no point
+    #: depends on the step, so a replayed copy adds nothing.
+    step_cycle = 0
 
     def __init__(self, config: Optional[DutConfig] = None,
                  bugs: Sequence[Union[str, InjectedBug]] = (),
@@ -829,21 +838,23 @@ class DutModel(ModelBase):
 
     # -------------------------------------------------------------- coverage space
     def structural_block_mask(self, records: list, start: int, plan: Tuple,
-                              executor: DutExecutor, block=None) -> int:
+                              executor: DutExecutor, block=None,
+                              copies: int = 1) -> int:
         """DUT-specific structural coverage of a run of commits, as one mask.
 
         Called once per superblock by :meth:`DutExecutor.run_block` with
         the commit records the block appended (``records[start:]`` --
         possibly fewer than ``len(plan)`` entries after a dirty-store
-        abort or a cut before a bug-declared entry) and the block's
-        execution plan, whose entries carry the decoded instructions; and
-        once per replayed loop (see :meth:`DutExecutor.replay_period`)
-        with the copies' records and the period's plan entries repeated,
-        without a block.  The three processor models override it with a
-        table-driven loop over the commits in order (precomputed
-        per-point masks, no string building per commit), caching the
-        per-entry plans on ``block.model_plans`` when a block is given;
-        the base model has no structural coverage.
+        abort or a cut before a bug-declared entry; a commit's step is its
+        index) and the block's execution plan, whose entries carry the
+        decoded instructions; and, for a model with a :attr:`step_cycle`,
+        once per replayed loop without a block, to cover ``copies``
+        repetitions of the period's ``plan`` from ``start`` (see
+        :meth:`DutExecutor.replay_period`).  The three processor models
+        override it with a table-driven loop over the commits in order
+        (precomputed per-point masks, no string building per commit),
+        caching the per-entry plans on ``block.model_plans`` when a block
+        is given; the base model has no structural coverage.
         """
         return 0
 

@@ -157,7 +157,6 @@ class Executor:
         self.config = config or ExecutorConfig()
         self.halted = False
         self.halt_reason: Optional[HaltReason] = None
-        self._step_index = 0
 
     # =================================================================== hooks
     # The handlers reach memory and CSRs through these; the DUT harness
@@ -231,14 +230,12 @@ class Executor:
                 csrs[csrdefs.MCAUSE] = int(trap.cause)
                 csrs[csrdefs.MTVAL] = trap.tval & MASK64
                 record = CommitRecord(
-                    step=self._step_index, pc=pc, word=word,
-                    mnemonic=instr.mnemonic, trap=trap.cause,
+                    pc=pc, word=word, mnemonic=instr.mnemonic, trap=trap.cause,
                     next_pc=(pc + 4) & MASK64, trap_tval=trap.tval & MASK64)
                 if not count_trapped:
                     uncounted += 1
             commits += 1
             append(record)
-            self._step_index += 1
             pc += 4
             mem_addr = record.mem_addr
             if mem_addr is not None:
@@ -266,8 +263,8 @@ class Executor:
 
         The shared run loop (:mod:`repro.sim.golden`) takes it at two
         arrivals one loop period apart: equal values mean every further
-        period commits the same records.  Left out are the step index and
-        MINSTRET/MCYCLE, which advance every period; the loop only
+        period commits the same records.  Left out are MINSTRET/MCYCLE
+        (and a DUT's step index), which advance every period; the loop only
         replays periods with no CSR instruction on those counters or
         their CYCLE/TIME/INSTRET aliases (the counters' only readers and
         writers) and advances all three itself.  Every other CSR is in
@@ -286,24 +283,18 @@ class Executor:
 
         The run loop calls this once the period began and ended in equal
         :meth:`periodic_state`, so each repetition would commit the same
-        records ``period`` steps later.  The step index and MINSTRET/
-        MCYCLE advance as ``copies`` executed periods would advance them;
-        ``counter_steps`` is their advance over the verified period.
+        records ``period`` steps later.  A record does not carry its step,
+        so the repetitions are the period's own record objects, appended
+        by reference.  MINSTRET/MCYCLE advance as ``copies`` executed
+        periods would advance them; ``counter_steps`` is their advance
+        over the verified period.
         """
-        template = records[-period:]
-        append = records.append
-        for shift in range(period, (copies + 1) * period, period):
-            for r in template:
-                append(CommitRecord(
-                    r.step + shift, r.pc, r.word, r.mnemonic, r.rd, r.rd_value,
-                    r.trap, r.mem_addr, r.mem_value, r.mem_size, r.csr_addr,
-                    r.csr_value, r.next_pc, r.trap_tval))
+        records.extend(records[-period:] * copies)
         csrs = self.state.csrs
         csrs[csrdefs.MINSTRET] = (csrs[csrdefs.MINSTRET]
                                   + copies * counter_steps[0]) & MASK64
         csrs[csrdefs.MCYCLE] = (csrs[csrdefs.MCYCLE]
                                 + copies * counter_steps[1]) & MASK64
-        self._step_index += copies * period
 
     # ============================================================ trap commits
     def fetch_fault(self, pc: int) -> CommitRecord:
@@ -319,9 +310,8 @@ class Executor:
         csrs[csrdefs.MEPC] = pc
         csrs[csrdefs.MCAUSE] = int(cause)
         csrs[csrdefs.MTVAL] = pc
-        return CommitRecord(
-            step=self._step_index, pc=pc, word=0, mnemonic=ILLEGAL_MNEMONIC,
-            trap=cause, next_pc=(pc + 4) & MASK64, trap_tval=pc)
+        return CommitRecord(pc=pc, word=0, mnemonic=ILLEGAL_MNEMONIC, trap=cause,
+                            next_pc=(pc + 4) & MASK64, trap_tval=pc)
 
     def _commit_suppressed_trap(self, pc: int, word: int,
                                 instr: Instruction) -> CommitRecord:
@@ -332,10 +322,8 @@ class Executor:
             self.state.write_reg(rd, 0)
             rd_value = 0 if rd != 0 else None
             rd = rd if rd != 0 else None
-        return CommitRecord(
-            step=self._step_index, pc=pc, word=word, mnemonic=instr.mnemonic,
-            rd=rd, rd_value=rd_value, next_pc=(pc + 4) & MASK64,
-        )
+        return CommitRecord(pc=pc, word=word, mnemonic=instr.mnemonic, rd=rd,
+                            rd_value=rd_value, next_pc=(pc + 4) & MASK64)
 
     # ------------------------------------------------------------------ helpers
     def _commit_rd(self, instr: Instruction, pc: int, word: int, value: int,
@@ -347,18 +335,16 @@ class Executor:
         if rd is not None:  # write_reg inlined: x0 stays hardwired to zero
             self.state.regs[rd] = value
         return CommitRecord(
-            step=self._step_index, pc=pc, word=word, mnemonic=instr.mnemonic,
-            rd=rd, rd_value=value if rd is not None else None,
+            pc=pc, word=word, mnemonic=instr.mnemonic, rd=rd,
+            rd_value=value if rd is not None else None,
             mem_addr=mem_addr, mem_value=mem_value, mem_size=mem_size,
-            next_pc=(pc + 4) & MASK64 if next_pc is None else next_pc & MASK64,
-        )
+            next_pc=(pc + 4) & MASK64 if next_pc is None else next_pc & MASK64)
 
     def _commit_simple(self, instr: Instruction, pc: int, word: int,
                        next_pc: Optional[int] = None) -> CommitRecord:
         return CommitRecord(
-            step=self._step_index, pc=pc, word=word, mnemonic=instr.mnemonic,
-            next_pc=(pc + 4) & MASK64 if next_pc is None else next_pc & MASK64,
-        )
+            pc=pc, word=word, mnemonic=instr.mnemonic,
+            next_pc=(pc + 4) & MASK64 if next_pc is None else next_pc & MASK64)
 
 
 # ============================================================ handler factory
@@ -409,11 +395,9 @@ def _make_store_handler(size: int):
         address = (regs[instr.rs1] + instr.imm) & MASK64
         value = regs[instr.rs2] & mask
         self._mem_store(address, value, size, instr)
-        return CommitRecord(
-            step=self._step_index, pc=pc, word=word, mnemonic=instr.mnemonic,
-            mem_addr=address, mem_value=value, mem_size=size,
-            next_pc=(pc + 4) & MASK64,
-        )
+        return CommitRecord(pc=pc, word=word, mnemonic=instr.mnemonic,
+                            mem_addr=address, mem_value=value, mem_size=size,
+                            next_pc=(pc + 4) & MASK64)
     return execute
 
 
@@ -466,11 +450,9 @@ def _make_csr_handler(mnemonic: str, fmt: InstrFormat):
         record = self._commit_rd(instr, pc, word, old_value)
         if new_value is not None:
             record = CommitRecord(
-                step=record.step, pc=record.pc, word=record.word,
-                mnemonic=record.mnemonic, rd=record.rd, rd_value=record.rd_value,
-                csr_addr=address, csr_value=new_value & MASK64,
-                next_pc=record.next_pc,
-            )
+                pc=record.pc, word=record.word, mnemonic=record.mnemonic,
+                rd=record.rd, rd_value=record.rd_value, csr_addr=address,
+                csr_value=new_value & MASK64, next_pc=record.next_pc)
         return record
     return execute
 

@@ -92,12 +92,12 @@ class ModelBase:
         aliases, the only state the snapshot leaves out),
         :meth:`~repro.sim.executor.Executor.replay_period` appends the
         ``(limit - n) // P`` further copies of the period that the
-        simulation would have committed, with ``step`` shifted, and
-        advances the step index and the counters to match.  Execution
-        then continues normally up to the limit.  The result is
-        bit-identical to simulating every copy: the snapshot holds
-        everything that decides future commits (a DUT adds its
-        microarchitectural, coverage and bug state, see
+        simulation would have committed -- the period's own records, by
+        reference, since a record's step is its index -- and advances the
+        counters to match.  Execution then continues normally up to the
+        limit.  The result is bit-identical to simulating every copy: the
+        snapshot holds everything that decides future commits (a DUT adds
+        its microarchitectural, coverage and bug state, see
         :meth:`repro.rtl.harness.DutExecutor.periodic_state`).
         """
         return self._run_with_executor(program, max_steps)[0]

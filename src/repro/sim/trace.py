@@ -29,15 +29,16 @@ class HaltReason(enum.Enum):
 class CommitRecord:
     """Architecturally visible effects of executing one instruction.
 
-    Records are immutable *by convention*: one is constructed per committed
-    instruction on the simulator's innermost loop, and the frozen-dataclass
-    ``object.__setattr__`` init path costs ~4x a plain slots init, so the
-    class is deliberately not ``frozen=True``.  Every consumer (the
-    differential tester, coverage emitters, the run caches that share
-    results across trials) only reads.
+    A record does not carry its step: its step is its index in
+    :attr:`ExecutionResult.records`.  So a replayed loop appends the
+    period's own records again, one record may stand at many indices of a
+    trace, and the run caches share whole results across trials: that
+    records are read-only is load-bearing.  It holds *by convention*: one
+    record is built per simulated commit on the innermost loop, and the
+    frozen-dataclass ``object.__setattr__`` init path costs ~4x a plain
+    slots init, so the class is deliberately not ``frozen=True``.
 
     Attributes:
-        step: commit index within the run (0-based).
         pc: address of the instruction.
         word: raw 32-bit encoding.
         mnemonic: decoded mnemonic (or ``"illegal"``).
@@ -54,7 +55,6 @@ class CommitRecord:
         next_pc: pc after this instruction committed.
     """
 
-    step: int
     pc: int
     word: int
     mnemonic: str

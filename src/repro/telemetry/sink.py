@@ -21,7 +21,6 @@ here deterministically reproducible (``docs/robustness.md``).
 
 from __future__ import annotations
 
-import os
 import socket
 import time
 from typing import Dict, List, Optional, Tuple
@@ -69,9 +68,6 @@ class FileSink(TelemetrySink):
         for rule in faults.fire(faults.SITE_SINK_WRITE, sink="file", path=self.path):
             faults.perform(rule)
         if self._handle is None:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
             self._handle = open(self.path, "ab")
         self._handle.write(encode_event(event))
         self._handle.flush()
@@ -176,9 +172,6 @@ class TcpSink(TelemetrySink):
             return
         try:
             if self._spill_handle is None:
-                parent = os.path.dirname(self.spill_path)
-                if parent:
-                    os.makedirs(parent, exist_ok=True)
                 self._spill_handle = open(self.spill_path, "ab")
             self._spill_handle.write(line)
             self._spill_handle.flush()

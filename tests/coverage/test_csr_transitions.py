@@ -24,12 +24,12 @@ from tests.conftest import make_program
 
 
 def _trap_record(cause, pc=0x4000_0000, tval=0):
-    return CommitRecord(step=0, pc=pc, word=0, mnemonic="illegal",
+    return CommitRecord(pc=pc, word=0, mnemonic="illegal",
                         trap=cause, next_pc=pc + 4, trap_tval=tval)
 
 
 def _csr_write_record(address, value):
-    return CommitRecord(step=0, pc=0x4000_0000, word=0, mnemonic="csrrw",
+    return CommitRecord(pc=0x4000_0000, word=0, mnemonic="csrrw",
                         csr_addr=address, csr_value=value, next_pc=0x4000_0004)
 
 

@@ -11,8 +11,8 @@ from repro.sim.trace import CommitRecord, ExecutionResult, HaltReason
 
 
 def _record(step, **overrides):
-    values = dict(step=step, pc=0x4000_0000 + 4 * step, word=0x13,
-                  mnemonic="addi", rd=1, rd_value=step, next_pc=0x4000_0000 + 4 * (step + 1))
+    values = dict(pc=0x4000_0000 + 4 * step, word=0x13, mnemonic="addi",
+                  rd=1, rd_value=step, next_pc=0x4000_0000 + 4 * (step + 1))
     values.update(overrides)
     return CommitRecord(**values)
 

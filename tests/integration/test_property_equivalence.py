@@ -10,12 +10,16 @@ run digests in ``tests/sim/test_hotpath_equivalence.py`` (``property_*``).
 
 The run loop's steady-state replay is checked the same way: random loops
 run with replay and with it neutralised must agree on everything a run
-reports, and seeded Rocket and CVA6 campaigns must keep replaying a large
-share of their DUT commits.
+reports (also where BOOM and CVA6 replay more copies than their step cycle
+lets the structural emitter cover), a replayed copy must be the period's
+own record objects, and seeded Rocket and CVA6 campaigns must keep
+replaying a large share of their DUT commits.
 """
 
+import dataclasses
 import random
 from contextlib import contextmanager
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -37,6 +41,7 @@ from repro.rtl.registry import make_dut
 from repro.rtl.rocket import RocketModel
 from repro.sim.executor import Executor
 from repro.sim.golden import GoldenModel
+from tests.sim.test_hotpath_equivalence import _hand_built_loops
 
 _MODELS = {
     "cva6": CVA6Model(bugs=[]),
@@ -197,6 +202,17 @@ def _random_loop(seed: int) -> TestProgram:
     return TestProgram(instructions=tuple(prefix + body + [closing]))
 
 
+def _tight_loop(period: int) -> TestProgram:
+    """A loop of ``period`` commits (1-4): ``period - 1`` constant writes
+    and a jump back to the first, periodic from its first iteration.  Its
+    replay starts before BOOM's occupancy bucket saturates (step 3 for
+    period 1) and covers the most copies per emitted one."""
+    body = [Instruction("addi", rd=5 + i, rs1=0, imm=i + 1)
+            for i in range(period - 1)]
+    return TestProgram(instructions=tuple(
+        body + [Instruction("jal", rd=0, imm=-4 * len(body))]))
+
+
 @contextmanager
 def _replay_neutralised():
     """No two loop snapshots compare equal, so the run loop never replays."""
@@ -211,15 +227,9 @@ def _execution_view(execution) -> tuple:
             execution.final_registers, execution.final_csrs, execution.steps)
 
 
-@given(seed=st.integers(0, 2**32 - 1),
-       model_name=st.sampled_from(sorted(_MODELS)),
-       coverage_model=st.sampled_from(COVERAGE_MODELS),
-       buggy=st.booleans())
-@_SETTINGS
-def test_loop_replay_is_exact(seed, model_name, coverage_model, buggy):
-    """Replayed and fully simulated runs of a random loop are identical."""
-    program = _random_loop(seed)
-    model = _COVERAGE_DUTS[model_name, coverage_model, buggy]
+def _assert_replay_exact(program: TestProgram, model: DutModel) -> None:
+    """Runs of ``program`` with replay and with it neutralised agree on
+    everything a run reports, coverage included."""
     golden, dut = _GOLDEN.run(program), model.run(program)
     with _replay_neutralised():
         golden_simulated, dut_simulated = _GOLDEN.run(program), model.run(program)
@@ -228,6 +238,79 @@ def test_loop_replay_is_exact(seed, model_name, coverage_model, buggy):
     assert dut.coverage == dut_simulated.coverage
     assert dut.fired_bugs == dut_simulated.fired_bugs
     assert dut.bug_effect_steps == dut_simulated.bug_effect_steps
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       model_name=st.sampled_from(sorted(_MODELS)),
+       coverage_model=st.sampled_from(COVERAGE_MODELS),
+       buggy=st.booleans())
+@_SETTINGS
+def test_loop_replay_is_exact(seed, model_name, coverage_model, buggy):
+    """Replayed and fully simulated runs of a random loop are identical."""
+    _assert_replay_exact(_random_loop(seed),
+                         _COVERAGE_DUTS[model_name, coverage_model, buggy])
+
+
+def test_loop_replay_is_exact_beyond_the_step_cycle():
+    """BOOM and CVA6 emit step-indexed structural coverage over only the
+    copies one step cycle can tell apart.  Seeded random and tight loops
+    replay more copies than that on both, and stay exact."""
+    assert BoomModel().step_cycle >= BoomModel.occupancy_buckets
+    beyond = {"boom": 0, "cva6": 0}
+    replay = DutExecutor.replay_period
+
+    def counted(executor, records, period, copies, counter_steps):
+        cycle = executor.dut.step_cycle
+        beyond[executor.dut.name] += copies > cycle // gcd(period, cycle)
+        return replay(executor, records, period, copies, counter_steps)
+
+    programs = ([_random_loop(seed) for seed in range(20)]
+                + [_tight_loop(period) for period in range(1, 5)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DutExecutor, "replay_period", counted)
+        for (name, coverage_model, buggy), model in _COVERAGE_DUTS.items():
+            if name in beyond:
+                for program in programs:
+                    _assert_replay_exact(program, model)
+    assert beyond["boom"] > 0 and beyond["cva6"] > 0, beyond
+
+
+def test_replayed_records_are_the_period_records():
+    """Replay appends the period's own record objects, in the golden and
+    the DUT trace: a record's step is its index, so a copy's record is
+    the one ``period`` commits earlier, and mismatches report indices."""
+    program = _hand_built_loops()[1]  # a store and a reload every period
+    replays = []
+    replay = Executor.replay_period
+
+    def recorded(executor, records, period, copies, counter_steps):
+        replays.append((records, len(records), period, copies))
+        return replay(executor, records, period, copies, counter_steps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Executor, "replay_period", recorded)
+        golden = _GOLDEN.run(program)
+        dut = make_dut("cva6").run(program)  # default bugs V1-V6
+    for execution in (golden, dut.execution):
+        records = execution.records
+        spans = [(first, period, copies)
+                 for replayed, first, period, copies in replays
+                 if replayed is records]
+        assert spans
+        for first, period, copies in spans:
+            for index in range(first, first + period * copies):
+                assert records[index] is records[index - period]
+        assert execution.steps == len(records)
+    # The golden trace's last replayed commit differs in a copy of the
+    # trace: the mismatch names its index, not the period's first one.
+    first, period, copies = next(span[1:] for span in replays
+                                 if span[0] is golden.records)
+    last = first + period * copies - 1
+    changed = list(golden.records)
+    changed[last] = dataclasses.replace(changed[last], next_pc=0)
+    mismatch = compare_traces(
+        golden, dataclasses.replace(golden, records=changed))
+    assert (mismatch.step, mismatch.field_name) == (last, "next_pc")
 
 
 def test_replay_leaves_dut_history_as_simulation_does():

@@ -49,9 +49,9 @@ def _program(*instructions):
 
 
 def _digest(result):
-    return ([(r.step, r.pc, r.word, r.mnemonic, r.rd, r.rd_value, r.trap,
+    return ([(step, r.pc, r.word, r.mnemonic, r.rd, r.rd_value, r.trap,
               r.mem_addr, r.mem_value, r.mem_size, r.csr_addr, r.csr_value,
-              r.next_pc, r.trap_tval) for r in result.records],
+              r.next_pc, r.trap_tval) for step, r in enumerate(result.records)],
             result.halt_reason, result.final_registers,
             sorted(result.final_csrs.items()))
 

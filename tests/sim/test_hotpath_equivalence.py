@@ -594,9 +594,9 @@ def build_property_corpus() -> list:
 def trace_digest(execution) -> str:
     """Digest every architecturally visible aspect of one program run."""
     h = hashlib.sha256()
-    for r in execution.records:
+    for step, r in enumerate(execution.records):
         h.update(repr((
-            r.step, r.pc, r.word, r.mnemonic, r.rd, r.rd_value,
+            step, r.pc, r.word, r.mnemonic, r.rd, r.rd_value,
             None if r.trap is None else r.trap.name,
             r.mem_addr, r.mem_value, r.mem_size,
             r.csr_addr, r.csr_value, r.next_pc,

@@ -5,31 +5,31 @@ from repro.sim.trace import CommitRecord, ExecutionResult, HaltReason
 
 
 class TestCommitRecord:
-    def test_arch_key_ignores_step_and_word(self):
-        a = CommitRecord(step=0, pc=0x100, word=0x13, mnemonic="addi",
+    def test_arch_key_ignores_word(self):
+        a = CommitRecord(pc=0x100, word=0x13, mnemonic="addi",
                          rd=1, rd_value=5, next_pc=0x104)
-        b = CommitRecord(step=7, pc=0x100, word=0x9999, mnemonic="addi",
+        b = CommitRecord(pc=0x100, word=0x9999, mnemonic="addi",
                          rd=1, rd_value=5, next_pc=0x104)
         assert a.arch_key() == b.arch_key()
 
     def test_arch_key_differs_on_rd_value(self):
-        a = CommitRecord(step=0, pc=0x100, word=0x13, mnemonic="addi",
+        a = CommitRecord(pc=0x100, word=0x13, mnemonic="addi",
                          rd=1, rd_value=5, next_pc=0x104)
-        b = CommitRecord(step=0, pc=0x100, word=0x13, mnemonic="addi",
+        b = CommitRecord(pc=0x100, word=0x13, mnemonic="addi",
                          rd=1, rd_value=6, next_pc=0x104)
         assert a.arch_key() != b.arch_key()
 
     def test_arch_key_differs_on_trap(self):
-        a = CommitRecord(step=0, pc=0x100, word=0, mnemonic="illegal",
+        a = CommitRecord(pc=0x100, word=0, mnemonic="illegal",
                          trap=TrapCause.ILLEGAL_INSTRUCTION, next_pc=0x104)
-        b = CommitRecord(step=0, pc=0x100, word=0, mnemonic="illegal",
+        b = CommitRecord(pc=0x100, word=0, mnemonic="illegal",
                          next_pc=0x104)
         assert a.arch_key() != b.arch_key()
 
 
 class TestExecutionResult:
     def test_instret(self):
-        records = [CommitRecord(step=i, pc=i * 4, word=0, mnemonic="addi",
+        records = [CommitRecord(pc=i * 4, word=0, mnemonic="addi",
                                 next_pc=(i + 1) * 4) for i in range(3)]
         result = ExecutionResult(records=records, halt_reason=HaltReason.PROGRAM_END)
         assert result.instret == 3

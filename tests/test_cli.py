@@ -149,6 +149,14 @@ class TestParser:
           "distributed", "--queue", "Q", "--spawn-workers", "1"],
          "cannot load fault plan '/nonexistent.json': "
          "No such file or directory"),
+        # Telemetry paths follow the rule of every other output path: a
+        # missing directory is an error, never created.
+        (["table1", "--telemetry", "file:/nonexistent/dir/t.ndjson"],
+         "directory does not exist: '/nonexistent/dir'"),
+        (["table1", "--telemetry", "/nonexistent/dir/t.ndjson"],
+         "directory does not exist: '/nonexistent/dir'"),
+        (["table1", "--telemetry-spill", "/nonexistent/dir/spill.ndjson"],
+         "directory does not exist: '/nonexistent/dir'"),
     ])
     def test_bad_counts_rejected_with_usage_error(self, argv, message, capsys):
         # Parse only: should a type check regress, the command must not
