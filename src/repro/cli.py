@@ -477,13 +477,16 @@ def _telemetry_spec(text: str) -> str:
     """argparse type of a ``--telemetry`` sink spec: a ``tcp:`` spec must
     have :func:`~repro.telemetry.sink.parse_sink_spec`'s form and a port
     in 0-65535, and a ``file:`` or bare path must pass
-    :func:`_path_in_existing_dir` (the sink itself is built after parsing)."""
+    :func:`_path_in_existing_dir` (the sink itself is built after parsing).
+    A ``file:`` spec must name a path; a bare empty spec means no sink."""
     if text.startswith("tcp:"):
         try:
             _, port = tcp_address(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         _port(str(port))
+    elif text == "file:":
+        raise argparse.ArgumentTypeError("empty telemetry file path: 'file:'")
     else:
         _path_in_existing_dir(text.removeprefix("file:"))
     return text
@@ -503,7 +506,7 @@ def _fault_plan(text: str) -> str:
 
 
 def _path_in_existing_dir(text: str) -> str:
-    """argparse type of a file to write, whose directory must already exist.
+    """argparse type of a file to write: its directory must exist, and it is not one.
 
     Checked at parse time, so a bad path fails before any campaign runs
     rather than after it.
@@ -512,6 +515,8 @@ def _path_in_existing_dir(text: str) -> str:
     if not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(
             f"directory does not exist: {directory!r}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text!r}")
     return text
 
 

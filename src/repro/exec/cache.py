@@ -52,7 +52,7 @@ class DutRunCache(KeyedRunCache):
 
     @staticmethod
     def key(dut: DutModel, program: TestProgram, step_limit: int) -> Tuple:
-        """Cache key: program fingerprint + step limit + full DUT identity.
+        """Cache key: program words + base address + step limit + full DUT identity.
 
         The bug set is part of the key (sorted ids), so one worker can
         interleave trials against differently-bugged instances of the same
@@ -60,7 +60,7 @@ class DutRunCache(KeyedRunCache):
         identity too: a ``"csr"`` run's coverage set is a strict superset
         of the ``"base"`` run's, so the two must never serve each other.
         """
-        return (program.fingerprint(), step_limit, dut.name, dut.config,
+        return (program.words(), program.base_address, step_limit, dut.name, dut.config,
                 tuple(sorted(bug.bug_id for bug in dut.bugs)),
                 dut.executor_config, dut.layout, dut.coverage_model)
 

@@ -9,6 +9,13 @@ PSOFuzz/MAB extension over operators is provided separately in
 Operators work on the encoded 32-bit words where that is the natural level
 (bit flips), and on the decoded instruction where that is more meaningful
 (immediate tweaks, operand swaps, instruction insertion/deletion).
+
+A mutant's words are its parent's with only the slot it changed
+re-encoded; deleted, duplicated, swapped and truncated slots move their
+words along.  A bit operator stores its changed word's decoded encoding
+(``fence`` ignores bits 31:28).  Instructions are never re-derived from
+words: an ``Instruction.illegal(raw)`` may hold a legal word and a ``*w``
+shift an immediate above 31, and decoding them would change later draws.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from repro.isa.assembler import encode_instruction
 from repro.isa.decoder import decode_word
-from repro.isa.encoding import InstrFormat, spec_for
+from repro.isa.encoding import SPECS, InstrFormat, spec_for
 from repro.isa.generator import GeneratorConfig, InstructionGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
@@ -46,14 +53,16 @@ def _replace(program: TestProgram, index: int, instruction: Instruction,
              op_name: str) -> TestProgram:
     body = list(program.instructions)
     body[index] = instruction
-    return program.with_instructions(body, mutation_op=op_name)
+    words = list(program.words())
+    words[index] = encode_instruction(instruction)
+    return program.with_instructions(body, op_name, words)
 
 
 # --------------------------------------------------------------- word-level ops
 def _flip_bits(engine: "MutationEngine", program: TestProgram,
                rng: np.random.Generator, count: int, name: str) -> TestProgram:
     index = _pick_index(program, rng)
-    word = encode_instruction(program.instructions[index])
+    word = program.words()[index]
     for _ in range(count):
         word ^= 1 << int(rng.integers(0, 32))
     return _replace(program, index, decode_word(word), name)
@@ -73,7 +82,7 @@ def _op_bitflip4(engine, program, rng):
 
 def _op_byteflip(engine, program, rng):
     index = _pick_index(program, rng)
-    word = encode_instruction(program.instructions[index])
+    word = program.words()[index]
     byte = int(rng.integers(0, 4))
     word ^= 0xFF << (8 * byte)
     return _replace(program, index, decode_word(word), "byteflip")
@@ -88,6 +97,14 @@ def _op_random_word(engine, program, rng):
 # --------------------------------------------------------- instruction-level ops
 _IMM_FORMATS = (InstrFormat.I, InstrFormat.I_SHIFT, InstrFormat.S,
                 InstrFormat.B, InstrFormat.U, InstrFormat.J)
+
+#: mnemonics each candidate scan accepts (``"illegal"`` is in none).
+_IMM_MNEMONICS = frozenset(mnemonic for mnemonic, spec in SPECS.items()
+                           if spec.fmt in _IMM_FORMATS)
+_RS2_MNEMONICS = frozenset(mnemonic for mnemonic, spec in SPECS.items()
+                           if spec.reads_rs2)
+_RD_MNEMONICS = frozenset(mnemonic for mnemonic, spec in SPECS.items()
+                          if spec.writes_rd)
 
 
 def _imm_limits(fmt: InstrFormat) -> tuple:
@@ -104,7 +121,7 @@ def _imm_limits(fmt: InstrFormat) -> tuple:
 
 def _adjust_imm(engine, program, rng, delta_range: int, name: str) -> TestProgram:
     candidates = [i for i, ins in enumerate(program.instructions)
-                  if not ins.is_illegal and spec_for(ins.mnemonic).fmt in _IMM_FORMATS]
+                  if ins.mnemonic in _IMM_MNEMONICS]
     if not candidates:
         return _op_bitflip1(engine, program, rng)
     index = pick(rng, candidates)
@@ -128,7 +145,7 @@ def _op_imm_large(engine, program, rng):
 
 def _op_operand_swap(engine, program, rng):
     candidates = [i for i, ins in enumerate(program.instructions)
-                  if not ins.is_illegal and spec_for(ins.mnemonic).reads_rs2]
+                  if ins.mnemonic in _RS2_MNEMONICS]
     if not candidates:
         return _op_bitflip1(engine, program, rng)
     index = pick(rng, candidates)
@@ -139,7 +156,7 @@ def _op_operand_swap(engine, program, rng):
 
 def _op_rd_change(engine, program, rng):
     candidates = [i for i, ins in enumerate(program.instructions)
-                  if not ins.is_illegal and spec_for(ins.mnemonic).writes_rd]
+                  if ins.mnemonic in _RD_MNEMONICS]
     if not candidates:
         return _op_bitflip1(engine, program, rng)
     index = pick(rng, candidates)
@@ -160,13 +177,23 @@ def _op_opcode_swap(engine, program, rng):
     return _replace(program, index, replacement, "opcode_swap")
 
 
+def _insert(engine, program: TestProgram, index: int, instruction: Instruction,
+            word: int, op_name: str) -> TestProgram:
+    """Insert ``instruction`` (encoded as ``word``) before slot ``index``,
+    truncating the child to the engine's maximum length."""
+    limit = engine.max_program_length
+    body = list(program.instructions)
+    body.insert(index, instruction)
+    words = list(program.words())
+    words.insert(index, word)
+    return program.with_instructions(body[:limit], op_name, words[:limit])
+
+
 def _op_instr_insert(engine, program, rng):
     index = _pick_index(program, rng)
-    body = list(program.instructions)
-    body.insert(index, engine.instruction_generator.random_instruction())
-    if len(body) > engine.max_program_length:
-        body = body[:engine.max_program_length]
-    return program.with_instructions(body, mutation_op="instr_insert")
+    instruction = engine.instruction_generator.random_instruction()
+    return _insert(engine, program, index, instruction,
+                   encode_instruction(instruction), "instr_insert")
 
 
 def _op_instr_delete(engine, program, rng):
@@ -175,16 +202,15 @@ def _op_instr_delete(engine, program, rng):
     index = _pick_index(program, rng)
     body = list(program.instructions)
     body.pop(index)
-    return program.with_instructions(body, mutation_op="instr_delete")
+    words = list(program.words())
+    words.pop(index)
+    return program.with_instructions(body, "instr_delete", words)
 
 
 def _op_instr_duplicate(engine, program, rng):
     index = _pick_index(program, rng)
-    body = list(program.instructions)
-    body.insert(index, body[index])
-    if len(body) > engine.max_program_length:
-        body = body[:engine.max_program_length]
-    return program.with_instructions(body, mutation_op="instr_duplicate")
+    return _insert(engine, program, index, program.instructions[index],
+                   program.words()[index], "instr_duplicate")
 
 
 def _op_instr_swap(engine, program, rng):
@@ -194,7 +220,9 @@ def _op_instr_swap(engine, program, rng):
     j = _pick_index(program, rng)
     body = list(program.instructions)
     body[i], body[j] = body[j], body[i]
-    return program.with_instructions(body, mutation_op="instr_swap")
+    words = list(program.words())
+    words[i], words[j] = words[j], words[i]
+    return program.with_instructions(body, "instr_swap", words)
 
 
 #: TheHuzz's static operator weights (normalised when an engine is built).  The ordering

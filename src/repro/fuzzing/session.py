@@ -44,12 +44,12 @@ class FuzzSession:
     Both halves of a test -- the golden reference and the instrumented DUT
     -- execute the program's **compiled trace**
     (:mod:`repro.isa.compiled`): the golden run compiles it (or pulls it
-    from the process-level fingerprint cache) and the DUT run replays the
-    very same threaded-code object, so fetch+decode work is paid once per
-    distinct program per process rather than once per model per run.  The
-    process-level counters are process-cumulative and therefore kept out of
-    campaign-result metadata (see :func:`repro.exec.cache.process_cache_stats`
-    and ``docs/parallel.md``).
+    from the process cache keyed on the program's words) and the DUT run
+    replays the very same threaded-code object, so fetch+decode work is
+    paid once per distinct program per process rather than once per model
+    per run.  The process-level counters are process-cumulative and
+    therefore kept out of campaign-result metadata (see
+    :func:`repro.exec.cache.process_cache_stats` and ``docs/parallel.md``).
     """
 
     def __init__(self, dut: DutModel, golden: Optional[GoldenModel] = None,

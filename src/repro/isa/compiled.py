@@ -14,9 +14,9 @@ entries ``(word, instruction, handler)``:
   trap).
 
 Compiled programs are cached in a bounded process-global LRU keyed by the
-program *fingerprint* (content hash of words + base address), so trials
-that regenerate identical programs -- bug-set sweeps, MABFuzz arms
-replaying seeds, duplicate mutants -- share one compilation per process,
+program's content, its word tuple and base address, so trials that
+regenerate identical programs -- bug-set sweeps, MABFuzz arms replaying
+seeds, duplicate mutants -- share one compilation per process,
 and the execution subsystem's ``--cache-entries`` knob re-bounds it
 together with the golden/DUT run caches (see ``docs/performance.md``).
 The compiled program is a program's only entry in this process cache:
@@ -102,7 +102,6 @@ def _compile(program: TestProgram) -> CompiledProgram:
 
     entries = []
     for word in program.words():
-        word &= 0xFFFF_FFFF
         instr = decode_word(word)
         entries.append((word, instr, handler_for(instr)))
     return CompiledProgram(program.base_address, tuple(entries))
@@ -113,7 +112,7 @@ _PROCESS_COMPILED_CACHE = LRUCache()
 
 
 def process_compiled_cache() -> LRUCache:
-    """The calling process's compiled-program cache, keyed by fingerprint."""
+    """The calling process's compiled-program cache, keyed by ``(words, base_address)``."""
     return _PROCESS_COMPILED_CACHE
 
 
@@ -123,10 +122,10 @@ def compile_program(program: TestProgram) -> CompiledProgram:
     Deliberately *not* memoised on the program object: live programs (test
     pools, MABFuzz arms) would pin their traces outside the cache bound,
     and the engine's ``--cache-entries`` knob could no longer reclaim the
-    memory.  A lookup is one memoised ``fingerprint()`` read plus an LRU
-    dict get -- negligible next to a run.
+    memory.  A lookup hashes the word tuple the program carries and does
+    one LRU dict get -- negligible next to a run.
     """
-    key = program.fingerprint()
+    key = (program.words(), program.base_address)
     compiled = _PROCESS_COMPILED_CACHE.lookup(key)
     if compiled is None:
         compiled = _compile(program)

@@ -4,6 +4,11 @@ A :class:`TestProgram` is the unit of work of the fuzzers: a finite sequence
 of instructions placed at a base address, together with provenance metadata
 (which seed / arm it descends from and which mutation created it).  Programs
 are immutable; the mutation engine produces new programs.
+
+A program carries its words, ``tuple(assemble_program(instructions))``:
+the in-process caches key on them with the base address, and the SHA-256
+:meth:`~TestProgram.fingerprint` names a program only where it leaves the
+process (corpus entries and their payloads).
 """
 
 from __future__ import annotations
@@ -88,11 +93,12 @@ class TestProgram:
         return iter(self.instructions)
 
     def words(self) -> Tuple[int, ...]:
-        """Encode the program into 32-bit instruction words.
+        """The program's 32-bit instruction words, one per instruction.
 
-        The encoding is memoised: programs are immutable and every run
-        (golden *and* DUT) needs the words, so assembling once per program
-        keeps the assembler off the fuzzing hot path.
+        A mutant carries them from birth (see :meth:`with_instructions`);
+        any other program assembles its instructions once, on first call.
+        The tuple is the program's content: with ``base_address`` it keys
+        every in-process cache (compiled traces, golden and DUT runs).
         """
         cached = self.__dict__.get("_words")
         if cached is None:
@@ -101,7 +107,8 @@ class TestProgram:
         return cached
 
     def fingerprint(self) -> str:
-        """Content hash of the encoded program (provenance-independent)."""
+        """SHA-256 content hash of the words and base address, stable across
+        processes: what names a program outside the process (the corpus)."""
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
             digest = hashlib.sha256()
@@ -120,17 +127,26 @@ class TestProgram:
         self,
         instructions: Sequence[Instruction],
         mutation_op: Optional[str] = None,
+        words: Optional[Sequence[int]] = None,
     ) -> "TestProgram":
-        """Return a child program with ``instructions`` and updated lineage."""
-        return TestProgram(
-            instructions=tuple(instructions),
-            base_address=self.base_address,
-            program_id=next_program_id(),
-            parent_id=self.program_id,
-            seed_id=self.seed_id,
-            generation=self.generation + 1,
-            mutation_op=mutation_op,
-        )
+        """Return a child program with ``instructions`` and updated lineage.
+
+        ``words`` must equal ``assemble_program(instructions)``; without
+        them the child assembles on first use.  Built straight into its
+        ``__dict__``: four mutants per executed test, most never run.
+        """
+        child = object.__new__(TestProgram)
+        state = child.__dict__
+        state["instructions"] = tuple(instructions)
+        state["base_address"] = self.base_address
+        state["program_id"] = next_program_id()
+        state["parent_id"] = self.program_id
+        state["seed_id"] = self.seed_id
+        state["generation"] = self.generation + 1
+        state["mutation_op"] = mutation_op
+        if words is not None:
+            state["_words"] = tuple(words)
+        return child
 
     def listing(self) -> str:
         """Return a human-readable disassembly listing."""

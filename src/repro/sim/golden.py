@@ -275,11 +275,11 @@ class GoldenTraceCache(KeyedRunCache):
     @staticmethod
     def key(model: ModelBase, program: TestProgram,
             step_limit: int) -> Tuple:
-        """Cache key: program content hash + step limit + model configuration.
+        """Cache key: program words + base address + step limit + model configuration.
 
         The model's executor config and memory layout are part of the key so
         a cache shared between sessions can never serve a trace computed
         under a different golden-model configuration.
         """
-        return (program.fingerprint(), step_limit,
+        return (program.words(), program.base_address, step_limit,
                 model.executor_config, model.layout)

@@ -18,14 +18,13 @@ from repro.coverage.points import coverage_point
 from repro.fuzzing.base import Fuzzer, FuzzerConfig
 
 
-def _count_calls(code, fn, *args):
-    """Call ``fn(*args)``; return (its result, calls of ``code`` inside it)."""
-    calls = 0
+def _calls_by_code(codes, fn, *args):
+    """Call ``fn(*args)``; return (its result, {code: calls inside it})."""
+    calls = dict.fromkeys(codes, 0)
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -34,6 +33,12 @@ def _count_calls(code, fn, *args):
     finally:
         sys.setprofile(previous)
     return result, calls
+
+
+def _count_calls(code, fn, *args):
+    """Call ``fn(*args)``; return (its result, calls of ``code`` inside it)."""
+    result, calls = _calls_by_code((code,), fn, *args)
+    return result, calls[code]
 
 
 def _expansions_in_fuzz_one(fuzzer, num_tests, monkeypatch):

@@ -16,7 +16,8 @@ import json
 
 import pytest
 
-from repro.exec.cache import configure_process_caches, process_cache_stats
+from repro.exec.cache import (DutRunCache, configure_process_caches,
+                              process_cache_stats)
 from repro.isa import csr as csrdefs
 from repro.isa.assembler import encode_instruction
 from repro.isa.compiled import (
@@ -33,7 +34,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.rtl.registry import make_dut
 from repro.sim.executor import Executor, handler_for
-from repro.sim.golden import GoldenModel
+from repro.sim.golden import GoldenModel, GoldenTraceCache
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
 from repro.sim.trace import HaltReason
@@ -92,16 +93,32 @@ class TestCompileProgram:
             # Illegal words too: their handler raises the trap.
             assert handler is handler_for(instr) is not None
 
-    def test_fingerprint_keyed_sharing(self):
+    def test_word_keyed_sharing(self):
+        """Independently built twins share one compiled, golden and DUT
+        cache entry; the same words at another base address share none."""
         body = (I("addi", rd=3, rs1=0, imm=9), I("ecall"))
         first = _program(*body)
-        twin = _program(*body)  # distinct object, same content
+        # A distinct program with the same content, built as a mutant is:
+        # handed its words rather than assembling them.
+        twin = _program(I("ecall")).with_instructions(
+            body, "instr_insert", [encode_instruction(i) for i in body])
+        moved = TestProgram(instructions=body,
+                            base_address=first.base_address + 0x1000)
+        assert first.words() == twin.words() == moved.words()
         compiled = compile_program(first)
         cache = process_compiled_cache()
         hits = cache.hits
         assert compile_program(first) is compiled  # served from the LRU
-        assert compile_program(twin) is compiled  # fingerprint-keyed reuse
+        assert compile_program(twin) is compiled  # word-keyed reuse
         assert cache.hits == hits + 2
+        assert compile_program(moved).base_address == moved.base_address
+        assert cache.hits == hits + 2  # another address: a miss
+        for model, runs in ((GoldenModel(), GoldenTraceCache()),
+                            (make_dut("rocket"), DutRunCache())):
+            run = runs.get_or_run(model, first)
+            assert runs.get_or_run(model, twin) is run
+            assert runs.get_or_run(model, moved) is not run
+            assert (runs.hits, runs.misses) == (1, 2)
         # Nothing is pinned on the program object: the LRU bound governs
         # all compiled-trace memory (the --cache-entries contract).
         assert "_compiled" not in first.__dict__
@@ -110,11 +127,11 @@ class TestCompileProgram:
 
     def test_lru_bound_and_stats(self):
         """The one LRU behind every process cache, used as the compiled
-        cache uses it: program fingerprint -> compiled program."""
+        cache uses it: program words and base address -> compiled program."""
         cache = LRUCache(max_entries=2)
         programs = [_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
                     for n in range(3)]
-        keys = [program.fingerprint() for program in programs]
+        keys = [(program.words(), program.base_address) for program in programs]
         for key, program in zip(keys, programs):
             assert cache.lookup(key) is None
             cache.insert(key, compile_program(program))

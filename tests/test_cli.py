@@ -157,6 +157,15 @@ class TestParser:
          "directory does not exist: '/nonexistent/dir'"),
         (["table1", "--telemetry-spill", "/nonexistent/dir/spill.ndjson"],
          "directory does not exist: '/nonexistent/dir'"),
+        # A path naming a directory (or nothing) would otherwise fail only
+        # when the finished campaign writes to it.
+        (["fuzz", "--output", "./"], "is a directory: './'"),
+        (["fuzz", "--profile", "./"], "is a directory: './'"),
+        (["table1", "--resume", "./"], "is a directory: './'"),
+        (["table1", "--telemetry", "file:./"], "is a directory: './'"),
+        (["table1", "--telemetry-spill", "./"], "is a directory: './'"),
+        (["table1", "--telemetry", "file:"],
+         "empty telemetry file path: 'file:'"),
     ])
     def test_bad_counts_rejected_with_usage_error(self, argv, message, capsys):
         # Parse only: should a type check regress, the command must not
