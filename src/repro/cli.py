@@ -520,6 +520,17 @@ def _path_in_existing_dir(text: str) -> str:
     return text
 
 
+def _queue_dir(text: str) -> str:
+    """argparse type of a spool queue directory: it may be missing (the
+    queue creates it), but no existing path on its way may be a file."""
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"not a directory: {text!r}")
+    return text
+
+
 def _add_common_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tests", type=_positive_int, default=400,
                         help="tests per campaign")
@@ -549,7 +560,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="execution backend (default: inferred from "
                              "--workers)")
-    parser.add_argument("--queue", metavar="DIR", default=None,
+    parser.add_argument("--queue", metavar="DIR", type=_queue_dir, default=None,
                         help="spool directory shared with `worker` processes "
                              "(distributed backend only)")
     parser.add_argument("--stop-workers", action="store_true",
@@ -693,7 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker_parser = subparsers.add_parser(
         "worker", help="serve a distributed campaign queue until its STOP "
                        "sentinel appears")
-    worker_parser.add_argument("--queue", metavar="DIR", required=True,
+    worker_parser.add_argument("--queue", metavar="DIR", type=_queue_dir,
+                               required=True,
                                help="spool directory shared with the dispatcher")
     worker_parser.add_argument("--worker-id", default=None,
                                help="stable worker name (default: host-pid)")
@@ -729,7 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
                                             "discard"))
     deadletter_parser.add_argument("task_id", nargs="?", default=None,
                                    help="quarantined task id (see `list`)")
-    deadletter_parser.add_argument("--queue", metavar="DIR", required=True,
+    deadletter_parser.add_argument("--queue", metavar="DIR", type=_queue_dir,
+                                   required=True,
                                    help="spool directory holding the "
                                         "deadletter/ quarantine")
     deadletter_parser.add_argument("--all", action="store_true",
@@ -752,6 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="TCP port (0 = ephemeral, printed "
                                        "on stderr)")
     telemetry_parser.add_argument("--log", metavar="PATH", default=None,
+                                  type=_path_in_existing_dir,
                                   help="append received events to this "
                                        "NDJSON file")
     telemetry_parser.set_defaults(func=_cmd_telemetry)

@@ -11,7 +11,7 @@ moves on to unexplored regions sooner (footnote 1 of the paper).
 :class:`ProgressMonitor` tracks the other time axis -- a whole grid of
 campaigns running through the parallel execution subsystem
 (:mod:`repro.exec`): trials done/total, throughput-based ETA, and the
-golden/DUT cache traffic reported by finished trials.
+workers' cache traffic.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ProgressMonitor:
     """Live progress of a grid run: trials done/total, ETA, cache traffic.
 
     Cache traffic covers every per-process cache the engine's
-    ``cache_entries`` bounds in a worker: DUT runs, shared golden runs and
+    ``cache_entries`` bounds in a worker: DUT runs, golden runs and
     compiled programs (see :func:`repro.exec.cache.process_cache_stats`).
 
     The execution engine calls :meth:`start` once with the total trial
@@ -89,12 +89,10 @@ class ProgressMonitor:
         self.total_trials = 0
         self.completed_trials = 0
         self.restored_trials = 0
-        self.cache_stats: Dict[str, int] = {"golden_cache_hits": 0,
-                                            "golden_cache_misses": 0}
         #: worker-side cache-traffic deltas for the current grid, summed
-        #: over finished batches (DUT-run, shared golden and compiled-
-        #: program caches); fed out-of-band by the engine because these
-        #: counters are kept out of result metadata on purpose.
+        #: over finished batches (DUT-run, golden and compiled-program
+        #: caches); fed out-of-band by the engine because these counters
+        #: are kept out of result metadata on purpose.
         self.worker_cache_stats: Dict[str, int] = {}
         #: self-healing counters for the current grid: stale-lease
         #: requeues, failed-batch retries, dead-lettered batches and
@@ -123,7 +121,6 @@ class ProgressMonitor:
         self.total_trials = total_trials
         self.completed_trials = restored_trials
         self.restored_trials = restored_trials
-        self.cache_stats = dict.fromkeys(self.cache_stats, 0)  # per-grid rates
         self.worker_cache_stats = {}
         self.robustness_stats = {}
         self.corpus_stats = {}
@@ -159,12 +156,12 @@ class ProgressMonitor:
 
     def trial_completed(self, label: str = "",
                         metadata: Optional[Dict[str, object]] = None) -> None:
-        """Record one finished trial (``metadata`` = the result's metadata)."""
+        """Record one finished trial.
+
+        ``metadata`` is the result's metadata, passed on for subclasses;
+        the monitor itself reads none of it.
+        """
         self.completed_trials += 1
-        for counter in self.cache_stats:
-            value = (metadata or {}).get(counter)
-            if isinstance(value, int):
-                self.cache_stats[counter] += value
         if self._sink is not None:
             self._sink(self.render(label))
 
@@ -264,12 +261,6 @@ class ProgressMonitor:
             return 0.0 if self.remaining_trials == 0 else None
         return self.remaining_trials * (self.elapsed_seconds() / ran)
 
-    def golden_cache_hit_rate(self) -> Optional[float]:
-        """Aggregate golden-cache hit rate over finished trials (or ``None``)."""
-        hits = self.cache_stats["golden_cache_hits"]
-        total = hits + self.cache_stats["golden_cache_misses"]
-        return hits / total if total else None
-
     def dut_cache_hit_rate(self) -> Optional[float]:
         """Worker DUT-run cache hit rate this grid (or ``None`` before traffic)."""
         hits = self.worker_cache_stats.get("dut_cache_hits", 0)
@@ -278,21 +269,18 @@ class ProgressMonitor:
 
     def cache_evictions(self) -> int:
         """LRU spills in the worker caches this grid (capacity pressure
-        signal): DUT runs, shared golden runs and compiled programs.  The
+        signal): DUT runs, golden runs and compiled programs.  The
         ``superblock_*`` counters repeat the compiled-program ones, so
         they are not added again."""
         return sum(self.worker_cache_stats.get(f"{cache}_evictions", 0)
                    for cache in ("dut_cache", "shared_golden", "compiled_trace"))
 
     def render(self, label: str = "") -> str:
-        """One status line: ``trials 3/12 | eta 41s | golden-cache 87% hit``."""
+        """One status line: ``trials 3/12 | eta 41s | dut-cache 87% hit``."""
         parts = [f"trials {self.completed_trials}/{self.total_trials}"]
         eta = self.eta_seconds()
         if eta is not None:
             parts.append(f"eta {eta:.0f}s")
-        hit_rate = self.golden_cache_hit_rate()
-        if hit_rate is not None:
-            parts.append(f"golden-cache {100.0 * hit_rate:.0f}% hit")
         dut_rate = self.dut_cache_hit_rate()
         if dut_rate is not None:
             parts.append(f"dut-cache {100.0 * dut_rate:.0f}% hit")

@@ -3,10 +3,10 @@
 A :class:`TrialBatch` groups :class:`TrialTask` work
 units that share a cache-locality prefix -- the same DUT configuration
 (processor + injected bug set) -- so one worker executes them back to back:
-the first trial warms the process-level DUT-run cache and the shared
-golden-trace cache, and every later trial of the batch replays repeated
-programs out of them.  Batches are also the unit of *distribution*: one
-pool submission, one spool-queue file.
+the first trial warms the process-level DUT-run cache (and, for tests in
+which a bug fired, the golden-trace cache), and every later trial of the
+batch replays repeated programs out of them.  Batches are also the unit
+of *distribution*: one pool submission, one spool-queue file.
 
 Batching is pure scheduling.  Trial results are derived from the spec
 content alone, so grouping (or not grouping) tasks can never change a
@@ -23,7 +23,6 @@ from repro.exec.cache import (
     configure_process_caches,
     process_cache_stats,
     process_dut_cache,
-    process_golden_cache,
 )
 from repro.harness.campaign import CampaignSpec, run_campaign
 from repro.utils.collector import collection_paused
@@ -88,8 +87,8 @@ def batch_key(task: TrialTask) -> Tuple:
 
     The DUT-run cache is keyed on the full DUT identity, so only tasks
     with the same (processor, bug set, coverage model) can serve each
-    other's DUT runs; the shared golden cache is keyed on the executor
-    config, which those tasks share too.
+    other's DUT runs; the golden cache is keyed on the executor config,
+    which those tasks share too.
     """
     spec = task.spec
     bugs = tuple(sorted(spec.bugs)) if spec.bugs is not None else None
@@ -131,6 +130,11 @@ def execute_batch(batch: TrialBatch,
     fault injector its between-trials site), so a long batch stays leased
     for as long as it is making progress.
 
+    Every trial routes its DUT runs through
+    :func:`~repro.exec.cache.process_dut_cache`; its golden runs, made only
+    for tests in which a bug fired, go through the process golden cache
+    without being passed in.
+
     The payload is JSON-safe (it crosses pickle *and* the spool queue)::
 
         {"results": [{"spec_index": 0, "trial_index": 1, "result": {...}},
@@ -169,7 +173,6 @@ def execute_batch(batch: TrialBatch,
         before = process_cache_stats()
         configure_process_caches(batch.cache_entries)
         dut_cache = process_dut_cache()
-        golden_fallback = process_golden_cache()
         batch_corpus = None
         if batch_uses_corpus(batch):
             from repro.fuzzing.corpus import CorpusManager
@@ -185,9 +188,7 @@ def execute_batch(batch: TrialBatch,
                 corpus_kwargs = {"corpus_state": batch_corpus.to_payload(),
                                  "corpus_sink": batch_corpus.merge_payload}
             result = run_campaign(task.spec, task.trial_index,
-                                  dut_cache=dut_cache,
-                                  golden_fallback=golden_fallback,
-                                  **corpus_kwargs)
+                                  dut_cache=dut_cache, **corpus_kwargs)
             results.append({"spec_index": task.spec_index,
                             "trial_index": task.trial_index,
                             "result": result.to_dict()})

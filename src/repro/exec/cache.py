@@ -4,18 +4,17 @@ The DUT models are deterministic: a :class:`~repro.rtl.harness.DutRunResult`
 depends only on the program words, the load address, the step limit and the
 DUT's full configuration (microarchitecture parameters + injected bug set).
 Campaigns replay programs constantly -- MABFuzz arms re-run their seeds,
-mutants duplicate each other -- so caching DUT runs removes the second half
-of the per-iteration simulation cost the same way
-:class:`~repro.sim.golden.GoldenTraceCache` removes the golden half.
+mutants duplicate each other -- so the execution workers route every DUT
+run through a process-local cache.
 
 A worker process keeps three caches, each a
 :class:`~repro.utils.lru.LRUCache`: DUT runs (:func:`process_dut_cache`),
-golden runs (:func:`process_golden_cache`, the fallback behind every
-trial's session cache) and compiled programs
-(:func:`repro.isa.compiled.process_compiled_cache`, whose entries also
-hold each program's superblock table).  :func:`configure_process_caches`
-is their one bound and :func:`process_cache_stats` their one counter
-read-out.
+golden runs (:func:`repro.sim.golden.process_golden_cache`, which the
+fuzzing session consults only for a test in which a bug fired) and
+compiled programs (:func:`repro.isa.compiled.process_compiled_cache`,
+whose entries also hold each program's superblock table).
+:func:`configure_process_caches` is their one bound and
+:func:`process_cache_stats` their one counter read-out.
 
 The caches are *process-local by design*: worker processes each build
 their own, so no locking or shared memory is needed and a cached entry can
@@ -38,7 +37,7 @@ from typing import Dict, Optional, Tuple
 from repro.isa.compiled import process_compiled_cache
 from repro.isa.program import TestProgram
 from repro.rtl.harness import DutModel
-from repro.sim.golden import GoldenTraceCache, KeyedRunCache
+from repro.sim.golden import KeyedRunCache, process_golden_cache
 from repro.utils.lru import DEFAULT_CACHE_ENTRIES
 
 
@@ -66,7 +65,6 @@ class DutRunCache(KeyedRunCache):
 
 
 _PROCESS_CACHE = DutRunCache()
-_PROCESS_GOLDEN_CACHE = GoldenTraceCache()
 
 
 def process_dut_cache() -> DutRunCache:
@@ -78,18 +76,6 @@ def process_dut_cache() -> DutRunCache:
     it together with the rest of the interpreter state.
     """
     return _PROCESS_CACHE
-
-
-def process_golden_cache() -> GoldenTraceCache:
-    """The calling process's shared golden-trace cache.
-
-    Installed as the *fallback* of every trial's session-level
-    :class:`~repro.sim.golden.GoldenTraceCache` by the batch executor, so
-    one golden run of a repeated program serves every trial a worker
-    executes -- without touching the per-trial session counters that go
-    into result metadata (see :class:`~repro.sim.golden.KeyedRunCache`).
-    """
-    return _PROCESS_GOLDEN_CACHE
 
 
 def configure_process_caches(cache_entries: Optional[int]) -> None:
@@ -105,7 +91,7 @@ def configure_process_caches(cache_entries: Optional[int]) -> None:
     governs all per-worker memory.
     """
     bound = DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries
-    for cache in (_PROCESS_CACHE, _PROCESS_GOLDEN_CACHE,
+    for cache in (_PROCESS_CACHE, process_golden_cache(),
                   process_compiled_cache()):
         cache.configure(bound)
 
@@ -120,7 +106,7 @@ def process_cache_stats() -> Dict[str, int]:
     compiled = process_compiled_cache()
     stats = {}
     for prefix, cache in (("dut_cache", _PROCESS_CACHE),
-                          ("shared_golden", _PROCESS_GOLDEN_CACHE),
+                          ("shared_golden", process_golden_cache()),
                           ("compiled_trace", compiled),
                           ("superblock", compiled)):
         stats[f"{prefix}_hits"] = cache.hits

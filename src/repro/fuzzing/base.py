@@ -206,9 +206,7 @@ class Fuzzer(abc.ABC):
                 "mutants_per_test": self.config.mutants_per_test,
                 "scenario": self.config.scenario,
                 "coverage_model": self.dut.coverage_model,
-                **self.session.family_counts(),
-                "golden_cache_hits": self.session.golden_cache_hits,
-                "golden_cache_misses": self.session.golden_cache_misses}
+                **self.session.family_counts()}
         if self.corpus is not None:
             stats = self.corpus.stats()
             metadata.update({

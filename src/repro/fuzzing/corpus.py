@@ -98,9 +98,12 @@ class CorpusEntry:
     def materialize(self) -> TestProgram:
         """Rebuild the :class:`TestProgram` from its encoded words.
 
-        The decode->assemble fixed point makes the rebuilt program
-        fingerprint-identical to the original, so a sampled entry behaves
-        exactly like the program that was admitted -- on any worker.
+        The program is re-assembled from the decoded words, which gives
+        back the admitted words -- and fingerprint -- only where decoding
+        is a fixed point.  It is not for a non-canonical word; a raw
+        ``fence`` word with bits 31:28 set, for one, decodes to ``fence``
+        and re-assembles without them, so such an entry samples as a
+        program other than the one that was admitted.
         """
         instructions = tuple(decode_word(word) for word in self.words)
         program = TestProgram(instructions=instructions,

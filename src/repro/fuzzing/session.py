@@ -16,14 +16,17 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.coverage.bitset import union
 from repro.coverage.csr_transitions import TRANSITION_TABLE
 from repro.coverage.database import CoverageDatabase
-from repro.fuzzing.differential import DifferentialTester
+from repro.fuzzing.differential import DifferentialReport, DifferentialTester
 from repro.fuzzing.results import BugDetection, TestOutcome
 from repro.isa.program import TestProgram
 from repro.rtl.harness import TRAP_TABLE, DutModel
-from repro.sim.golden import GoldenModel, GoldenTraceCache
+from repro.sim.golden import GoldenModel, process_golden_cache
 
 if TYPE_CHECKING:  # avoid a cycle: repro.exec imports the fuzzing layer.
     from repro.exec.cache import DutRunCache
+
+#: the report of every test in which no bug fired.
+_NO_MISMATCH = DifferentialReport(mismatch=None)
 
 
 @cache
@@ -35,29 +38,28 @@ def _family_masks() -> Tuple[int, int]:
 class FuzzSession:
     """Executes tests against one DUT with differential testing and coverage tracking.
 
-    Golden-model runs are served through a :class:`GoldenTraceCache`:
-    duplicate or unmutated programs (MABFuzz arms replay their seeds) never
-    re-run the reference model within a campaign.  Its hit/miss counters
-    (:attr:`golden_cache_hits`, :attr:`golden_cache_misses`) go into the
-    campaign-result metadata.
+    The DUT runs first.  It is the golden model plus bug hooks, and a bug
+    records an effect only when it changed behaviour, so a run in which no
+    bug fired commits the golden trace
+    (``tests/integration/test_property_equivalence.py`` checks it) and has
+    no mismatch to find.  Only when a bug fired does :meth:`run_test` take
+    the golden run from the process's one
+    :func:`~repro.sim.golden.process_golden_cache` and compare the traces.
 
-    Both halves of a test -- the golden reference and the instrumented DUT
-    -- execute the program's **compiled trace**
-    (:mod:`repro.isa.compiled`): the golden run compiles it (or pulls it
-    from the process cache keyed on the program's words) and the DUT run
+    Both models execute the program's **compiled trace**
+    (:mod:`repro.isa.compiled`): the DUT run compiles it (or pulls it
+    from the process cache keyed on the program's words) and a golden run
     replays the very same threaded-code object, so fetch+decode work is
-    paid once per distinct program per process rather than once per model
-    per run.  The process-level counters are process-cumulative and
-    therefore kept out of campaign-result metadata (see
+    paid once per distinct program per process.  The process-level
+    counters are process-cumulative and therefore kept out of
+    campaign-result metadata (see
     :func:`repro.exec.cache.process_cache_stats` and ``docs/parallel.md``).
     """
 
     def __init__(self, dut: DutModel, golden: Optional[GoldenModel] = None,
-                 golden_cache: Optional[GoldenTraceCache] = None,
                  dut_cache: Optional["DutRunCache"] = None) -> None:
         self.dut = dut
         self.golden = golden or GoldenModel(dut.executor_config)
-        self.golden_cache = golden_cache or GoldenTraceCache()
         #: optional :class:`~repro.exec.cache.DutRunCache`; the parallel
         #: execution workers install their process-local instance here.
         #: DUT runs are deterministic, so a cache hit never changes results.
@@ -71,14 +73,17 @@ class FuzzSession:
 
     # ------------------------------------------------------------------ running
     def run_test(self, program: TestProgram) -> TestOutcome:
-        """Run one test on golden + DUT, update coverage and bug bookkeeping."""
+        """Run one test on the DUT (and on the golden model if a bug
+        fired), update coverage and bug bookkeeping."""
         test_index = self.tests_executed
-        golden_result = self.golden_cache.get_or_run(self.golden, program)
         if self.dut_cache is not None:
             dut_run = self.dut_cache.get_or_run(self.dut, program)
         else:
             dut_run = self.dut.run(program)
-        report = self.differential.check(golden_result, dut_run)
+        report = _NO_MISMATCH
+        if dut_run.fired_bugs:
+            golden_result = process_golden_cache().get_or_run(self.golden, program)
+            report = self.differential.check(golden_result, dut_run)
         new_points = self.coverage_db.record(test_index, dut_run.coverage)
 
         if report.found_mismatch:
@@ -122,14 +127,6 @@ class FuzzSession:
         traps, transitions = _family_masks()
         return {"csr_transition_points": (covered & transitions).bit_count(),
                 "trap_points": (covered & traps).bit_count()}
-
-    @property
-    def golden_cache_hits(self) -> int:
-        return self.golden_cache.hits
-
-    @property
-    def golden_cache_misses(self) -> int:
-        return self.golden_cache.misses
 
     def undetected_bugs(self) -> List[str]:
         """Bug ids injected into the DUT that have not been detected yet."""

@@ -31,7 +31,6 @@ from repro.isa.program import program_id_scope
 if TYPE_CHECKING:  # avoid a cycle: repro.exec imports this module.
     from repro.exec.backends import ExecutionBackend
     from repro.exec.cache import DutRunCache
-    from repro.sim.golden import GoldenTraceCache
 
 
 @dataclass(frozen=True)
@@ -334,17 +333,15 @@ class TrialSet:
 
 def run_campaign(spec: CampaignSpec, trial_index: int = 0,
                  dut_cache: Optional["DutRunCache"] = None,
-                 golden_fallback: Optional["GoldenTraceCache"] = None,
                  corpus_state: Optional[Dict[str, object]] = None,
                  corpus_sink=None) -> FuzzCampaignResult:
     """Run a single trial of ``spec`` and return its result.
 
     ``dut_cache`` optionally routes DUT runs through a
     :class:`~repro.exec.cache.DutRunCache` (the parallel workers install a
-    process-local one), and ``golden_fallback`` chains a shared golden-trace
-    cache behind the trial's own session cache; neither ever changes
-    results -- only wall-clock -- and the session's golden-cache counters
-    (which *are* result metadata) stay per-trial either way.
+    process-local one); it never changes results, only wall-clock.  Golden
+    runs, made only for tests in which a bug fired, always go through the
+    process's one :func:`~repro.sim.golden.process_golden_cache`.
 
     When the spec enables corpus mode (``FuzzerConfig.corpus``),
     ``corpus_state`` is a :meth:`~repro.fuzzing.corpus.CorpusManager.
@@ -366,8 +363,6 @@ def run_campaign(spec: CampaignSpec, trial_index: int = 0,
         )
         if dut_cache is not None:
             fuzzer.session.dut_cache = dut_cache
-        if golden_fallback is not None:
-            fuzzer.session.golden_cache.fallback = golden_fallback
         if fuzzer.corpus is not None:
             if corpus_state:
                 fuzzer.corpus.merge_payload(corpus_state)

@@ -21,7 +21,7 @@ from repro.sim.memory import DEFAULT_LAYOUT, Memory, MemoryLayout
 from repro.sim.state import ArchState
 from repro.sim.trace import ExecutionResult, HaltReason
 from repro.utils.bits import MASK64
-from repro.utils.lru import DEFAULT_CACHE_ENTRIES, LRUCache
+from repro.utils.lru import LRUCache
 
 #: CSR fields (word bits 31:20) addressing a retirement counter, the only
 #: state :meth:`Executor.periodic_state` leaves out: a loop period that
@@ -218,23 +218,10 @@ class KeyedRunCache(LRUCache):
     means by overriding :meth:`key`; the LRU itself -- counters, spill
     policy, re-bound, stats -- is :class:`~repro.utils.lru.LRUCache`.
 
-    ``fallback`` optionally chains a second (usually longer-lived, e.g.
-    process-level) cache behind this one: a miss here is served from the
-    fallback before the model is actually run, and freshly computed runs
-    are inserted into both levels.  The fallback keeps its own counters;
-    this cache's ``hits``/``misses`` are unaffected by where a miss was
-    ultimately served from, which is what keeps per-trial counter metadata
-    independent of worker history (see ``docs/parallel.md``).
-
     Cached results are shared objects -- callers must treat them as
     read-only (every consumer does: the differential tester and the
     coverage database only read).
     """
-
-    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES,
-                 fallback: Optional["KeyedRunCache"] = None) -> None:
-        super().__init__(max_entries)
-        self.fallback = fallback
 
     @staticmethod
     def key(model: ModelBase, program: TestProgram, step_limit: int) -> Tuple:
@@ -246,17 +233,10 @@ class KeyedRunCache(LRUCache):
         """Return the cached run for ``program``, running ``model`` on a miss."""
         limit = max_steps or model.executor_config.step_limit
         key = self.key(model, program, limit)
-        cached = self.lookup(key)
-        if cached is not None:
-            return cached
-        result = None
-        if self.fallback is not None:
-            result = self.fallback.lookup(key)
+        result = self.lookup(key)
         if result is None:
             result = model.run(program, max_steps)
-            if self.fallback is not None:
-                self.fallback.insert(key, result)
-        self.insert(key, result)
+            self.insert(key, result)
         return result
 
 
@@ -264,12 +244,11 @@ class GoldenTraceCache(KeyedRunCache):
     """Program-keyed cache of golden-model execution results.
 
     The golden model is deterministic: the commit trace depends only on the
-    encoded program words, the load address and the step limit.  Campaigns
-    re-run the same seed programs constantly (MABFuzz arms replay their
-    seeds; duplicate mutants are common), so caching the golden trace halves
-    the per-iteration simulation cost for every repeated program.
-
-    A session's ``hits`` / ``misses`` go into its campaign-result metadata.
+    encoded program words, the load address and the step limit.  A process
+    keeps one (:func:`process_golden_cache`), which
+    :meth:`repro.fuzzing.session.FuzzSession.run_test` consults only for a
+    test in which a bug fired, so a replayed trigger runs the reference
+    model once per process.
     """
 
     @staticmethod
@@ -283,3 +262,17 @@ class GoldenTraceCache(KeyedRunCache):
         """
         return (program.words(), program.base_address, step_limit,
                 model.executor_config, model.layout)
+
+
+_PROCESS_GOLDEN_CACHE = GoldenTraceCache()
+
+
+def process_golden_cache() -> GoldenTraceCache:
+    """The calling process's one golden-trace cache.
+
+    It lives here rather than in :mod:`repro.exec.cache`, which bounds it
+    and reads its counters with the other process caches, because the
+    fuzzing session uses it and :mod:`repro.exec` imports the fuzzing
+    layer.
+    """
+    return _PROCESS_GOLDEN_CACHE

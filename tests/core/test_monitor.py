@@ -136,32 +136,24 @@ class TestProgressMonitor:
         monitor.trial_completed()
         assert monitor.eta_seconds() == 0.0
 
-    def test_cache_hit_rate_aggregates_metadata(self):
-        monitor = self._monitor()
-        monitor.start(total_trials=2)
-        monitor.trial_completed(metadata={"golden_cache_hits": 3,
-                                          "golden_cache_misses": 1})
-        monitor.trial_completed(metadata={"golden_cache_hits": 1,
-                                          "golden_cache_misses": 3})
-        assert monitor.golden_cache_hit_rate() == pytest.approx(0.5)
-
     def test_hit_rate_none_without_data(self):
         monitor = self._monitor()
         monitor.start(total_trials=1)
-        assert monitor.golden_cache_hit_rate() is None
+        # Trial metadata carries no cache counters the monitor reads.
+        monitor.trial_completed(metadata={"dut_cache_hits": 3})
+        assert monitor.dut_cache_hit_rate() is None
+        assert "cache" not in monitor.render()
 
     def test_start_resets_cache_stats_between_grids(self):
         # One engine (and monitor) runs several grids back to back; each
-        # grid's reported hit rate must not inherit the previous grid's.
+        # grid's reported evictions must not inherit the previous grid's.
         monitor = self._monitor()
         monitor.start(total_trials=1)
-        monitor.trial_completed(metadata={"golden_cache_hits": 9,
-                                          "golden_cache_misses": 1})
+        monitor.update_cache_stats({"dut_cache_evictions": 9})
+        assert monitor.cache_evictions() == 9
         monitor.start(total_trials=1)
-        assert monitor.golden_cache_hit_rate() is None
-        monitor.trial_completed(metadata={"golden_cache_hits": 0,
-                                          "golden_cache_misses": 4})
-        assert monitor.golden_cache_hit_rate() == pytest.approx(0.0)
+        assert monitor.cache_evictions() == 0
+        assert "evicted" not in monitor.render()
 
     def test_sink_receives_status_lines(self):
         lines = []

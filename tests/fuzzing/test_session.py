@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.exec.cache import process_cache_stats, process_golden_cache
+from repro.fuzzing.differential import DifferentialTester
 from repro.fuzzing.session import FuzzSession
+from repro.harness.campaign import CampaignSpec, run_campaign
 from repro.isa import csr as csrdefs
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.rtl.cva6 import CVA6Model
+from repro.rtl.harness import DutModel
 from repro.rtl.rocket import RocketModel
+from repro.sim.golden import GoldenTraceCache
+from tests.integration.test_coverage_masks import _calls_by_code
 
 
 def _program(*instructions):
@@ -74,32 +80,49 @@ class TestRunTest:
         assert session.total_points == session.dut.total_coverage_points
 
 
+def _trigger(tag):
+    """A program that fires V6 on CVA6 (a read of ``dcsr``); ``tag`` makes
+    its words unique, so the process golden cache has not seen them."""
+    return _program(
+        Instruction("addi", rd=1, rs1=0, imm=tag),
+        Instruction("csrrs", rd=5, rs1=0, csr=0x7B0),
+        Instruction("ecall"),
+    )
+
+
+def _golden_traffic(fn, *args):
+    """Call ``fn(*args)``; return the (hits, misses) it made on the process
+    golden cache."""
+    cache = process_golden_cache()
+    hits, misses = cache.hits, cache.misses
+    fn(*args)
+    return cache.hits - hits, cache.misses - misses
+
+
 class TestGoldenTraceCache:
-    def test_duplicate_program_hits_cache(self, session, straightline_program):
-        session.run_test(straightline_program)
-        assert session.golden_cache_misses == 1
-        assert session.golden_cache_hits == 0
-        session.run_test(straightline_program)
-        assert session.golden_cache_hits == 1
-        assert session.golden_cache_misses == 1
+    """A test in which a bug fired takes its golden run from the process's
+    one golden cache."""
+
+    def test_duplicate_program_hits_cache(self, session):
+        program = _trigger(101)
+        assert _golden_traffic(session.run_test, program) == (0, 1)
+        assert _golden_traffic(session.run_test, program) == (1, 0)
 
     def test_equal_content_different_provenance_hits(self, session):
-        body = (Instruction("addi", rd=1, rs1=0, imm=5), Instruction("ecall"))
-        session.run_test(_program(*body))
-        session.run_test(_program(*body))  # distinct program_id, same words
-        assert session.golden_cache_hits == 1
+        session.run_test(_trigger(102))
+        # A distinct program_id with the same words.
+        assert _golden_traffic(session.run_test, _trigger(102)) == (1, 0)
 
-    def test_distinct_programs_miss(self, session, straightline_program,
-                                    memory_program):
-        session.run_test(straightline_program)
-        session.run_test(memory_program)
-        assert session.golden_cache_hits == 0
-        assert session.golden_cache_misses == 2
+    def test_distinct_programs_miss(self, session):
+        assert _golden_traffic(session.run_test, _trigger(103)) == (0, 1)
+        assert _golden_traffic(session.run_test, _trigger(104)) == (0, 1)
 
-    def test_cached_outcomes_identical(self, session, straightline_program):
-        first = session.run_test(straightline_program)
-        second = session.run_test(straightline_program)
-        assert first.mismatch is None and second.mismatch is None
+    def test_cached_outcomes_identical(self, session):
+        first = session.run_test(_trigger(105))
+        second = session.run_test(_trigger(105))
+        assert first.mismatch is not None
+        assert first.mismatch == second.mismatch
+        assert first.detected_bugs == second.detected_bugs == {"V6"}
         assert first.coverage == second.coverage
 
     def test_shared_cache_keys_on_model_config(self, straightline_program):
@@ -116,17 +139,22 @@ class TestGoldenTraceCache:
         cache.get_or_run(counting, straightline_program)
         assert cache.stats()["hits"] == 1
 
-    def test_stats_surface_cache_counters(self, session, straightline_program):
-        session.run_test(straightline_program)
-        session.run_test(straightline_program)
-        assert session.golden_cache_hits == 1
-        assert session.golden_cache_misses == 1
+    def test_stats_surface_cache_counters(self, session):
+        """The process cache read-out carries the session's golden traffic."""
+        before = process_cache_stats()
+        session.run_test(_trigger(106))
+        session.run_test(_trigger(106))
+        after = process_cache_stats()
+        assert after["shared_golden_hits"] - before["shared_golden_hits"] == 1
+        assert after["shared_golden_misses"] - before["shared_golden_misses"] == 1
         assert session.tests_executed == 2
 
 
 class TestGoldenCacheInCampaign:
     def test_duplicate_seeds_in_campaign_hit_cache(self):
-        """A campaign that replays a seed must serve it from the trace cache."""
+        """A campaign that replays a seed whose bug fires serves its golden
+        run from the process cache, and its result carries no cache
+        counters."""
         from repro.fuzzing.base import Fuzzer, FuzzerConfig
 
         class ReplayFuzzer(Fuzzer):
@@ -134,22 +162,54 @@ class TestGoldenCacheInCampaign:
 
             name = "replay"
 
-            def __init__(self, dut, **kwargs):
-                super().__init__(dut, **kwargs)
-                self._seed = self.seed_generator.generate()
-
             def _next_test(self):
-                return self._seed
+                return _trigger(107)
 
             def _after_test(self, program, outcome):
                 pass
 
-        fuzzer = ReplayFuzzer(CVA6Model(bugs=[]),
+        fuzzer = ReplayFuzzer(CVA6Model(bugs=["V6"]),
                               config=FuzzerConfig(num_seeds=1), rng=7)
-        result = fuzzer.run(4)
-        assert result.metadata["golden_cache_hits"] >= 1
-        assert result.metadata["golden_cache_misses"] == 1
-        assert fuzzer.session.golden_cache_hits == 3
+        assert _golden_traffic(fuzzer.run, 4) == (3, 1)
+        assert fuzzer.session.bug_detections["V6"].test_index == 0
+        assert fuzzer.session.mismatching_tests == 4
+
+
+class TestGoldenRunsOnlyWhereABugFired:
+    """Seeded 100-test MABFuzz-UCB trials run the golden model and the
+    trace compare exactly for the tests in which a bug fired."""
+
+    #: ``run_campaign`` installs no DUT-run cache, so every
+    #: ``get_or_run`` call is a golden one.
+    _CODES = (GoldenTraceCache.get_or_run.__code__,
+              DifferentialTester.check.__code__)
+
+    def _trial(self, processor, monkeypatch):
+        """Run the trial; return (tests whose bug fired, golden cache
+        calls, differential checks)."""
+        fired = 0
+        run = DutModel.run
+
+        def counted(model, program, max_steps=None):
+            nonlocal fired
+            result = run(model, program, max_steps)
+            fired += bool(result.fired_bugs)
+            return result
+
+        monkeypatch.setattr(DutModel, "run", counted)
+        spec = CampaignSpec(processor, "mabfuzz:ucb", num_tests=100,
+                            trials=1, seed=1)
+        result, calls = _calls_by_code(self._CODES, run_campaign, spec)
+        assert len(result.coverage_curve) == 100
+        return (fired, *(calls[code] for code in self._CODES))
+
+    def test_clean_boom_runs_no_golden_model(self, monkeypatch):
+        assert self._trial("boom", monkeypatch) == (0, 0, 0)
+
+    def test_rocket_checks_each_test_whose_bug_fired(self, monkeypatch):
+        fired, golden, checks = self._trial("rocket", monkeypatch)
+        assert 0 < fired < 100
+        assert golden == checks == fired
 
 
 class TestFamilyCounts:

@@ -8,6 +8,13 @@ generator (and the mutation engine) with arbitrary RNG seeds to search for
 counterexamples.  A seeded corpus drawn the same way is pinned to frozen
 run digests in ``tests/sim/test_hotpath_equivalence.py`` (``property_*``).
 
+With bugs injected, the same holds for every run in which no bug fired:
+the DUT is the golden model plus bug hooks, so only a bug can make the two
+disagree.  ``FuzzSession.run_test`` rests on this and runs the golden
+model only where a bug fired; it is checked over generated seeds of every
+workload family and their mutants, and over the seeded corpora behind the
+``*_buggy`` fixture keys.
+
 The run loop's steady-state replay is checked the same way: random loops
 run with replay and with it neutralised must agree on everything a run
 reports (also where BOOM and CVA6 replay more copies than their step cycle
@@ -34,6 +41,7 @@ from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.generator import GeneratorConfig, SeedGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
+from repro.isa.scenarios import MixedSeedGenerator, TrapScenarioGenerator
 from repro.rtl.boom import BoomModel
 from repro.rtl.cva6 import CVA6Model
 from repro.rtl.harness import DutExecutor, DutModel
@@ -41,7 +49,15 @@ from repro.rtl.registry import make_dut
 from repro.rtl.rocket import RocketModel
 from repro.sim.executor import Executor
 from repro.sim.golden import GoldenModel
-from tests.sim.test_hotpath_equivalence import _hand_built_loops
+from tests.sim.test_hotpath_equivalence import (
+    _bug_corner_programs,
+    _hand_built_loops,
+    build_corpus,
+    build_coverage_corpus,
+    build_loop_corpus,
+    build_property_corpus,
+    build_trap_corpus,
+)
 
 _MODELS = {
     "cva6": CVA6Model(bugs=[]),
@@ -103,6 +119,58 @@ def test_coverage_always_within_declared_space(seed, model_name, coverage_model,
     result = model.run(program)
     assert result.coverage
     assert result.coverage_points() <= model.coverage_space()
+
+
+#: every DUT with its default bugs, under both coverage models.
+_BUGGY_DUTS = tuple(dut for (_, _, buggy), dut in _COVERAGE_DUTS.items()
+                    if buggy)
+
+
+def _check_unfired_runs(program: TestProgram, duts) -> int:
+    """Run ``program`` on the golden model and each of ``duts``; every run
+    in which no bug fired must commit the golden trace.  Returns how many
+    runs mismatched (each of them fired a bug)."""
+    golden = _GOLDEN.run(program)
+    mismatched = 0
+    for dut in duts:
+        run = dut.run(program)
+        mismatch = compare_traces(golden, run.execution)
+        assert run.fired_bugs or mismatch is None, (
+            f"{dut.name}/{dut.coverage_model}: {program.fingerprint()} "
+            f"mismatches with no fired bug: {mismatch.describe()}")
+        mismatched += mismatch is not None
+    return mismatched
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       generator=st.sampled_from((SeedGenerator, TrapScenarioGenerator,
+                                  MixedSeedGenerator)),
+       mutations=st.integers(0, 3))
+@_SETTINGS
+def test_run_without_fired_bug_equals_golden(seed, generator, mutations):
+    """On every DUT with its default bugs, a run in which no bug fired
+    commits the golden trace: seeds of every workload family and their
+    mutants up to three deep."""
+    program = generator(rng=seed).generate()
+    engine = MutationEngine(rng=seed)
+    for _ in range(mutations):
+        program = engine.mutate_once(program)
+    _check_unfired_runs(program, _BUGGY_DUTS)
+
+
+def test_run_without_fired_bug_equals_golden_on_seeded_corpora():
+    """The same over every program of the seeded corpora the ``*_buggy``
+    fixture keys run, on CVA6 and Rocket with their default bugs (BOOM's
+    set is empty).  Bugs fire and mismatch there, so the compare bites."""
+    programs = {}
+    for program in (build_corpus() + build_trap_corpus()
+                    + _bug_corner_programs() + build_coverage_corpus()
+                    + build_loop_corpus() + build_property_corpus()):
+        programs.setdefault((program.words(), program.base_address), program)
+    duts = [dut for dut in _BUGGY_DUTS if dut.bugs]
+    mismatched = sum(_check_unfired_runs(program, duts)
+                     for program in programs.values())
+    assert mismatched > 0
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -64,7 +64,11 @@ def _run_frozen(dut, program):
 def _detect(dut, program):
     golden = GoldenModel().run(program)
     dut_run = _run_frozen(dut, program)
-    return DifferentialTester().check(golden, dut_run), dut_run
+    report = DifferentialTester().check(golden, dut_run)
+    # A run in which no bug fired commits the golden trace, which is why
+    # FuzzSession.run_test runs the golden model only where a bug fired.
+    assert dut_run.fired_bugs or not report.found_mismatch, report.mismatch
+    return report, dut_run
 
 
 class TestBugRegistry:

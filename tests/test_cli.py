@@ -166,6 +166,17 @@ class TestParser:
         (["table1", "--telemetry-spill", "./"], "is a directory: './'"),
         (["table1", "--telemetry", "file:"],
          "empty telemetry file path: 'file:'"),
+        # A queue must be a directory; a missing one is created.
+        (["table1", "--queue", "/dev/null", "--backend", "distributed"],
+         "not a directory: '/dev/null'"),
+        (["coverage", "--queue", "/dev/null/spool", "--backend",
+          "distributed"], "not a directory: '/dev/null/spool'"),
+        (["worker", "--queue", "/dev/null"], "not a directory: '/dev/null'"),
+        (["deadletter", "--queue", "/dev/null", "list"],
+         "not a directory: '/dev/null'"),
+        (["telemetry", "--log", "./", "serve"], "is a directory: './'"),
+        (["telemetry", "--log", "/nonexistent/dir/events.ndjson", "serve"],
+         "directory does not exist: '/nonexistent/dir'"),
     ])
     def test_bad_counts_rejected_with_usage_error(self, argv, message, capsys):
         # Parse only: should a type check regress, the command must not
