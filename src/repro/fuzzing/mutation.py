@@ -23,17 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.isa.assembler import encode_instruction
 from repro.isa.decoder import decode_word
 from repro.isa.encoding import SPECS, InstrFormat, spec_for
 from repro.isa.generator import GeneratorConfig, InstructionGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
-from repro.utils.rng import WeightedPicker, make_rng, pick
+from repro.utils.rng import Rng, WeightedPicker, make_rng, pick
 
-MutationFn = Callable[["MutationEngine", TestProgram, np.random.Generator], TestProgram]
+MutationFn = Callable[["MutationEngine", TestProgram, Rng], TestProgram]
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class MutationOperator:
     fn: MutationFn
 
 
-def _pick_index(program: TestProgram, rng: np.random.Generator) -> int:
+def _pick_index(program: TestProgram, rng: Rng) -> int:
     return int(rng.integers(0, len(program.instructions)))
 
 
@@ -60,7 +58,7 @@ def _replace(program: TestProgram, index: int, instruction: Instruction,
 
 # --------------------------------------------------------------- word-level ops
 def _flip_bits(engine: "MutationEngine", program: TestProgram,
-               rng: np.random.Generator, count: int, name: str) -> TestProgram:
+               rng: Rng, count: int, name: str) -> TestProgram:
     index = _pick_index(program, rng)
     word = program.words()[index]
     for _ in range(count):

@@ -189,7 +189,7 @@ def _generator_config_from_dict(data: Optional[Dict[str, object]]
         max_instructions=int(data["max_instructions"]),
         class_weights={InstrClass[name]: float(weight)
                        for name, weight in data["class_weights"].items()},
-        register_pool=tuple(int(reg) for reg in data["register_pool"]),
+        register_pool=tuple(data["register_pool"]),
         wide_register_prob=float(data["wide_register_prob"]),
         valid_memory_prob=float(data["valid_memory_prob"]),
         illegal_word_prob=float(data["illegal_word_prob"]),

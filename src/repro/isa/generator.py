@@ -16,6 +16,7 @@ the generator matter for reproducing the paper's behaviour:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -83,8 +84,18 @@ class GeneratorConfig:
             raise ValueError("min_instructions must be >= 1")
         if self.max_instructions < self.min_instructions:
             raise ValueError("max_instructions must be >= min_instructions")
-        if not 0.0 <= self.illegal_word_prob <= 1.0:
-            raise ValueError("illegal_word_prob must be in [0, 1]")
+        if not self.register_pool:
+            raise ValueError("register_pool must not be empty")
+        if not all(isinstance(reg, int) and 0 <= reg <= 31
+                   for reg in self.register_pool):
+            raise ValueError("register_pool registers must be ints in 0-31")
+        for name in ("wide_register_prob", "valid_memory_prob",
+                     "illegal_word_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not (math.isfinite(self.profile_concentration)
+                and self.profile_concentration >= 0.0):
+            raise ValueError("profile_concentration must be finite and >= 0")
 
 
 #: Start of the valid data region used by the preamble (see repro.sim.memory).

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG management and bit manipulation."""
 
-from repro.utils.rng import derive_rng, make_rng, split_rng
+from repro.utils.rng import derive_rng, make_rng
 from repro.utils.bits import (
     get_bit,
     get_bits,
@@ -16,7 +16,6 @@ from repro.utils.bits import (
 __all__ = [
     "derive_rng",
     "make_rng",
-    "split_rng",
     "get_bit",
     "get_bits",
     "set_bit",

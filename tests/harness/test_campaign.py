@@ -1,5 +1,7 @@
 """Tests for campaign specs, trial seeding and trial running."""
 
+import json
+
 import pytest
 
 from repro.fuzzing.base import FuzzerConfig
@@ -110,6 +112,15 @@ class TestSpecWireFormat:
         assert rebuilt.bugs is None
         assert rebuilt.fuzzer_config is None
         assert rebuilt.mab_config is None
+
+    @pytest.mark.parametrize("name, value", [
+        ("register_pool", [40]), ("register_pool", [5, 5.5]),
+        ("profile_concentration", float("inf"))])
+    def test_bad_operand_settings_rejected_from_the_wire(self, name, value):
+        data = self._full_spec().to_dict()
+        data["fuzzer_config"]["generator_config"][name] = value
+        with pytest.raises(ValueError, match=name):
+            CampaignSpec.from_dict(json.loads(json.dumps(data)))
 
     def test_trial_seeds_survive_the_wire(self):
         spec = self._full_spec()

@@ -29,6 +29,26 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError):
             GeneratorConfig(illegal_word_prob=1.5)
 
+    @pytest.mark.parametrize("settings", [
+        dict(register_pool=()),
+        dict(register_pool=(40,), wide_register_prob=0.0),
+        dict(register_pool=(5, -1)),
+        dict(register_pool=(5, 5.5)),
+        dict(wide_register_prob=1.5),
+        dict(wide_register_prob=float("nan")),
+        dict(valid_memory_prob=-0.2),
+        dict(profile_concentration=-1.0),
+        dict(profile_concentration=float("nan")),
+        dict(profile_concentration=float("inf")),
+    ])
+    def test_invalid_operand_settings_raise(self, settings):
+        with pytest.raises(ValueError):
+            GeneratorConfig(**settings)
+
+    def test_boundary_operand_settings_accepted(self):
+        GeneratorConfig(register_pool=(0, 31), wide_register_prob=1.0,
+                        valid_memory_prob=0.0, profile_concentration=0.0)
+
 
 class TestInstructionGenerator:
     def test_deterministic_with_seed(self):
