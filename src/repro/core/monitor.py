@@ -269,11 +269,10 @@ class ProgressMonitor:
 
     def cache_evictions(self) -> int:
         """LRU spills in the worker caches this grid (capacity pressure
-        signal): DUT runs, golden runs and compiled programs.  The
-        ``superblock_*`` counters repeat the compiled-program ones, so
-        they are not added again."""
+        signal): DUT runs, golden runs, compiled programs and superblocks."""
         return sum(self.worker_cache_stats.get(f"{cache}_evictions", 0)
-                   for cache in ("dut_cache", "shared_golden", "compiled_trace"))
+                   for cache in ("dut_cache", "shared_golden", "compiled_trace",
+                                 "superblock"))
 
     def render(self, label: str = "") -> str:
         """One status line: ``trials 3/12 | eta 41s | dut-cache 87% hit``."""

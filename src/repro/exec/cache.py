@@ -7,12 +7,13 @@ Campaigns replay programs constantly -- MABFuzz arms re-run their seeds,
 mutants duplicate each other -- so the execution workers route every DUT
 run through a process-local cache.
 
-A worker process keeps three caches, each a
+A worker process keeps four caches, each a
 :class:`~repro.utils.lru.LRUCache`: DUT runs (:func:`process_dut_cache`),
 golden runs (:func:`repro.sim.golden.process_golden_cache`, which the
-fuzzing session consults only for a test in which a bug fired) and
-compiled programs (:func:`repro.isa.compiled.process_compiled_cache`,
-whose entries also hold each program's superblock table).
+fuzzing session consults only for a test in which a bug fired), compiled
+programs (:func:`repro.isa.compiled.process_compiled_cache`) and
+superblocks, keyed by their words
+(:func:`repro.isa.compiled.process_block_table`).
 :func:`configure_process_caches` is their one bound and
 :func:`process_cache_stats` their one counter read-out.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.isa.compiled import process_compiled_cache
+from repro.isa.compiled import process_block_table, process_compiled_cache
 from repro.isa.program import TestProgram
 from repro.rtl.harness import DutModel
 from repro.sim.golden import KeyedRunCache, process_golden_cache
@@ -87,28 +88,28 @@ def configure_process_caches(cache_entries: Optional[int]) -> None:
     never leaks into the next.  Shrinking spills LRU entries immediately
     (the spill's evictions still count: callers snapshot counters *before*
     configuring, see :func:`repro.exec.batching.execute_batch`).  The
-    compiled-program cache is bounded alongside the run caches so one knob
-    governs all per-worker memory.
+    compiled-program cache and the block table are bounded alongside the
+    run caches so one knob governs all per-worker memory.
     """
     bound = DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries
     for cache in (_PROCESS_CACHE, process_golden_cache(),
-                  process_compiled_cache()):
+                  process_compiled_cache(), process_block_table()):
         cache.configure(bound)
 
 
 def process_cache_stats() -> Dict[str, int]:
     """Cumulative hit/miss/eviction counters of this process's caches.
 
-    A program's superblock table lives on its compiled entry, so the
-    ``superblock_*`` counters repeat the ``compiled_trace_*`` ones; they
-    are kept because perfbench's tracer reports both.
+    The ``superblock_*`` counters are the block table's own: a compiled
+    program looks each leader's block up once, so a hit is a block another
+    program (or an earlier compilation of this one) built -- a mutant
+    reusing the blocks its mutation did not touch.
     """
-    compiled = process_compiled_cache()
     stats = {}
     for prefix, cache in (("dut_cache", _PROCESS_CACHE),
                           ("shared_golden", process_golden_cache()),
-                          ("compiled_trace", compiled),
-                          ("superblock", compiled)):
+                          ("compiled_trace", process_compiled_cache()),
+                          ("superblock", process_block_table())):
         stats[f"{prefix}_hits"] = cache.hits
         stats[f"{prefix}_misses"] = cache.misses
         stats[f"{prefix}_evictions"] = cache.evictions

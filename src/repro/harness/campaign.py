@@ -134,9 +134,9 @@ class CampaignSpec:
         return cls(
             processor=str(data["processor"]),
             fuzzer=str(data["fuzzer"]),
-            num_tests=int(data["num_tests"]),
-            trials=int(data["trials"]),
-            seed=int(data["seed"]),
+            num_tests=_wire("num_tests", data["num_tests"], int),
+            trials=_wire("trials", data["trials"], int),
+            seed=_wire("seed", data["seed"], int),
             bugs=[str(bug) for bug in bugs] if bugs is not None else None,
             fuzzer_config=_fuzzer_config_from_dict(data.get("fuzzer_config")),
             mab_config=_mab_config_from_dict(data.get("mab_config")),
@@ -180,21 +180,31 @@ def _generator_config_to_dict(config: Optional[GeneratorConfig]
     }
 
 
+def _wire(name: str, value: object, kind: type) -> object:
+    """``value`` of wire field ``name``, checked to be a ``kind``: ``int``
+    and ``float`` exclude ``bool``, and a ``float`` field takes an ``int``."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, allowed):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _generator_config_from_dict(data: Optional[Dict[str, object]]
                                 ) -> Optional[GeneratorConfig]:
     if data is None:
         return None
+    classes = InstrClass.__members__  # an unknown name stays a str: rejected
     return GeneratorConfig(
-        min_instructions=int(data["min_instructions"]),
-        max_instructions=int(data["max_instructions"]),
-        class_weights={InstrClass[name]: float(weight)
+        min_instructions=_wire("min_instructions", data["min_instructions"], int),
+        max_instructions=_wire("max_instructions", data["max_instructions"], int),
+        class_weights={classes.get(name, name): _wire(f"class_weights[{name}]",
+                                                      weight, float)
                        for name, weight in data["class_weights"].items()},
         register_pool=tuple(data["register_pool"]),
-        wide_register_prob=float(data["wide_register_prob"]),
-        valid_memory_prob=float(data["valid_memory_prob"]),
-        illegal_word_prob=float(data["illegal_word_prob"]),
-        profile_concentration=float(data["profile_concentration"]),
-        randomize_profile=bool(data["randomize_profile"]),
+        **{name: _wire(name, data[name], float)
+           for name in ("wide_register_prob", "valid_memory_prob",
+                        "illegal_word_prob", "profile_concentration")},
+        randomize_profile=_wire("randomize_profile", data["randomize_profile"], bool),
     )
 
 
@@ -221,16 +231,18 @@ def _fuzzer_config_from_dict(data: Optional[Dict[str, object]]
     steps = data.get("max_program_steps")
     weights = data.get("mutation_weights")
     return FuzzerConfig(
-        num_seeds=int(data["num_seeds"]),
-        mutants_per_test=int(data["mutants_per_test"]),
+        num_seeds=_wire("num_seeds", data["num_seeds"], int),
+        mutants_per_test=_wire("mutants_per_test", data["mutants_per_test"], int),
         generator_config=_generator_config_from_dict(data.get("generator_config")),
-        mutation_weights=({str(op): float(w) for op, w in weights.items()}
+        mutation_weights=({str(op): _wire(f"mutation_weights[{op}]", w, float)
+                           for op, w in weights.items()}
                           if weights is not None else None),
-        max_program_steps=int(steps) if steps is not None else None,
+        max_program_steps=(_wire("max_program_steps", steps, int)
+                           if steps is not None else None),
         # Absent in payloads written before the trap/CSR subsystem.
         scenario=str(data.get("scenario", "user")),
         # Absent in payloads written before the corpus subsystem.
-        corpus=bool(data.get("corpus", False)),
+        corpus=_wire("corpus", data.get("corpus", False), bool),
     )
 
 

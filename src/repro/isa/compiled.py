@@ -20,7 +20,7 @@ seeds, duplicate mutants -- share one compilation per process,
 and the execution subsystem's ``--cache-entries`` knob re-bounds it
 together with the golden/DUT run caches (see ``docs/performance.md``).
 The compiled program is a program's only entry in this process cache:
-it also holds the program's superblock table.
+it also holds the program's index of its leaders' superblocks.
 
 On top of the per-entry trace this module builds **superblocks**: maximal
 straight-line runs of compiled entries, which the executors retire in one
@@ -31,13 +31,16 @@ system instructions, CSR accesses), which it keeps as its *tail*.  Every
 instruction before the tail falls through to ``pc + 4`` -- even when it
 traps, because the harness convention resumes at the next instruction --
 which is exactly what lets the fused loops defer the ``pc`` write to the
-block exit.  Blocks are built lazily per entry index (only leaders that
-execution actually reaches pay the build) into the table the compiled
-program holds, so one cache spill drops a program's trace and its blocks
-together.  The run loop cuts a block short at the step limit and before a
+block exit.  A block is a function of its words alone, so one process
+block table (:func:`process_block_table`, keyed by the word tuple) serves
+every program holding them: a mutant reuses each parent block its
+mutation did not touch, with every plan the DUTs attached to it.  A
+compiled program looks its leaders' blocks up lazily (only leaders that
+execution reaches pay), and a spill of the program leaves them in the
+table.  The run loop cuts a block short at the step limit and before a
 word a store overwrote, and runs an overwritten word, re-fetched, as a
-block of its own (:meth:`Superblock.prefix`, :func:`word_block`).  See
-``docs/performance.md`` for the formation rules.
+block of its own (:meth:`Superblock.prefix`, :func:`word_block`, both
+from the table too).  See ``docs/performance.md`` for the formation rules.
 """
 
 from __future__ import annotations
@@ -49,35 +52,35 @@ from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.program import TestProgram
 from repro.utils.lru import LRUCache
 
-#: table sentinel distinguishing "not built yet" from a built block.
-_UNBUILT = object()
-
 
 class CompiledProgram:
-    """A program's threaded-code form and its lazily built superblock table.
+    """A program's threaded-code form and its lazily filled superblock table.
 
-    ``entries`` holds one ``(word, instr, handler)`` per slot.  ``at(index)``
-    returns the superblock *leading at* ``index``: every entry leads one, at
-    least one entry long.  Blocks are built per leader index on first
-    request, so a program only pays for the leaders execution actually
-    reaches; blocks starting at different indices may overlap (a jump into
-    the middle of one straight-line run simply leads its own block).
+    ``entries`` holds one ``(word, instr, handler)`` per slot of ``words``.
+    ``at(index)`` returns the superblock *leading at* ``index``: every entry
+    leads one, at least one entry long.  Blocks are taken from the process
+    block table per leader index on first request, so a program only pays
+    for the leaders execution actually reaches; blocks starting at
+    different indices may overlap (a jump into the middle of one
+    straight-line run simply leads its own block).
     """
 
-    __slots__ = ("base_address", "end_address", "entries", "_blocks")
+    __slots__ = ("base_address", "end_address", "words", "entries", "_blocks")
 
-    def __init__(self, base_address: int, entries: Tuple[Tuple, ...]) -> None:
+    def __init__(self, base_address: int, words: Tuple[int, ...],
+                 entries: Tuple[Tuple, ...]) -> None:
         self.base_address = base_address
         self.end_address = base_address + 4 * len(entries)
+        self.words = words
         self.entries = entries
-        self._blocks: List[object] = [_UNBUILT] * len(entries)
+        self._blocks: List[Optional[Superblock]] = [None] * len(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def at(self, index: int) -> "Superblock":
         block = self._blocks[index]
-        if block is _UNBUILT:
+        if block is None:
             block = self._blocks[index] = self._build(index)
         return block
 
@@ -89,8 +92,7 @@ class CompiledProgram:
             stop += 1
             if entries[stop - 1][1].mnemonic in _TERMINATORS:
                 break  # the terminator closes the block as its tail
-        return Superblock(index, entries[index:stop],
-                          self.base_address, self.end_address)
+        return _block(self.words[index:stop], entries[index:stop])
 
 
 def _compile(program: TestProgram) -> CompiledProgram:
@@ -100,11 +102,12 @@ def _compile(program: TestProgram) -> CompiledProgram:
     # package at module-import time.
     from repro.sim.executor import handler_for
 
+    words = program.words()
     entries = []
-    for word in program.words():
+    for word in words:
         instr = decode_word(word)
         entries.append((word, instr, handler_for(instr)))
-    return CompiledProgram(program.base_address, tuple(entries))
+    return CompiledProgram(program.base_address, words, tuple(entries))
 
 
 #: the process-global compiled-program cache (one per worker process).
@@ -174,19 +177,18 @@ def dirty_word_span(mem_addr: int, mem_size: int,
 
 
 class Superblock:
-    """One fused straight-line run of compiled entries.
+    """One fused straight-line run of compiled entries: a function of its words.
+
+    A block holds nothing about the program it runs in -- the executors
+    take the code window for their dirty-store check from the run loop --
+    so the process block table (:func:`process_block_table`) hands one
+    block, and every plan attached to it, to every program holding its
+    words.
 
     Attributes:
-        start: word index of the block's first entry in the compiled trace.
+        words: the block's instruction words, its key in the block table.
         length: number of fused entries.
-        base_address / end_address: the owning program's code window, so
-            the fused loops can run the dirty-store abort check without
-            reaching back to the program.
-        word_set: ``frozenset`` of the word indices the block spans; the
-            run loop cuts the block before the first of them a store
-            overwrote (a store into the middle of a fused block must
-            re-fetch every subsequent instruction).
-        entries: the compiled ``(word, instr, handler)`` slice -- what the
+        entries: the compiled ``(word, instr, handler)`` tuple -- what the
             golden fused loop iterates.
         csr_tail: ``True`` when the final entry is a CSR instruction.  CSR
             reads must observe architecturally exact MINSTRET/MCYCLE, so
@@ -203,29 +205,28 @@ class Superblock:
             process and the tables they come from depend only on the
             model class, so a resolved plan list stays valid for as long
             as the block is cached.
-        bug_cut: ``(triggers, offset)`` for the last injected-bug set the
-            DUT harness ran this block with: its static trigger
-            declarations and the offset of the first entry one of them
-            claims (-1 for none).  ``None`` until a bug-injected DUT
-            runs the block.
+        bug_cuts: static ``InjectedBug.triggers_on`` declarations of a
+            bug set -> offset of the first entry one of them claims (-1
+            for none), filled by the DUT harness per bug set it runs the
+            block with.
+        static_masks: ``(hazard window size, commits run, incoming
+            window...)`` -> ``(mask, outgoing window)``: the block's
+            decode/operand/system and hazard coverage over its first
+            commits, memoised by the DUT harness and cleared on overflow.
     """
 
-    __slots__ = ("start", "length", "base_address", "end_address",
-                 "word_set", "entries", "dut_plan", "model_plans",
-                 "csr_tail", "bug_cut")
+    __slots__ = ("words", "length", "entries", "csr_tail", "dut_plan",
+                 "model_plans", "bug_cuts", "static_masks")
 
-    def __init__(self, start: int, entries: Tuple[Tuple, ...],
-                 base_address: int, end_address: int) -> None:
-        self.start = start
+    def __init__(self, words: Tuple[int, ...], entries: Tuple[Tuple, ...]) -> None:
+        self.words = words
         self.length = len(entries)
-        self.base_address = base_address
-        self.end_address = end_address
-        self.word_set = frozenset(range(start, start + len(entries)))
         self.entries = entries
+        self.csr_tail = entries[-1][1].mnemonic in _CSR_MNEMONICS
         self.dut_plan = None
         self.model_plans = {}
-        self.csr_tail = entries[-1][1].mnemonic in _CSR_MNEMONICS
-        self.bug_cut = None
+        self.bug_cuts = {}
+        self.static_masks = {}
 
     def prefix(self, length: int) -> "Superblock":
         """The block's first ``length`` entries, as a block of their own.
@@ -234,13 +235,29 @@ class Superblock:
         than the block holds, or when a store overwrote one of its later
         words.  A prefix never holds the tail, so it falls through.
         """
-        return Superblock(self.start, self.entries[:length],
-                          self.base_address, self.end_address)
+        return _block(self.words[:length], self.entries[:length])
 
 
-def word_block(index: int, word: int, base_address: int,
-               end_address: int) -> Superblock:
-    """A one-entry block running ``word`` as the instruction at ``index``.
+#: the process-global block table: word tuple -> :class:`Superblock`.
+_PROCESS_BLOCK_TABLE = LRUCache()
+
+
+def process_block_table() -> LRUCache:
+    """The calling process's superblock table, keyed by the blocks' word tuples."""
+    return _PROCESS_BLOCK_TABLE
+
+
+def _block(words: Tuple[int, ...], entries: Tuple[Tuple, ...]) -> Superblock:
+    """The block of ``words`` (compiled as ``entries``), from the table."""
+    block = _PROCESS_BLOCK_TABLE.lookup(words)
+    if block is None:
+        block = Superblock(words, entries)
+        _PROCESS_BLOCK_TABLE.insert(words, block)
+    return block
+
+
+def word_block(word: int) -> Superblock:
+    """The one-entry block running ``word``.
 
     How the run loop executes a word a store overwrote since load: it
     re-fetches the word and decodes it as the compiled trace would.
@@ -248,16 +265,16 @@ def word_block(index: int, word: int, base_address: int,
     from repro.sim.executor import handler_for
 
     instr = decode_word(word)
-    return Superblock(index, ((word, instr, handler_for(instr)),),
-                      base_address, end_address)
+    return _block((word,), ((word, instr, handler_for(instr)),))
 
 
 def superblocks_for(program: TestProgram,
                     compiled: Optional[CompiledProgram] = None) -> CompiledProgram:
     """The superblock table of ``program``: its compiled program.
 
-    The table lives on the compiled entry (:meth:`CompiledProgram.at`),
-    so pass the already-resolved ``compiled`` trace when the caller holds
-    one (the run loop does) to skip a second cache lookup.
+    The per-leader index lives on the compiled entry
+    (:meth:`CompiledProgram.at`), so pass the already-resolved ``compiled``
+    trace when the caller holds one (the run loop does) to skip a second
+    cache lookup.
     """
     return compile_program(program) if compiled is None else compiled

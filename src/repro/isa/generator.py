@@ -96,6 +96,12 @@ class GeneratorConfig:
         if not (math.isfinite(self.profile_concentration)
                 and self.profile_concentration >= 0.0):
             raise ValueError("profile_concentration must be finite and >= 0")
+        weights = self.class_weights
+        if not weights or not all(isinstance(cls, InstrClass) for cls in weights):
+            raise ValueError("class_weights must map InstrClass members to weights")
+        if not all(isinstance(w, (int, float)) and math.isfinite(w) and w >= 0
+                   for w in weights.values()) or not sum(weights.values()) > 0:
+            raise ValueError("class_weights must be finite, >= 0 and not all 0")
 
 
 #: Start of the valid data region used by the preamble (see repro.sim.memory).

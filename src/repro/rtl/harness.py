@@ -244,17 +244,14 @@ def _cut_point(block: Superblock, triggers: Tuple) -> int:
     """Offset of the block's first entry one of ``triggers`` claims, or -1.
 
     ``triggers`` are the ``InjectedBug.triggers_on`` declarations of one
-    bug set; the result is cached on ``block.bug_cut`` for that set.
+    bug set; the result is cached in ``block.bug_cuts`` under that set, so
+    a block that DUTs with different bug sets share scans once per set.
     """
-    cached = block.bug_cut
-    if cached is not None and cached[0] == triggers:
-        return cached[1]
-    cut = -1
-    for offset, (word, instr, _) in enumerate(block.entries):
-        if any(trigger(instr, word) for trigger in triggers):
-            cut = offset
-            break
-    block.bug_cut = (triggers, cut)
+    cut = block.bug_cuts.get(triggers)
+    if cut is None:
+        cut = block.bug_cuts[triggers] = next(
+            (offset for offset, (word, instr, _) in enumerate(block.entries)
+             if any(trigger(instr, word) for trigger in triggers)), -1)
     return cut
 
 
@@ -265,6 +262,9 @@ def _cut_point(block: Superblock, triggers: Tuple) -> int:
 #: overflow rather than grown forever; rebuilding an entry is a few table
 #: gets, so the occasional cold restart is cheaper than LRU bookkeeping.
 _INSTR_MEMO_MAX = 1 << 16
+
+#: bound on each block's ``static_masks`` memo, cleared on overflow.
+_BLOCK_MEMO_MAX = 64
 
 #: per-word DUT plan entries.  An entry is a pure function of its word
 #: (decode, handler and masks all follow from it), so every block holding
@@ -508,13 +508,17 @@ class DutExecutor(Executor):
 
         Every DUT instruction commits here, so this loop is the one
         emitter of every coverage family.  Per plan entry it emits the
-        fetch/decode coverage, executes, commits and observes the commit,
-        with the static table lookups pre-resolved into the block's plan
-        and the coverage bitset held in a local.  Stateful
-        microarchitectural components (icache LRU, hazard window, dcache
-        via the memory hooks) are consulted per instruction, in commit
-        order; the model's structural emitter and the retirement counters
-        run once per block.
+        fetch coverage, executes, commits and observes the commit, with
+        the static table lookups pre-resolved into the block's plan and
+        the coverage bitset held in a local.  The stateful components
+        whose inputs depend on run state (icache LRU, dcache via the
+        memory hooks) are consulted per instruction, in commit order.
+        What depends only on the block's words runs once per block: the
+        decode/operand/system and hazard coverage, memoised on the block
+        per ``(hazard window size, commits run, incoming window)`` with
+        the outgoing window (``Superblock.static_masks``), the model's
+        structural emitter and the retirement counters.  Dirty stores
+        are checked against :attr:`code_window`.
 
         Injected bugs hook in where they act (see
         :class:`~repro.rtl.bugs.InjectedBug`):
@@ -541,7 +545,7 @@ class DutExecutor(Executor):
         if plan is None:
             plan = _block_dut_plan(block)
         entries = plan
-        owner = block  # whose cached structural plans ``plan`` matches
+        owner = block  # whose cached plans and masks ``plan`` matches
         hooked = False
         if self._bug_triggers:
             cut = _cut_point(block, self._bug_triggers)
@@ -564,8 +568,6 @@ class DutExecutor(Executor):
         append = records.append
         block_start = len(records)
         count_trapped = self.config.count_trapped_instructions
-        base_address = block.base_address
-        end_address = block.end_address
         pc = state.pc
         cov = self._cov
         dirtied = None
@@ -575,13 +577,6 @@ class DutExecutor(Executor):
         # cache-model call and no LRU mutation.
         fetch_line = self._fetch_line
         fetch_rehit = self._fetch_rehit
-        # Hazard-window locals (the tracker's observe_mask inlined below:
-        # one attribute hop and call frame per entry is ~30% of its cost).
-        hazards = self.hazards
-        hz_recent = hazards._recent
-        hz_table = hazards.table
-        hz_window = hazards.window
-        hz_no_hazard = hz_table["no_hazard"]
         # Retirement counters are batched like the base run_block: nothing
         # before a block's tail reads MINSTRET/MCYCLE, so two dict writes
         # at exit replace 2-per-entry.  A CSR tail can read or write them,
@@ -592,41 +587,19 @@ class DutExecutor(Executor):
         commits = 0
         uncounted = 0  # commits excluded from minstret
         for (word, instr, handler, spec, cls, rd, rs1, rs2, is_mem,
-             syncs_cov, is_muldiv, alu3, is_atomic, is_branch,
-             static_mask) in entries:
+             syncs_cov, is_muldiv, alu3, is_atomic, is_branch, _) in entries:
             line = pc // line_bytes
             if line == fetch_line:
-                cov |= fetch_rehit | static_mask
+                cov |= fetch_rehit
             else:
-                cov |= icache_access(pc, False) | static_mask
+                cov |= icache_access(pc, False)
                 fetch_line = line
                 fetch_rehit = icache_repeat(pc)
-            if spec is not None:
-                # Illegal words (spec None) get no operand capture and no
-                # hazard-window update.
-                if is_muldiv:
-                    operands = (regs[rs1] if rs1 is not None else 0,
-                                regs[rs2] if rs2 is not None else 0)
-                if is_mem:
-                    cov |= mem_mask(instr, self)
-                # --- hazards.observe_mask, inlined ---------------------------
-                hmask = 0
-                distance = 0
-                for position in range(len(hz_recent) - 1, -1, -1):
-                    distance += 1
-                    prior_rd = hz_recent[position]
-                    if not prior_rd:
-                        continue
-                    if rs1 == prior_rd:
-                        hmask |= hz_table["rs1", distance] | hz_table["fwd", prior_rd]
-                    if rs2 == prior_rd:
-                        hmask |= hz_table["rs2", distance] | hz_table["fwd", prior_rd]
-                    if rd == prior_rd:
-                        hmask |= hz_table["waw", distance]
-                cov |= hmask if hmask else hz_no_hazard
-                hz_recent.append(rd)
-                if len(hz_recent) > hz_window:
-                    del hz_recent[0]
+            if is_muldiv:
+                operands = (regs[rs1] if rs1 is not None else 0,
+                            regs[rs2] if rs2 is not None else 0)
+            if is_mem:
+                cov |= mem_mask(instr, self)
             trap = None
             if commits == flush_at:
                 # CSR tail: flush the batched counters so its CSR reads
@@ -684,9 +657,9 @@ class DutExecutor(Executor):
                 csrs[csrdefs.MEPC] = pc
                 csrs[csrdefs.MCAUSE] = int(cause)
                 csrs[csrdefs.MTVAL] = trap.tval & MASK64
-                record = CommitRecord(
-                    pc=pc, word=word, mnemonic=instr.mnemonic, trap=cause,
-                    next_pc=(pc + 4) & MASK64, trap_tval=trap.tval & MASK64)
+                record = CommitRecord(pc, word, instr.mnemonic, None, None,
+                                      cause, None, None, None, None, None,
+                                      (pc + 4) & MASK64, trap.tval & MASK64)
                 if not count_trapped:
                     uncounted += 1
                 if spec is None and cause is TrapCause.ILLEGAL_INSTRUCTION:
@@ -707,9 +680,33 @@ class DutExecutor(Executor):
             mem_addr = record.mem_addr
             if mem_addr is not None:
                 dirtied = dirty_word_span(mem_addr, record.mem_size or 1,
-                                          base_address, end_address)
+                                          *self.code_window)
                 if dirtied is not None:
                     break  # store hit the code window: stop fused execution
+        # Each entry's decode/operand/system mask and its hazard check
+        # are fixed before it executes, so they depend only on the
+        # entries run and the hazard window they met: one memo lookup per
+        # block replaces them.  The key holds the window size, as DUTs
+        # with different windows share blocks; a bug's substituted
+        # decode is not the block's, so it gets a throwaway memo.
+        hazards = self.hazards
+        recent = hazards._recent
+        memo = block.static_masks if owner is not None else {}
+        run = len(records) - block_start
+        key = (hazards.window, run, *recent)
+        static = memo.get(key)
+        if static is None:
+            if len(memo) >= _BLOCK_MEMO_MAX:
+                memo.clear()
+            mask = 0
+            for entry in entries[:run]:  # illegal words skip the window
+                mask |= entry[14]
+                if entry[3] is not None:
+                    mask |= hazards.observe_mask(entry[5], entry[6], entry[7])
+            static = memo[key] = (mask, tuple(recent))
+        else:
+            recent[:] = static[1]
+        cov |= static[0]
         if tracker is not None and record.csr_addr is not None:
             # A CSR tail's write: after the trap commits (observed in the
             # trap arm), the only record that can move a tracked CSR.

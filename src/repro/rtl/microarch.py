@@ -189,28 +189,27 @@ class HazardTracker:
 
     def observe_mask(self, rd: Optional[int], rs1: Optional[int],
                      rs2: Optional[int]) -> int:
-        """Record one instruction's register usage; return points as a mask."""
+        """Record one instruction's register usage; return points as a mask.
+
+        The one hazard check.  It reads only static register fields and
+        the window, so the DUT harness memoises a block's replay through
+        it (:meth:`repro.rtl.harness.DutExecutor.run_block`).
+        """
         table = self.table
         mask = 0
-        hazard = False
         for distance, prior_rd in enumerate(reversed(self._recent), start=1):
-            if prior_rd is None or prior_rd == 0:
+            if not prior_rd:  # x0 (or no destination) forwards nothing
                 continue
-            if rs1 is not None and rs1 == prior_rd:
+            if rs1 == prior_rd:
                 mask |= table["rs1", distance] | table["fwd", prior_rd]
-                hazard = True
-            if rs2 is not None and rs2 == prior_rd:
+            if rs2 == prior_rd:
                 mask |= table["rs2", distance] | table["fwd", prior_rd]
-                hazard = True
-            if rd is not None and rd != 0 and rd == prior_rd:
+            if rd == prior_rd:
                 mask |= table["waw", distance]
-                hazard = True
-        if not hazard:
-            mask = table["no_hazard"]
         self._recent.append(rd)
         if len(self._recent) > self.window:
             self._recent.pop(0)
-        return mask
+        return mask or table["no_hazard"]
 
 
 #: Operand magnitude buckets used by the functional-unit monitor.

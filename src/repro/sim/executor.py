@@ -42,7 +42,7 @@ from repro.isa.instruction import ILLEGAL_MNEMONIC, Instruction
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
 from repro.sim.trace import CommitRecord, HaltReason
-from repro.utils.bits import MASK64, sign_extend, to_signed, to_unsigned
+from repro.utils.bits import MASK64, sign_extend
 
 
 @dataclass(frozen=True)
@@ -92,29 +92,35 @@ def _w(value: int) -> int:
     return sign_extend(value & 0xFFFF_FFFF, 32)
 
 
+def _s(value: int) -> int:
+    """A register value (or a small signed immediate) as a signed 64-bit int."""
+    return value - (1 << 64) if value >= 1 << 63 else value
+
+
 # Canonical ALU operation -> value function.  Each takes the raw operand
 # values (register reads are unsigned 64-bit; immediates may be negative
-# Python ints) and returns the masked 64-bit result -- exactly the values the
-# original per-step string-dispatched implementation produced.
+# Python ints) and returns a value congruent to the 64-bit result modulo
+# 2**64, which ``_commit_rd`` masks -- exactly the values the original
+# per-step string-dispatched implementation produced.
 _ALU_OPS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: (to_unsigned(a) + to_unsigned(b)) & MASK64,
-    "sub": lambda a, b: (to_unsigned(a) - to_unsigned(b)) & MASK64,
-    "sll": lambda a, b: (to_unsigned(a) << (b & 0x3F)) & MASK64,
-    "slt": lambda a, b: 1 if to_signed(a) < to_signed(b) else 0,
-    "sltu": lambda a, b: 1 if to_unsigned(a) < to_unsigned(b) else 0,
-    "xor": lambda a, b: to_unsigned(a) ^ to_unsigned(b),
-    "srl": lambda a, b: to_unsigned(a) >> (b & 0x3F),
-    "sra": lambda a, b: (to_signed(a) >> (b & 0x3F)) & MASK64,
-    "or": lambda a, b: to_unsigned(a) | to_unsigned(b),
-    "and": lambda a, b: to_unsigned(a) & to_unsigned(b),
-    "mul": lambda a, b: (to_signed(a) * to_signed(b)) & MASK64,
-    "mulh": lambda a, b: ((to_signed(a) * to_signed(b)) >> 64) & MASK64,
-    "mulhsu": lambda a, b: ((to_signed(a) * to_unsigned(b)) >> 64) & MASK64,
-    "mulhu": lambda a, b: ((to_unsigned(a) * to_unsigned(b)) >> 64) & MASK64,
-    "div": lambda a, b: _div(to_signed(a), to_signed(b), True, 64) & MASK64,
-    "divu": lambda a, b: _div(to_unsigned(a), to_unsigned(b), False, 64) & MASK64,
-    "rem": lambda a, b: _rem(to_signed(a), to_signed(b), True, 64) & MASK64,
-    "remu": lambda a, b: _rem(to_unsigned(a), to_unsigned(b), False, 64) & MASK64,
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "sll": lambda a, b: a << (b & 0x3F),
+    "slt": lambda a, b: 1 if _s(a) < _s(b) else 0,
+    "sltu": lambda a, b: 1 if a < (b & MASK64) else 0,
+    "xor": lambda a, b: a ^ b,
+    "srl": lambda a, b: a >> (b & 0x3F),
+    "sra": lambda a, b: _s(a) >> (b & 0x3F),
+    "or": lambda a, b: a | b,
+    "and": lambda a, b: a & b,
+    "mul": lambda a, b: a * b,
+    "mulh": lambda a, b: (_s(a) * _s(b)) >> 64,
+    "mulhsu": lambda a, b: (_s(a) * b) >> 64,
+    "mulhu": lambda a, b: (a * b) >> 64,
+    "div": lambda a, b: _div(_s(a), _s(b), True, 64),
+    "divu": lambda a, b: _div(a, b, False, 64),
+    "rem": lambda a, b: _rem(_s(a), _s(b), True, 64),
+    "remu": lambda a, b: _rem(a, b, False, 64),
     "addw": lambda a, b: _word_result(_w(a) + _w(b)),
     "subw": lambda a, b: _word_result(_w(a) - _w(b)),
     "sllw": lambda a, b: _word_result((a & 0xFFFF_FFFF) << (b & 0x1F)),
@@ -132,8 +138,8 @@ _ALU_OPS: Dict[str, Callable[[int, int], int]] = {
 _BRANCH_OPS: Dict[str, Callable[[int, int], bool]] = {
     "beq": lambda a, b: a == b,
     "bne": lambda a, b: a != b,
-    "blt": lambda a, b: to_signed(a) < to_signed(b),
-    "bge": lambda a, b: to_signed(a) >= to_signed(b),
+    "blt": lambda a, b: _s(a) < _s(b),
+    "bge": lambda a, b: _s(a) >= _s(b),
     "bltu": lambda a, b: a < b,
     "bgeu": lambda a, b: a >= b,
 }
@@ -157,6 +163,8 @@ class Executor:
         self.config = config or ExecutorConfig()
         self.halted = False
         self.halt_reason: Optional[HaltReason] = None
+        #: ``(base_address, end_address)`` of the program, set per run.
+        self.code_window: Tuple[int, int] = (0, 0)
 
     # =================================================================== hooks
     # The handlers reach memory and CSRs through these; the DUT harness
@@ -191,7 +199,7 @@ class Executor:
         block exit, from the last record's ``next_pc`` (a redirecting
         tail's target, ``mepc`` after an ``mret``, ``pc + 4`` otherwise).
         Returns the ``(first, last)`` dirty-word span of a committed store
-        that hit the code window -- which aborts the block after that
+        that hit :attr:`code_window` -- which aborts the block after that
         instruction, so every subsequent word is re-fetched -- or ``None``.
 
         This base implementation runs the *base* semantics: handler call,
@@ -201,8 +209,6 @@ class Executor:
         state = self.state
         csrs = state.csrs
         pc = state.pc
-        base_address = block.base_address
-        end_address = block.end_address
         count_trapped = self.config.count_trapped_instructions
         append = records.append
         dirtied = None
@@ -229,9 +235,9 @@ class Executor:
                 csrs[csrdefs.MEPC] = pc
                 csrs[csrdefs.MCAUSE] = int(trap.cause)
                 csrs[csrdefs.MTVAL] = trap.tval & MASK64
-                record = CommitRecord(
-                    pc=pc, word=word, mnemonic=instr.mnemonic, trap=trap.cause,
-                    next_pc=(pc + 4) & MASK64, trap_tval=trap.tval & MASK64)
+                record = CommitRecord(pc, word, instr.mnemonic, None, None,
+                                      trap.cause, None, None, None, None, None,
+                                      (pc + 4) & MASK64, trap.tval & MASK64)
                 if not count_trapped:
                     uncounted += 1
             commits += 1
@@ -240,7 +246,7 @@ class Executor:
             mem_addr = record.mem_addr
             if mem_addr is not None:
                 dirtied = dirty_word_span(mem_addr, record.mem_size or 1,
-                                          base_address, end_address)
+                                          *self.code_window)
                 if dirtied is not None:
                     break  # store hit the code window: stop fused execution
         csrs[csrdefs.MINSTRET] = (csrs[csrdefs.MINSTRET] + commits - uncounted) & MASK64
@@ -310,8 +316,8 @@ class Executor:
         csrs[csrdefs.MEPC] = pc
         csrs[csrdefs.MCAUSE] = int(cause)
         csrs[csrdefs.MTVAL] = pc
-        return CommitRecord(pc=pc, word=0, mnemonic=ILLEGAL_MNEMONIC, trap=cause,
-                            next_pc=(pc + 4) & MASK64, trap_tval=pc)
+        return CommitRecord(pc, 0, ILLEGAL_MNEMONIC, None, None, cause, None,
+                            None, None, None, None, (pc + 4) & MASK64, pc)
 
     def _commit_suppressed_trap(self, pc: int, word: int,
                                 instr: Instruction) -> CommitRecord:
@@ -322,8 +328,8 @@ class Executor:
             self.state.write_reg(rd, 0)
             rd_value = 0 if rd != 0 else None
             rd = rd if rd != 0 else None
-        return CommitRecord(pc=pc, word=word, mnemonic=instr.mnemonic, rd=rd,
-                            rd_value=rd_value, next_pc=(pc + 4) & MASK64)
+        return CommitRecord(pc, word, instr.mnemonic, rd, rd_value, None, None,
+                            None, None, None, None, (pc + 4) & MASK64)
 
     # ------------------------------------------------------------------ helpers
     def _commit_rd(self, instr: Instruction, pc: int, word: int, value: int,
@@ -331,20 +337,19 @@ class Executor:
                    mem_value: Optional[int] = None,
                    mem_size: Optional[int] = None) -> CommitRecord:
         value &= MASK64
-        rd = instr.rd if instr.rd != 0 else None
-        if rd is not None:  # write_reg inlined: x0 stays hardwired to zero
+        rd = instr.rd
+        if rd:  # write_reg inlined: x0 stays hardwired to zero
             self.state.regs[rd] = value
         return CommitRecord(
-            pc=pc, word=word, mnemonic=instr.mnemonic, rd=rd,
-            rd_value=value if rd is not None else None,
-            mem_addr=mem_addr, mem_value=mem_value, mem_size=mem_size,
-            next_pc=(pc + 4) & MASK64 if next_pc is None else next_pc & MASK64)
+            pc, word, instr.mnemonic, rd or None, value if rd else None, None,
+            mem_addr, mem_value, mem_size, None, None,
+            (pc + 4) & MASK64 if next_pc is None else next_pc & MASK64)
 
     def _commit_simple(self, instr: Instruction, pc: int, word: int,
                        next_pc: Optional[int] = None) -> CommitRecord:
         return CommitRecord(
-            pc=pc, word=word, mnemonic=instr.mnemonic,
-            next_pc=(pc + 4) & MASK64 if next_pc is None else next_pc & MASK64)
+            pc, word, instr.mnemonic, None, None, None, None, None, None, None,
+            None, (pc + 4) & MASK64 if next_pc is None else next_pc & MASK64)
 
 
 # ============================================================ handler factory
@@ -395,9 +400,8 @@ def _make_store_handler(size: int):
         address = (regs[instr.rs1] + instr.imm) & MASK64
         value = regs[instr.rs2] & mask
         self._mem_store(address, value, size, instr)
-        return CommitRecord(pc=pc, word=word, mnemonic=instr.mnemonic,
-                            mem_addr=address, mem_value=value, mem_size=size,
-                            next_pc=(pc + 4) & MASK64)
+        return CommitRecord(pc, word, instr.mnemonic, None, None, None,
+                            address, value, size, None, None, (pc + 4) & MASK64)
     return execute
 
 
@@ -449,10 +453,9 @@ def _make_csr_handler(mnemonic: str, fmt: InstrFormat):
             self._csr_write(address, new_value, instr)
         record = self._commit_rd(instr, pc, word, old_value)
         if new_value is not None:
-            record = CommitRecord(
-                pc=record.pc, word=record.word, mnemonic=record.mnemonic,
-                rd=record.rd, rd_value=record.rd_value, csr_addr=address,
-                csr_value=new_value & MASK64, next_pc=record.next_pc)
+            record = CommitRecord(pc, word, record.mnemonic, record.rd,
+                                  record.rd_value, None, None, None, None,
+                                  address, new_value & MASK64, record.next_pc)
         return record
     return execute
 

@@ -119,6 +119,7 @@ class ModelBase:
         compiled = compile_program(program)
         base_address = program.base_address
         end_address = compiled.end_address
+        executor.code_window = (base_address, end_address)
         limit = max_steps or self.executor_config.step_limit
         result = ExecutionResult()
         records = result.records
@@ -176,13 +177,13 @@ class ModelBase:
             if dirty_words is None:
                 block = blocks.at(index)
             elif index in dirty_words:
-                block = word_block(index, memory.fetch_word(pc),
-                                   base_address, end_address)
+                block = word_block(memory.fetch_word(pc))
             else:
                 block = blocks.at(index)
-                if not dirty_words.isdisjoint(block.word_set):
-                    block = block.prefix(
-                        min(dirty_words & block.word_set) - index)
+                span = range(index, index + block.length)
+                if not dirty_words.isdisjoint(span):
+                    block = block.prefix(min(dirty_words.intersection(span))
+                                         - index)
             if block.length > limit - count:
                 block = block.prefix(limit - count)
             span = run_block(block, records)

@@ -36,7 +36,9 @@ class CommitRecord:
     records are read-only is load-bearing.  It holds *by convention*: one
     record is built per simulated commit on the innermost loop, and the
     frozen-dataclass ``object.__setattr__`` init path costs ~4x a plain
-    slots init, so the class is deliberately not ``frozen=True``.
+    slots init, so the class is deliberately not ``frozen=True``; and the
+    executors build records positionally (~0.3 us, ~0.7 us with keywords),
+    so a new field goes last.
 
     Attributes:
         pc: address of the instruction.

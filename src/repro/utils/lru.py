@@ -1,9 +1,9 @@
 """The bounded least-recently-used cache behind every per-process cache.
 
 Campaigns replay programs constantly (MABFuzz arms re-run their seeds,
-mutants duplicate each other), so a worker process keeps three caches:
-compiled programs (:mod:`repro.isa.compiled`), golden runs and DUT runs
-(:class:`repro.sim.golden.KeyedRunCache`).  All three are an
+mutants duplicate each other), so a worker process keeps four caches:
+compiled programs and superblocks (:mod:`repro.isa.compiled`), golden runs
+and DUT runs (:class:`repro.sim.golden.KeyedRunCache`).  All four are an
 :class:`LRUCache`: one spill policy, one re-bound, one set of counters.
 :func:`repro.exec.cache.configure_process_caches` bounds them and
 :func:`repro.exec.cache.process_cache_stats` reads them.

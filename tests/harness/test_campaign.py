@@ -115,12 +115,36 @@ class TestSpecWireFormat:
 
     @pytest.mark.parametrize("name, value", [
         ("register_pool", [40]), ("register_pool", [5, 5.5]),
-        ("profile_concentration", float("inf"))])
+        ("profile_concentration", float("inf")),
+        ("class_weights", {"ARITH": -1.0}), ("class_weights", {"NOPE": 1.0}),
+        ("class_weights", {"ARITH": "1.0"}),
+        ("min_instructions", 12.9), ("max_instructions", True),
+        ("randomize_profile", "false"), ("randomize_profile", 1),
+        ("wide_register_prob", "0.1"), ("illegal_word_prob", True)])
     def test_bad_operand_settings_rejected_from_the_wire(self, name, value):
         data = self._full_spec().to_dict()
         data["fuzzer_config"]["generator_config"][name] = value
         with pytest.raises(ValueError, match=name):
             CampaignSpec.from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("fuzzer_config", "corpus", "false"),
+        ("fuzzer_config", "num_seeds", 4.0),
+        ("fuzzer_config", "mutants_per_test", True),
+        ("fuzzer_config", "max_program_steps", 500.5),
+        ("fuzzer_config", "mutation_weights", {"bitflip": "2"}),
+        (None, "num_tests", "40"), (None, "trials", 2.0), (None, "seed", False)])
+    def test_wire_fields_are_checked_not_coerced(self, section, name, value):
+        data = self._full_spec().to_dict()
+        (data[section] if section else data)[name] = value
+        with pytest.raises(ValueError, match=name):
+            CampaignSpec.from_dict(json.loads(json.dumps(data)))
+
+    def test_numbers_in_float_fields_keep_their_value(self):
+        data = self._full_spec().to_dict()
+        data["fuzzer_config"]["generator_config"]["illegal_word_prob"] = 0
+        rebuilt = CampaignSpec.from_dict(json.loads(json.dumps(data)))
+        assert rebuilt.fuzzer_config.generator_config.illegal_word_prob == 0.0
 
     def test_trial_seeds_survive_the_wire(self):
         spec = self._full_spec()

@@ -15,6 +15,12 @@ model only where a bug fired; it is checked over generated seeds of every
 workload family and their mutants, and over the seeded corpora behind the
 ``*_buggy`` fixture keys.
 
+Blocks are shared by every program and DUT holding their words, with
+the plans and the memoised static coverage the DUTs attach to them: runs
+of seeds and their mutants on Rocket, CVA6 and BOOM (hazard windows of 2,
+3 and 4), interleaved in one process, must equal runs of the same
+programs from cleared memos.
+
 The run loop's steady-state replay is checked the same way: random loops
 run with replay and with it neutralised must agree on everything a run
 reports (also where BOOM and CVA6 replay more copies than their step cycle
@@ -37,11 +43,13 @@ from repro.fuzzing.differential import compare_traces
 from repro.fuzzing.mutation import MutationEngine
 from repro.harness.campaign import CampaignSpec, run_campaign
 from repro.isa import csr as csrdefs
+from repro.isa.compiled import process_block_table, process_compiled_cache
 from repro.isa.encoding import SPECS, InstrClass
 from repro.isa.generator import GeneratorConfig, SeedGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.isa.scenarios import MixedSeedGenerator, TrapScenarioGenerator
+from repro.rtl import boom, harness, rocket
 from repro.rtl.boom import BoomModel
 from repro.rtl.cva6 import CVA6Model
 from repro.rtl.harness import DutExecutor, DutModel
@@ -197,6 +205,79 @@ def test_golden_minstret_equals_commit_count(seed):
     assume(not touches_counters)
     result = _GOLDEN.run(program)
     assert result.final_csrs[csrdefs.MINSTRET] == result.instret
+
+
+# ---------------------------------------------------------- shared blocks
+#: Rocket, CVA6 and BOOM with their default bugs under both coverage
+#: models, in the order a shared block meets them: hazard windows of 2, 3
+#: and 4 in turn.
+_SHARED_DUTS = tuple(make_dut(name, coverage_model=coverage_model)
+                     for coverage_model in COVERAGE_MODELS
+                     for name in ("rocket", "cva6", "boom"))
+
+
+def _clear_block_memos() -> None:
+    """Empty every per-process memo a DUT run reads: the compiled programs,
+    the block table (and with it each block's plans, bug cuts and static
+    masks) and the per-word and per-instruction plan memos."""
+    process_compiled_cache().clear()
+    process_block_table().clear()
+    harness._ENTRY_PLANS.clear()
+    rocket._PLANS.clear()
+    boom._PLANS.clear()
+
+
+def _run_view(run) -> tuple:
+    execution = run.execution
+    return (run.coverage, run.fired_bugs, run.bug_effect_steps,
+            [record.arch_key() for record in execution.records],
+            execution.halt_reason, execution.final_registers,
+            execution.final_csrs)
+
+
+def _assert_shared_blocks_exact(programs) -> None:
+    """Every run of ``programs`` on :data:`_SHARED_DUTS`, interleaved in
+    one process, equals a run of the same program on the same DUT from
+    cleared memos."""
+    warm = [[_run_view(dut.run(program)) for dut in _SHARED_DUTS]
+            for program in programs]
+    for program, views in zip(programs, warm):
+        for dut, view in zip(_SHARED_DUTS, views):
+            _clear_block_memos()
+            assert _run_view(dut.run(program)) == view, (
+                dut.name, dut.coverage_model, program.fingerprint())
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       generator=st.sampled_from((SeedGenerator, TrapScenarioGenerator,
+                                  MixedSeedGenerator)),
+       mutations=st.integers(0, 3))
+@_SETTINGS
+def test_shared_blocks_equal_cold_runs(seed, generator, mutations):
+    """A seed and its mutants -- which reuse the blocks their mutations
+    did not touch -- run on every DUT as they would from cleared memos."""
+    program = generator(rng=seed).generate()
+    programs = [program]
+    engine = MutationEngine(rng=seed)
+    for _ in range(mutations):
+        program = engine.mutate_once(program)
+        programs.append(program)
+    _assert_shared_blocks_exact(programs)
+
+
+def test_block_shared_by_rocket_cva6_and_boom():
+    """One program on Rocket, then CVA6, then BOOM: each enters the jump's
+    block with an empty window but leaves it with its own window size, and
+    the next block reads a distance-3 hazard only a window of 3 or more
+    holds."""
+    I = Instruction
+    program = TestProgram(instructions=(
+        I("addi", rd=1, rs1=0, imm=1), I("addi", rd=2, rs1=0, imm=2),
+        I("jal", rd=0, imm=4),
+        I("add", rd=5, rs1=1, rs2=2), I("add", rd=6, rs1=1, rs2=5),
+        I("ecall")))
+    _clear_block_memos()
+    _assert_shared_blocks_exact([program])
 
 
 # ------------------------------------------------------------ loop replay

@@ -40,6 +40,14 @@ class TestGeneratorConfig:
         dict(profile_concentration=-1.0),
         dict(profile_concentration=float("nan")),
         dict(profile_concentration=float("inf")),
+        dict(class_weights={}),
+        dict(class_weights={"ARITH": 1.0}),
+        dict(class_weights={InstrClass.ARITH: -1.0, InstrClass.LOGIC: 2.0}),
+        dict(class_weights={InstrClass.ARITH: float("nan")}),
+        dict(class_weights={InstrClass.ARITH: float("inf")}),
+        dict(class_weights={InstrClass.ARITH: "1.0"}),
+        dict(class_weights={InstrClass.ARITH: 0.0}),
+        dict(class_weights={InstrClass.ARITH: 0.0, InstrClass.LOGIC: 0.0}),
     ])
     def test_invalid_operand_settings_raise(self, settings):
         with pytest.raises(ValueError):

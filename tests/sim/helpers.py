@@ -49,8 +49,8 @@ def step_block(executor: Executor) -> CommitRecord:
     """Run the word at the executor's pc as a one-entry block; its record."""
     pc = executor.state.pc
     records: list = []
-    executor.run_block(word_block((pc - BASE) >> 2, executor.memory.fetch_word(pc),
-                                  BASE, pc + 4), records)
+    executor.code_window = (BASE, pc + 4)
+    executor.run_block(word_block(executor.memory.fetch_word(pc)), records)
     (record,) = records
     return record
 

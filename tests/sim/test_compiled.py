@@ -18,27 +18,32 @@ import pytest
 
 from repro.exec.cache import (DutRunCache, configure_process_caches,
                               process_cache_stats)
+from repro.fuzzing.mutation import MutationEngine
 from repro.isa import csr as csrdefs
 from repro.isa.assembler import encode_instruction
 from repro.isa.compiled import (
     CompiledProgram,
     compile_program,
     dirty_word_span,
+    process_block_table,
     process_compiled_cache,
     superblocks_for,
+    word_block,
 )
 from repro.isa.decoder import decode_word
 from repro.isa.exceptions import TrapCause
 from repro.isa.generator import SeedGenerator
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
+from repro.rtl import harness
+from repro.rtl.bugs import InjectedBug
 from repro.rtl.registry import make_dut
 from repro.sim.executor import Executor, handler_for
 from repro.sim.golden import GoldenModel, GoldenTraceCache
 from repro.sim.memory import Memory
 from repro.sim.state import ArchState
 from repro.sim.trace import HaltReason
-from repro.utils.lru import LRUCache
+from repro.utils.lru import DEFAULT_CACHE_ENTRIES, LRUCache
 from tests.sim.test_hotpath_equivalence import (FIXTURE_PATH, run_digest,
                                                 trace_digest)
 
@@ -286,21 +291,23 @@ class TestSuperblockFormation:
             I("ecall"),                               # 8 ┘
         )
         blocks = superblocks_for(program)
+        words = program.words()
         head = blocks.at(0)
-        assert (head.start, head.length) == (0, 3)
+        assert (head.words, head.length) == (words[0:3], 3)
         assert head.entries[-1][1].mnemonic == "beq" and not head.csr_tail
-        assert head.word_set == frozenset({0, 1, 2})
         csr_block = blocks.at(3)
-        assert (csr_block.start, csr_block.length) == (3, 2)
+        assert (csr_block.words, csr_block.length) == (words[3:5], 2)
         assert csr_block.csr_tail
         tail = blocks.at(5)
-        assert (tail.start, tail.length) == (5, 4)
+        assert (tail.words, tail.length) == (words[5:9], 4)
         assert tail.entries[-1][1].mnemonic == "ecall" and not tail.csr_tail
         # The illegal word fused with a working handler.
         assert all(handler is not None for _, _, handler in tail.entries)
         # Every entry leads a block: a lone SYSTEM entry leads a block of one.
         ecall = blocks.at(8)
-        assert (ecall.start, ecall.length) == (8, 1)
+        assert (ecall.words, ecall.length) == (words[8:9], 1)
+        # A block is its words: whatever leads at them gets the same one.
+        assert word_block(words[8]) is ecall
 
     def test_every_system_instruction_closes_a_block(self):
         for mnemonic in ("ecall", "ebreak", "mret", "wfi"):
@@ -317,41 +324,152 @@ class TestSuperblockFormation:
         block = superblocks_for(program).at(0)
         assert block.csr_tail
         prefix = block.prefix(2)
-        assert (prefix.start, prefix.length) == (0, 2)
-        assert prefix.word_set == frozenset({0, 1})
+        assert (prefix.words, prefix.length) == (program.words()[:2], 2)
         assert not prefix.csr_tail
+        assert block.prefix(2) is prefix  # from the block table
 
     def test_lru_bound_and_stats(self):
-        """The compiled entry is a program's only per-program cache entry:
-        its superblock table shares the entry's bound, spill and counters."""
+        """The compiled entry is a program's only per-program cache entry;
+        its blocks come from the process block table, which outlives a
+        spill of the entry and counts its own lookups."""
         first, second = (_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
                          for n in (1201, 1202))
         compiled = compile_program(first)
         assert superblocks_for(first) is compiled
         assert superblocks_for(first, compiled) is compiled
         block = superblocks_for(first).at(0)
-        assert superblocks_for(first).at(0) is block  # built once
+        assert superblocks_for(first).at(0) is block  # looked up once
         compile_program(second)
         cache = process_compiled_cache()
+        table = process_block_table()
         misses, evictions = cache.misses, cache.evictions
         try:
             configure_process_caches(1)  # spills all but `second`
             assert len(cache) == 1 and cache.evictions > evictions
             assert cache.misses == misses
-            # One spill dropped the trace and its table together: both
-            # come back rebuilt on a single miss.
+            # The spill dropped the trace, not the blocks: the rebuilt
+            # program gets the same block back from the table.
+            table_hits, table_misses = table.hits, table.misses
             rebuilt = superblocks_for(first)
             assert cache.misses == misses + 1
             assert rebuilt is compile_program(first)
             assert rebuilt is not compiled
-            assert rebuilt.at(0) is not block
-            assert (rebuilt.at(0).start, rebuilt.at(0).length) == (0, 2)
+            assert rebuilt.at(0) is block
+            assert (table.hits, table.misses) == (table_hits + 1, table_misses)
             stats = process_cache_stats()
-            for counter in ("hits", "misses", "evictions"):
-                assert (stats[f"superblock_{counter}"]
-                        == stats[f"compiled_trace_{counter}"])
+            counters = ("hits", "misses", "evictions")
+            assert ({counter: stats[f"superblock_{counter}"] for counter in counters}
+                    == {counter: table.stats()[counter] for counter in counters})
+            assert ([stats[f"superblock_{counter}"] for counter in counters]
+                    != [stats[f"compiled_trace_{counter}"] for counter in counters])
         finally:
             configure_process_caches(None)
+
+
+class TestBlockSharing:
+    """A block is a function of its words: one process table serves every
+    program holding them, with every plan a DUT attached to the block."""
+
+    #: three blocks: slots 0-2, 3-5 and 6-7.
+    PARENT = (I("addi", rd=1, rs1=0, imm=1301), I("addi", rd=2, rs1=1, imm=1),
+              I("beq", rs1=0, rs2=0, imm=4),
+              I("addi", rd=3, rs1=0, imm=1302), I("addi", rd=4, rs1=3, imm=1),
+              I("bne", rs1=0, rs2=0, imm=4),
+              I("addi", rd=5, rs1=0, imm=1303), I("ecall"))
+    LEADERS = (0, 3, 6)
+
+    def _mutant(self, operator, seed):
+        parent = _program(*self.PARENT)
+        engine = MutationEngine(rng=seed)
+        chosen = next(op for op in engine.operators if op.name == operator)
+        return parent, engine.mutate_once(parent, chosen)
+
+    def test_rd_change_mutant_reuses_untouched_blocks(self):
+        parent, mutant = self._mutant("rd_change", 7)
+        (slot,) = [index for index, (old, new)
+                   in enumerate(zip(parent.words(), mutant.words())) if old != new]
+        parent_blocks = superblocks_for(parent)
+        before = [parent_blocks.at(leader) for leader in self.LEADERS]
+        hits, misses = (process_cache_stats()[f"superblock_{counter}"]
+                        for counter in ("hits", "misses"))
+        after = [superblocks_for(mutant).at(leader) for leader in self.LEADERS]
+        stats = process_cache_stats()
+        assert stats["superblock_hits"] == hits + 2
+        assert stats["superblock_misses"] == misses + 1
+        for leader, old, new in zip(self.LEADERS, before, after):
+            holds_slot = leader <= slot < leader + old.length
+            assert (new is not old) == holds_slot, (leader, slot)
+
+    def test_instr_insert_mutant_reuses_the_blocks_after_it(self):
+        parent, mutant = self._mutant("instr_insert", 3)
+        assert len(mutant.words()) == len(parent.words()) + 1
+        slot = next(index for index, (old, new)
+                    in enumerate(zip(parent.words(), mutant.words())) if old != new)
+        parent_blocks, mutant_blocks = superblocks_for(parent), superblocks_for(mutant)
+        later = [leader for leader in self.LEADERS if leader >= slot]
+        assert later
+        for leader in later:
+            assert mutant_blocks.at(leader + 1) is parent_blocks.at(leader)
+
+    def test_configure_bounds_the_block_table(self):
+        table = process_block_table()
+        programs = [_program(I("addi", rd=1, rs1=0, imm=n), I("ecall"))
+                    for n in (1311, 1312, 1313)]
+        for program in programs:
+            superblocks_for(program).at(0)
+        evictions = table.evictions
+        try:
+            configure_process_caches(1)
+            assert table.max_entries == 1 and len(table) == 1
+            assert table.evictions >= evictions + 2
+            assert process_cache_stats()["superblock_evictions"] == table.evictions
+        finally:
+            configure_process_caches(None)
+        assert table.max_entries == DEFAULT_CACHE_ENTRIES
+
+    def test_static_memo_stays_within_its_bound(self):
+        """The shared block after a jump meets a window per (A, B) below;
+        its memo is cleared on overflow, and every run still emits what
+        a run from an empty memo does."""
+        tail = (I("add", rd=6, rs1=1, rs2=2), I("ecall"))
+        dut = make_dut("rocket", bugs=[])
+        sizes = []
+        for first in range(1, 32):
+            for second in (1, 2, 3):
+                program = _program(I("addi", rd=first, rs1=0, imm=1),
+                                   I("jal", rd=second, imm=4), *tail)
+                run = dut.run(program)
+                memo = superblocks_for(program).at(2).static_masks
+                sizes.append(len(memo))
+                kept = dict(memo)
+                memo.clear()
+                assert dut.run(program).coverage == run.coverage
+                memo.clear()
+                memo.update(kept)
+        assert max(sizes) == harness._BLOCK_MEMO_MAX
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+    def test_cut_scanned_once_per_trigger_set(self):
+        """A block that DUTs with different bug sets share keeps a cut per
+        set: run alternately by Rocket and CVA6, it is scanned once each."""
+        scanned = []
+
+        def declaring(name):
+            def triggers_on(instr, word):
+                scanned.append(name)
+                return False
+            return type(f"Declares{name}", (InjectedBug,),
+                        {"bug_id": name, "triggers_on": staticmethod(triggers_on)})()
+
+        program = _program(I("addi", rd=1, rs1=0, imm=1321),
+                           I("addi", rd=2, rs1=1, imm=1), I("ecall"))
+        rocket = make_dut("rocket", bugs=[declaring("R")])
+        cva6 = make_dut("cva6", bugs=[declaring("C")])
+        for _ in range(3):
+            for dut in (rocket, cva6):
+                dut.run(program)
+        assert scanned == ["R"] * 3 + ["C"] * 3
+        assert len(superblocks_for(program).at(0).bug_cuts) == 2
 
 
 class TestSuperblockSemantics:
@@ -460,6 +578,7 @@ class TestSystemTails:
         memory = Memory()
         memory.load_program_words(program.base_address, program.words())
         executor = Executor(ArchState(pc=program.base_address), memory)
+        executor.code_window = (program.base_address, program.end_address())
         records = []
         assert executor.run_block(block, records) is None
         assert executor.halted and executor.halt_reason is HaltReason.ECALL
