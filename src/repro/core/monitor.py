@@ -63,8 +63,9 @@ class ProgressMonitor:
     """Live progress of a grid run: trials done/total, ETA, cache traffic.
 
     Cache traffic covers every per-process cache the engine's
-    ``cache_entries`` bounds in a worker: DUT runs, golden runs and
-    compiled programs (see :func:`repro.exec.cache.process_cache_stats`).
+    ``cache_entries`` bounds in a worker: DUT runs, golden runs, compiled
+    programs and the superblock table (see
+    :func:`repro.exec.cache.process_cache_stats`).
 
     The execution engine calls :meth:`start` once with the total trial
     count *before* loading any checkpoint journal, then
@@ -90,9 +91,9 @@ class ProgressMonitor:
         self.completed_trials = 0
         self.restored_trials = 0
         #: worker-side cache-traffic deltas for the current grid, summed
-        #: over finished batches (DUT-run, golden and compiled-program
-        #: caches); fed out-of-band by the engine because these counters
-        #: are kept out of result metadata on purpose.
+        #: over finished batches (DUT-run, golden, compiled-program and
+        #: superblock caches); fed out-of-band by the engine because these
+        #: counters are kept out of result metadata on purpose.
         self.worker_cache_stats: Dict[str, int] = {}
         #: self-healing counters for the current grid: stale-lease
         #: requeues, failed-batch retries, dead-lettered batches and

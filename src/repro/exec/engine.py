@@ -43,12 +43,12 @@ class CampaignEngine:
         checkpoint_path: JSONL journal path; ``None`` disables journaling.
         monitor: progress monitor; a silent one is created when omitted.
         cache_entries: capacity bound applied to every per-process cache
-            inside every worker -- golden runs, DUT runs and compiled
-            programs (``None`` keeps the backend's default, currently
-            4096).  Capacity never changes
-            results -- the per-trial counters that enter result metadata
-            come from the session-level cache, which this knob does not
-            touch (see ``docs/parallel.md``).
+            inside every worker -- golden runs, DUT runs, compiled
+            programs and the superblock table (``None`` keeps the
+            backend's default, currently 4096).  Capacity never changes
+            results: no cache counter enters result metadata, and the
+            workers' cache traffic reaches the monitor out of band (see
+            ``docs/parallel.md``).
         reuse_results: serve (spec, trial) cells already completed by an
             earlier ``run_grid`` call on this engine from memory instead
             of re-running them -- trials are deterministic, so the replay
@@ -270,15 +270,12 @@ class CampaignEngine:
         counters against the last snapshot recorded, so the stream carries
         one event per self-healing incident rather than repeating totals.
         """
-        cache = {name: value for name, value in result.metadata.items()
-                 if name.endswith(("_hits", "_misses", "_evictions"))
-                 and isinstance(value, int)}
         self.telemetry.record(
             "trial",
             spec_index=task.spec_index, trial_index=task.trial_index,
             label=task.spec.describe(), coverage=result.coverage_count,
             total_points=result.total_points,
-            bugs=sorted(result.bug_detections), cache=cache)
+            bugs=sorted(result.bug_detections))
         delta = {name: value - recovery_seen.get(name, 0)
                  for name, value in self.backend.robustness_stats.items()
                  if value != recovery_seen.get(name, 0)}

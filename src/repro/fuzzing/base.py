@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # circular at runtime: corpus imports nothing from here,
     # but keeping the import lazy keeps corpus-off startup untouched.
     from repro.fuzzing.corpus import CorpusManager
 
-from repro.fuzzing.mutation import MutationEngine
+from repro.fuzzing.mutation import DEFAULT_OPERATOR_WEIGHTS, MutationEngine
 from repro.fuzzing.results import FuzzCampaignResult, TestOutcome
 from repro.fuzzing.session import FuzzSession
 from repro.isa.generator import GeneratorConfig
@@ -67,6 +67,9 @@ class FuzzerConfig:
             raise ValueError("mutants_per_test must be >= 1")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
+        unknown = sorted(set(self.mutation_weights or ()) - set(DEFAULT_OPERATOR_WEIGHTS))
+        if unknown:
+            raise ValueError(f"mutation_weights name unknown operators: {unknown}")
 
 
 class Fuzzer(abc.ABC):

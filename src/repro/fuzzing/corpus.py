@@ -31,13 +31,18 @@ Bitset masks are process-local (bit order depends on registration order),
 so a corpus never serialises masks.  The wire form
 (:meth:`CorpusManager.to_payload` / :meth:`CorpusManager.from_payload`)
 carries canonical data only: sorted point *names* (the only place a
-corpus builds names), instruction *words* and the base address.  Programs
-are rebuilt with the decoder on the receiving side -- the decode->assemble
-fixed point (property-tested in ``tests/isa``) guarantees a rebuilt
-program has the same fingerprint, so corpus identity is stable across
-serial, process-pool and distributed execution.  Merging is idempotent: the novelty gate absorbs duplicates, so
-the worker<->dispatcher exchange channel (``docs/corpus.md``) may deliver
-a delta twice, late, or already folded into a broadcast without changing
+corpus builds names), instruction *words*, the base address and the
+entry's fingerprint.  The fingerprint travels with the entry, so corpus
+identity is stable across serial, process-pool and distributed
+execution.  Programs are rebuilt from their words with the decoder on
+the receiving side, so every process rebuilds the same program from an
+entry.  That program is the admitted one only where the admitted words
+were canonical, the fixed point one decode->assemble pass reaches
+(property-tested in ``tests/isa``): a raw ``fence`` word with bits 31:28
+set re-assembles without them (:meth:`CorpusEntry.materialize`).
+Merging is idempotent: the novelty gate absorbs duplicates, so the
+worker<->dispatcher exchange channel (``docs/corpus.md``) may deliver a
+delta twice, late, or already folded into a broadcast without changing
 the final map.
 
 Determinism

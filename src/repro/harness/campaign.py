@@ -189,6 +189,14 @@ def _wire(name: str, value: object, kind: type) -> object:
     return kind(value)
 
 
+def _wire_weights(name: str, value: object) -> Dict[str, float]:
+    """Wire field ``name``, checked to be a ``str -> float`` map."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a map, got {value!r}")
+    return {str(key): _wire(f"{name}[{key}]", weight, float)
+            for key, weight in value.items()}
+
+
 def _generator_config_from_dict(data: Optional[Dict[str, object]]
                                 ) -> Optional[GeneratorConfig]:
     if data is None:
@@ -234,8 +242,7 @@ def _fuzzer_config_from_dict(data: Optional[Dict[str, object]]
         num_seeds=_wire("num_seeds", data["num_seeds"], int),
         mutants_per_test=_wire("mutants_per_test", data["mutants_per_test"], int),
         generator_config=_generator_config_from_dict(data.get("generator_config")),
-        mutation_weights=({str(op): _wire(f"mutation_weights[{op}]", w, float)
-                           for op, w in weights.items()}
+        mutation_weights=(_wire_weights("mutation_weights", weights)
                           if weights is not None else None),
         max_program_steps=(_wire("max_program_steps", steps, int)
                            if steps is not None else None),
@@ -254,11 +261,32 @@ def _mab_config_to_dict(config: Optional[MABFuzzConfig]
             for f in dataclasses.fields(config)}
 
 
+#: wire type of each ``MABFuzzConfig`` field; those in ``_MAB_NULLABLE``
+#: may also be null.
+_MAB_FIELDS = {"num_arms": int, "alpha": float, "gamma": int, "epsilon": float,
+               "eta": float, "ucb_exploration": float, "saturation_metric": str,
+               "arm_pool_max": int, "reward_weights": dict}
+_MAB_NULLABLE = frozenset({"gamma", "arm_pool_max", "reward_weights"})
+
+
 def _mab_config_from_dict(data: Optional[Dict[str, object]]
                           ) -> Optional[MABFuzzConfig]:
     if data is None:
         return None
-    return MABFuzzConfig(**data)
+    unknown = sorted(set(data) - set(_MAB_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown mab_config fields: {', '.join(unknown)}")
+    # An absent field keeps its default: payloads written before
+    # ``reward_weights`` existed lack it.
+    values: Dict[str, object] = {}
+    for name, value in data.items():
+        if value is None and name in _MAB_NULLABLE:
+            values[name] = None
+        elif _MAB_FIELDS[name] is dict:
+            values[name] = _wire_weights(name, value)
+        else:
+            values[name] = _wire(name, value, _MAB_FIELDS[name])
+    return MABFuzzConfig(**values)
 
 
 def trial_seed(spec: CampaignSpec, trial_index: int) -> int:

@@ -86,8 +86,8 @@ class GeneratorConfig:
             raise ValueError("max_instructions must be >= min_instructions")
         if not self.register_pool:
             raise ValueError("register_pool must not be empty")
-        if not all(isinstance(reg, int) and 0 <= reg <= 31
-                   for reg in self.register_pool):
+        if not all(isinstance(reg, int) and not isinstance(reg, bool)
+                   and 0 <= reg <= 31 for reg in self.register_pool):
             raise ValueError("register_pool registers must be ints in 0-31")
         for name in ("wide_register_prob", "valid_memory_prob",
                      "illegal_word_prob"):

@@ -14,8 +14,8 @@ wall-clock stamp for humans, never used programmatically):
 kind                 payload fields
 ===================  ========================================================
 ``run_start``        ``specs``, ``trials``, ``backend``
-``trial``            ``spec_index``, ``trial_index``, ``coverage``, ``bugs``,
-                     ``cache`` (decode/golden/dut/trace/superblock counters)
+``trial``            ``spec_index``, ``trial_index``, ``label``, ``coverage``,
+                     ``total_points``, ``bugs``
 ``recovery``         ``counters`` -- the robustness-stat deltas observed
                      since the previous ``recovery`` event
 ``worker_spawn``     ``host``, ``worker_id``, ``generation``

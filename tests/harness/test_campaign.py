@@ -87,7 +87,7 @@ class TestSpecWireFormat:
                 generator_config=GeneratorConfig(min_instructions=8,
                                                  max_instructions=16,
                                                  illegal_word_prob=0.05),
-                mutation_weights={"bitflip": 2.0},
+                mutation_weights={"bitflip1": 2.0},
                 max_program_steps=500),
             mab_config=MABFuzzConfig(num_arms=5, alpha=0.5, gamma=None),
         )
@@ -120,7 +120,8 @@ class TestSpecWireFormat:
         ("class_weights", {"ARITH": "1.0"}),
         ("min_instructions", 12.9), ("max_instructions", True),
         ("randomize_profile", "false"), ("randomize_profile", 1),
-        ("wide_register_prob", "0.1"), ("illegal_word_prob", True)])
+        ("wide_register_prob", "0.1"), ("illegal_word_prob", True),
+        ("register_pool", [True, 5])])
     def test_bad_operand_settings_rejected_from_the_wire(self, name, value):
         data = self._full_spec().to_dict()
         data["fuzzer_config"]["generator_config"][name] = value
@@ -132,8 +133,16 @@ class TestSpecWireFormat:
         ("fuzzer_config", "num_seeds", 4.0),
         ("fuzzer_config", "mutants_per_test", True),
         ("fuzzer_config", "max_program_steps", 500.5),
-        ("fuzzer_config", "mutation_weights", {"bitflip": "2"}),
-        (None, "num_tests", "40"), (None, "trials", 2.0), (None, "seed", False)])
+        ("fuzzer_config", "mutation_weights", {"bitflip1": "2"}),
+        (None, "num_tests", "40"), (None, "trials", 2.0), (None, "seed", False),
+        ("fuzzer_config", "mutation_weights", {"bogus": 1.0}),
+        ("fuzzer_config", "mutation_weights", [1.0]),
+        ("mab_config", "num_arms", 5.7), ("mab_config", "alpha", "0.5"),
+        ("mab_config", "gamma", True), ("mab_config", "epsilon", None),
+        ("mab_config", "eta", "0.1"), ("mab_config", "ucb_exploration", False),
+        ("mab_config", "saturation_metric", 1), ("mab_config", "arm_pool_max", 8.0),
+        ("mab_config", "reward_weights", {"csr": "2"}),
+        ("mab_config", "reward_weights", ["csr"]), ("mab_config", "bogus", 1)])
     def test_wire_fields_are_checked_not_coerced(self, section, name, value):
         data = self._full_spec().to_dict()
         (data[section] if section else data)[name] = value

@@ -133,12 +133,16 @@ class _ExplodingSink(TelemetrySink):
 
 
 class TestRecorder:
-    def test_disabled_recorder_is_a_noop(self):
+    def test_disabled_recorder_is_a_noop(self, monkeypatch):
+        built = []
+        monkeypatch.setattr("repro.telemetry.sink.make_event",
+                            lambda *args, **fields: built.append(args))
         recorder = TelemetryRecorder(None)
         assert not recorder.enabled
         recorder.record("trial", coverage=1)
         recorder.close()
         assert recorder.stats() == {"events": 0, "errors": 0}
+        assert built == []  # no event is even built
 
     def test_stamps_monotonic_seq(self, tmp_path):
         path = tmp_path / "events.ndjson"
