@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.core.bandit.factory import canonical_bandit
 from repro.core.config import MABFuzzConfig
 from repro.core.mabfuzz import MABFuzz
 from repro.core.mutation_bandit import MutationBanditFuzzer
@@ -45,6 +46,24 @@ def available_fuzzers() -> Tuple[str, ...]:
     return _FUZZER_NAMES
 
 
+def fuzzer_family(name: str) -> Tuple[str, str]:
+    """``(family, algorithm)`` of a fuzzer name, as :func:`make_fuzzer`
+    reads it.
+
+    Names are case-insensitive.  ``"thehuzz"`` and ``"random"`` take no
+    algorithm (``""``); ``"mabfuzz:"`` and ``"mutation-bandit:"`` take
+    any bandit name or alias (``"mabfuzz:ucb1"``), returned lowercased.
+    ``KeyError`` for a name :func:`make_fuzzer` rejects.
+    """
+    family, sep, algorithm = name.lower().partition(":")
+    if family in ("thehuzz", "random") and not sep:
+        return family, ""
+    if family in ("mabfuzz", "mutation-bandit") and sep:
+        canonical_bandit(algorithm)
+        return family, algorithm
+    raise KeyError(f"unknown fuzzer {name!r}; available: {available_fuzzers()}")
+
+
 def make_processor(name: str, bugs=None, config=None,
                    coverage_model: str = "base") -> DutModel:
     """Build a processor model by name (``"cva6"``, ``"rocket"``, ``"boom"``).
@@ -68,20 +87,16 @@ def make_fuzzer(name: str,
     (ε-greedy/ucb/exp3 plus the baseline policies) and
     ``"mutation-bandit:<algorithm>"``.
     """
-    key = name.lower()
-    if key == "thehuzz":
+    family, algorithm = fuzzer_family(name)
+    if family == "thehuzz":
         return TheHuzzFuzzer(dut, config=fuzzer_config, rng=rng)
-    if key == "random":
+    if family == "random":
         return RandomFuzzer(dut, config=fuzzer_config, rng=rng)
-    if key.startswith("mabfuzz:"):
-        algorithm = key.split(":", 1)[1]
+    if family == "mabfuzz":
         return MABFuzz(dut, algorithm=algorithm, mab_config=mab_config,
                        config=fuzzer_config, rng=rng)
-    if key.startswith("mutation-bandit:"):
-        algorithm = key.split(":", 1)[1]
-        return MutationBanditFuzzer(dut, algorithm=algorithm, mab_config=mab_config,
-                                    config=fuzzer_config, rng=rng)
-    raise KeyError(f"unknown fuzzer {name!r}; available: {available_fuzzers()}")
+    return MutationBanditFuzzer(dut, algorithm=algorithm, mab_config=mab_config,
+                                config=fuzzer_config, rng=rng)
 
 
 def quick_campaign(processor: str = "cva6",

@@ -33,6 +33,16 @@ def available_bandits() -> Tuple[str, ...]:
     return ("egreedy", "ucb", "exp3", "uniform", "roundrobin", "greedy")
 
 
+def canonical_bandit(algorithm: str) -> str:
+    """Canonical name of a bandit name or alias, in any letter case
+    (``"UCB1"`` -> ``"ucb"``); ``KeyError`` for an unknown one."""
+    key = _ALIASES.get(algorithm.lower())
+    if key is None:
+        raise KeyError(f"unknown bandit algorithm {algorithm!r}; "
+                       f"available: {available_bandits()}")
+    return key
+
+
 def make_bandit(algorithm: Union[str, BanditAlgorithm],
                 num_arms: int,
                 config: Optional[MABFuzzConfig] = None,
@@ -53,10 +63,7 @@ def make_bandit(algorithm: Union[str, BanditAlgorithm],
                 f"bandit has {algorithm.num_arms} arms but {num_arms} are required")
         return algorithm
     config = config or MABFuzzConfig(num_arms=num_arms)
-    key = _ALIASES.get(algorithm.lower())
-    if key is None:
-        raise KeyError(f"unknown bandit algorithm {algorithm!r}; "
-                       f"available: {available_bandits()}")
+    key = canonical_bandit(algorithm)
     if key == "egreedy":
         return EpsilonGreedyBandit(num_arms, epsilon=config.epsilon, rng=rng)
     if key == "ucb":

@@ -10,8 +10,9 @@ moves on to unexplored regions sooner (footnote 1 of the paper).
 
 :class:`ProgressMonitor` tracks the other time axis -- a whole grid of
 campaigns running through the parallel execution subsystem
-(:mod:`repro.exec`): trials done/total, throughput-based ETA, and the
-workers' cache traffic.
+(:mod:`repro.exec`): trials done/total, throughput-based ETA, the
+workers' cache traffic and the run's recovery, corpus and transport
+state, all read from the engine's run report.
 """
 
 from __future__ import annotations
@@ -60,20 +61,24 @@ class SaturationMonitor:
 
 
 class ProgressMonitor:
-    """Live progress of a grid run: trials done/total, ETA, cache traffic.
+    """Live progress of a grid run, rendered from the engine's run report.
 
-    Cache traffic covers every per-process cache the engine's
-    ``cache_entries`` bounds in a worker: DUT runs, golden runs, compiled
-    programs and the superblock table (see
-    :func:`repro.exec.cache.process_cache_stats`).
+    The engine builds its ``last_run_report`` when a grid starts, hands it
+    to :meth:`start` and updates it in place as trials land (keys in
+    ``docs/service.md``): trial counts, the workers' cache traffic (DUT
+    runs, golden runs, compiled programs and the superblock table, see
+    :func:`repro.exec.cache.process_cache_stats`), self-healing counters,
+    the journal salvage tally, corpus state and transport accounting.
+    The monitor keeps none of it: every status line and every closing
+    line of :meth:`finish` reads that one dict.
 
-    The execution engine calls :meth:`start` once with the total trial
-    count *before* loading any checkpoint journal, then
-    :meth:`restore_completed` once the restore finishes (restored trials
-    count as already done), then :meth:`trial_completed` per finished
-    trial.  ``sink`` receives one rendered status line per event (e.g.
-    ``print`` or a logger method); ``None`` keeps the monitor silent but
-    still queryable.
+    The engine calls :meth:`start` *before* loading any checkpoint
+    journal, :meth:`restore_completed` once the restore finishes
+    (restored trials count as already done), :meth:`trial_completed` per
+    finished trial and :meth:`finish` once the grid is done.  ``sink``
+    receives one rendered status line per event (e.g. ``print`` or a
+    logger method); ``None`` keeps the monitor silent but still
+    queryable.
 
     The ETA is throughput-based -- remaining trials divided by observed
     completed-trials-per-second -- which is the right model for a sharded
@@ -87,138 +92,93 @@ class ProgressMonitor:
                  clock: Callable[[], float] = time.monotonic) -> None:
         self._sink = sink
         self._clock = clock
-        self.total_trials = 0
-        self.completed_trials = 0
-        self.restored_trials = 0
-        #: worker-side cache-traffic deltas for the current grid, summed
-        #: over finished batches (DUT-run, golden, compiled-program and
-        #: superblock caches); fed out-of-band by the engine because these
-        #: counters are kept out of result metadata on purpose.
-        self.worker_cache_stats: Dict[str, int] = {}
-        #: self-healing counters for the current grid: stale-lease
-        #: requeues, failed-batch retries, dead-lettered batches and
-        #: journal records dropped by the salvage pass.  Fed by the engine
-        #: (journal side) and the backend (queue side).
-        self.robustness_stats: Dict[str, int] = {}
-        #: corpus-mode feedback-loop counters (global map size, stored
-        #: seeds, admission traffic); fed by the engine after each trial
-        #: of a corpus-enabled grid, empty otherwise.
-        self.corpus_stats: Dict[str, int] = {}
-        #: supervised-transport counters for the current grid (worker
-        #: restarts, degraded hosts, telemetry delivery accounting); fed
-        #: by the engine from ``last_run_report["transport"]``, empty for
-        #: unsupervised runs (see ``docs/service.md``).
-        self.transport_stats: Dict[str, object] = {}
+        #: the current grid's report (the engine's ``last_run_report``).
+        self.report: Dict[str, object] = {}
         self._started_at: Optional[float] = None
 
     # ------------------------------------------------------------------ updates
-    def start(self, total_trials: int, restored_trials: int = 0,
-              backend: str = "serial") -> None:
-        """Begin tracking a grid of ``total_trials`` trials."""
-        if total_trials < 0 or restored_trials < 0:
-            raise ValueError("trial counts must be non-negative")
-        if restored_trials > total_trials:
-            raise ValueError("restored_trials cannot exceed total_trials")
-        self.total_trials = total_trials
-        self.completed_trials = restored_trials
-        self.restored_trials = restored_trials
-        self.worker_cache_stats = {}
-        self.robustness_stats = {}
-        self.corpus_stats = {}
-        self.transport_stats = {}
+    def start(self, report: Dict[str, object]) -> None:
+        """Begin tracking the grid that ``report`` accounts for."""
+        self.report = report
         self._started_at = self._clock()
         if self._sink is not None:
-            restored = (f" ({restored_trials} restored from checkpoint)"
-                        if restored_trials else "")
-            self._sink(f"grid: {total_trials} trials on {backend}{restored}")
+            restored = (f" ({self.restored_trials} restored from checkpoint)"
+                        if self.restored_trials else "")
+            self._sink(f"grid: {self.total_trials} trials on "
+                       f"{report.get('backend', 'serial')}{restored}")
 
-    def restore_completed(self, restored_trials: int) -> None:
-        """Credit journal-restored trials and rebase the throughput clock.
+    def restore_completed(self) -> None:
+        """Rebase the throughput clock once the journal restore is done.
 
         The engine calls :meth:`start` before loading the checkpoint
         journal (so the grid banner is emitted even when the restore or
-        its salvage pass is slow) and this method once the restore is
-        done.  Rebasing ``_started_at`` here is the whole point:
-        :meth:`eta_seconds` divides elapsed wall-clock by the trials
-        *run* since restore, so elapsed must not include restore time --
-        a large resume used to inflate the first ETAs by exactly the
-        journal-load duration.
+        its salvage pass is slow) and this method once the report counts
+        the restored trials.  Rebasing ``_started_at`` here is the whole
+        point: :meth:`eta_seconds` divides elapsed wall-clock by the
+        trials *run* since restore, so elapsed must not include restore
+        time -- a large resume used to inflate the first ETAs by exactly
+        the journal-load duration.
         """
-        if restored_trials < 0:
-            raise ValueError("restored_trials must be non-negative")
-        if restored_trials > self.total_trials:
-            raise ValueError("restored_trials cannot exceed total_trials")
-        self.completed_trials = restored_trials
-        self.restored_trials = restored_trials
         self._started_at = self._clock()
-        if self._sink is not None and restored_trials:
-            self._sink(f"grid: {restored_trials}/{self.total_trials} trials "
-                       f"restored from checkpoint")
+        if self._sink is not None and self.restored_trials:
+            self._sink(f"grid: {self.restored_trials}/{self.total_trials} "
+                       f"trials restored from checkpoint")
 
     def trial_completed(self, label: str = "",
                         metadata: Optional[Dict[str, object]] = None) -> None:
-        """Record one finished trial.
+        """Render the status line of one finished trial.
 
+        The engine has already counted the trial in the report.
         ``metadata`` is the result's metadata, passed on for subclasses;
         the monitor itself reads none of it.
         """
-        self.completed_trials += 1
         if self._sink is not None:
             self._sink(self.render(label))
 
-    def update_cache_stats(self, stats: Dict[str, int]) -> None:
-        """Replace the worker-side cache deltas (the engine passes the
-        backend's running per-grid totals, so this is a snapshot, not an
-        increment)."""
-        self.worker_cache_stats = dict(stats)
+    def finish(self) -> None:
+        """Emit closing summary lines for corpus, transport and recovery.
 
-    def update_robustness_stats(self, stats: Dict[str, int]) -> None:
-        """Merge self-healing counters (snapshot semantics per key).
-
-        The engine feeds two sources with disjoint keys -- the journal
-        salvage tally (once, at load) and the backend's running recovery
-        totals (every completion) -- so each key is replaced, not summed.
-        """
-        for name, value in stats.items():
-            if value:
-                self.robustness_stats[name] = value
-
-    def update_corpus_stats(self, stats: Dict[str, int]) -> None:
-        """Replace the corpus feedback-loop snapshot (engine-fed, corpus-on)."""
-        self.corpus_stats = dict(stats)
-
-    def update_transport_stats(self, stats: Dict[str, object]) -> None:
-        """Replace the supervised-transport snapshot (engine-fed)."""
-        self.transport_stats = dict(stats)
-
-    def finish(self, report: Optional[Dict[str, object]] = None) -> None:
-        """Emit closing summary lines for recovery and corpus state.
-
-        Quiet on a clean corpus-off run; a run that requeued, retried,
-        dead-lettered or salvaged anything gets one closing line so the
-        damage is visible even if the per-trial status lines scrolled
-        away, and a corpus-enabled run always gets one line naming the
-        final global map size and seed count.  ``report`` is the engine's
-        ``last_run_report`` (used to name the dead-lettered trial count).
+        Quiet on a clean corpus-off run without transport accounting; a
+        run that requeued, retried, dead-lettered, salvaged or lost
+        anything gets one ``grid recovery:`` line so the damage is
+        visible even if the per-trial status lines scrolled away, a
+        corpus-enabled grid always gets one line naming the final global
+        map size and seed count, and a supervised or telemetry-streaming
+        run one ``transport:`` line.
         """
         if self._sink is None:
             return
-        if self.corpus_stats:
-            self._sink(f"corpus: {self.corpus_stats.get('global_points', 0)} "
+        corpus = self.report.get("corpus")
+        if corpus:
+            self._sink(f"corpus: {corpus.get('global_points', 0)} "
                        f"points in global map, "
-                       f"{self.corpus_stats.get('entries', 0)} seeds stored")
-        if self.transport_stats:
-            self._sink("transport: " + self._transport_line())
-        quarantined = int((report or {}).get("quarantined_trials", 0) or 0)
-        if not self.robustness_stats and not quarantined:
+                       f"{corpus.get('entries', 0)} seeds stored")
+        transport = self.report.get("transport")
+        if transport:
+            self._sink("transport: " + self._transport_line(transport))
+        recovery = self._recovery()
+        quarantined = int(self.report.get("quarantined_trials", 0) or 0)
+        if not recovery and not quarantined:
             return
         parts = [f"{name.replace('_', ' ')} {value}"
-                 for name, value in sorted(self.robustness_stats.items())]
+                 for name, value in sorted(recovery.items())]
         if quarantined:
             parts.append(f"{quarantined} trial(s) lost to deadletter/")
         self._sink("grid recovery: " + " | ".join(parts))
 
-    def _transport_line(self) -> str:
+    def _recovery(self) -> Dict[str, int]:
+        """The run's nonzero self-healing counters: the backend's, plus
+        ``journal_dropped`` for records the journal salvage pass dropped."""
+        counters = {name: value
+                    for name, value in self.report.get("robustness", {}).items()
+                    if value}
+        dropped = self.report.get("journal_salvage", {}).get("dropped")
+        if dropped:
+            counters["journal_dropped"] = dropped
+        return counters
+
+    @staticmethod
+    def _transport_line(stats: Dict[str, object]) -> str:
         """The closing transport summary: worker fleet, then telemetry.
 
         Always names the restart and degraded-host counts -- the chaos
@@ -226,7 +186,6 @@ class ProgressMonitor:
         happened -- and appends telemetry delivery accounting when a sink
         was configured.
         """
-        stats = self.transport_stats
         parts = []
         if "hosts" in stats:
             parts.append(f"{stats.get('spawned', 0)} workers on "
@@ -247,6 +206,19 @@ class ProgressMonitor:
 
     # ------------------------------------------------------------------ queries
     @property
+    def total_trials(self) -> int:
+        return self.report.get("total_trials", 0)
+
+    @property
+    def restored_trials(self) -> int:
+        return self.report.get("restored_trials", 0)
+
+    @property
+    def completed_trials(self) -> int:
+        """Trials with a result, restored ones included."""
+        return self.report.get("completed_trials", 0)
+
+    @property
     def remaining_trials(self) -> int:
         return max(0, self.total_trials - self.completed_trials)
 
@@ -264,16 +236,18 @@ class ProgressMonitor:
 
     def dut_cache_hit_rate(self) -> Optional[float]:
         """Worker DUT-run cache hit rate this grid (or ``None`` before traffic)."""
-        hits = self.worker_cache_stats.get("dut_cache_hits", 0)
-        total = hits + self.worker_cache_stats.get("dut_cache_misses", 0)
+        cache = self.report.get("cache", {})
+        hits = cache.get("dut_cache_hits", 0)
+        total = hits + cache.get("dut_cache_misses", 0)
         return hits / total if total else None
 
     def cache_evictions(self) -> int:
         """LRU spills in the worker caches this grid (capacity pressure
         signal): DUT runs, golden runs, compiled programs and superblocks."""
-        return sum(self.worker_cache_stats.get(f"{cache}_evictions", 0)
-                   for cache in ("dut_cache", "shared_golden", "compiled_trace",
-                                 "superblock"))
+        cache = self.report.get("cache", {})
+        return sum(cache.get(f"{name}_evictions", 0)
+                   for name in ("dut_cache", "shared_golden", "compiled_trace",
+                                "superblock"))
 
     def render(self, label: str = "") -> str:
         """One status line: ``trials 3/12 | eta 41s | dut-cache 87% hit``."""
@@ -287,14 +261,16 @@ class ProgressMonitor:
         evictions = self.cache_evictions()
         if evictions:
             parts.append(f"{evictions} evicted")
+        recovery = self._recovery()
         for counter in ("requeued", "retried", "deadlettered",
                         "journal_dropped"):
-            value = self.robustness_stats.get(counter)
+            value = recovery.get(counter)
             if value:
                 parts.append(f"{counter.replace('_', '-')} {value}")
-        if self.corpus_stats:
-            parts.append(f"corpus {self.corpus_stats.get('global_points', 0)}pts"
-                         f"/{self.corpus_stats.get('entries', 0)} seeds")
+        corpus = self.report.get("corpus")
+        if corpus:
+            parts.append(f"corpus {corpus.get('global_points', 0)}pts"
+                         f"/{corpus.get('entries', 0)} seeds")
         if label:
             parts.append(label)
         return " | ".join(parts)

@@ -36,7 +36,7 @@ from repro.exec.cache import (
 )
 from repro.exec.checkpoint import CheckpointJournal
 from repro.exec.distributed import DistributedBackend, run_worker
-from repro.exec.engine import CampaignEngine, grid_summary, run_grid
+from repro.exec.engine import CampaignEngine
 from repro.exec.faults import Backoff, FaultInjector, FaultPlan, FaultRule
 from repro.exec.queue import DEFAULT_MAX_ATTEMPTS, LeaseLostError, SpoolQueue
 from repro.exec.transport import (
@@ -70,10 +70,8 @@ __all__ = [
     "WorkerSupervisor",
     "configure_process_caches",
     "execute_batch",
-    "grid_summary",
     "plan_batches",
     "process_dut_cache",
     "process_golden_cache",
-    "run_grid",
     "run_worker",
 ]

@@ -52,11 +52,12 @@ class ExecutionBackend(abc.ABC):
         batch_size: max tasks per :class:`TrialBatch` (``None`` = one batch
             per cache-locality group, however large).
         cache_entries: process-cache capacity applied inside workers before
-            each batch (``None`` keeps the worker default); set by the
-            engine's ``cache_entries`` knob.
+            each batch (``None`` keeps the worker default); the engine
+            sets it for the length of a run from its ``cache_entries``
+            knob.
         cache_stats: cache-traffic deltas summed over the batches of the
             most recent :meth:`run`, live while the run streams (the
-            engine feeds these to the progress monitor).
+            engine copies them into its run report).
         robustness_stats: self-healing counters of the most recent
             :meth:`run` (requeues, retries, dead-lettered batches) --
             populated by backends with failure recovery (currently the
@@ -83,14 +84,11 @@ class ExecutionBackend(abc.ABC):
             through it.  ``None`` -- the default -- costs nothing.
     """
 
-    def __init__(self, batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-                 cache_entries: Optional[int] = None) -> None:
+    def __init__(self, batch_size: Optional[int] = DEFAULT_BATCH_SIZE) -> None:
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1 or None")
-        if cache_entries is not None and cache_entries < 1:
-            raise ValueError("cache_entries must be >= 1 or None")
         self.batch_size = batch_size
-        self.cache_entries = cache_entries
+        self.cache_entries: Optional[int] = None
         self.cache_stats: Dict[str, int] = {}
         self.robustness_stats: Dict[str, int] = {}
         self.quarantined: list = []
@@ -204,9 +202,8 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(self, workers: int,
                  max_tasks_per_child: Optional[int] = None,
                  start_method: Optional[str] = None,
-                 batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-                 cache_entries: Optional[int] = None) -> None:
-        super().__init__(batch_size=batch_size, cache_entries=cache_entries)
+                 batch_size: Optional[int] = DEFAULT_BATCH_SIZE) -> None:
+        super().__init__(batch_size=batch_size)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_tasks_per_child is not None and max_tasks_per_child < 1:

@@ -118,10 +118,9 @@ class DistributedBackend(ExecutionBackend):
         stop_workers_on_exit: bool = False,
         max_wait_seconds: Optional[float] = None,
         batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-        cache_entries: Optional[int] = None,
         supervisor=None,
     ) -> None:
-        super().__init__(batch_size=batch_size, cache_entries=cache_entries)
+        super().__init__(batch_size=batch_size)
         if poll_interval <= 0:
             raise ValueError("poll_interval must be > 0")
         if lease_timeout <= 0:

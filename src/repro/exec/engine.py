@@ -6,13 +6,15 @@
 
 * expands the grid into (spec, trial) tasks,
 * drops tasks already completed in the checkpoint journal (resume) or in
-  an earlier grid run through the same engine (in-memory reuse),
+  an earlier grid run through the same engine (in-memory replay),
 * shards the remainder across the configured backend (which batches
   cache-compatible tasks and applies the engine's ``cache_entries`` bound
   inside every worker),
 * journals each result the moment it arrives (kill-safe), and
-* feeds a :class:`~repro.core.monitor.ProgressMonitor` throughout,
-  including the workers' cache-traffic deltas.
+* keeps one account of the run, ``last_run_report``, updated in place
+  as trials land: the :class:`~repro.core.monitor.ProgressMonitor`
+  renders every line from it and the telemetry stream's ``run_finish``
+  event carries it (schema in ``docs/service.md``).
 
 Determinism contract: trial ``i`` of a spec seeds itself from the spec
 content alone (:func:`~repro.harness.campaign.trial_seed`), so the engine
@@ -23,7 +25,7 @@ trials complete -- the property ``tests/exec/test_backends.py`` enforces.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.monitor import ProgressMonitor
 from repro.exec.backends import ExecutionBackend, SerialBackend, TrialTask
@@ -38,6 +40,12 @@ if TYPE_CHECKING:
 class CampaignEngine:
     """Executes campaign grids on a pluggable backend with checkpoint/resume.
 
+    (spec, trial) cells completed by an earlier :meth:`run_grid` call on
+    this engine are replayed from memory instead of re-run -- trials are
+    deterministic, so a re-run would be bit-identical anyway.  ``mabfuzz
+    report`` runs the Table I grid and the coverage grid through one
+    engine and overlaps on every shared cell.
+
     Attributes:
         backend: trial executor (defaults to :class:`SerialBackend`).
         checkpoint_path: JSONL journal path; ``None`` disables journaling.
@@ -45,21 +53,15 @@ class CampaignEngine:
         cache_entries: capacity bound applied to every per-process cache
             inside every worker -- golden runs, DUT runs, compiled
             programs and the superblock table (``None`` keeps the
-            backend's default, currently 4096).  Capacity never changes
-            results: no cache counter enters result metadata, and the
-            workers' cache traffic reaches the monitor out of band (see
-            ``docs/parallel.md``).
-        reuse_results: serve (spec, trial) cells already completed by an
-            earlier ``run_grid`` call on this engine from memory instead
-            of re-running them -- trials are deterministic, so the replay
-            would be bit-identical anyway.  ``mabfuzz report`` runs the
-            Table I grid and the coverage grid through one engine and
-            overlaps on every shared cell.
+            default, currently 4096).  Capacity never changes results:
+            no cache counter enters result metadata, and the workers'
+            cache traffic reaches ``last_run_report["cache"]`` out of
+            band (see ``docs/parallel.md``).
         telemetry: optional :class:`~repro.telemetry.sink.TelemetrySink`
             receiving the campaign's NDJSON event stream (per-trial
-            coverage/bug/cache data, recovery deltas, worker lifecycle;
-            schema in ``docs/service.md``).  Purely observational: the
-            engine wraps it in a never-raising
+            coverage/bug data, recovery deltas, worker lifecycle and the
+            closing report; schema in ``docs/service.md``).  Purely
+            observational: the engine wraps it in a never-raising
             :class:`~repro.telemetry.sink.TelemetryRecorder`, so a dead
             sink can degrade the stream but never the campaign.
     """
@@ -68,7 +70,6 @@ class CampaignEngine:
                  checkpoint_path: Optional[str] = None,
                  monitor: Optional[ProgressMonitor] = None,
                  cache_entries: Optional[int] = None,
-                 reuse_results: bool = True,
                  telemetry: Optional["TelemetrySink"] = None) -> None:
         # Local import: repro.telemetry imports repro.exec.faults, so a
         # module-level import here would cycle when telemetry loads first.
@@ -80,7 +81,6 @@ class CampaignEngine:
         if cache_entries is not None and cache_entries < 1:
             raise ValueError("cache_entries must be >= 1 or None")
         self.cache_entries = cache_entries
-        self.reuse_results = reuse_results
         self.telemetry = TelemetryRecorder(telemetry)
         self._completed: Dict[TrialKey, Dict[str, object]] = {}
         #: dispatcher-side corpus state (:class:`~repro.fuzzing.corpus.
@@ -88,10 +88,13 @@ class CampaignEngine:
         #: engine, or ``None`` until a corpus-enabled grid runs.  Seeded
         #: from the checkpoint journal's corpus deltas on resume.
         self.corpus_state = None
-        #: robustness report of the most recent :meth:`run_grid`: journal
-        #: salvage tally, backend self-healing counters, and the trials
-        #: quarantined in ``deadletter/`` (graceful degradation leaves
-        #: them as holes in the returned :class:`TrialSet`s).
+        #: the account of the current (or most recent) :meth:`run_grid`:
+        #: built when the grid starts and updated in place as trials
+        #: land -- trial counts, the workers' cache traffic, self-healing
+        #: counters, the journal salvage tally, corpus state, the trials
+        #: quarantined in ``deadletter/`` (holes in the returned
+        #: :class:`TrialSet`s) and transport accounting.  Keys and when
+        #: each is present: ``docs/service.md``.
         self.last_run_report: Dict[str, object] = {}
 
     def run_grid(self, specs: Sequence[CampaignSpec]) -> List[TrialSet]:
@@ -113,21 +116,31 @@ class CampaignEngine:
         # not leak into the monitor's observed throughput (the monitor
         # rebases its clock in ``restore_completed`` below).
         total = sum(spec.trials for spec in specs)
-        self.monitor.start(total_trials=total,
-                           backend=self.backend.describe())
+        report: Dict[str, object] = {
+            "backend": self.backend.describe(),
+            "total_trials": total, "restored_trials": 0, "completed_trials": 0,
+            "cache": {}, "robustness": {}, "journal_salvage": {},
+            "quarantined": [], "quarantined_trials": 0,
+        }
+        self.last_run_report = report
+        self.monitor.start(report)
         self.telemetry.record("run_start", specs=len(specs), trials=total,
-                              backend=self.backend.describe())
+                              backend=report["backend"])
 
         journal = (CheckpointJournal(self.checkpoint_path)
                    if self.checkpoint_path else None)
         restored = 0
         journaled = journal.load() if journal is not None else {}
-        salvage = dict(journal.last_load_stats) if journal is not None else {}
+        if journal is not None:
+            # Corrupt records were salvaged around and their trials simply
+            # re-run below; the report surfaces the damage rather than
+            # hiding a partially trusted checkpoint.
+            report["journal_salvage"] = dict(journal.last_load_stats)
         for spec_index, spec in enumerate(specs):
             for trial in range(spec.trials):
                 key = (fingerprints[spec_index], trial)
                 result = journaled.get(key)
-                if result is None and self.reuse_results:
+                if result is None:
                     payload = self._completed.get(key)
                     if payload is not None:
                         result = FuzzCampaignResult.from_dict(payload)
@@ -149,18 +162,15 @@ class CampaignEngine:
                 # Resume path: replay the journaled feedback loop (merges
                 # are idempotent, so re-running a resumed grid is safe).
                 self.corpus_state.merge_payload(delta)
+        if corpus_active:
+            report["corpus"] = self.corpus_state.stats()
 
         tasks = [TrialTask(spec_index, trial, spec)
                  for spec_index, spec in enumerate(specs)
                  for trial in range(spec.trials)
                  if grids[spec_index][trial] is None]
-        self.monitor.restore_completed(restored)
-        if salvage.get("dropped"):
-            # Corrupt journal records were salvaged around; their trials
-            # simply re-run below.  Surface the damage rather than hiding
-            # a partially trusted checkpoint.
-            self.monitor.update_robustness_stats(
-                {"journal_dropped": salvage["dropped"]})
+        report["restored_trials"] = report["completed_trials"] = restored
+        self.monitor.restore_completed()
 
         # The knob is scoped to this run: a backend shared between engines
         # must not inherit another engine's bound.
@@ -187,15 +197,12 @@ class CampaignEngine:
             for task, payload in self.backend.run(tasks):
                 result = FuzzCampaignResult.from_dict(payload)
                 grids[task.spec_index][task.trial_index] = result
-                key = (fingerprints[task.spec_index], task.trial_index)
-                if self.reuse_results:
-                    self._completed[key] = payload
+                self._completed[(fingerprints[task.spec_index],
+                                 task.trial_index)] = payload
                 if journal is not None:
                     journal.record_trial(task.spec, task.trial_index, payload)
-                self.monitor.update_cache_stats(self.backend.cache_stats)
-                self.monitor.update_robustness_stats(self.backend.robustness_stats)
-                if self.corpus_state is not None:
-                    self.monitor.update_corpus_stats(self.corpus_state.stats())
+                report["completed_trials"] += 1
+                self._refresh(report)
                 self.monitor.trial_completed(
                     label=f"{task.spec.describe()} trial {task.trial_index}",
                     metadata=result.metadata)
@@ -208,6 +215,7 @@ class CampaignEngine:
             if journal is not None:
                 journal.close()
 
+        self._refresh(report)
         quarantined = []
         for entry in getattr(self.backend, "quarantined", []):
             trials = [{"spec": fingerprints[spec_index],
@@ -220,46 +228,39 @@ class CampaignEngine:
                                 "reason": entry.get("reason"),
                                 "attempts": entry.get("attempts"),
                                 "trials": trials})
-        self.last_run_report = {
-            "backend": self.backend.describe(),
-            "robustness": dict(self.backend.robustness_stats),
-            "journal_salvage": salvage,
-            "quarantined": quarantined,
-            "quarantined_trials": sum(len(q["trials"]) for q in quarantined),
-        }
-        if self.corpus_state is not None:
-            self.last_run_report["corpus"] = self.corpus_state.stats()
-            self.monitor.update_corpus_stats(self.corpus_state.stats())
+        report["quarantined"] = quarantined
+        report["quarantined_trials"] = sum(len(q["trials"]) for q in quarantined)
         # The transport section exists whenever there is something to
         # account for: a worker supervisor (the backend exposes its stats
-        # as ``transport_stats``) and/or a telemetry stream.  The recorder
-        # is closed -- final drain, remainder spilled -- *before* its
-        # stats are read, so spill accounting is complete.
+        # as ``transport_stats``) and/or a telemetry stream.  ``run_finish``
+        # carries the report as it stands; the recorder is then closed --
+        # final drain, remainder spilled -- *before* its stats are read,
+        # so spill accounting is complete.
         supervisor_stats = getattr(self.backend, "transport_stats", None)
         if supervisor_stats is not None or self.telemetry.enabled:
-            transport: Dict[str, object] = dict(supervisor_stats or {})
-            self.telemetry.record(
-                "run_finish",
-                trials=sum(1 for grid in grids for r in grid if r is not None),
-                quarantined=self.last_run_report["quarantined_trials"],
-                transport=dict(transport))
-            self.telemetry.close()
-            if self.telemetry.enabled:
-                transport["telemetry"] = self.telemetry.stats()
-            self.last_run_report["transport"] = transport
-            self.monitor.update_transport_stats(transport)
-        self.monitor.update_robustness_stats(self.backend.robustness_stats)
-        self.monitor.finish(self.last_run_report)
+            report["transport"] = dict(supervisor_stats or {})
+        self.telemetry.record("run_finish", **report)
+        self.telemetry.close()
+        if self.telemetry.enabled:
+            report["transport"]["telemetry"] = self.telemetry.stats()
+        self.monitor.finish()
 
-        if self.reuse_results:
-            for spec_index, fingerprint in enumerate(fingerprints):
-                for trial, result in enumerate(grids[spec_index]):
-                    key = (fingerprint, trial)
-                    if result is not None and key not in self._completed:
-                        self._completed[key] = result.to_dict()
+        for spec_index, fingerprint in enumerate(fingerprints):
+            for trial, result in enumerate(grids[spec_index]):
+                key = (fingerprint, trial)
+                if result is not None and key not in self._completed:
+                    self._completed[key] = result.to_dict()
 
         return [TrialSet(spec=spec, results=grids[spec_index])
                 for spec_index, spec in enumerate(specs)]
+
+    def _refresh(self, report: Dict[str, object]) -> None:
+        """Copy the backend's running counters (and, on a corpus grid, the
+        corpus map's) into ``report``."""
+        report["cache"] = dict(self.backend.cache_stats)
+        report["robustness"] = dict(self.backend.robustness_stats)
+        if "corpus" in report:
+            report["corpus"] = self.corpus_state.stats()
 
     def _record_trial_events(self, task: TrialTask,
                              result: FuzzCampaignResult,
@@ -282,34 +283,3 @@ class CampaignEngine:
         if delta:
             recovery_seen.update(self.backend.robustness_stats)
             self.telemetry.record("recovery", counters=delta)
-
-    def run_trials(self, spec: CampaignSpec) -> TrialSet:
-        """Single-spec convenience wrapper over :meth:`run_grid`."""
-        return self.run_grid([spec])[0]
-
-
-def run_grid(specs: Sequence[CampaignSpec],
-             backend: Optional[ExecutionBackend] = None,
-             checkpoint_path: Optional[str] = None,
-             monitor: Optional[ProgressMonitor] = None,
-             cache_entries: Optional[int] = None) -> List[TrialSet]:
-    """Functional one-shot form of :meth:`CampaignEngine.run_grid`."""
-    engine = CampaignEngine(backend=backend, checkpoint_path=checkpoint_path,
-                            monitor=monitor, cache_entries=cache_entries,
-                            reuse_results=False)  # one-shot: a memo would never be hit
-    return engine.run_grid(specs)
-
-
-def grid_summary(trialsets: Sequence[TrialSet]) -> Dict[str, object]:
-    """Aggregate statistics over a finished grid (used by the grid benchmarks)."""
-    completed: List[Tuple[TrialSet, FuzzCampaignResult]] = [
-        (ts, result) for ts in trialsets for result in ts.completed_results()]
-    return {
-        "specs": len(trialsets),
-        "trials_completed": len(completed),
-        "trials_expected": sum(ts.spec.trials for ts in trialsets),
-        "tests_executed": sum(r.num_tests for _, r in completed),
-        "total_elapsed_seconds": sum(r.elapsed_seconds for _, r in completed),
-        "bugs_detected": sorted({bug for _, r in completed
-                                 for bug in r.bug_detections}),
-    }

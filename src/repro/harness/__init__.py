@@ -1,6 +1,6 @@
 """Evaluation harness: campaigns, metrics and the paper's experiments."""
 
-from repro.harness.campaign import CampaignSpec, TrialSet, run_campaign, run_trials
+from repro.harness.campaign import CampaignSpec, TrialSet, run_campaign
 from repro.harness.metrics import (
     coverage_increment_percent,
     coverage_speedup,
@@ -29,7 +29,6 @@ __all__ = [
     "CampaignSpec",
     "TrialSet",
     "run_campaign",
-    "run_trials",
     "coverage_increment_percent",
     "coverage_speedup",
     "detection_speedup",

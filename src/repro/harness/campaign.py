@@ -4,10 +4,12 @@ The paper runs every configuration at least three times to reduce the
 effect of randomness (Sec. IV-A); :class:`TrialSet` is the container for
 such repeated campaigns and the unit the metrics module aggregates over.
 
-Trials are independent, so :func:`run_trials` can hand them to an
-execution backend from :mod:`repro.exec` (serial or multi-process); the
-per-trial seeds are derived purely from the spec content, which is what
-makes trial ``i`` bit-reproducible regardless of which worker runs it.
+:func:`run_campaign` runs one trial.  A grid of specs runs through
+:meth:`repro.exec.engine.CampaignEngine.run_grid`, which hands the
+independent trials to an execution backend (serial, multi-process or
+distributed); the per-trial seeds are derived purely from the spec
+content, which is what makes trial ``i`` bit-reproducible regardless of
+which worker runs it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro.api import make_fuzzer, make_processor
+from repro.api import fuzzer_family, make_fuzzer, make_processor
 from repro.core.config import MABFuzzConfig
 from repro.coverage.csr_transitions import COVERAGE_MODELS
 from repro.fuzzing.base import FuzzerConfig
@@ -27,9 +29,10 @@ from repro.fuzzing.results import FuzzCampaignResult
 from repro.isa.encoding import InstrClass
 from repro.isa.generator import GeneratorConfig
 from repro.isa.program import program_id_scope
+from repro.rtl.bugs import make_bug
+from repro.rtl.registry import dut_class
 
 if TYPE_CHECKING:  # avoid a cycle: repro.exec imports this module.
-    from repro.exec.backends import ExecutionBackend
     from repro.exec.cache import DutRunCache
 
 
@@ -129,20 +132,31 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignSpec":
-        """Rebuild a spec from :meth:`to_dict` output (fingerprint-stable)."""
+        """Rebuild a spec from :meth:`to_dict` output (fingerprint-stable).
+
+        Fields are checked, not coerced, and names are checked by the
+        rules the trial builds them with, so a malformed spec fails here
+        with a ``ValueError`` naming its field, not later in a worker.
+        """
         bugs = data.get("bugs")
-        return cls(
-            processor=str(data["processor"]),
-            fuzzer=str(data["fuzzer"]),
-            num_tests=_wire("num_tests", data["num_tests"], int),
-            trials=_wire("trials", data["trials"], int),
-            seed=_wire("seed", data["seed"], int),
-            bugs=[str(bug) for bug in bugs] if bugs is not None else None,
-            fuzzer_config=_fuzzer_config_from_dict(data.get("fuzzer_config")),
-            mab_config=_mab_config_from_dict(data.get("mab_config")),
-            # Absent in payloads written before the trap/CSR subsystem.
-            coverage_model=str(data.get("coverage_model", "base")),
-        )
+        if bugs is not None and not isinstance(bugs, list):
+            raise ValueError(f"bugs must be a list, got {bugs!r}")
+        try:
+            return cls(
+                processor=_wire_name("processor", data["processor"], dut_class),
+                fuzzer=_wire_name("fuzzer", data["fuzzer"], fuzzer_family),
+                num_tests=_wire("num_tests", data["num_tests"], int),
+                trials=_wire("trials", data["trials"], int),
+                seed=_wire("seed", data["seed"], int),
+                bugs=([_wire_name("bugs", bug, make_bug) for bug in bugs]
+                      if bugs is not None else None),
+                fuzzer_config=_fuzzer_config_from_dict(data.get("fuzzer_config")),
+                mab_config=_mab_config_from_dict(data.get("mab_config")),
+                # Absent in payloads written before the trap/CSR subsystem.
+                coverage_model=str(data.get("coverage_model", "base")),
+            )
+        except KeyError as missing:
+            raise ValueError(f"wire field {missing.args[0]} is missing") from None
 
 
 def _canonical(obj: object) -> object:
@@ -189,6 +203,19 @@ def _wire(name: str, value: object, kind: type) -> object:
     return kind(value)
 
 
+def _wire_name(name: str, value: object, lookup: Callable[[str], object]) -> str:
+    """Wire field ``name``: a ``str`` that ``lookup`` -- the registry rule
+    the trial builds it with, raising ``KeyError`` -- accepts.  Returned
+    as sent, so fingerprints and trial seeds hold."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be str, got {value!r}")
+    try:
+        lookup(value)
+    except KeyError as error:
+        raise ValueError(f"{name}: {error.args[0]}") from None
+    return value
+
+
 def _wire_weights(name: str, value: object) -> Dict[str, float]:
     """Wire field ``name``, checked to be a ``str -> float`` map."""
     if not isinstance(value, dict):
@@ -201,13 +228,14 @@ def _generator_config_from_dict(data: Optional[Dict[str, object]]
                                 ) -> Optional[GeneratorConfig]:
     if data is None:
         return None
+    data = _wire("generator_config", data, dict)
     classes = InstrClass.__members__  # an unknown name stays a str: rejected
     return GeneratorConfig(
         min_instructions=_wire("min_instructions", data["min_instructions"], int),
         max_instructions=_wire("max_instructions", data["max_instructions"], int),
-        class_weights={classes.get(name, name): _wire(f"class_weights[{name}]",
-                                                      weight, float)
-                       for name, weight in data["class_weights"].items()},
+        class_weights={classes.get(name, name): weight for name, weight
+                       in _wire_weights("class_weights",
+                                        data["class_weights"]).items()},
         register_pool=tuple(data["register_pool"]),
         **{name: _wire(name, data[name], float)
            for name in ("wide_register_prob", "valid_memory_prob",
@@ -236,6 +264,7 @@ def _fuzzer_config_from_dict(data: Optional[Dict[str, object]]
                              ) -> Optional[FuzzerConfig]:
     if data is None:
         return None
+    data = _wire("fuzzer_config", data, dict)
     steps = data.get("max_program_steps")
     weights = data.get("mutation_weights")
     return FuzzerConfig(
@@ -273,6 +302,7 @@ def _mab_config_from_dict(data: Optional[Dict[str, object]]
                           ) -> Optional[MABFuzzConfig]:
     if data is None:
         return None
+    data = _wire("mab_config", data, dict)
     unknown = sorted(set(data) - set(_MAB_FIELDS))
     if unknown:
         raise ValueError(f"unknown mab_config fields: {', '.join(unknown)}")
@@ -413,22 +443,3 @@ def run_campaign(spec: CampaignSpec, trial_index: int = 0,
             corpus_sink(fuzzer.corpus.to_payload())
         return result
 
-
-def run_trials(spec: CampaignSpec,
-               backend: Optional["ExecutionBackend"] = None,
-               checkpoint: Optional[str] = None) -> TrialSet:
-    """Run every trial of ``spec`` and collect the results.
-
-    With the default arguments this runs serially in-process exactly as it
-    always did.  Passing ``backend`` shards the trials across it (e.g.
-    ``ProcessPoolBackend(workers=4)``), and ``checkpoint`` names a JSONL
-    journal so an interrupted run resumes from completed trials -- see
-    ``docs/parallel.md``.
-    """
-    if backend is None and checkpoint is None:
-        results = [run_campaign(spec, trial) for trial in range(spec.trials)]
-        return TrialSet(spec=spec, results=results)
-    from repro.exec.engine import CampaignEngine  # local import: cycle
-
-    engine = CampaignEngine(backend=backend, checkpoint_path=checkpoint)
-    return engine.run_grid([spec])[0]

@@ -23,6 +23,15 @@ def available_duts() -> Tuple[str, ...]:
     return tuple(sorted(_DUT_CLASSES))
 
 
+def dut_class(name: str) -> Type[DutModel]:
+    """The model class of a DUT name, in any letter case; ``KeyError``
+    for an unknown one."""
+    key = name.lower()
+    if key not in _DUT_CLASSES:
+        raise KeyError(f"unknown DUT {name!r}; available: {available_duts()}")
+    return _DUT_CLASSES[key]
+
+
 def make_dut(name: str,
              config: Optional[DutConfig] = None,
              bugs: Union[Sequence[Union[str, InjectedBug]], None] = None,
@@ -35,9 +44,6 @@ def make_dut(name: str,
     ``coverage_model="csr"`` additionally tracks CSR value-class
     transitions (see :mod:`repro.coverage.csr_transitions`).
     """
-    key = name.lower()
-    if key not in _DUT_CLASSES:
-        raise KeyError(f"unknown DUT {name!r}; available: {available_duts()}")
-    return _DUT_CLASSES[key](config=config, bugs=bugs,
-                             executor_config=executor_config,
-                             coverage_model=coverage_model)
+    return dut_class(name)(config=config, bugs=bugs,
+                           executor_config=executor_config,
+                           coverage_model=coverage_model)

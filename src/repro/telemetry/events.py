@@ -22,7 +22,10 @@ kind                 payload fields
 ``worker_exit``      ``host``, ``worker_id``, ``returncode``
 ``worker_restart``   ``host``, ``worker_id``, ``generation``
 ``host_degraded``    ``host``, ``restarts``, ``window``
-``run_finish``       ``trials``, ``quarantined``, ``transport``
+``run_finish``       the engine's run report as the grid ends -- every key
+                     of ``CampaignEngine.last_run_report`` but
+                     ``transport["telemetry"]``, read after the recorder
+                     closes (schema in ``docs/service.md``)
 ===================  ========================================================
 
 The worked example in ``docs/service.md`` shows a full stream.

@@ -8,7 +8,7 @@ from repro.exec.backends import (
     TrialTask,
 )
 from repro.exec.batching import TrialBatch, execute_batch
-from repro.exec.engine import run_grid
+from repro.exec.engine import CampaignEngine
 from repro.fuzzing.base import FuzzerConfig
 from repro.harness.campaign import CampaignSpec
 
@@ -27,6 +27,12 @@ def _grid():
 
 def _canonical(trialsets):
     return [[r.canonical_dict() for r in ts.results] for ts in trialsets]
+
+
+def _run(specs, backend, cache_entries=None):
+    """The grid through a fresh engine (no replay from an earlier grid)."""
+    return CampaignEngine(backend=backend,
+                          cache_entries=cache_entries).run_grid(specs)
 
 
 class TestBackendValidation:
@@ -94,39 +100,38 @@ class TestSerialVsParallelDeterminism:
 
     def test_process_pool_matches_serial_bit_for_bit(self):
         specs = _grid()
-        serial = run_grid(specs, backend=SerialBackend())
-        parallel = run_grid(specs, backend=ProcessPoolBackend(workers=4))
+        serial = _run(specs, SerialBackend())
+        parallel = _run(specs, ProcessPoolBackend(workers=4))
         assert _canonical(parallel) == _canonical(serial)
 
     def test_worker_recycling_preserves_determinism(self):
         specs = _grid()[:1]
-        serial = run_grid(specs, backend=SerialBackend())
-        recycled = run_grid(specs, backend=ProcessPoolBackend(
+        serial = _run(specs, SerialBackend())
+        recycled = _run(specs, ProcessPoolBackend(
             workers=2, max_tasks_per_child=1))
         assert _canonical(recycled) == _canonical(serial)
 
     def test_serial_rerun_is_reproducible(self):
         specs = _grid()[:1]
-        first = run_grid(specs, backend=SerialBackend())
-        second = run_grid(specs, backend=SerialBackend())
+        first = _run(specs, SerialBackend())
+        second = _run(specs, SerialBackend())
         assert _canonical(first) == _canonical(second)
 
     def test_batch_shape_cannot_change_results(self):
         # One trial per batch, unbounded batches and the default grouping
         # must all be bit-identical: batching is pure scheduling.
         specs = _grid()
-        reference = run_grid(specs, backend=SerialBackend())
+        reference = _run(specs, SerialBackend())
         for batch_size in (1, None):
-            shaped = run_grid(specs,
-                              backend=SerialBackend(batch_size=batch_size))
+            shaped = _run(specs, SerialBackend(batch_size=batch_size))
             assert _canonical(shaped) == _canonical(reference)
 
     def test_tiny_cache_capacity_cannot_change_results(self):
         # cache_entries=1 forces constant LRU spill in the process caches;
         # results (including the metadata counters) must not move.
         specs = _grid()
-        reference = run_grid(specs, backend=SerialBackend())
-        starved = run_grid(specs, backend=SerialBackend(), cache_entries=1)
+        reference = _run(specs, SerialBackend())
+        starved = _run(specs, SerialBackend(), cache_entries=1)
         assert _canonical(starved) == _canonical(reference)
 
 
@@ -144,10 +149,6 @@ class TestBackendBatching:
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError):
             SerialBackend(batch_size=0)
-
-    def test_invalid_cache_entries_rejected(self):
-        with pytest.raises(ValueError):
-            SerialBackend(cache_entries=0)
 
     def test_empty_task_list_is_a_noop(self):
         backend = SerialBackend()

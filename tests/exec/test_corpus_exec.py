@@ -22,14 +22,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.api import make_fuzzer, make_processor
 from repro.exec import CampaignEngine, DistributedBackend, SerialBackend, SpoolQueue
 from repro.exec.checkpoint import CheckpointJournal
 from repro.fuzzing.base import FuzzerConfig
 from repro.fuzzing.corpus import CorpusManager
-from repro.harness.campaign import CampaignSpec, run_campaign, trial_seed
+from repro.harness.campaign import CampaignSpec, trial_seed
 from repro.isa.program import program_id_scope
 
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
@@ -127,8 +125,7 @@ class TestResume:
         journal_path = str(tmp_path / "grid.jsonl")
         spec = _spec()
         engine = CampaignEngine(backend=SerialBackend(),
-                                checkpoint_path=journal_path,
-                                reuse_results=False)
+                                checkpoint_path=journal_path)
         original = engine.run_grid([spec])
 
         journal = CheckpointJournal(journal_path)
@@ -136,8 +133,7 @@ class TestResume:
         assert journal.last_corpus_deltas, "corpus deltas must be journaled"
 
         resumed_engine = CampaignEngine(backend=SerialBackend(),
-                                        checkpoint_path=journal_path,
-                                        reuse_results=False)
+                                        checkpoint_path=journal_path)
         resumed = resumed_engine.run_grid([spec])
         assert _canonical(resumed) == _canonical(original)
         assert resumed_engine.monitor.restored_trials == spec.trials
@@ -155,8 +151,7 @@ class TestResume:
         journal_path = str(tmp_path / "grid.jsonl")
         specs = [_spec(seed=17), _spec(seed=23)]
         engine = CampaignEngine(backend=SerialBackend(batch_size=2),
-                                checkpoint_path=journal_path,
-                                reuse_results=False)
+                                checkpoint_path=journal_path)
         original = engine.run_grid(specs)
 
         second_fp = specs[1].fingerprint()
@@ -173,8 +168,7 @@ class TestResume:
         Path(journal_path).write_text("\n".join(kept) + "\n")
 
         resumed_engine = CampaignEngine(backend=SerialBackend(batch_size=2),
-                                        checkpoint_path=journal_path,
-                                        reuse_results=False)
+                                        checkpoint_path=journal_path)
         resumed = resumed_engine.run_grid(specs)
         assert _canonical(resumed) == _canonical(original)
         assert resumed_engine.monitor.restored_trials == specs[0].trials

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.monitor import ProgressMonitor
 from repro.exec.backends import SerialBackend
-from repro.exec.engine import CampaignEngine, grid_summary, run_grid
+from repro.exec.engine import CampaignEngine
 from repro.fuzzing.base import FuzzerConfig
 from repro.harness.campaign import CampaignSpec
 
@@ -33,10 +33,6 @@ class TestCampaignEngine:
             for trial, result in enumerate(trialset.results):
                 assert result.metadata["trial"] == trial
 
-    def test_run_trials_wrapper(self):
-        trialset = CampaignEngine().run_trials(_spec(trials=1))
-        assert trialset.num_trials == 1
-
     def test_monitor_sees_all_trials(self):
         lines = []
         monitor = ProgressMonitor(sink=lines.append)
@@ -45,6 +41,42 @@ class TestCampaignEngine:
         assert monitor.completed_trials == monitor.total_trials == 2
         assert len(lines) == 3  # start + one per trial
         assert "trials 2/2" in lines[-1]
+
+
+class TestRunReport:
+    def test_report_accounts_for_the_run(self):
+        backend = SerialBackend()
+        engine = CampaignEngine(backend=backend)
+        engine.run_grid([_spec(trials=2)])
+        report = engine.last_run_report
+        assert engine.monitor.report is report
+        assert report["backend"] == "serial"
+        assert (report["total_trials"], report["restored_trials"],
+                report["completed_trials"]) == (2, 0, 2)
+        assert report["cache"] == backend.cache_stats
+        assert (report["cache"]["dut_cache_hits"]
+                + report["cache"]["dut_cache_misses"]) == 16  # one per test
+        assert report["quarantined_trials"] == 0
+        assert "corpus" not in report and "transport" not in report
+
+    def test_corpus_state_is_reported_only_for_a_corpus_grid(self):
+        # One engine keeps its corpus map across grids, but a corpus-off
+        # grid run after a corpus-on one used no corpus: its lines and
+        # its report must not name one.
+        lines = []
+        engine = CampaignEngine(monitor=ProgressMonitor(sink=lines.append))
+        corpus_spec = CampaignSpec(
+            processor="rocket", fuzzer="mabfuzz:ucb", num_tests=8, trials=2,
+            seed=4, bugs=[], fuzzer_config=FuzzerConfig(
+                num_seeds=3, mutants_per_test=2, corpus=True))
+        engine.run_grid([corpus_spec])
+        assert engine.last_run_report["corpus"]["global_points"] > 0
+        assert any(line.startswith("corpus: ") for line in lines)
+        del lines[:]
+        engine.run_grid([_spec(trials=2)])
+        assert engine.corpus_state is not None  # kept for later grids
+        assert "corpus" not in engine.last_run_report
+        assert lines and not any("corpus" in line for line in lines)
 
 
 class TestResultReuse:
@@ -61,14 +93,6 @@ class TestResultReuse:
         assert sorted(backend.executed) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert ([r.canonical_dict() for r in second[0].results]
                 == [r.canonical_dict() for r in first[0].results])
-
-    def test_reuse_can_be_disabled(self):
-        backend = CountingBackend()
-        engine = CampaignEngine(backend=backend, reuse_results=False)
-        spec = _spec()
-        engine.run_grid([spec])
-        engine.run_grid([spec])
-        assert len(backend.executed) == 4  # everything re-ran
 
     def test_reused_results_are_journaled(self, tmp_path):
         # A grid resumed from engine memory must still leave a complete
@@ -110,17 +134,11 @@ class TestCacheEntriesKnob:
 
 class TestGridSummary:
     def test_summary_counts(self):
-        trialsets = run_grid([_spec(trials=2)])
-        summary = grid_summary(trialsets)
-        assert summary["specs"] == 1
-        assert summary["trials_completed"] == 2
-        assert summary["trials_expected"] == 2
-        assert summary["tests_executed"] == 16
-        assert summary["total_elapsed_seconds"] > 0
-
-    def test_summary_tolerates_partial_sets(self):
-        trialsets = run_grid([_spec(trials=2)])
-        trialsets[0].results[1] = None  # simulate a resume hole
-        summary = grid_summary(trialsets)
-        assert summary["trials_completed"] == 1
-        assert summary["trials_expected"] == 2
+        # A serial grid completes every trial it asks for, each running
+        # its whole test budget.
+        (trialset,) = CampaignEngine().run_grid([_spec(trials=2)])
+        assert trialset.is_complete and trialset.missing_trials() == []
+        results = trialset.completed_results()
+        assert len(results) == 2
+        assert sum(len(r.coverage_curve) for r in results) == 16
+        assert sum(r.elapsed_seconds for r in results) > 0

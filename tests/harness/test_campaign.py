@@ -4,19 +4,22 @@ import json
 
 import pytest
 
+from repro.exec.engine import CampaignEngine
 from repro.fuzzing.base import FuzzerConfig
 from repro.fuzzing.results import FuzzCampaignResult
 from repro.harness.campaign import (
     CampaignSpec,
     TrialSet,
     run_campaign,
-    run_trials,
     trial_seed,
 )
 
 
 SMALL = dict(num_tests=12, trials=2, seed=3,
              fuzzer_config=FuzzerConfig(num_seeds=3, mutants_per_test=2))
+
+#: a wire case that deletes its field instead of setting it.
+MISSING = "<missing>"
 
 
 class TestCampaignSpec:
@@ -81,7 +84,7 @@ class TestSpecWireFormat:
 
         return CampaignSpec(
             processor="rocket", fuzzer="mabfuzz:exp3", num_tests=40,
-            trials=2, seed=9, bugs=["V8", "V9"],
+            trials=2, seed=9, bugs=["V5", "V7"],
             fuzzer_config=FuzzerConfig(
                 num_seeds=4, mutants_per_test=3,
                 generator_config=GeneratorConfig(min_instructions=8,
@@ -142,12 +145,39 @@ class TestSpecWireFormat:
         ("mab_config", "eta", "0.1"), ("mab_config", "ucb_exploration", False),
         ("mab_config", "saturation_metric", 1), ("mab_config", "arm_pool_max", 8.0),
         ("mab_config", "reward_weights", {"csr": "2"}),
-        ("mab_config", "reward_weights", ["csr"]), ("mab_config", "bogus", 1)])
+        ("mab_config", "reward_weights", ["csr"]), ("mab_config", "bogus", 1),
+        (None, "processor", "bogus"), (None, "processor", 5),
+        (None, "fuzzer", "nope"), (None, "fuzzer", "mabfuzz:nope"),
+        (None, "fuzzer", "thehuzz:ucb"), (None, "bugs", ["V99"]),
+        (None, "bugs", "V7"), (None, "bugs", [7]),
+        ("fuzzer_config.generator_config", "class_weights", [1.0]),
+        ("fuzzer_config.generator_config", "class_weights", "ARITH"),
+        ("fuzzer_config.generator_config", "class_weights", 1),
+        ("fuzzer_config", "num_seeds", MISSING), (None, "processor", MISSING),
+        (None, "fuzzer_config", [1]), (None, "mab_config", 3),
+        ("fuzzer_config", "generator_config", "x")])
     def test_wire_fields_are_checked_not_coerced(self, section, name, value):
         data = self._full_spec().to_dict()
-        (data[section] if section else data)[name] = value
+        target = data
+        for key in section.split(".") if section else ():
+            target = target[key]
+        if value is MISSING:
+            del target[name]
+        else:
+            target[name] = value
         with pytest.raises(ValueError, match=name):
             CampaignSpec.from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("name, value", [
+        ("processor", "ROCKET"), ("fuzzer", "MABFuzz:UCB1"),
+        ("fuzzer", "mutation-bandit:epsilon-greedy"), ("fuzzer", "TheHuzz"),
+        ("bugs", ["v7"])])
+    def test_wire_names_are_accepted_as_the_trial_accepts_them(self, name, value):
+        # Any letter case and every bandit alias, checked but not
+        # rewritten: the spec keeps the name it was sent.
+        data = self._full_spec().to_dict()
+        data[name] = value
+        assert CampaignSpec.from_dict(data).to_dict() == data
 
     def test_numbers_in_float_fields_keep_their_value(self):
         data = self._full_spec().to_dict()
@@ -212,7 +242,7 @@ class TestRunCampaign:
 class TestRunTrials:
     def test_trialset_contents(self):
         spec = CampaignSpec(processor="rocket", fuzzer="thehuzz", bugs=[], **SMALL)
-        trialset = run_trials(spec)
+        (trialset,) = CampaignEngine().run_grid([spec])
         assert isinstance(trialset, TrialSet)
         assert trialset.num_trials == 2
         assert trialset.processor == "rocket"
@@ -224,7 +254,7 @@ class TestRunTrials:
         spec = CampaignSpec(processor="cva6", fuzzer="thehuzz", bugs=["V5"],
                             num_tests=40, trials=2, seed=1,
                             fuzzer_config=FuzzerConfig(num_seeds=4))
-        trialset = run_trials(spec)
+        (trialset,) = CampaignEngine().run_grid([spec])
         detections = trialset.detection_tests("V5")
         assert len(detections) == 2
         assert any(d is not None for d in detections)
