@@ -38,8 +38,9 @@ SRC_DIR = REPO_ROOT / "src"
 if str(SRC_DIR) not in sys.path:
     sys.path.insert(0, str(SRC_DIR))
 
-#: relative markdown link: ``[text](target)`` with an optional ``#anchor``.
-LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+?)(?:#[^)\s]*)?\)")
+#: relative markdown link: ``[text](target)`` with an optional ``#anchor``;
+#: the target is empty for a pure ``#anchor`` link.
+LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]*?)(?:#[^)\s]*)?\)")
 #: backticked dotted code reference rooted at the ``repro`` package.
 MODULE_RE = re.compile(r"`~?(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 #: backticked repo-relative file path.

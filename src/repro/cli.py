@@ -499,7 +499,7 @@ def _fault_plan(text: str) -> str:
     except OSError as exc:
         raise argparse.ArgumentTypeError(
             f"cannot load fault plan {text!r}: {exc.strerror}") from None
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"cannot load fault plan {text!r}: {exc}") from None
     return text
@@ -775,10 +775,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``mabfuzz`` console script."""
+    parser = build_parser()
     # Chaos CI jobs inject dispatcher-side faults by exporting
     # REPRO_FAULT_PLAN; a no-op when the variable is unset.
-    faults.install_from_env()
-    parser = build_parser()
+    plan = os.environ.get(faults.FAULT_PLAN_ENV)
+    if plan:
+        try:
+            _fault_plan(plan)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{faults.FAULT_PLAN_ENV}: {exc}")
+        faults.install_from_env()
     args = parser.parse_args(argv)
     return args.func(args)
 

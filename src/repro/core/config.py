@@ -7,8 +7,10 @@ reset threshold γ = 3, EXP3 learning rate η = 0.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
+
+from repro.utils.wire import OPTIONAL
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class MABFuzzConfig:
     ucb_exploration: float = 1.0
     saturation_metric: str = "global"
     arm_pool_max: Optional[int] = 128
-    reward_weights: Optional[Dict[str, float]] = None
+    # Absent in payloads written before the CSR-transition reward weights.
+    reward_weights: Optional[Dict[str, float]] = field(default=None, metadata=OPTIONAL)
 
     def __post_init__(self) -> None:
         if self.num_arms < 1:

@@ -11,26 +11,18 @@ point names are built only for readers (:attr:`CoverageDatabase.covered`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.coverage.bitset import GLOBAL_BITS, point_bit, points_of
+from repro.utils.wire import Record
 
 
 @dataclass(frozen=True)
-class CoverageSample:
-    """One point of the coverage-versus-tests curve."""
+class CoverageSample(Record):
+    """One point of the coverage-versus-tests curve (a wire record)."""
 
     test_index: int
     covered: int
-
-    def to_dict(self) -> Dict[str, int]:
-        """JSON-safe representation (inverse of :meth:`from_dict`)."""
-        return {"test_index": self.test_index, "covered": self.covered}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "CoverageSample":
-        """Rebuild a sample from :meth:`to_dict` output."""
-        return cls(test_index=int(data["test_index"]), covered=int(data["covered"]))
 
 
 class CoverageDatabase:

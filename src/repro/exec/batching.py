@@ -16,7 +16,7 @@ content alone, so grouping (or not grouping) tasks can never change a
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import (
@@ -24,8 +24,10 @@ from repro.exec.cache import (
     process_cache_stats,
     process_dut_cache,
 )
+from repro.exec.queue import ATTEMPTS_KEY, MAX_ATTEMPTS_KEY
 from repro.harness.campaign import CampaignSpec, run_campaign
 from repro.utils.collector import collection_paused
+from repro.utils.wire import OPTIONAL, decode, encode
 
 #: default cap on tasks per batch: large enough to amortize warm-up, small
 #: enough that a grid still spreads across a handful of workers.
@@ -68,7 +70,7 @@ class TrialBatch:
     index: int
     tasks: Tuple[TrialTask, ...]
     cache_entries: Optional[int] = None
-    corpus: Optional[Dict[str, object]] = None
+    corpus: Optional[Dict[str, object]] = field(default=None, metadata=OPTIONAL)
 
 
 def task_uses_corpus(task: TrialTask) -> bool:
@@ -205,35 +207,28 @@ def execute_batch(batch: TrialBatch,
 
 
 # ----------------------------------------------------------------- wire format
+#: keys of a batch payload that are not :class:`TrialBatch` fields: its
+#: kind, its index (written as ``batch``) and the queue's retry envelope.
+_ENVELOPE = frozenset({"kind", "batch", ATTEMPTS_KEY, MAX_ATTEMPTS_KEY})
+
+
 def batch_to_wire(batch: TrialBatch) -> Dict[str, object]:
     """Serialize a batch for the spool queue (inverse of :func:`batch_from_wire`)."""
-    wire = {
-        "kind": "batch",
-        "batch": batch.index,
-        "cache_entries": batch.cache_entries,
-        "tasks": [{"spec_index": task.spec_index,
-                   "trial_index": task.trial_index,
-                   "spec": task.spec.to_dict()} for task in batch.tasks],
-    }
-    if batch.corpus is not None:
-        # Corpus payloads are already JSON-safe (point names + words, no
-        # masks); omitted entirely for corpus-off batches so their wire
-        # form is unchanged from pre-corpus builds.
-        wire["corpus"] = batch.corpus
+    wire = {"kind": "batch", "batch": batch.index, **encode(batch)}
+    del wire["index"]
+    if batch.corpus is None:
+        # Corpus-off batches keep their pre-corpus wire form.
+        del wire["corpus"]
     return wire
 
 
-def batch_from_wire(data: Dict[str, object]) -> TrialBatch:
-    """Rebuild a batch a worker pulled off the spool queue."""
-    if data.get("kind") != "batch":
-        raise ValueError(f"not a batch payload: kind={data.get('kind')!r}")
-    cache_entries = data.get("cache_entries")
-    tasks = tuple(
-        TrialTask(spec_index=int(task["spec_index"]),
-                  trial_index=int(task["trial_index"]),
-                  spec=CampaignSpec.from_dict(task["spec"]))
-        for task in data["tasks"])
-    return TrialBatch(index=int(data["batch"]), tasks=tasks,
-                      cache_entries=(int(cache_entries)
-                                     if cache_entries is not None else None),
-                      corpus=data.get("corpus"))
+def batch_from_wire(data: object) -> TrialBatch:
+    """Rebuild a batch a worker pulled off the spool queue; a field that
+    breaks :class:`TrialBatch`'s declaration is a ``ValueError`` naming it."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind != "batch":
+        raise ValueError(f"not a batch payload: kind={kind!r}")
+    fields = {key: value for key, value in data.items() if key not in _ENVELOPE}
+    if "batch" in data:
+        fields["index"] = data["batch"]
+    return decode(TrialBatch, fields)

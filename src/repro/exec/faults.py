@@ -48,8 +48,10 @@ import os
 import random
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.utils.wire import OPTIONAL, Record, decode, encode
 
 # ------------------------------------------------------------------ site names
 SITE_WORKER_POLL = "worker.poll"
@@ -122,8 +124,10 @@ class InjectedError(OSError):
 
 
 @dataclass(frozen=True)
-class FaultRule:
+class FaultRule(Record):
     """One scheduled fault: fire ``action`` at ``site`` on selected hits.
+
+    On the wire ``match`` is a JSON object; a plan may omit defaulted fields.
 
     Attributes:
         site: injection-site name (one of :data:`SITES`).
@@ -144,11 +148,11 @@ class FaultRule:
 
     site: str
     action: str
-    after: int = 0
-    times: int = 1
-    arg: Optional[float] = None
-    match: Tuple[Tuple[str, object], ...] = ()
-    beacon: Optional[str] = None
+    after: int = field(default=0, metadata=OPTIONAL)
+    times: int = field(default=1, metadata=OPTIONAL)
+    arg: Optional[float] = field(default=None, metadata=OPTIONAL)
+    match: Tuple[Tuple[str, object], ...] = field(default=(), metadata=OPTIONAL)
+    beacon: Optional[str] = field(default=None, metadata=OPTIONAL)
 
     def __post_init__(self) -> None:
         if self.site not in SITES:
@@ -165,54 +169,27 @@ class FaultRule:
         if self.action == ACTION_DEFER and not self.beacon:
             raise ValueError("a defer rule needs a beacon file to wait on")
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form (inverse of :meth:`from_dict`)."""
-        data: Dict[str, object] = {"site": self.site, "action": self.action}
-        if self.after:
-            data["after"] = self.after
-        if self.times != 1:
-            data["times"] = self.times
-        if self.arg is not None:
-            data["arg"] = self.arg
-        if self.match:
-            data["match"] = dict(self.match)
-        if self.beacon is not None:
-            data["beacon"] = self.beacon
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultRule":
-        match = data.get("match") or {}
-        return cls(site=str(data["site"]), action=str(data["action"]),
-                   after=int(data.get("after", 0)),
-                   times=int(data.get("times", 1)),
-                   arg=(float(data["arg"]) if data.get("arg") is not None
-                        else None),
-                   match=tuple(sorted(match.items())),
-                   beacon=(str(data["beacon"]) if data.get("beacon") is not None
-                           else None))
-
 
 @dataclass(frozen=True)
-class FaultPlan:
-    """A serializable failure schedule: rules plus the jitter seed."""
+class FaultPlan(Record):
+    """A serializable failure schedule: rules plus the jitter seed (and, on
+    the wire, the format ``version``, which a hand-written plan may omit)."""
 
-    rules: Tuple[FaultRule, ...] = ()
-    seed: int = 0
+    rules: Tuple[FaultRule, ...] = field(default=(), metadata=OPTIONAL)
+    seed: int = field(default=0, metadata=OPTIONAL)
 
     def to_dict(self) -> Dict[str, object]:
-        return {"version": PLAN_VERSION, "seed": self.seed,
-                "rules": [rule.to_dict() for rule in self.rules]}
+        return {"version": PLAN_VERSION, **encode(self)}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        version = data.get("version", PLAN_VERSION)
-        if version != PLAN_VERSION:
-            raise ValueError(f"fault plan version {version} not supported "
-                             f"(this build reads version {PLAN_VERSION})")
-        return cls(rules=tuple(FaultRule.from_dict(rule)
-                               for rule in data.get("rules", [])),
-                   seed=int(data.get("seed", 0)))
+    def from_dict(cls, data: object) -> "FaultPlan":
+        if isinstance(data, dict) and "version" in data:
+            data = dict(data)
+            version = data.pop("version")
+            if version != PLAN_VERSION:
+                raise ValueError(f"fault plan version {version} not supported "
+                                 f"(this build reads version {PLAN_VERSION})")
+        return decode(cls, data)
 
     @classmethod
     def from_file(cls, path: str) -> "FaultPlan":

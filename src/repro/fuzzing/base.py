@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # circular at runtime: corpus imports nothing from here,
@@ -27,6 +27,7 @@ from repro.isa.scenarios import SCENARIOS, make_seed_provider
 from repro.rtl.harness import DutModel
 from repro.utils.collector import collection_paused
 from repro.utils.rng import derive_rng, make_rng
+from repro.utils.wire import OPTIONAL
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,9 @@ class FuzzerConfig:
     generator_config: Optional[GeneratorConfig] = None
     mutation_weights: Optional[Dict[str, float]] = None
     max_program_steps: Optional[int] = None
-    scenario: str = "user"
-    corpus: bool = False
+    # Absent in payloads written before the trap/CSR and corpus subsystems.
+    scenario: str = field(default="user", metadata=OPTIONAL)
+    corpus: bool = field(default=False, metadata=OPTIONAL)
 
     def __post_init__(self) -> None:
         if self.num_seeds < 1:

@@ -9,6 +9,7 @@ from repro.coverage.database import CoverageSample
 from repro.fuzzing.differential import Mismatch
 from repro.isa.program import TestProgram
 from repro.sim.trace import HaltReason
+from repro.utils.wire import OPTIONAL, Record
 
 
 @dataclass(frozen=True)
@@ -30,42 +31,31 @@ class TestOutcome:
 
 
 @dataclass(frozen=True)
-class BugDetection:
-    """First detection of one vulnerability during a campaign."""
+class BugDetection(Record):
+    """First detection of one vulnerability during a campaign (a wire
+    record; a payload may leave out ``description``)."""
 
     bug_id: str
     test_index: int
     program_id: str
-    description: str = ""
+    description: str = field(default="", metadata=OPTIONAL)
 
     @property
     def tests_to_detection(self) -> int:
         """Number of tests executed up to and including the detecting test."""
         return self.test_index + 1
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation (inverse of :meth:`from_dict`)."""
-        return {
-            "bug_id": self.bug_id,
-            "test_index": self.test_index,
-            "program_id": self.program_id,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BugDetection":
-        """Rebuild a detection from :meth:`to_dict` output."""
-        return cls(
-            bug_id=str(data["bug_id"]),
-            test_index=int(data["test_index"]),
-            program_id=str(data["program_id"]),
-            description=str(data.get("description", "")),
-        )
-
 
 @dataclass
-class FuzzCampaignResult:
-    """Summary of one fuzzing campaign (one fuzzer, one DUT, one trial)."""
+class FuzzCampaignResult(Record):
+    """Summary of one fuzzing campaign (one fuzzer, one DUT, one trial).
+
+    This is the result side of the wire format (:mod:`repro.utils.wire`):
+    workers ship results back as :meth:`to_dict` payloads and the
+    checkpoint journal stores one per completed trial.  ``metadata`` is
+    carried through as-is, so it must stay JSON-safe (the fuzzers only put
+    strings, numbers and ``None`` in it).
+    """
 
     fuzzer_name: str
     dut_name: str
@@ -117,50 +107,6 @@ class FuzzCampaignResult:
                 f"{self.coverage_count}/{self.total_points} points "
                 f"({self.coverage_percent:.1f}%) after {self.num_tests} tests; "
                 f"bugs detected: {bugs}")
-
-    # ------------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation (inverse of :meth:`from_dict`).
-
-        ``metadata`` is carried through as-is, so it must stay JSON-safe
-        (the fuzzers only put strings, numbers and ``None`` in it).  This is
-        the wire format of the parallel execution subsystem: worker
-        processes ship results back as dictionaries and the checkpoint
-        journal stores one ``to_dict`` payload per completed trial.
-        """
-        return {
-            "fuzzer_name": self.fuzzer_name,
-            "dut_name": self.dut_name,
-            "num_tests": self.num_tests,
-            "coverage_curve": [sample.to_dict() for sample in self.coverage_curve],
-            "coverage_count": self.coverage_count,
-            "total_points": self.total_points,
-            "bug_detections": {bug_id: det.to_dict()
-                               for bug_id, det in self.bug_detections.items()},
-            "interesting_tests": self.interesting_tests,
-            "mismatching_tests": self.mismatching_tests,
-            "elapsed_seconds": self.elapsed_seconds,
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FuzzCampaignResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            fuzzer_name=str(data["fuzzer_name"]),
-            dut_name=str(data["dut_name"]),
-            num_tests=int(data["num_tests"]),
-            coverage_curve=[CoverageSample.from_dict(sample)
-                            for sample in data.get("coverage_curve", [])],
-            coverage_count=int(data.get("coverage_count", 0)),
-            total_points=int(data.get("total_points", 0)),
-            bug_detections={str(bug_id): BugDetection.from_dict(det)
-                            for bug_id, det in data.get("bug_detections", {}).items()},
-            interesting_tests=int(data.get("interesting_tests", 0)),
-            mismatching_tests=int(data.get("mismatching_tests", 0)),
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            metadata=dict(data.get("metadata", {})),
-        )
 
     def canonical_dict(self) -> Dict[str, object]:
         """:meth:`to_dict` minus wall-clock fields.

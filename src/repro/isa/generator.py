@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class GeneratorConfig:
     class_weights: Dict[InstrClass, float] = field(
         default_factory=lambda: dict(DEFAULT_CLASS_WEIGHTS)
     )
-    register_pool: Sequence[int] = (5, 6, 7, 12, 13, 14, 28, 29)
+    register_pool: Tuple[int, ...] = (5, 6, 7, 12, 13, 14, 28, 29)
     wide_register_prob: float = 0.15
     valid_memory_prob: float = 0.6
     illegal_word_prob: float = 0.01

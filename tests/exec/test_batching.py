@@ -137,3 +137,13 @@ class TestWireFormat:
     def test_rejects_non_batch_payload(self):
         with pytest.raises(ValueError, match="kind"):
             batch_from_wire({"kind": "trial"})
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("batch", True, "index"), ("cache_entries", 3.7, "cache_entries"),
+        ("tasks", {}, "tasks"), ("bogus", 1, "bogus")])
+    def test_wire_fields_are_checked_not_coerced(self, key, value, name):
+        # The index travels as "batch"; an error names the field it fills.
+        data = batch_to_wire(plan_batches(_tasks())[0])
+        data[key] = value
+        with pytest.raises(ValueError, match=name):
+            batch_from_wire(data)

@@ -271,3 +271,27 @@ class TestChecksumSalvage:
         assert ([r.canonical_dict() for r in resumed.results]
                 == [r.canonical_dict() for r in reference.results])
         assert engine.last_run_report["journal_salvage"]["dropped"] == 1
+
+    def test_engine_reruns_a_trial_whose_result_breaks_the_wire_format(self, tmp_path):
+        # A record whose checksum holds but whose result breaks the
+        # declaration (num_tests 12.9) is dropped as malformed, never
+        # restored as a coerced value, and its trial re-runs.
+        spec = _spec(trials=3)
+        path = str(tmp_path / "grid.jsonl")
+        reference = CampaignEngine(backend=SerialBackend(),
+                                   checkpoint_path=path).run_grid([spec])[0]
+        lines = open(path, encoding="utf-8").read().splitlines()
+        damaged = json.loads(lines[2])
+        damaged["result"]["num_tests"] = 12.9
+        damaged["check"] = record_checksum(damaged)
+        lines[2] = json.dumps(damaged, sort_keys=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        backend = CountingBackend()
+        engine = CampaignEngine(backend=backend, checkpoint_path=path)
+        resumed = engine.run_grid([spec])[0]
+        assert backend.executed == [(0, damaged["trial"])]
+        assert ([r.canonical_dict() for r in resumed.results]
+                == [r.canonical_dict() for r in reference.results])
+        salvage = engine.last_run_report["journal_salvage"]
+        assert salvage["dropped_malformed"] == salvage["dropped"] == 1

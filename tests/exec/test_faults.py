@@ -38,6 +38,16 @@ class TestFaultRule:
         with pytest.raises(ValueError, match="beacon"):
             FaultRule(site=faults.SITE_WORKER_POLL, action="defer")
 
+    @pytest.mark.parametrize("name, value", [
+        ("after", 1.9), ("times", True), ("arg", "2"), ("time", 3),
+        ("match", ["kind", "trial"]), ("beacon", 5)])
+    def test_wire_fields_are_checked_not_coerced(self, name, value):
+        # Plans are written by hand: a typo'd key or a wrong type fails,
+        # naming it, instead of loading as a different schedule.
+        with pytest.raises(ValueError, match=name):
+            FaultRule.from_dict({"site": "worker.batch", "action": "delay",
+                                 name: value})
+
 
 class TestFaultPlan:
     def test_json_round_trip(self, tmp_path):
@@ -52,6 +62,15 @@ class TestFaultPlan:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError, match="version 99"):
             FaultPlan.from_dict({"version": 99, "rules": []})
+
+    @pytest.mark.parametrize("data, name", [
+        ({"seed": 3.9}, "seed"), ({"rules": {}}, "rules"),
+        ({"rules": [{"site": "worker.batch"}]}, r"rules\[0\]\.action"),
+        ({"rules": [{"site": "worker.batch", "action": "torn"}]}, r"rules\[0\]"),
+        ([{"site": "worker.batch", "action": "kill"}], "FaultPlan")])
+    def test_wire_fields_are_checked_not_coerced(self, data, name):
+        with pytest.raises(ValueError, match=name):
+            FaultPlan.from_dict(data)
 
 
 class TestInjector:

@@ -9,6 +9,9 @@ from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.sim.trace import HaltReason
 
+#: a wire case that deletes its field instead of setting it.
+MISSING = "<missing>"
+
 
 def _outcome(new_points=frozenset()):
     return TestOutcome(
@@ -135,3 +138,35 @@ class TestSerialization:
         slower = FuzzCampaignResult.from_dict(result.to_dict())
         slower.elapsed_seconds = 99.0
         assert slower.canonical_dict() == canonical
+
+    @pytest.mark.parametrize("record, name, value", [
+        ("result", "fuzzer_name", 7), ("result", "num_tests", 12.9),
+        ("result", "coverage_count", "5"), ("result", "coverage_curve", MISSING),
+        ("result", "metadata", [1]), ("result", "bogus", 1),
+        ("detection", "bug_id", 5), ("detection", "test_index", "2"),
+        ("detection", "program_id", None),
+        ("sample", "test_index", "3"), ("sample", "covered", 2.5)])
+    def test_wire_fields_are_checked_not_coerced(self, record, name, value):
+        # Worker results and journal records decode through these: a
+        # payload that breaks the declaration fails, naming its field.
+        cls, data = {
+            "result": (FuzzCampaignResult, self._result().to_dict()),
+            "detection": (BugDetection, BugDetection("V1", 4, "t2").to_dict()),
+            "sample": (CoverageSample, CoverageSample(3, 17).to_dict()),
+        }[record]
+        if value is MISSING:
+            del data[name]
+        else:
+            data[name] = value
+        with pytest.raises(ValueError, match=name):
+            cls.from_dict(data)
+
+    def test_nested_failures_name_their_path(self):
+        data = self._result().to_dict()
+        data["coverage_curve"][1]["covered"] = 2.5
+        data["bug_detections"]["V7"]["test_index"] = "15"
+        with pytest.raises(ValueError, match=r"coverage_curve\[1\]\.covered"):
+            FuzzCampaignResult.from_dict(data)
+        data["coverage_curve"] = []
+        with pytest.raises(ValueError, match=r"bug_detections\[V7\]\.test_index"):
+            FuzzCampaignResult.from_dict(data)

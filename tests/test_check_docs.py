@@ -29,6 +29,9 @@ class TestRelativeLinks:
         assert _problems("[s](missing.md#section)", tmp_path) == [
             "dead link -> missing.md"]
 
+    def test_pure_anchor_links_skipped(self, tmp_path):
+        assert _problems("see [the report](#the-run-report)", tmp_path) == []
+
     def test_external_links_skipped(self, tmp_path):
         text = "[a](https://example.org) [b](http://example.org) [c](mailto:x@y)"
         assert _problems(text, tmp_path) == []

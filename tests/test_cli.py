@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec import faults
 
 
 class TestParser:
@@ -337,6 +338,56 @@ class TestServiceFlags:
         assert args.action == "serve"
         assert (args.host, args.port, args.log) == (
             "0.0.0.0", 9900, "events.ndjson")
+
+
+class TestFaultPlans:
+    @pytest.fixture(autouse=True)
+    def _no_leaked_injector(self):
+        yield
+        faults.uninstall()
+
+    @pytest.mark.parametrize("rule, message", [
+        ('{"site": "worker.batch", "action": "kill", "time": 3}',
+         "rules[0] has unknown fields: time"),
+        ('{"site": "journal.append", "action": "corrupt", "match": ["kind"]}',
+         "rules[0].match must be an object, got ['kind']")])
+    def test_bad_plan_file_names_its_field(self, tmp_path, capsys, rule, message):
+        path = tmp_path / "plan.json"
+        path.write_text(f'{{"rules": [{rule}]}}')
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["worker", "--fault-plan", str(path),
+                                       "--queue", "Q"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error == ("mabfuzz worker: error: argument --fault-plan: "
+                         f"cannot load fault plan '{path}': {message}")
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "No such file or directory"),
+        ('[{"site": "worker.batch", "action": "kill"}]',
+         "FaultPlan must be an object, got [{'site': 'worker.batch', "
+         "'action': 'kill'}]")])
+    def test_bad_environment_plan_is_a_usage_error(self, tmp_path, capsys,
+                                                   monkeypatch, text, reason):
+        path = tmp_path / "plan.json"
+        if text is not None:
+            path.write_text(text)
+        monkeypatch.setenv(faults.FAULT_PLAN_ENV, str(path))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["deadletter", "list", "--queue", str(tmp_path / "spool")])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error == ("mabfuzz: error: REPRO_FAULT_PLAN: "
+                         f"cannot load fault plan '{path}': {reason}")
+        assert faults.installed() is None
+
+    def test_environment_plan_is_installed(self, tmp_path, monkeypatch):
+        path = tmp_path / "plan.json"
+        path.write_text('{"rules": [{"site": "sink.write", "action": "oserror"}]}')
+        monkeypatch.setenv(faults.FAULT_PLAN_ENV, str(path))
+        assert main(["list"]) == 0
+        assert faults.installed().plan == faults.FaultPlan(rules=(
+            faults.FaultRule(site="sink.write", action="oserror"),))
 
 
 class TestDeadletterCommand:
