@@ -4,8 +4,8 @@ Shards grids of independent campaign trials across pluggable backends
 (serial, multi-process pool, or a spool-directory queue served by external
 workers), batches cache-compatible trials so one warm-up serves many,
 journals completed trials to a JSONL checkpoint for kill-safe resume, and
-serves repeated golden/DUT runs and compiled programs from per-process LRU
-caches under one bound (:mod:`repro.exec.cache`).  The
+serves repeated tests' outcomes, golden runs and compiled programs from
+per-process LRU caches under one bound (:mod:`repro.exec.cache`).  The
 :mod:`repro.exec.faults` module provides deterministic fault injection for
 exercising the stack's self-healing paths (heartbeat leases, retry budgets
 with dead-letter quarantine, checksummed journal salvage), and

@@ -167,7 +167,7 @@ class ExecutionBackend(abc.ABC):
 class SerialBackend(ExecutionBackend):
     """In-process, submission-order execution.
 
-    Shares the process-local DUT-run and golden-trace caches with any
+    Shares the process-local DUT and golden-trace caches with any
     other serial grids run in this process, exactly as one pool worker
     would.
     """

@@ -3,9 +3,10 @@
 A :class:`TrialBatch` groups :class:`TrialTask` work
 units that share a cache-locality prefix -- the same DUT configuration
 (processor + injected bug set) -- so one worker executes them back to back:
-the first trial warms the process-level DUT-run cache (and, for tests in
-which a bug fired, the golden-trace cache), and every later trial of the
-batch replays repeated programs out of them.  Batches are also the unit
+the first trial warms the process-level DUT cache, whose entries are test
+outcomes (coverage, halt reason and differential report, never a commit
+trace), and every later trial of the batch reads repeated programs' outcomes
+out of it without running either model.  Batches are also the unit
 of *distribution*: one pool submission, one spool-queue file.
 
 Batching is pure scheduling.  Trial results are derived from the spec
@@ -87,7 +88,7 @@ def batch_uses_corpus(batch: TrialBatch) -> bool:
 def batch_key(task: TrialTask) -> Tuple:
     """Cache-locality key: tasks sharing it warm each other's caches.
 
-    The DUT-run cache is keyed on the full DUT identity, so only tasks
+    The DUT cache is keyed on the full DUT identity, so only tasks
     with the same (processor, bug set, coverage model) can serve each
     other's DUT runs; the golden cache is keyed on the executor config,
     which those tasks share too.
@@ -132,9 +133,9 @@ def execute_batch(batch: TrialBatch,
     fault injector its between-trials site), so a long batch stays leased
     for as long as it is making progress.
 
-    Every trial routes its DUT runs through
+    Every trial routes its tests through
     :func:`~repro.exec.cache.process_dut_cache`; its golden runs, made only
-    for tests in which a bug fired, go through the process golden cache
+    on a miss in which a bug fired, go through the process golden cache
     without being passed in.
 
     The payload is JSON-safe (it crosses pickle *and* the spool queue)::

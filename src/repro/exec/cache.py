@@ -1,17 +1,19 @@
 """Per-process run caches; one bound and one read-out for every process cache.
 
-The DUT models are deterministic: a :class:`~repro.rtl.harness.DutRunResult`
-depends only on the program words, the load address, the step limit and the
-DUT's full configuration (microarchitecture parameters + injected bug set).
+The DUT models are deterministic: a test's outcome depends only on the
+program words, the load address, the step limit and the DUT's full
+configuration (microarchitecture parameters + injected bug set).
 Campaigns replay programs constantly -- MABFuzz arms re-run their seeds,
-mutants duplicate each other -- so the execution workers route every DUT
-run through a process-local cache.
+mutants duplicate each other -- so every grid trial routes its tests
+through a process-local :class:`DutRunCache`.  Its entries hold only what
+a session reads of a test, never a commit trace: a process keeps up to
+4,096 of them (docs/performance.md, "A cached test is its outcome").
 
 A worker process keeps four caches, each a
-:class:`~repro.utils.lru.LRUCache`: DUT runs (:func:`process_dut_cache`),
+:class:`~repro.utils.lru.LRUCache`: test outcomes (:func:`process_dut_cache`),
 golden runs (:func:`repro.sim.golden.process_golden_cache`, which the
-fuzzing session consults only for a test in which a bug fired), compiled
-programs (:func:`repro.isa.compiled.process_compiled_cache`) and
+fuzzing session consults only on a DUT-cache miss in which a bug fired),
+compiled programs (:func:`repro.isa.compiled.process_compiled_cache`) and
 superblocks, keyed by their words
 (:func:`repro.isa.compiled.process_block_table`).
 :func:`configure_process_caches` is their one bound and
@@ -20,9 +22,7 @@ superblocks, keyed by their words
 The caches are *process-local by design*: worker processes each build
 their own, so no locking or shared memory is needed and a cached entry can
 never leak between incompatible DUT configurations running in other
-workers.  Cached :class:`DutRunResult` objects are frozen and must be
-treated as read-only, which every consumer (differential tester, coverage
-database) already does.
+workers.  Cached entries are shared and must be treated as read-only.
 
 Cache hits never change campaign results -- only wall-clock -- so the
 hit/miss counters are deliberately *not* copied into
@@ -38,31 +38,43 @@ from typing import Dict, Optional, Tuple
 from repro.isa.compiled import process_block_table, process_compiled_cache
 from repro.isa.program import TestProgram
 from repro.rtl.harness import DutModel
-from repro.sim.golden import KeyedRunCache, process_golden_cache
-from repro.utils.lru import DEFAULT_CACHE_ENTRIES
+from repro.sim.golden import process_golden_cache
+from repro.utils.lru import DEFAULT_CACHE_ENTRIES, LRUCache
 
 
-class DutRunCache(KeyedRunCache):
-    """Program-and-configuration-keyed cache of instrumented DUT runs.
+class DutRunCache(LRUCache):
+    """Program-and-configuration-keyed cache of test outcomes.
 
-    Shares its mechanics (counters, eviction, stats) with
-    :class:`~repro.sim.golden.GoldenTraceCache` via
-    :class:`~repro.sim.golden.KeyedRunCache`; only the key differs.
+    :meth:`repro.fuzzing.session.FuzzSession.run_test` builds an entry on
+    a miss and reads it on a hit: ``(coverage mask, halt reason,
+    differential report)``.  The report's golden run is keyed too: a
+    session builds its golden model from its DUT's executor config and
+    layout.
     """
 
-    @staticmethod
-    def key(dut: DutModel, program: TestProgram, step_limit: int) -> Tuple:
-        """Cache key: program words + base address + step limit + full DUT identity.
+    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
+        super().__init__(max_entries)
+        #: each DUT identity keyed so far -> the int standing for it in keys.
+        self._identities: Dict[Tuple, int] = {}
 
-        The bug set is part of the key (sorted ids), so one worker can
-        interleave trials against differently-bugged instances of the same
-        core without cross-talk.  The coverage model is part of the DUT
-        identity too: a ``"csr"`` run's coverage set is a strict superset
-        of the ``"base"`` run's, so the two must never serve each other.
+    def identity(self, dut: DutModel, max_steps: Optional[int] = None) -> int:
+        """The DUT part of a key: step limit + full DUT identity, as an int
+        a session builds once, so a lookup hashes no configuration object.
+
+        The bug set is part of it (sorted ids), so one worker can interleave
+        trials against differently-bugged instances of the same core.  So
+        is the coverage model: a ``"csr"`` run's coverage set is a strict
+        superset of the ``"base"`` run's.
         """
-        return (program.words(), program.base_address, step_limit, dut.name, dut.config,
-                tuple(sorted(bug.bug_id for bug in dut.bugs)),
-                dut.executor_config, dut.layout, dut.coverage_model)
+        content = (max_steps or dut.executor_config.step_limit, dut.name, dut.config,
+                   tuple(sorted(bug.bug_id for bug in dut.bugs)),
+                   dut.executor_config, dut.layout, dut.coverage_model)
+        return self._identities.setdefault(content, len(self._identities))
+
+    @staticmethod
+    def key(program: TestProgram, identity: int) -> Tuple:
+        """Cache key: program words + base address + the DUT's :meth:`identity`."""
+        return (program.words(), program.base_address, identity)
 
 
 _PROCESS_CACHE = DutRunCache()
@@ -71,9 +83,9 @@ _PROCESS_CACHE = DutRunCache()
 def process_dut_cache() -> DutRunCache:
     """The calling process's shared :class:`DutRunCache`.
 
-    Trial workers route every DUT run through this instance so that trials
+    Trial workers route every test through this instance so that trials
     of the same spec executed back-to-back in one worker reuse each other's
-    seed-program runs.  Worker recycling (``max_tasks_per_child``) resets
+    seed-program outcomes.  Worker recycling (``max_tasks_per_child``) resets
     it together with the rest of the interpreter state.
     """
     return _PROCESS_CACHE

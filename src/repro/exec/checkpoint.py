@@ -84,7 +84,9 @@ class CheckpointJournal:
         result.  Unknown line kinds are ignored (forward compatibility).
         Damaged lines are *salvaged around*: an undecodable line (torn
         tail or interior), a record failing its checksum, or a malformed
-        trial record is dropped and tallied in
+        trial record (a ``spec`` that is not a string, a ``trial`` that is
+        not a non-negative int, a result that breaks the wire format) is
+        dropped and tallied in
         :attr:`last_load_stats` -- ``{"loaded": .., "dropped": ..,
         "dropped_undecodable": .., "dropped_checksum": ..,
         "dropped_malformed": ..}``.  A missing file is simply an empty
@@ -144,9 +146,12 @@ class CheckpointJournal:
                     continue
                 if record.get("kind") != "trial":
                     continue
+                spec, trial = record.get("spec"), record.get("trial")
+                if not isinstance(spec, str) or type(trial) is not int or trial < 0:
+                    drop("malformed")
+                    continue
                 try:
-                    key = (str(record["spec"]), int(record["trial"]))
-                    completed[key] = FuzzCampaignResult.from_dict(record["result"])
+                    completed[(spec, trial)] = FuzzCampaignResult.from_dict(record["result"])
                 except (KeyError, TypeError, ValueError):
                     drop("malformed")
                     continue

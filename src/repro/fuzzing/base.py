@@ -67,6 +67,8 @@ class FuzzerConfig:
             raise ValueError("num_seeds must be >= 1")
         if self.mutants_per_test < 1:
             raise ValueError("mutants_per_test must be >= 1")
+        if self.max_program_steps is not None and self.max_program_steps < 1:
+            raise ValueError("max_program_steps must be >= 1")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         unknown = sorted(set(self.mutation_weights or ()) - set(DEFAULT_OPERATOR_WEIGHTS))
@@ -85,7 +87,7 @@ class Fuzzer(abc.ABC):
         self.dut = dut
         self.config = config or FuzzerConfig()
         self.rng = make_rng(rng)
-        self.session = FuzzSession(dut)
+        self.session = FuzzSession(dut, max_steps=self.config.max_program_steps)
         # For scenario="user" this builds the exact SeedGenerator the
         # fuzzers always used (same derived rng), so historical campaigns
         # stay bit-identical.

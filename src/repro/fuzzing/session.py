@@ -21,6 +21,7 @@ from repro.fuzzing.results import BugDetection, TestOutcome
 from repro.isa.program import TestProgram
 from repro.rtl.harness import TRAP_TABLE, DutModel
 from repro.sim.golden import GoldenModel, process_golden_cache
+from repro.sim.trace import HaltReason
 
 if TYPE_CHECKING:  # avoid a cycle: repro.exec imports the fuzzing layer.
     from repro.exec.cache import DutRunCache
@@ -45,6 +46,11 @@ class FuzzSession:
     no mismatch to find.  Only when a bug fired does :meth:`run_test` take
     the golden run from the process's one
     :func:`~repro.sim.golden.process_golden_cache` and compare the traces.
+    Both runs stop at ``max_steps`` (``FuzzerConfig.max_program_steps``;
+    ``None`` is the executor's limit).  With a :attr:`dut_cache` (every
+    grid trial has one) a test is looked up first; an entry is what the
+    test reads of its runs, so a hit runs and compares nothing, and no
+    commit trace outlives its test.
 
     Both models execute the program's **compiled trace**
     (:mod:`repro.isa.compiled`): the DUT run compiles it (or pulls it
@@ -56,13 +62,13 @@ class FuzzSession:
     :func:`repro.exec.cache.process_cache_stats` and ``docs/parallel.md``).
     """
 
-    def __init__(self, dut: DutModel, golden: Optional[GoldenModel] = None,
-                 dut_cache: Optional["DutRunCache"] = None) -> None:
+    def __init__(self, dut: DutModel, dut_cache: Optional["DutRunCache"] = None,
+                 max_steps: Optional[int] = None) -> None:
         self.dut = dut
-        self.golden = golden or GoldenModel(dut.executor_config)
-        #: optional :class:`~repro.exec.cache.DutRunCache`; the parallel
-        #: execution workers install their process-local instance here.
-        #: DUT runs are deterministic, so a cache hit never changes results.
+        #: built from the DUT's executor config and layout, which key both
+        #: caches: so a cached verdict is the one this golden model gives.
+        self.golden = GoldenModel(dut.executor_config, dut.layout)
+        self.max_steps = max_steps
         self.dut_cache = dut_cache
         self.coverage_db = CoverageDatabase(space_mask=dut.coverage_space_mask())
         self.differential = DifferentialTester()
@@ -71,20 +77,33 @@ class FuzzSession:
         self.interesting_tests = 0
         self.mismatching_tests = 0
 
+    @property
+    def dut_cache(self) -> Optional["DutRunCache"]:
+        """The :class:`~repro.exec.cache.DutRunCache` tests go through, or
+        ``None``; a hit never changes results."""
+        return self._dut_cache
+
+    @dut_cache.setter
+    def dut_cache(self, cache: Optional["DutRunCache"]) -> None:
+        self._dut_cache = cache
+        self._identity = None if cache is None else cache.identity(self.dut, self.max_steps)
+
     # ------------------------------------------------------------------ running
     def run_test(self, program: TestProgram) -> TestOutcome:
-        """Run one test on the DUT (and on the golden model if a bug
-        fired), update coverage and bug bookkeeping."""
+        """Run one test (or read its outcome from the DUT cache), update
+        coverage and bug bookkeeping."""
         test_index = self.tests_executed
-        if self.dut_cache is not None:
-            dut_run = self.dut_cache.get_or_run(self.dut, program)
+        cache = self._dut_cache
+        if cache is None:
+            entry = self._outcome(program)
         else:
-            dut_run = self.dut.run(program)
-        report = _NO_MISMATCH
-        if dut_run.fired_bugs:
-            golden_result = process_golden_cache().get_or_run(self.golden, program)
-            report = self.differential.check(golden_result, dut_run)
-        new_points = self.coverage_db.record(test_index, dut_run.coverage)
+            key = cache.key(program, self._identity)
+            entry = cache.lookup(key)
+            if entry is None:
+                entry = self._outcome(program)
+                cache.insert(key, entry)
+        coverage, halt_reason, report = entry
+        new_points = self.coverage_db.record(test_index, coverage)
 
         if report.found_mismatch:
             self.mismatching_tests += 1
@@ -99,16 +118,27 @@ class FuzzSession:
         outcome = TestOutcome(
             test_index=test_index,
             program=program,
-            coverage=dut_run.coverage,
+            coverage=coverage,
             new_points=new_points,
             mismatch=report.mismatch,
             detected_bugs=report.detected_bugs,
-            halt_reason=dut_run.execution.halt_reason,
+            halt_reason=halt_reason,
         )
         if outcome.is_interesting:
             self.interesting_tests += 1
         self.tests_executed += 1
         return outcome
+
+    def _outcome(self, program: TestProgram) -> Tuple[int, HaltReason, DifferentialReport]:
+        """Run ``program`` on the DUT and, only if a bug fired, compare it
+        with the golden run: (coverage mask, halt reason, report)."""
+        dut_run = self.dut.run(program, self.max_steps)
+        report = _NO_MISMATCH
+        if dut_run.fired_bugs:
+            golden_result = process_golden_cache().get_or_run(self.golden, program,
+                                                              self.max_steps)
+            report = self.differential.check(golden_result, dut_run)
+        return dut_run.coverage, dut_run.execution.halt_reason, report
 
     # ------------------------------------------------------------------ queries
     @property

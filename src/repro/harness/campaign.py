@@ -213,11 +213,11 @@ def run_campaign(spec: CampaignSpec, trial_index: int = 0,
                  corpus_sink=None) -> FuzzCampaignResult:
     """Run a single trial of ``spec`` and return its result.
 
-    ``dut_cache`` optionally routes DUT runs through a
-    :class:`~repro.exec.cache.DutRunCache` (the parallel workers install a
-    process-local one); it never changes results, only wall-clock.  Golden
-    runs, made only for tests in which a bug fired, always go through the
-    process's one :func:`~repro.sim.golden.process_golden_cache`.
+    ``dut_cache`` optionally routes tests through a
+    :class:`~repro.exec.cache.DutRunCache` of their outcomes (every batch
+    installs the process's one); it never changes results, only
+    wall-clock.  Golden runs, made only where a bug fired, always go
+    through the process's one :func:`~repro.sim.golden.process_golden_cache`.
 
     When the spec enables corpus mode (``FuzzerConfig.corpus``),
     ``corpus_state`` is a :meth:`~repro.fuzzing.corpus.CorpusManager.

@@ -210,46 +210,16 @@ class GoldenModel(ModelBase):
     name = "golden"
 
 
-class KeyedRunCache(LRUCache):
-    """Bounded LRU cache of deterministic model runs, keyed by subclasses.
-
-    Both the golden reference and the DUT models are deterministic
-    functions of (program, step limit, model configuration), so their runs
-    can be cached and shared.  Subclasses define what "model configuration"
-    means by overriding :meth:`key`; the LRU itself -- counters, spill
-    policy, re-bound, stats -- is :class:`~repro.utils.lru.LRUCache`.
-
-    Cached results are shared objects -- callers must treat them as
-    read-only (every consumer does: the differential tester and the
-    coverage database only read).
-    """
-
-    @staticmethod
-    def key(model: ModelBase, program: TestProgram, step_limit: int) -> Tuple:
-        """Cache key for one run (overridden per cache flavour)."""
-        raise NotImplementedError
-
-    def get_or_run(self, model: ModelBase, program: TestProgram,
-                   max_steps: Optional[int] = None):
-        """Return the cached run for ``program``, running ``model`` on a miss."""
-        limit = max_steps or model.executor_config.step_limit
-        key = self.key(model, program, limit)
-        result = self.lookup(key)
-        if result is None:
-            result = model.run(program, max_steps)
-            self.insert(key, result)
-        return result
-
-
-class GoldenTraceCache(KeyedRunCache):
+class GoldenTraceCache(LRUCache):
     """Program-keyed cache of golden-model execution results.
 
     The golden model is deterministic: the commit trace depends only on the
     encoded program words, the load address and the step limit.  A process
     keeps one (:func:`process_golden_cache`), which
-    :meth:`repro.fuzzing.session.FuzzSession.run_test` consults only for a
-    test in which a bug fired, so a replayed trigger runs the reference
-    model once per process.
+    :meth:`repro.fuzzing.session.FuzzSession.run_test` consults only on a
+    DUT-cache miss in which a bug fired, so a replayed trigger runs the
+    reference model once per process.  Cached traces are shared objects
+    and must be treated as read-only.
     """
 
     @staticmethod
@@ -263,6 +233,17 @@ class GoldenTraceCache(KeyedRunCache):
         """
         return (program.words(), program.base_address, step_limit,
                 model.executor_config, model.layout)
+
+    def get_or_run(self, model: ModelBase, program: TestProgram,
+                   max_steps: Optional[int] = None) -> ExecutionResult:
+        """Return the cached run for ``program``, running ``model`` on a miss."""
+        limit = max_steps or model.executor_config.step_limit
+        key = self.key(model, program, limit)
+        result = self.lookup(key)
+        if result is None:
+            result = model.run(program, max_steps)
+            self.insert(key, result)
+        return result
 
 
 _PROCESS_GOLDEN_CACHE = GoldenTraceCache()

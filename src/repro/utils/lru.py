@@ -3,8 +3,11 @@
 Campaigns replay programs constantly (MABFuzz arms re-run their seeds,
 mutants duplicate each other), so a worker process keeps four caches:
 compiled programs and superblocks (:mod:`repro.isa.compiled`), golden runs
-and DUT runs (:class:`repro.sim.golden.KeyedRunCache`).  All four are an
-:class:`LRUCache`: one spill policy, one re-bound, one set of counters.
+(:class:`repro.sim.golden.GoldenTraceCache`) and test outcomes
+(:class:`repro.exec.cache.DutRunCache`, which keeps what a test reads of
+its runs rather than their commit traces, so that 4,096 entries stay
+small).  All four are an :class:`LRUCache`: one spill policy, one
+re-bound, one set of counters.
 :func:`repro.exec.cache.configure_process_caches` bounds them and
 :func:`repro.exec.cache.process_cache_stats` reads them.
 """

@@ -1,4 +1,4 @@
-"""Tests for the per-process DUT-run cache and the process golden cache."""
+"""Tests for the per-process DUT cache of test outcomes and the process golden cache."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.exec.cache import (
     process_dut_cache,
     process_golden_cache,
 )
+from repro.fuzzing.session import FuzzSession
 from repro.isa.generator import SeedGenerator
 from repro.sim.golden import GoldenModel, GoldenTraceCache
 
@@ -17,6 +18,11 @@ from repro.sim.golden import GoldenModel, GoldenTraceCache
 @pytest.fixture()
 def programs():
     return SeedGenerator(rng=11).generate_many(3)
+
+
+def _run(cache, dut, program, max_steps=None):
+    """``program``'s outcome from a fresh session whose tests go through ``cache``."""
+    return FuzzSession(dut, dut_cache=cache, max_steps=max_steps).run_test(program)
 
 
 class TestDutRunCache:
@@ -27,61 +33,75 @@ class TestDutRunCache:
     def test_hit_returns_identical_result(self, programs):
         cache = DutRunCache()
         dut = make_processor("rocket", bugs=[])
-        first = cache.get_or_run(dut, programs[0])
-        second = cache.get_or_run(dut, programs[0])
-        assert second is first  # shared, read-only
+        first = _run(cache, dut, programs[0])
+        second = _run(cache, dut, programs[0])
         assert cache.hits == 1 and cache.misses == 1
+        entry = cache.lookup(cache.key(programs[0], cache.identity(dut)))
+        assert second.coverage is first.coverage is entry[0]  # shared, read-only
 
     def test_cached_result_matches_direct_run(self, programs):
         cache = DutRunCache()
         dut = make_processor("rocket", bugs=[])
-        cached = cache.get_or_run(dut, programs[1])
+        _run(cache, dut, programs[1])
+        coverage, halt_reason, report = cache.lookup(
+            cache.key(programs[1], cache.identity(dut)))
         direct = dut.run(programs[1])
-        assert cached.coverage == direct.coverage
-        assert cached.execution.final_registers == direct.execution.final_registers
-        assert cached.fired_bugs == direct.fired_bugs
+        assert coverage == direct.coverage
+        assert halt_reason == direct.execution.halt_reason
+        assert report.mismatch is None and not direct.fired_bugs
 
     def test_bug_set_partitions_the_key(self, programs):
         cache = DutRunCache()
         clean = make_processor("cva6", bugs=[])
         bugged = make_processor("cva6", bugs=["V5"])
-        cache.get_or_run(clean, programs[0])
-        cache.get_or_run(bugged, programs[0])
+        _run(cache, clean, programs[0])
+        _run(cache, bugged, programs[0])
         assert cache.misses == 2 and cache.hits == 0
         assert len(cache) == 2
 
     def test_different_processors_do_not_collide(self, programs):
         cache = DutRunCache()
-        cache.get_or_run(make_processor("rocket", bugs=[]), programs[0])
-        cache.get_or_run(make_processor("boom", bugs=[]), programs[0])
+        _run(cache, make_processor("rocket", bugs=[]), programs[0])
+        _run(cache, make_processor("boom", bugs=[]), programs[0])
         assert cache.misses == 2 and cache.hits == 0
+
+    def test_step_limit_partitions_the_key(self, programs):
+        cache = DutRunCache()
+        dut = make_processor("rocket", bugs=[])
+        default = dut.executor_config.step_limit
+        for max_steps in (None, default, 16):
+            _run(cache, dut, programs[0], max_steps)
+        # An unset limit is the executor's default: one entry for both.
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert cache.identity(dut) == cache.identity(dut, default)
+        assert cache.identity(dut) != cache.identity(dut, 16)
 
     def test_eviction_bound(self, programs):
         cache = DutRunCache(max_entries=2)
         dut = make_processor("rocket", bugs=[])
         for program in programs:
-            cache.get_or_run(dut, program)
+            _run(cache, dut, program)
         assert len(cache) <= 2
         assert cache.evictions == 1  # 3 programs through a 2-entry cache
 
     def test_lru_spills_least_recently_used(self, programs):
         cache = DutRunCache(max_entries=2)
         dut = make_processor("rocket", bugs=[])
-        cache.get_or_run(dut, programs[0])
-        cache.get_or_run(dut, programs[1])
-        cache.get_or_run(dut, programs[0])  # touch 0: now 1 is LRU
-        cache.get_or_run(dut, programs[2])  # spills 1, keeps 0
+        _run(cache, dut, programs[0])
+        _run(cache, dut, programs[1])
+        _run(cache, dut, programs[0])  # touch 0: now 1 is LRU
+        _run(cache, dut, programs[2])  # spills 1, keeps 0
         hits_before = cache.hits
-        cache.get_or_run(dut, programs[0])
+        _run(cache, dut, programs[0])
         assert cache.hits == hits_before + 1  # 0 survived the spill
-        cache.get_or_run(dut, programs[1])  # 1 was spilled: a miss
+        _run(cache, dut, programs[1])  # 1 was spilled: a miss
         assert cache.misses == 4
 
     def test_configure_shrinks_and_respills(self, programs):
         cache = DutRunCache(max_entries=8)
         dut = make_processor("rocket", bugs=[])
         for program in programs:
-            cache.get_or_run(dut, program)
+            _run(cache, dut, program)
         cache.configure(1)
         assert len(cache) == 1
         assert cache.max_entries == 1
@@ -92,7 +112,7 @@ class TestDutRunCache:
     def test_stats_and_clear(self, programs):
         cache = DutRunCache()
         dut = make_processor("rocket", bugs=[])
-        cache.get_or_run(dut, programs[0])
+        _run(cache, dut, programs[0])
         stats = cache.stats()
         assert stats["misses"] == 1 and stats["entries"] == 1
         assert stats["evictions"] == 0

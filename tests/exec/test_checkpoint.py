@@ -250,6 +250,26 @@ class TestChecksumSalvage:
         assert journal.load() == {}
         assert journal.last_load_stats["dropped_malformed"] == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("trial", 1.9), ("trial", True), ("trial", -1), ("trial", "1"),
+        ("spec", 5), ("spec", None)])
+    def test_trial_key_fields_are_checked_not_coerced(self, tmp_path, field, value):
+        # Checksummed, so only the key check can refuse them: before it, a
+        # trial 1.9 or true restored as trial 1 and a spec 5 as '5'.
+        path = tmp_path / "journal.jsonl"
+        spec = self._write_journal(str(path), trials=2)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        damaged = json.loads(lines[1])
+        damaged[field] = value
+        damaged["check"] = record_checksum(damaged)
+        lines[1] = json.dumps(damaged, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        journal = CheckpointJournal(str(path))
+        assert set(journal.load()) == {(spec.fingerprint(), 0)}
+        assert journal.last_load_stats == {
+            "loaded": 1, "dropped": 1, "dropped_undecodable": 0,
+            "dropped_checksum": 0, "dropped_malformed": 1}
+
     def test_engine_reruns_trials_lost_to_corruption(self, tmp_path):
         # End-to-end: a corrupted journal record re-runs its trial on
         # resume and the damage count surfaces in the engine's report.

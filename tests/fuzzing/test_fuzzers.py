@@ -25,6 +25,8 @@ class TestFuzzerConfig:
             FuzzerConfig(num_seeds=0)
         with pytest.raises(ValueError):
             FuzzerConfig(mutants_per_test=0)
+        with pytest.raises(ValueError):
+            FuzzerConfig(max_program_steps=0)
 
 
 class TestTheHuzz:

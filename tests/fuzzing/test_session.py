@@ -1,18 +1,24 @@
 """Tests for the shared fuzzing session plumbing."""
 
+import gc
+import types
+
 import pytest
 
-from repro.exec.cache import process_cache_stats, process_golden_cache
-from repro.fuzzing.differential import DifferentialTester
+from repro.api import make_fuzzer
+from repro.exec.cache import DutRunCache, process_cache_stats, process_golden_cache
+from repro.fuzzing.base import FuzzerConfig
+from repro.fuzzing.differential import DifferentialReport, DifferentialTester, Mismatch
 from repro.fuzzing.session import FuzzSession
 from repro.harness.campaign import CampaignSpec, run_campaign
 from repro.isa import csr as csrdefs
 from repro.isa.instruction import Instruction
 from repro.isa.program import TestProgram
 from repro.rtl.cva6 import CVA6Model
-from repro.rtl.harness import DutModel
+from repro.rtl.harness import DutModel, DutRunResult
 from repro.rtl.rocket import RocketModel
-from repro.sim.golden import GoldenTraceCache
+from repro.sim.golden import GoldenModel, GoldenTraceCache
+from repro.sim.trace import CommitRecord, ExecutionResult, HaltReason
 from tests.integration.test_coverage_masks import _calls_by_code
 
 
@@ -179,8 +185,8 @@ class TestGoldenRunsOnlyWhereABugFired:
     """Seeded 100-test MABFuzz-UCB trials run the golden model and the
     trace compare exactly for the tests in which a bug fired."""
 
-    #: ``run_campaign`` installs no DUT-run cache, so every
-    #: ``get_or_run`` call is a golden one.
+    #: ``run_campaign`` installs no DUT cache, so every test whose bug
+    #: fired reaches the golden cache.
     _CODES = (GoldenTraceCache.get_or_run.__code__,
               DifferentialTester.check.__code__)
 
@@ -210,6 +216,100 @@ class TestGoldenRunsOnlyWhereABugFired:
         fired, golden, checks = self._trial("rocket", monkeypatch)
         assert 0 < fired < 100
         assert golden == checks == fired
+
+
+def _loop(*body):
+    """``body`` then a jump back to its start: a loop that runs to the step limit."""
+    return _program(*body, Instruction("jal", rd=0, imm=-4 * len(body)))
+
+
+def _reachable(root):
+    """The objects ``gc.get_referents`` reaches from ``root``, not
+    descending into classes, modules or functions."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+class TestCachedOutcome:
+    """A session with a DUT cache reads a repeated test from its entry:
+    coverage, halt reason and differential report, not the runs."""
+
+    @pytest.mark.parametrize("program, mismatch, halt_reason", [
+        (_program(Instruction("addi", rd=1, rs1=0, imm=5), Instruction("ecall")),
+         False, HaltReason.ECALL),
+        (_trigger(108), True, HaltReason.ECALL),
+        (_loop(Instruction("addi", rd=1, rs1=1, imm=1)), False, HaltReason.STEP_LIMIT),
+    ], ids=["clean", "trigger", "step-limit"])
+    def test_hit_equals_a_fresh_session(self, program, mismatch, halt_reason):
+        def fields(outcome):
+            return (outcome.coverage, outcome.mismatch, outcome.detected_bugs,
+                    outcome.halt_reason)
+
+        cache = DutRunCache()
+        miss, hit = (FuzzSession(CVA6Model(bugs=["V6"]), dut_cache=cache).run_test(program)
+                     for _ in range(2))
+        fresh = FuzzSession(CVA6Model(bugs=["V6"])).run_test(program)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert fields(miss) == fields(hit) == fields(fresh)
+        assert (fresh.mismatch is not None, fresh.halt_reason) == (mismatch, halt_reason)
+
+    def test_no_entry_references_a_run(self):
+        cache = DutRunCache()
+        session = FuzzSession(CVA6Model(bugs=["V6"]), dut_cache=cache)
+        for program in (_program(Instruction("ecall")), _trigger(109),
+                        _loop(Instruction("csrrs", rd=5, rs1=0, csr=0x7B0))):
+            session.run_test(program)
+        found = {type(obj) for obj in _reachable(cache)}
+        assert not found & {DutRunResult, ExecutionResult, CommitRecord}
+        assert {DifferentialReport, Mismatch, HaltReason} <= found  # the walk reached them
+
+    def test_repeated_trigger_runs_golden_and_compare_once(self):
+        cache = DutRunCache()
+        codes = (GoldenModel.run.__code__, DifferentialTester.check.__code__)
+
+        def sessions():
+            for _ in range(3):
+                session = FuzzSession(CVA6Model(bugs=["V6"]), dut_cache=cache)
+                for _ in range(2):
+                    assert session.run_test(_trigger(110)).detected_bugs == {"V6"}
+                assert session.bug_detections["V6"].test_index == 0
+
+        traffic, calls = _calls_by_code(codes, _golden_traffic, sessions)
+        assert [calls[code] for code in codes] == [1, 1]
+        assert traffic == (0, 1)
+        assert (cache.hits, cache.misses) == (5, 1)
+
+
+class TestStepLimit:
+    def test_max_program_steps_bounds_the_dut_and_golden_runs(self, monkeypatch):
+        """``FuzzerConfig.max_program_steps`` is the limit of every run of
+        the fuzzer's tests."""
+        limits = []
+
+        def recording(run):
+            def wrapper(model, program, max_steps=None):
+                result = run(model, program, max_steps)
+                execution = getattr(result, "execution", result)
+                limits.append((type(model).__name__, execution.halt_reason, execution.steps))
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(DutModel, "run", recording(DutModel.run))
+        monkeypatch.setattr(GoldenModel, "run", recording(GoldenModel.run))
+        fuzzer = make_fuzzer("thehuzz", CVA6Model(bugs=["V6"]),
+                             fuzzer_config=FuzzerConfig(max_program_steps=16), rng=1)
+        outcome = fuzzer.session.run_test(_loop(Instruction("addi", rd=1, rs1=0, imm=111),
+                                                Instruction("csrrs", rd=5, rs1=0, csr=0x7B0)))
+        assert outcome.detected_bugs == {"V6"}
+        assert limits == [("CVA6Model", HaltReason.STEP_LIMIT, 16),
+                          ("GoldenModel", HaltReason.STEP_LIMIT, 16)]
 
 
 class TestFamilyCounts:

@@ -19,6 +19,7 @@ import pytest
 from repro.exec.cache import (DutRunCache, configure_process_caches,
                               process_cache_stats)
 from repro.fuzzing.mutation import MutationEngine
+from repro.fuzzing.session import FuzzSession
 from repro.isa import csr as csrdefs
 from repro.isa.assembler import encode_instruction
 from repro.isa.compiled import (
@@ -118,11 +119,16 @@ class TestCompileProgram:
         assert cache.hits == hits + 2
         assert compile_program(moved).base_address == moved.base_address
         assert cache.hits == hits + 2  # another address: a miss
-        for model, runs in ((GoldenModel(), GoldenTraceCache()),
-                            (make_dut("rocket"), DutRunCache())):
-            run = runs.get_or_run(model, first)
-            assert runs.get_or_run(model, twin) is run
-            assert runs.get_or_run(model, moved) is not run
+        golden, golden_runs = GoldenModel(), GoldenTraceCache()
+        run = golden_runs.get_or_run(golden, first)
+        assert golden_runs.get_or_run(golden, twin) is run
+        assert golden_runs.get_or_run(golden, moved) is not run
+        outcomes = DutRunCache()
+        session = FuzzSession(make_dut("rocket"), dut_cache=outcomes)
+        coverage = session.run_test(first).coverage
+        assert session.run_test(twin).coverage is coverage
+        assert session.run_test(moved).coverage is not coverage
+        for runs in (golden_runs, outcomes):
             assert (runs.hits, runs.misses) == (1, 2)
         # Nothing is pinned on the program object: the LRU bound governs
         # all compiled-trace memory (the --cache-entries contract).

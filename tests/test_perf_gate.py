@@ -5,6 +5,7 @@ fixed samples: no subprocess, no timing.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -19,10 +20,10 @@ _SPEC.loader.exec_module(perf_gate)
 PARENT = (960.0, 985.0, 985.0, 990.0, 995.0, 1005.0, 1010.0, 1015.0, 1015.0, 1040.0)
 
 
-def _run(tests_per_s, code=0, correct=True):
+def _run(tests_per_s, code=0, correct=True, peak_rss_mb=60.0):
     """A run as ``run_perfbench`` returns it: exit code, last line parsed."""
     metrics = {"tests_per_s": tests_per_s, "setup_s": 0.3,
-               "peak_rss_mb": 60.0, "coverage_points": 4000}
+               "peak_rss_mb": peak_rss_mb, "coverage_points": 4000}
     return code, {"correct": correct, "attempted": 15, "failed": 0,
                   "metrics": {name: {"value": value, "unit": "-"}
                               for name, value in metrics.items()}}
@@ -80,3 +81,20 @@ def test_report_counts_the_pairs_the_change_won():
     lines = perf_gate.report("rocket-v7", _runs(PARENT), change)
     assert "| parent | 1000.0 [985.0, 1015.0] | 0.3 | 60 | 4000 |" in lines
     assert "The change won 1 of 10 pairs: pass." in lines
+
+
+def test_the_rss_bound_is_benchmark_json_s():
+    benchmark = json.loads((Path(__file__).resolve().parents[1]
+                            / "BENCHMARK.json").read_text(encoding="utf-8"))
+    [entry] = [m for m in benchmark["end_to_end"] if m["name"] == "peak_rss_mb"]
+    assert perf_gate.bound("peak_rss_mb") == entry["bound"] == 0.25
+
+
+@pytest.mark.parametrize("growth, fails", [(1.24, False), (1.26, True), (0.5, False)])
+def test_a_change_whose_median_rss_grows_past_the_bound_fails(growth, fails):
+    parent = [_run(1000.0, peak_rss_mb=rss) for rss in (58.0, 60.0, 60.0, 62.0)]
+    change = [_run(1000.0, peak_rss_mb=rss * growth) for rss in (50.0, 60.0, 60.0, 90.0)]
+    problems = perf_gate.decide("boom-alpha", parent, change)
+    assert problems == ([f"boom-alpha: the change's median peak_rss_mb {60 * growth:.1f} MB "
+                         "exceeds the parent's median 60.0 MB by more than 25%"]
+                        if fails else [])
